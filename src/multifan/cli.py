@@ -128,7 +128,6 @@ def _report_json(word: Word, ra, rep: CheckReport) -> str:
         "construction": ra.construction,
         "seed": ra.seed,
         "certified": rep.certified,
-        "partial_certificate": rep.partial,
         "condition1": rep.condition1,
         "condition1_holds": rep.condition1_holds,
         "base_facet": list(rep.base_facet) if rep.base_facet else None,
@@ -160,23 +159,17 @@ def cmd_check(args) -> int:
         )
     _tier_check(word.rank, args.tier)
     index = all_facets(word)
-    rep = certify_fan(ra, index, condition1=args.condition1, threads=args.threads)
+    rep = certify_fan(ra, index, threads=args.threads)
     sys.stdout.write(format_stats_table([rep.stats]))
     if rep.certified:
         sys.stdout.write("certified: complete simplicial fan\n")
-    elif rep.partial:
-        sys.stdout.write(
-            "partial certificate: all ridges good, base condition sampled\n"
-        )
     else:
-        sys.stdout.write(f"not certified: {rep.first_failure or 'base condition unchecked'}\n")
+        sys.stdout.write(f"not certified: {rep.first_failure}\n")
     if args.out:
         manifest = _manifest(args, "check", construction=ra.construction,
                              n=word.rank, seed=ra.seed)
         _write_output(args.out, _report_json(word, ra, rep), manifest)
-    if rep.certified or (rep.partial and args.allow_partial):
-        return 0
-    return 1
+    return 0 if rep.certified else 1
 
 
 def cmd_reproduce(args) -> int:
@@ -276,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rays", required=True, help="ray file path")
     s.add_argument("--word", help="word spec")
     s.add_argument("--kn", help="k,n shorthand")
-    s.add_argument("--condition1", choices=("auto", "full", "sampled", "skip"),
-                   default="auto")
-    s.add_argument("--allow-partial", action="store_true")
     _common(s)
     s.set_defaults(func=cmd_check)
 

@@ -8,8 +8,11 @@ dependence coefficients - and then works on Python integers with
 fraction-free (Bareiss) elimination, so no precision is ever lost and no
 intermediate gcd storms occur.
 
-Also hosts the exact phase-1 simplex used for the open-cone disjointness
-check (Bland's rule, guaranteed termination).
+Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
+termination) that decides whether two open simplicial cones meet.  The
+certifier decides the base condition by point location instead (see
+``fan.condition_one``); the simplex is the independent oracle that the
+test suite checks point location against.
 """
 
 from __future__ import annotations

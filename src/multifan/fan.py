@@ -8,8 +8,16 @@ complex spans a cone.  The two checks are:
 * ridge condition: across every pair of adjacent facets, the unique linear
   dependence on the 2n+1 involved rays must carry coefficients of the same
   nonzero sign on the two exchanged rays;
-* base condition: some full-rank facet's open cone must be disjoint from
-  every other facet's open cone (exact LP feasibility per facet).
+* base condition: one point must lie in exactly one cone.  The point is
+  p = sum_i i * r_i over the base facet's rays, strictly inside the base
+  cone, and the condition holds iff no other facet's closed cone contains
+  p (exact point location by Cramer signs, one facet at a time).
+
+Once the ridge condition holds, the cones cover every generic point the
+same number of times, so a point interior to the base and outside every
+other closed cone shows that number is one: the cones form a complete
+fan.  Conversely, in a complete fan an interior point of one cone lies in
+no other closed cone.
 
 A facet whose rays do not span the ambient space is a degenerate cone; a
 ridge incident to a degenerate cone is counted as a degenerate ridge and
@@ -29,13 +37,12 @@ from fractions import Fraction
 
 from .exactla import (
     bareiss_det,
-    feasible_nonneg,
     int_rank,
     kernel,
     scale_to_int,
     solve_unique,
 )
-from .subword import ComplexIndex, Facet, positions_of
+from .subword import ComplexIndex, Facet, greedy_facet, positions_of, root_configuration
 from .rays import RayAssignment
 
 __all__ = [
@@ -84,17 +91,12 @@ class FanStats:
 
 @dataclass(frozen=True)
 class CheckReport:
-    certified: bool  # full certificate only
-    partial: bool  # ridge condition everywhere + sampled base condition
+    certified: bool
     stats: FanStats
     first_failure: str | None
-    condition1: str  # "full" | "sampled" | "skipped"
+    condition1: str  # "full" | "skipped"
     condition1_holds: bool | None
     base_facet: tuple[int, ...] | None
-
-
-CONDITION1_FULL_MAX_N = 5
-CONDITION1_SAMPLE = 10_000
 
 
 def ratio_str(count: int, total: int) -> str:
@@ -146,10 +148,10 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     return RidgeReport(ridge, status, dep)
 
 
-def _facet_dets(ra: RayAssignment, index: ComplexIndex) -> list[int]:
+def _facet_dets(ra: RayAssignment, facets) -> list[int]:
     rays = _int_rays(ra)
     dets = []
-    for f in index.facets:
+    for f in facets:
         rows = [list(rays[r - 1]) for r in positions_of(f)]
         dets.append(bareiss_det(rows) if len(rows) == ra.dim else 0)
     return dets
@@ -225,9 +227,9 @@ def stream_statistics(ra: RayAssignment) -> FanStats:
     return _stream(ra)[0]
 
 
-def _stream(ra: RayAssignment) -> tuple[FanStats, list[Facet]]:
-    from .subword import greedy_facet, root_configuration
-
+def _stream(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int]]:
+    """Streamed statistics plus the determinant of every facet, keyed by
+    facet in traversal order."""
     w = ra.word
     p = len(w)
     rays = _int_rays(ra)
@@ -292,33 +294,21 @@ def _stream(ra: RayAssignment) -> tuple[FanStats, list[Facet]]:
         cones=len(seen),
         min_dimension=min_dim,
     )
-    return stats, sorted(seen)
+    return stats, dets
 
 
-def stream_certify(ra: RayAssignment, base: Facet | None = None,
-                   sample: int | None = CONDITION1_SAMPLE) -> CheckReport:
+def stream_certify(ra: RayAssignment, base: Facet | None = None) -> CheckReport:
     """Certification for instances too large to index: streamed ridge
-    statistics plus the base condition sampled over the streamed facet
-    list.  ``sample=None`` sweeps every facet (a full certificate)."""
-    stats, facets = _stream(ra)
+    statistics, then the base condition over the facets and determinants
+    the stream kept."""
+    stats, dets = _stream(ra)
     if stats.bad_ridges or stats.degenerate_ridges:
-        return CheckReport(False, False, stats, "ridge condition fails", "skipped",
-                           None, None)
-    if base is None:
-        from .subword import greedy_facet
-
-        base = greedy_facet(ra.word)
-    holds, witness = condition_one(ra, facets, base, sample)
-    first = None
-    if not holds:
-        first = f"open cones of base and {positions_of(witness)} intersect"
-    full = sample is None or sample >= len(facets) - 1
-    return CheckReport(holds and full, holds and not full, stats, first,
-                       "full" if full else "sampled", holds, positions_of(base))
+        return CheckReport(False, stats, "ridge condition fails", "skipped", None, None)
+    return _certify_base(ra, stats, dets.keys(), dets.values(), base)
 
 
 def _stats(ra: RayAssignment, index: ComplexIndex, threads: int = 1) -> tuple[FanStats, list[int]]:
-    dets = _facet_dets(ra, index)
+    dets = _facet_dets(ra, index.facets)
     bad, degen = _ridge_sign_counts(ra, index, dets, threads)
     rays = _int_rays(ra)
     deg_cones = 0
@@ -341,90 +331,74 @@ def _stats(ra: RayAssignment, index: ComplexIndex, threads: int = 1) -> tuple[Fa
 
 
 def condition_one(ra: RayAssignment, facets, base: Facet,
-                  sample: int | None = None) -> tuple[bool, Facet | None]:
-    """Whether the open cone of ``base`` is disjoint from every other open
-    facet cone; returns the first intersecting facet as witness otherwise.
+                  dets=None) -> tuple[bool, Facet | None]:
+    """Whether the point p = sum_i i * r_i over the rays of ``base``
+    (strictly inside its cone) lies in no other facet's closed cone;
+    returns the first facet containing p as witness otherwise.
 
-    ``facets`` is the facet list or an enumerated complex.  With ``sample``
-    set, only that many facets are tested (evenly spread, deterministic) -
-    a partial certificate.
+    ``facets`` is a facet iterable or an enumerated complex; ``dets``, when
+    given, holds each facet's determinant in the same order.  Every facet
+    must be full rank.  By Cramer's rule, p's coefficient on the j-th ray
+    of a facet F is det(F with row j replaced by p) / det(F), so F's
+    closed cone contains p iff no such determinant has the sign opposite
+    to det(F); the scan of F stops at the first one that does.
     """
     if isinstance(facets, ComplexIndex):
         facets = facets.facets
-    base_cols = [ra.rays[r - 1] for r in positions_of(base)]
-    inv_rows = _invert(base_cols)
-    others = [f for f in facets if f != base]
-    if sample is not None and sample < len(others):
-        step = len(others) / sample
-        others = [others[int(i * step)] for i in range(sample)]
-    for f in others:
-        a_cols = []
-        for r in positions_of(f):
-            v = ra.rays[r - 1]
-            a_cols.append([sum(row[i] * v[i] for i in range(ra.dim)) for row in inv_rows])
-        a_rows = [[a_cols[j][i] for j in range(len(a_cols))] for i in range(ra.dim)]
-        if feasible_nonneg(a_rows):
+    rays = _int_rays(ra)
+    base_rows = [list(rays[r - 1]) for r in positions_of(base)]
+    if len(base_rows) != ra.dim or bareiss_det(base_rows) == 0:
+        raise ValueError("base facet is rank deficient")
+    point = [sum(i * row[c] for i, row in enumerate(base_rows, start=1))
+             for c in range(ra.dim)]
+    if dets is None:
+        facets = list(facets)
+        dets = _facet_dets(ra, facets)
+    for f, det in zip(facets, dets):
+        if f == base:
+            continue
+        if det == 0:
+            raise ValueError(f"cone {positions_of(f)} is rank deficient")
+        rows = [list(rays[r - 1]) for r in positions_of(f)]
+        for j in range(ra.dim):
+            if bareiss_det(rows[:j] + [point] + rows[j + 1:]) * det < 0:
+                break
+        else:
             return False, f
     return True, None
 
 
-def _invert(cols) -> list[list[Fraction]]:
-    """Rows of the inverse of the matrix whose columns are ``cols``."""
-    n = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
-           for i in range(n)]
-    for k in range(n):
-        pr = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pr is None:
-            raise ValueError("base facet is rank deficient")
-        aug[k], aug[pr] = aug[pr], aug[k]
-        pk = aug[k][k]
-        aug[k] = [x / pk for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
+def _certify_base(ra: RayAssignment, stats: FanStats, facets, dets,
+                  base: Facet | None) -> CheckReport:
+    """Report of the base condition, once the ridge condition holds.
+
+    A closed cone containing p has an open cone meeting the open base cone
+    near p, hence the wording of the failure."""
+    if base is None:
+        base = greedy_facet(ra.word)
+    holds, witness = condition_one(ra, facets, base, dets)
+    first = None if holds else f"open cones of base and {positions_of(witness)} intersect"
+    return CheckReport(holds, stats, first, "full", holds, positions_of(base))
 
 
 def certify_fan(ra: RayAssignment, index: ComplexIndex,
-                base: Facet | None = None,
-                condition1: str = "auto", threads: int = 1) -> CheckReport:
+                base: Facet | None = None, threads: int = 1) -> CheckReport:
     """Full certification: ridge condition on every ridge, then the base
-    condition from the greedy facet.
-
-    ``condition1`` is "auto" (full sweep up to n = 5, sampled above),
-    "full", "sampled" or "skip".  The report never overstates the scope.
-    """
+    condition from ``base`` (the greedy facet by default)."""
     if ra.word != index.word:
         raise ValueError("assignment and index are for different words")
     if len(ra.rays) != len(index.word):
         raise ValueError("one ray per position required")
-    stats, _ = _stats(ra, index, threads)
-    first = None
+    stats, dets = _stats(ra, index, threads)
     if stats.bad_ridges or stats.degenerate_ridges:
+        first = None
         for ia, ib, shared in index.dual_edges:
             rep = classify_ridge(ra, index.facets[ia], index.facets[ib])
             if rep.status != "good":
                 first = f"{rep.status} ridge {rep.ridge}"
                 break
-        return CheckReport(False, False, stats, first, "skipped", None, None)
-
-    if condition1 == "auto":
-        condition1 = "full" if ra.word.rank <= CONDITION1_FULL_MAX_N else "sampled"
-    if condition1 == "skip":
-        return CheckReport(False, False, stats, None, "skipped", None, None)
-    if base is None:
-        from .subword import greedy_facet
-
-        base = greedy_facet(ra.word)
-    sample = CONDITION1_SAMPLE if condition1 == "sampled" else None
-    holds, witness = condition_one(ra, index, base, sample)
-    if not holds:
-        first = f"open cones of base and {positions_of(witness)} intersect"
-    return CheckReport(holds and condition1 == "full",
-                       holds and condition1 == "sampled",
-                       stats, first, condition1, holds, positions_of(base))
+        return CheckReport(False, stats, first, "skipped", None, None)
+    return _certify_base(ra, stats, index.facets, dets, base)
 
 
 _ROWS = (

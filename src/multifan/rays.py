@@ -350,24 +350,41 @@ def format_ray_file(ra: RayAssignment) -> str:
 
 
 def parse_ray_file(text: str) -> RayAssignment:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0]
-    if not head.startswith("# "):
-        raise ValueError("missing ray file header")
-    fields = dict(tok.split("=", 1) for tok in head[2:].split())
-    n, d = int(fields["n"]), int(fields["d"])
+    """Parse the ray file format of :func:`format_ray_file`.
+
+    Any malformed input raises ``ValueError`` naming the offending line.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ValueError("empty ray file")
+    no, head = lines[0]
+    try:
+        if not head.startswith("# "):
+            raise ValueError("missing ray file header")
+        fields = dict(tok.split("=", 1) for tok in head[2:].split())
+        if "n" not in fields or "d" not in fields:
+            raise ValueError("header lacks n= or d=")
+        n, d = int(fields["n"]), int(fields["d"])
+        seed = None if fields.get("seed", "none") == "none" else int(fields["seed"])
+    except ValueError as exc:
+        raise ValueError(f"ray file line {no}: {exc}") from None
     construction = fields.get("construction", "")
-    seed = None if fields.get("seed", "none") == "none" else int(fields["seed"])
     letters = []
     rays = []
-    for pos, ln in enumerate(lines[1:], start=1):
+    for pos, (no, ln) in enumerate(lines[1:], start=1):
         toks = ln.split()
-        if int(toks[0]) != pos or not toks[1].startswith("s"):
-            raise ValueError(f"bad ray line {ln!r}")
-        letters.append(int(toks[1][1:]))
-        rays.append(_vec(Fraction(t) for t in toks[2:]))
+        try:
+            if len(toks) < 2 or int(toks[0]) != pos or not toks[1].startswith("s"):
+                raise ValueError(f"bad ray line {ln!r}")
+            letters.append(int(toks[1][1:]))
+            rays.append(_vec(Fraction(t) for t in toks[2:]))
+        except ValueError as exc:
+            raise ValueError(f"ray file line {no}: {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"ray file line {no}: zero denominator") from None
         if len(rays[-1]) != d:
-            raise ValueError(f"ray of dimension {len(rays[-1])}, expected {d}")
+            raise ValueError(f"ray file line {no}: ray of dimension {len(rays[-1])}, "
+                             f"expected {d}")
     return RayAssignment(Word(n, tuple(letters)), tuple(rays), d, construction, seed)
 
 

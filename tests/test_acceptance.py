@@ -114,8 +114,7 @@ def test_c06_pattern_certification():
     t5 = None
     for n in range(1, 6):
         t0 = time.monotonic()
-        rep = certify_fan(build_rays("pattern", n), get_index(2, n),
-                          condition1="full")
+        rep = certify_fan(build_rays("pattern", n), get_index(2, n))
         elapsed = time.monotonic() - t0
         if n == 5:
             t5 = elapsed
@@ -130,12 +129,12 @@ def test_c06_pattern_certification():
 
 @pytest.mark.fulltier
 @pytest.mark.parametrize("n", [6, 7, 8])
-def test_c06_extended_sampled(n):
+def test_c06_extended_full(n):
     # streamed: n=8 cannot afford the dual-graph index
     rep = stream_certify(build_rays("pattern", n))
-    ok = (rep.partial and rep.stats.bad_ridges == 0
-          and rep.stats.degenerate_ridges == 0)
-    report(f"C6x(n={n})", ok, f"0 bad / 0 degenerate, sampled base condition: {rep.partial}")
+    ok = (rep.certified and rep.condition1 == "full"
+          and rep.stats.bad_ridges == 0 and rep.stats.degenerate_ridges == 0)
+    report(f"C6x(n={n})", ok, f"0 bad / 0 degenerate, full base condition: {rep.certified}")
 
 
 def test_c07_pattern_matches_integer_table():
@@ -157,7 +156,7 @@ def test_c08_loday():
     ok_counts = []
     for n in range(2, 7):
         idx = get_index(1, n)
-        rep = certify_fan(build_rays("loday", n), idx, condition1="full")
+        rep = certify_fan(build_rays("loday", n), idx)
         catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
         if not (rep.certified and idx.n_facets == catalan):
             report("C8", False, f"n={n}: certified={rep.certified}, facets={idx.n_facets}")

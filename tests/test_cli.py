@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
 from multifan.cli import main
+from multifan.rays import format_ray_file
+
+from conftest import double_cover_rays
 
 
 def run(capsys, *argv):
@@ -155,3 +160,25 @@ def test_threads_do_not_change_stats(tmp_path, capsys):
     _, out8, _ = run(capsys, "check", "--rays", str(rays), "--kn", "2,3",
                      "--threads", "8")
     assert out1 == out8
+
+
+def test_check_double_cover_exit_code(tmp_path, capsys):
+    rays = tmp_path / "double.rays"
+    rays.write_text(format_ray_file(double_cover_rays()))
+    rc, out, _ = run(capsys, "check", "--rays", str(rays), "--kn", "1,2")
+    assert rc == 1
+    assert "not certified: open cones of base and" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty ray file"),
+    ("# d=2 construction=naive seed=none\n1 s1 1 0\n", "line 1"),
+    ("# n=1 d=2 construction=naive seed=none\n1 s1 1/0 0\n", "line 2"),
+], ids=["empty", "header-without-n", "zero-denominator"])
+def test_check_malformed_ray_file(tmp_path, capsys, text, message):
+    rays = tmp_path / "bad.rays"
+    rays.write_text(text)
+    rc, _, err = run(capsys, "check", "--rays", str(rays), "--kn", "2,1")
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

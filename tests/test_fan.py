@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,14 @@ from multifan.fan import (
     fan_statistics,
     format_stats_table,
     ratio_str,
+    stream_certify,
 )
 from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet
 from multifan.words import Word
 
-from conftest import get_index
+from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index
+from lp_oracle import lp_condition_one
 
 
 def test_ratio_str():
@@ -138,10 +142,67 @@ def test_stream_certify_matches_indexed():
 
     for name, n in [("pattern", 2), ("pattern", 3), ("naive", 3)]:
         ra = build_rays(name, n)
-        indexed = certify_fan(ra, get_index(2, n), condition1="full")
-        streamed = stream_certify(ra, sample=None)
+        indexed = certify_fan(ra, get_index(2, n))
+        streamed = stream_certify(ra)
         assert streamed.certified == indexed.certified
+        assert streamed.condition1 == indexed.condition1
         assert streamed.stats == indexed.stats
+
+
+def test_double_cover_fails_base_condition():
+    loday = build_rays("loday", 2)
+    by_angle = sorted(range(1, 6), key=lambda q: math.atan2(loday.rays[q - 1][1],
+                                                            loday.rays[q - 1][0]))
+    assert tuple(by_angle) == DOUBLE_COVER_ORDER
+    ra = double_cover_rays()
+    idx = get_index(1, 2)
+    rep = certify_fan(ra, idx)
+    assert (rep.stats.bad_ridges, rep.stats.degenerate_ridges) == (0, 0)
+    assert rep.condition1 == "full" and rep.condition1_holds is False
+    assert not rep.certified
+    assert rep.first_failure.startswith("open cones of base and")
+    assert lp_condition_one(ra, idx, greedy_facet(ra.word))[0] is False
+    assert stream_certify(ra).condition1_holds is False
+
+
+# (k, n): (draws, scale).  A draw is scale * construction ray + a uniform
+# integer vector in [-3, 3]^d: plain random rays for the two smallest
+# complexes, noisy multiples of the loday / pattern rays for the other two,
+# where plain random rays almost never pass the ridge condition.
+CROSS_CHECK = {(1, 2): (3000, 0), (2, 1): (300, 0), (1, 3): (120, 6), (2, 2): (600, 6)}
+
+
+def test_point_location_agrees_with_lp_on_random_rays():
+    rng = random.Random(0)
+    kept = rejected = 0
+    for (k, n), (draws, scale) in CROSS_CHECK.items():
+        ref = build_rays("loday" if k == 1 else "pattern", n)
+        idx = get_index(k, n)
+        base = greedy_facet(ref.word)
+        for _ in range(draws):
+            rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
+            ra = RayAssignment(ref.word, rays, ref.dim)
+            stats = fan_statistics(ra, idx)
+            if stats.bad_ridges or stats.degenerate_ridges:
+                continue
+            kept += 1
+            holds, witness = condition_one(ra, idx, base)
+            assert holds == lp_condition_one(ra, idx, base)[0], (k, n, rays)
+            if not holds:
+                rejected += 1
+                # the witness's open cone meets the base's, as reported
+                assert not lp_condition_one(ra, [witness], base)[0]
+    assert kept >= 200 and rejected >= 1, (kept, rejected)
+
+
+def test_point_location_agrees_with_lp_on_constructions():
+    for name, k, ns in [("pattern", 2, (1, 2, 3)), ("loday", 1, (2, 3, 4)),
+                        ("fixed:5,3", 2, (1, 2, 3))]:
+        for n in ns:
+            ra = build_rays(name, n)
+            idx = get_index(k, n)
+            base = greedy_facet(ra.word)
+            assert condition_one(ra, idx, base) == lp_condition_one(ra, idx, base) == (True, None)
 
 
 def test_format_stats_table():
