@@ -7,7 +7,7 @@ from .subword import all_facets, greedy_facet, flip, vertex_status
 from .polygon import enumerate_k_triangulations, diagonal_to_position, position_to_diagonal
 from .moves import apply_move, classify_braid, fattening_sequence, insertion_sequence
 from .rays import RayAssignment, build_rays, parse_ray_file, format_ray_file
-from .fan import certify_fan, fan_statistics, classify_ridge, condition_one
+from .fan import certify_fan, stream_statistics, classify_ridge, condition_one
 
 __all__ = [
     "Word", "c_sorted_word", "multiassociahedron_word", "parse_word",
@@ -15,5 +15,5 @@ __all__ = [
     "enumerate_k_triangulations", "diagonal_to_position", "position_to_diagonal",
     "apply_move", "classify_braid", "fattening_sequence", "insertion_sequence",
     "RayAssignment", "build_rays", "parse_ray_file", "format_ray_file",
-    "certify_fan", "fan_statistics", "classify_ridge", "condition_one",
+    "certify_fan", "stream_statistics", "classify_ridge", "condition_one",
 ]

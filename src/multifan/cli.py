@@ -158,8 +158,7 @@ def cmd_check(args) -> int:
             f"ray file is for {format_word(ra.word)}, not {format_word(word)}"
         )
     _tier_check(word.rank, args.tier)
-    index = all_facets(word)
-    rep = certify_fan(ra, index, threads=args.threads)
+    rep = certify_fan(ra)
     sys.stdout.write(format_stats_table([rep.stats]))
     if rep.certified:
         sys.stdout.write("certified: complete simplicial fan\n")
@@ -178,7 +177,7 @@ def cmd_reproduce(args) -> int:
         for n in ns:
             _tier_check(n, args.tier)
     try:
-        results = reproduce_table(args.table, ns, threads=args.threads)
+        results = reproduce_table(args.table, ns)
     except ValueError as exc:
         raise UsageError(str(exc))
     fails = 0
@@ -238,7 +237,8 @@ def _parse_range(spec: str) -> list[int]:
 
 def _common(sub, out=True):
     sub.add_argument("--tier", choices=sorted(TIER_CAP), default="desk")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, choices=(1,), default=1,
+                     help="single-process only; kept so that existing command lines still run")
     if out:
         sub.add_argument("--out", help="write the result here (plus .manifest.json)")
 

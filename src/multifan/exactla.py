@@ -3,7 +3,7 @@ Exact rational linear algebra for the fan verifier.
 
 Vectors arrive as tuples of Fractions (or ints).  Every routine first
 clears denominators column by column - scaling a generator by a positive
-rational changes neither ranks, nor kernel dimensions, nor the signs of
+rational changes neither ranks, nor determinant signs, nor the signs of
 dependence coefficients - and then works on Python integers with
 fraction-free (Bareiss) elimination, so no precision is ever lost and no
 intermediate gcd storms occur.
@@ -23,8 +23,6 @@ __all__ = [
     "scale_to_int",
     "bareiss_det",
     "int_rank",
-    "rank",
-    "kernel",
     "solve_unique",
     "feasible_nonneg",
 ]
@@ -111,71 +109,6 @@ def int_rank(rows: list[list[int]]) -> int:
         return 0
     _, pivots = _int_row_echelon(rows)
     return len(pivots)
-
-
-def rank(vectors) -> int:
-    """Rank of a family of rational vectors."""
-    rows = [list(scale_to_int(v)) for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return int_rank(rows)
-
-
-def _scaled_with_factor(vec) -> tuple[tuple[int, ...], Fraction]:
-    """Primitive integer rescale plus the positive factor t with
-    ``ints = t * vec`` (t = 1 for the zero vector)."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    else:
-        g = 1
-    return tuple(ints), Fraction(lcm, g)
-
-
-def kernel(vectors) -> list[tuple[Fraction, ...]]:
-    """Basis of the dependence space of the given vectors: all rational
-    tuples c with sum c_i v_i = 0.  Empty list when independent.
-
-    The vectors become the columns of a matrix; back substitution runs over
-    Fractions on the integer echelon form, and the per-column rescaling is
-    undone so the coefficients refer to the vectors as given.
-    """
-    scaled = [_scaled_with_factor(v) for v in vectors]
-    vecs = [s[0] for s in scaled]
-    factors = [s[1] for s in scaled]
-    ncols = len(vecs)
-    if ncols == 0:
-        return []
-    dim = len(vecs[0])
-    for v in vecs:
-        if len(v) != dim:
-            raise ValueError("kernel: vectors of mixed dimension")
-    rows = [[vecs[c][r] for c in range(ncols)] for r in range(dim)]
-    if dim == 0:
-        ech, pivots = [], []
-    else:
-        ech, pivots = _int_row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        sol = [Fraction(0)] * ncols
-        sol[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(ech[r][c]) * sol[c] for c in range(pc + 1, ncols)), Fraction(0))
-            sol[pc] = -s / ech[r][pc]
-        basis.append(tuple(c * t for c, t in zip(sol, factors)))
-    return basis
 
 
 def solve_unique(matrix_cols, target) -> tuple[Fraction, ...]:

@@ -35,27 +35,18 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
-from .exactla import (
-    bareiss_det,
-    int_rank,
-    kernel,
-    scale_to_int,
-    solve_unique,
-)
-from .subword import ComplexIndex, Facet, greedy_facet, positions_of, root_configuration
+from .exactla import bareiss_det, int_rank, scale_to_int, solve_unique
+from .subword import ComplexIndex, Facet, greedy_facet, positions_of, traverse
 from .rays import RayAssignment
 
 __all__ = [
     "RidgeReport",
     "FanStats",
     "CheckReport",
-    "kernel",
     "facet_rank",
     "classify_ridge",
     "condition_one",
-    "fan_statistics",
     "stream_statistics",
-    "stream_certify",
     "certify_fan",
     "format_stats_table",
     "ratio_str",
@@ -124,7 +115,9 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     Degenerate as soon as one of the two cones is rank deficient; otherwise
     the unique dependence on the 2n+1 rays decides good (same nonzero sign
     on the exchanged rays, the one leaving f positive after normalisation)
-    versus bad.
+    versus bad.  Solved over the rationals, independently of the
+    determinant parity that the statistics use; the tests check that
+    parity against it.
     """
     shared = f & f2
     out = f & ~shared
@@ -148,186 +141,75 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     return RidgeReport(ridge, status, dep)
 
 
-def _facet_dets(ra: RayAssignment, facets) -> list[int]:
-    rays = _int_rays(ra)
-    dets = []
-    for f in facets:
-        rows = [list(rays[r - 1]) for r in positions_of(f)]
-        dets.append(bareiss_det(rows) if len(rows) == ra.dim else 0)
-    return dets
+def _facet_det(rays: list[tuple[int, ...]], f: Facet, dim: int) -> int:
+    rows = [list(rays[r - 1]) for r in positions_of(f)]
+    return bareiss_det(rows) if len(rows) == dim else 0
 
 
-def _ridge_chunk(args) -> tuple[int, int]:
-    lo, hi = args
-    index, dets = _PARALLEL_STATE
-    bad = degenerate = 0
-    facets = index.facets
-    for ia, ib, shared in index.dual_edges[lo:hi]:
-        if dets[ia] == 0 or dets[ib] == 0:
-            degenerate += 1
-            continue
-        fa, fb = facets[ia], facets[ib]
-        x = positions_of(fa & ~shared)[0]
-        x2 = positions_of(fb & ~shared)[0]
-        shift = abs(positions_of(fa).index(x) - positions_of(fb).index(x2))
-        cx_sign = (-1) ** shift * (1 if dets[ib] > 0 else -1) * (1 if dets[ia] > 0 else -1)
-        if cx_sign > 0:
-            bad += 1
-    return bad, degenerate
+def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], tuple[Facet, Facet] | None]:
+    """Statistics, the determinant of every facet, and the first ridge
+    that is not good: its two facets ``(f, g)``, f < g, least in bitset
+    order, or None.
 
-
-_PARALLEL_STATE: tuple = ()
-
-
-def _init_parallel(state):
-    global _PARALLEL_STATE
-    _PARALLEL_STATE = state
-
-
-def _ridge_sign_counts(ra: RayAssignment, index: ComplexIndex,
-                       dets: list[int], threads: int = 1) -> tuple[int, int]:
-    """(bad, degenerate) ridge counts.
-
-    For a ridge between full-rank facets F, F', the exchanged-ray
-    coefficient equals, up to positive factors, det(F') placed in the
-    leaving column of F times a parity for moving the entering column to
-    its sorted slot; good means negative.
-
-    With threads > 1 the edge list is cut into chunks processed by worker
-    processes; the counts are sums, so the result cannot depend on the
-    scheduling.
+    One flip-graph traversal.  Facet determinants are memoised on first
+    contact and every ridge is taken once, from its smaller facet.  For a
+    ridge between full-rank facets F, G, with x leaving F and q entering,
+    Cramer's rule gives the coefficient of ray x in ray q, written in the
+    rays of F, as (-1)^k det(G) / det(F): moving q's column from x's slot
+    to its sorted place in G crosses the k ridge positions strictly
+    between x and q.  The ridge is good when that coefficient is negative.
     """
-    total = len(index.dual_edges)
-    if threads <= 1 or total < 2000:
-        _init_parallel((index, dets))
-        return _ridge_chunk((0, total))
-    import multiprocessing as mp
-
-    step = -(-total // (4 * threads))
-    chunks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with mp.Pool(threads, initializer=_init_parallel, initargs=((index, dets),)) as pool:
-        parts = pool.map(_ridge_chunk, chunks)
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
-
-
-def fan_statistics(ra: RayAssignment, index: ComplexIndex, threads: int = 1) -> FanStats:
-    """Degeneracy statistics of the candidate realization."""
-    return _stats(ra, index, threads)[0]
-
-
-def stream_statistics(ra: RayAssignment) -> FanStats:
-    """Degeneracy statistics without materializing the dual graph.
-
-    Single flip-graph sweep: facet determinants are memoized on first
-    contact and every ridge is processed from its smaller endpoint as the
-    traversal passes it.  Equivalent to :func:`fan_statistics` (checked in
-    tests); meant for the largest instances, where storing tens of
-    millions of ridge records would dominate memory.
-    """
-    return _stream(ra)[0]
-
-
-def _stream(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int]]:
-    """Streamed statistics plus the determinant of every facet, keyed by
-    facet in traversal order."""
-    w = ra.word
-    p = len(w)
     rays = _int_rays(ra)
     dim = ra.dim
-
     dets: dict[Facet, int] = {}
 
     def det_of(f: Facet) -> int:
         d = dets.get(f)
         if d is None:
-            rows = [list(rays[r - 1]) for r in positions_of(f)]
-            d = bareiss_det(rows) if len(rows) == dim else 0
-            dets[f] = d
+            d = dets[f] = _facet_det(rays, f, dim)
         return d
 
     bad = degenerate = ridges = 0
-    seed = greedy_facet(w)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        next_frontier = []
-        for f in frontier:
-            roots = root_configuration(w, f)
-            partner_at = {}
-            for q in range(1, p + 1):
-                if not f >> (q - 1) & 1:
-                    a, b = roots[q - 1]
-                    partner_at[(a, b) if a < b else (b, a)] = q
-            pf = positions_of(f)
-            df = det_of(f)
-            for x in pf:
-                a, b = roots[x - 1]
-                q = partner_at[(a, b) if a < b else (b, a)]
-                g = f & ~(1 << (x - 1)) | 1 << (q - 1)
-                if g not in seen:
-                    seen.add(g)
-                    next_frontier.append(g)
-                if f < g:
-                    ridges += 1
-                    dg = det_of(g)
-                    if df == 0 or dg == 0:
-                        degenerate += 1
-                        continue
-                    shift = abs(pf.index(x) - positions_of(g).index(q))
-                    if (-1) ** shift * (1 if df > 0 else -1) * (1 if dg > 0 else -1) > 0:
-                        bad += 1
-        frontier = next_frontier
+    witness = None
+    for f, flips in traverse(ra.word):
+        df = det_of(f)
+        for x, q, g in flips:
+            if g < f:
+                continue
+            ridges += 1
+            dg = det_of(g)
+            if df == 0 or dg == 0:
+                degenerate += 1
+            else:
+                between = f & g & (((1 << (x - 1)) - 1) ^ ((1 << (q - 1)) - 1))
+                if (between.bit_count() % 2 == 0) != ((df > 0) == (dg > 0)):
+                    continue
+                bad += 1
+            if witness is None or (f, g) < witness:
+                witness = (f, g)
 
     deg_cones = 0
     min_dim = dim
     for f, d in dets.items():
         if d == 0:
             deg_cones += 1
-            rk = int_rank([list(rays[r - 1]) for r in positions_of(f)])
-            min_dim = min(min_dim, rk)
+            min_dim = min(min_dim, int_rank([list(rays[r - 1]) for r in positions_of(f)]))
     stats = FanStats(
-        n=w.rank,
+        n=ra.word.rank,
         bad_ridges=bad,
         degenerate_ridges=degenerate,
         ridges=ridges,
         degenerate_cones=deg_cones,
-        cones=len(seen),
+        cones=len(dets),
         min_dimension=min_dim,
     )
-    return stats, dets
+    return stats, dets, witness
 
 
-def stream_certify(ra: RayAssignment, base: Facet | None = None) -> CheckReport:
-    """Certification for instances too large to index: streamed ridge
-    statistics, then the base condition over the facets and determinants
-    the stream kept."""
-    stats, dets = _stream(ra)
-    if stats.bad_ridges or stats.degenerate_ridges:
-        return CheckReport(False, stats, "ridge condition fails", "skipped", None, None)
-    return _certify_base(ra, stats, dets.keys(), dets.values(), base)
-
-
-def _stats(ra: RayAssignment, index: ComplexIndex, threads: int = 1) -> tuple[FanStats, list[int]]:
-    dets = _facet_dets(ra, index.facets)
-    bad, degen = _ridge_sign_counts(ra, index, dets, threads)
-    rays = _int_rays(ra)
-    deg_cones = 0
-    min_dim = ra.dim
-    for f, det in zip(index.facets, dets):
-        if det == 0:
-            deg_cones += 1
-            rk = int_rank([list(rays[r - 1]) for r in positions_of(f)])
-            min_dim = min(min_dim, rk)
-    stats = FanStats(
-        n=ra.word.rank,
-        bad_ridges=bad,
-        degenerate_ridges=degen,
-        ridges=index.n_ridges,
-        degenerate_cones=deg_cones,
-        cones=index.n_facets,
-        min_dimension=min_dim,
-    )
-    return stats, dets
+def stream_statistics(ra: RayAssignment) -> FanStats:
+    """Degeneracy statistics of the candidate realization, from one sweep
+    of the flip graph that never stores the dual graph."""
+    return _stats(ra)[0]
 
 
 def condition_one(ra: RayAssignment, facets, base: Facet,
@@ -353,7 +235,7 @@ def condition_one(ra: RayAssignment, facets, base: Facet,
              for c in range(ra.dim)]
     if dets is None:
         facets = list(facets)
-        dets = _facet_dets(ra, facets)
+        dets = [_facet_det(rays, f, ra.dim) for f in facets]
     for f, det in zip(facets, dets):
         if f == base:
             continue
@@ -368,37 +250,28 @@ def condition_one(ra: RayAssignment, facets, base: Facet,
     return True, None
 
 
-def _certify_base(ra: RayAssignment, stats: FanStats, facets, dets,
-                  base: Facet | None) -> CheckReport:
-    """Report of the base condition, once the ridge condition holds.
+def certify_fan(ra: RayAssignment, base: Facet | None = None) -> CheckReport:
+    """Full certification: the ridge condition on every ridge, then the
+    base condition from ``base`` (the greedy facet by default) against
+    every other facet in bitset order.
 
-    A closed cone containing p has an open cone meeting the open base cone
-    near p, hence the wording of the failure."""
+    A closed cone containing the base point has an open cone meeting the
+    open base cone near it, hence the wording of that failure.
+    """
+    if len(ra.rays) != len(ra.word):
+        raise ValueError("one ray per position required")
+    stats, dets, witness = _stats(ra)
+    if witness is not None:
+        f, g = witness
+        status = "degenerate" if dets[f] == 0 or dets[g] == 0 else "bad"
+        return CheckReport(False, stats, f"{status} ridge {positions_of(f & g)}",
+                           "skipped", None, None)
     if base is None:
         base = greedy_facet(ra.word)
-    holds, witness = condition_one(ra, facets, base, dets)
-    first = None if holds else f"open cones of base and {positions_of(witness)} intersect"
+    facets = sorted(dets)
+    holds, other = condition_one(ra, facets, base, [dets[f] for f in facets])
+    first = None if holds else f"open cones of base and {positions_of(other)} intersect"
     return CheckReport(holds, stats, first, "full", holds, positions_of(base))
-
-
-def certify_fan(ra: RayAssignment, index: ComplexIndex,
-                base: Facet | None = None, threads: int = 1) -> CheckReport:
-    """Full certification: ridge condition on every ridge, then the base
-    condition from ``base`` (the greedy facet by default)."""
-    if ra.word != index.word:
-        raise ValueError("assignment and index are for different words")
-    if len(ra.rays) != len(index.word):
-        raise ValueError("one ray per position required")
-    stats, dets = _stats(ra, index, threads)
-    if stats.bad_ridges or stats.degenerate_ridges:
-        first = None
-        for ia, ib, shared in index.dual_edges:
-            rep = classify_ridge(ra, index.facets[ia], index.facets[ib])
-            if rep.status != "good":
-                first = f"{rep.status} ridge {rep.ridge}"
-                break
-        return CheckReport(False, stats, first, "skipped", None, None)
-    return _certify_base(ra, stats, index.facets, dets, base)
 
 
 _ROWS = (

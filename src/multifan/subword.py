@@ -10,12 +10,16 @@ positions (bit r-1 set means position r belongs to the facet).
 Two flip implementations are provided: a naive one that re-checks every
 candidate with a 0-Hecke evaluation, and a production one driven by the
 root configuration of a facet (constant work per candidate).  They are
-required to agree; tests check this exhaustively for small ranks.
+required to agree; tests check this exhaustively for small ranks.  The
+flip-graph traversal :func:`traverse` uses the production flip and is the
+one enumeration of the complex: the index, the statistics and the
+certificate all consume it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .words import (
     Word,
@@ -37,6 +41,7 @@ __all__ = [
     "naive_flip",
     "flip",
     "root_configuration",
+    "traverse",
     "all_facets",
     "vertex_status",
     "format_facet_file",
@@ -135,25 +140,53 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def flip(w: Word, facet: Facet, r: int, roots: list[tuple[int, int]] | None = None) -> tuple[int, Facet]:
-    """Production flip: the partner of ``r`` is the unique complement
-    position whose root is the same unordered pair as the root of ``r``.
+def _partners(w: Word, facet: Facet) -> dict[int, int]:
+    """The flip partner of every facet position: the unique complement
+    position whose root is the same unordered pair as its own."""
+    at = {}
+    leaving = []
+    for q, (a, b) in enumerate(root_configuration(w, facet), start=1):
+        key = (a, b) if a < b else (b, a)
+        if facet >> (q - 1) & 1:
+            leaving.append((q, key))
+        else:
+            at[key] = q
+    return {x: at[key] for x, key in leaving}
 
-    ``roots`` may be passed to reuse a precomputed root configuration.
+
+def flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
+    """Production flip: the partner of ``r`` from the root configuration.
+
+    Returns ``(r2, facet2)`` with ``facet2 = facet - {r} + {r2}``.
     """
     if not facet >> (r - 1) & 1:
         raise ValueError(f"position {r} not in facet")
-    if roots is None:
-        roots = root_configuration(w, facet)
-    a, b = roots[r - 1]
-    key = (a, b) if a < b else (b, a)
-    for q in range(1, len(w) + 1):
-        if q == r or facet >> (q - 1) & 1:
-            continue
-        x, y = roots[q - 1]
-        if (x, y) == key or (y, x) == key:
-            return q, facet & ~(1 << (r - 1)) | 1 << (q - 1)
-    raise AssertionError(f"no flip partner for {r} in {positions_of(facet)}")
+    q = _partners(w, facet)[r]
+    return q, facet & ~(1 << (r - 1)) | 1 << (q - 1)
+
+
+def traverse(w: Word) -> Iterator[tuple[Facet, list[tuple[int, int, Facet]]]]:
+    """Breadth-first traversal of the flip graph from the greedy facet.
+
+    Yields every facet once, with its flips ``(x, q, g)``: position x
+    leaves, q enters, g is the neighbouring facet.  Each flip is thus seen
+    from both of its facets; the caller keeps whatever it needs.
+    """
+    seed = greedy_facet(w)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        next_frontier = []
+        for f in frontier:
+            flips = []
+            for x, q in _partners(w, f).items():
+                g = f & ~(1 << (x - 1)) | 1 << (q - 1)
+                flips.append((x, q, g))
+                if g not in seen:
+                    seen.add(g)
+                    next_frontier.append(g)
+            yield f, flips
+        frontier = next_frontier
 
 
 @dataclass
@@ -163,7 +196,6 @@ class ComplexIndex:
 
     word: Word
     facets: list[Facet]
-    facet_ids: dict[Facet, int] = field(repr=False)
     vertex_flags: list[bool]
     # (facet id, facet id, shared-positions bitset), ids sorted per edge
     dual_edges: list[tuple[int, int, Facet]]
@@ -180,44 +212,25 @@ class ComplexIndex:
         return len(self.word) - self.word.rank * (self.word.rank + 1) // 2
 
 
-def all_facets(w: Word, use_naive_flips: bool = False) -> ComplexIndex:
-    """Breadth-first traversal of the flip graph from the greedy facet.
+def all_facets(w: Word) -> ComplexIndex:
+    """The complex as enumerated by :func:`traverse`.
 
     Deterministic: facets get ids in increasing bitset order, the dual edge
-    list is sorted.  ``use_naive_flips`` switches to the reference flip (for
-    cross-checking).
+    list is sorted.
     """
-    seed = greedy_facet(w)
-    p = len(w)
-    seen = {seed}
-    frontier = [seed]
-    edges_raw = set()
-    while frontier:
-        frontier.sort()
-        next_frontier = []
-        for f in frontier:
-            roots = None if use_naive_flips else root_configuration(w, f)
-            for r in positions_of(f):
-                if use_naive_flips:
-                    _, g = naive_flip(w, f, r)
-                else:
-                    _, g = flip(w, f, r, roots)
-                edges_raw.add((f, g) if f < g else (g, f))
-                if g not in seen:
-                    seen.add(g)
-                    next_frontier.append(g)
-        frontier = next_frontier
-
-    facets = sorted(seen)
+    facets = []
+    edges = []
+    for f, flips in traverse(w):
+        facets.append(f)
+        edges.extend((f, g) for _, _, g in flips if f < g)
+    facets.sort()
     ids = {f: i for i, f in enumerate(facets)}
-    dual_edges = sorted(
-        (ids[f], ids[g], f & g) for f, g in edges_raw
-    )
+    dual_edges = sorted((ids[f], ids[g], f & g) for f, g in edges)
     covered = 0
     for f in facets:
         covered |= f
-    flags = [bool(covered >> (r - 1) & 1) for r in range(1, p + 1)]
-    return ComplexIndex(w, facets, ids, flags, dual_edges)
+    flags = [bool(covered >> (r - 1) & 1) for r in range(1, len(w) + 1)]
+    return ComplexIndex(w, facets, flags, dual_edges)
 
 
 def vertex_status(w: Word) -> list[bool]:

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .fan import fan_statistics, stream_statistics
+from .fan import stream_statistics
 from .rays import build_rays
-from .subword import all_facets
-from .words import multiassociahedron_word
 
 __all__ = ["TABLE_IDS", "CellResult", "reproduce_table"]
 
@@ -89,18 +87,13 @@ def _check_matrix(table_id: str) -> list[CellResult]:
     return results
 
 
-def _check_stats(table_id: str, ns: list[int], threads: int = 1) -> list[CellResult]:
+def _check_stats(table_id: str, ns: list[int]) -> list[CellResult]:
     fname, construction = _STATS_SPECS[table_id]
     golden = _load_stats(fname)
     cols = [int(x) for x in golden["n"]]
     results = []
     for n in ns:
-        if n >= 6:
-            # the dual graph gets large; stream the ridges instead
-            stats = stream_statistics(build_rays(construction, n))
-        else:
-            idx = all_facets(multiassociahedron_word(2, n))
-            stats = fan_statistics(build_rays(construction, n), idx, threads)
+        stats = stream_statistics(build_rays(construction, n))
         got = {
             "bad_ridges": str(stats.bad_ridges),
             "degenerate_ridges": str(stats.degenerate_ridges),
@@ -119,8 +112,7 @@ def _check_stats(table_id: str, ns: list[int], threads: int = 1) -> list[CellRes
     return results
 
 
-def reproduce_table(table_id: str, ns: list[int] | None = None,
-                    threads: int = 1) -> list[CellResult]:
+def reproduce_table(table_id: str, ns: list[int] | None = None) -> list[CellResult]:
     """Regenerate a table and diff it cell by cell against the golden file.
 
     ``ns`` restricts statistics tables to the given columns (default 1..5);
@@ -133,4 +125,4 @@ def reproduce_table(table_id: str, ns: list[int] | None = None,
         if ns is not None and ns != [fixed_n]:
             raise ValueError(f"{table_id} is the n={fixed_n} table; drop --n or pass {fixed_n}")
         return _check_matrix(table_id)
-    return _check_stats(table_id, ns or [1, 2, 3, 4, 5], threads)
+    return _check_stats(table_id, ns or [1, 2, 3, 4, 5])

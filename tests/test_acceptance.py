@@ -13,10 +13,11 @@ from importlib import resources
 
 import pytest
 
-from multifan.fan import certify_fan, fan_statistics, stream_certify, stream_statistics
+from multifan.cli import main
+from multifan.fan import certify_fan, stream_statistics
 from multifan.moves import classify_braid, fattening_sequence
 from multifan.polygon import diagonal_to_position, enumerate_k_triangulations
-from multifan.rays import build_rays, format_ray_file
+from multifan.rays import build_rays
 from multifan.subword import all_facets, is_face, positions_of
 from multifan.words import c_sorted_word, multiassociahedron_word
 
@@ -79,7 +80,7 @@ def test_c02_oracle_equivalence():
 
 
 def _stats_tuple(construction, n):
-    s = fan_statistics(build_rays(construction, n), get_index(2, n))
+    s = stream_statistics(build_rays(construction, n))
     return (s.bad_ridges, s.degenerate_ridges, s.degenerate_cones, s.min_dimension)
 
 
@@ -103,8 +104,8 @@ def test_c05_linear_statistics():
 
 @pytest.mark.fulltier
 def test_c05_extended_n8_bad_ridges():
-    # streaming keeps the 30M ridges out of memory; also covers the n=8
-    # cone count of criterion 1's extended tier
+    # the statistics never hold the 30M ridges; also covers the n=8 cone
+    # count of criterion 1's extended tier
     stats = stream_statistics(build_rays("linear", 8))
     ok = stats.bad_ridges == 20 and stats.cones == COUNTS_FULL[8]
     report("C5x", ok, f"n=8: {stats.cones} cones, {stats.bad_ridges} bad ridges (expected 20)")
@@ -114,7 +115,7 @@ def test_c06_pattern_certification():
     t5 = None
     for n in range(1, 6):
         t0 = time.monotonic()
-        rep = certify_fan(build_rays("pattern", n), get_index(2, n))
+        rep = certify_fan(build_rays("pattern", n))
         elapsed = time.monotonic() - t0
         if n == 5:
             t5 = elapsed
@@ -130,8 +131,7 @@ def test_c06_pattern_certification():
 @pytest.mark.fulltier
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_c06_extended_full(n):
-    # streamed: n=8 cannot afford the dual-graph index
-    rep = stream_certify(build_rays("pattern", n))
+    rep = certify_fan(build_rays("pattern", n))
     ok = (rep.certified and rep.condition1 == "full"
           and rep.stats.bad_ridges == 0 and rep.stats.degenerate_ridges == 0)
     report(f"C6x(n={n})", ok, f"0 bad / 0 degenerate, full base condition: {rep.certified}")
@@ -156,7 +156,7 @@ def test_c08_loday():
     ok_counts = []
     for n in range(2, 7):
         idx = get_index(1, n)
-        rep = certify_fan(build_rays("loday", n), idx)
+        rep = certify_fan(build_rays("loday", n))
         catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
         if not (rep.certified and idx.n_facets == catalan):
             report("C8", False, f"n={n}: certified={rep.certified}, facets={idx.n_facets}")
@@ -220,11 +220,14 @@ def test_c09_move_calculus_properties():
            f"suspensions, stellar subdivisions verified (n<=3); braid cases n<=5: {sorted(cases)}")
 
 
-def test_c10_determinism():
-    a = format_ray_file(build_rays("perturbed", 5, seed=42))
-    b = format_ray_file(build_rays("perturbed", 5, seed=42))
-    ra = build_rays("naive", 3)
-    s1 = fan_statistics(ra, get_index(2, 3), threads=1)
-    s8 = fan_statistics(ra, get_index(2, 3), threads=8)
-    ok = a == b and s1 == s8
-    report("C10", ok, "perturbed rays byte-reproducible; stats equal with 1 and 8 workers")
+def test_c10_determinism(tmp_path, capsys):
+    files = []
+    for run in "ab":
+        rays, out = tmp_path / f"{run}.rays", tmp_path / f"{run}.json"
+        main(["rays", "--construction", "perturbed", "--n", "5", "--seed", "42",
+              "--out", str(rays)])
+        main(["check", "--rays", str(rays), "--kn", "2,5", "--out", str(out)])
+        files.append((rays.read_bytes(), out.read_bytes()))
+    capsys.readouterr()
+    ok = files[0] == files[1]
+    report("C10", ok, "perturbed rays and check reports byte-reproducible")

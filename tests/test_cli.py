@@ -56,6 +56,13 @@ def test_rays_and_check_roundtrip(tmp_path, capsys):
     assert doc["certified"] is True
     assert doc["stats"]["cones"] == 84
 
+    # one process only: any worker count but 1 is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--rays", str(rays), "--word", "c^2 w0(3)", "--threads", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--threads" in err and "Traceback" not in err
+
 
 def test_check_failure_exit_code(tmp_path, capsys):
     rays = tmp_path / "n4.rays"
@@ -150,16 +157,6 @@ def test_trace(capsys):
     assert sum(1 for ln in lines if ln.startswith("B ")) == 3
     rc, out, _ = run(capsys, "trace", "--n", "2", "--verbose")
     assert "n=2;" in out
-
-
-def test_threads_do_not_change_stats(tmp_path, capsys):
-    rays = tmp_path / "n3.rays"
-    run(capsys, "rays", "--construction", "naive", "--n", "3", "--out", str(rays))
-    _, out1, _ = run(capsys, "check", "--rays", str(rays), "--kn", "2,3",
-                     "--threads", "1")
-    _, out8, _ = run(capsys, "check", "--rays", str(rays), "--kn", "2,3",
-                     "--threads", "8")
-    assert out1 == out8
 
 
 def test_check_double_cover_exit_code(tmp_path, capsys):

@@ -7,8 +7,6 @@ from multifan.exactla import (
     bareiss_det,
     feasible_nonneg,
     int_rank,
-    kernel,
-    rank,
     scale_to_int,
     solve_unique,
 )
@@ -27,36 +25,8 @@ def test_bareiss_det():
     assert bareiss_det([[1, 1], [2, 2]]) == 0
 
 
-def test_kernel_examples():
-    ker = kernel([(1, -1), (1, 1), (-1, 0)])
-    assert len(ker) == 1
-    c = ker[0]
-    scaled = tuple(x / c[0] for x in c)
-    assert scaled == (1, 1, 2)
-    assert kernel([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == []
-    # pigeonhole: five vectors in R^4
-    vs = [(1, 2, 3, 4), (0, 1, 0, 1), (2, 0, 0, 1), (1, 1, 1, 1), (3, 1, 4, 1)]
-    assert len(kernel(vs)) >= 1
-
-
-def test_kernel_is_actual_dependence():
-    rng = random.Random(5)
-    for _ in range(200):
-        dim = rng.randint(1, 6)
-        ncols = rng.randint(1, 8)
-        vs = [
-            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
-            for _ in range(ncols)
-        ]
-        ker = kernel(vs)
-        assert len(ker) == ncols - rank(vs)
-        for coeffs in ker:
-            for d in range(dim):
-                assert sum(c * v[d] for c, v in zip(coeffs, vs)) == 0
-
-
 def _rref(rows):
-    """Reduced row echelon form over Fractions (for span comparison)."""
+    """Reduced row echelon form over Fractions (an independent rank)."""
     m = [list(map(Fraction, r)) for r in rows]
     if not m:
         return []
@@ -76,26 +46,6 @@ def _rref(rows):
     return [tuple(row) for row in m[:r]]
 
 
-def _kernel_reversed(vectors):
-    """Second, independent elimination: work on the reversed column order
-    and map the coefficients back."""
-    rev = kernel(list(reversed([tuple(v) for v in vectors])))
-    return [tuple(reversed(c)) for c in rev]
-
-
-def test_kernel_span_agrees_with_independent_elimination():
-    rng = random.Random(11)
-    for trial in range(1000):
-        dim = rng.randint(1, 17) if trial % 10 == 0 else rng.randint(1, 6)
-        ncols = rng.randint(1, min(dim + 3, 9))
-        vs = [
-            tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(ncols)
-        ]
-        a = _rref(kernel(vs))
-        b = _rref(_kernel_reversed(vs))
-        assert a == b
-
-
 def test_solve_unique():
     cols = [(1, 0), (1, 1)]
     assert solve_unique(cols, (3, 2)) == (1, 2)
@@ -106,6 +56,17 @@ def test_solve_unique():
 def test_int_rank():
     assert int_rank([[1, 2], [2, 4]]) == 1
     assert int_rank([[1, 0], [0, 1]]) == 2
+    rng = random.Random(11)
+    for trial in range(1000):
+        ncols = rng.randint(1, 17) if trial % 10 == 0 else rng.randint(1, 6)
+        nrows = rng.randint(1, min(ncols + 3, 9))
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and trial % 2:
+            # one row a combination of two others: a rank-deficient draw
+            i, j, k = rng.sample(range(nrows), 3)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        assert int_rank(rows) == len(_rref(rows)), rows
 
 
 def test_feasible_nonneg():

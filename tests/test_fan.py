@@ -9,13 +9,12 @@ from multifan.fan import (
     classify_ridge,
     condition_one,
     facet_rank,
-    fan_statistics,
     format_stats_table,
     ratio_str,
-    stream_certify,
+    stream_statistics,
 )
 from multifan.rays import RayAssignment, build_rays
-from multifan.subword import bitset_of, greedy_facet
+from multifan.subword import bitset_of, greedy_facet, positions_of
 from multifan.words import Word
 
 from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index
@@ -59,7 +58,7 @@ def test_classify_ridge_rejects_non_adjacent():
 def test_naive_n3_degeneracies():
     ra = build_rays("naive", 3)
     idx = get_index(2, 3)
-    stats = fan_statistics(ra, idx)
+    stats = stream_statistics(ra)
     assert stats.degenerate_ridges == 11
     assert stats.degenerate_cones == 2
     assert stats.bad_ridges == 0
@@ -77,7 +76,7 @@ def test_naive_n3_degeneracies():
 
 
 def test_naive_n4_column():
-    stats = fan_statistics(build_rays("naive", 4), get_index(2, 4))
+    stats = stream_statistics(build_rays("naive", 4))
     assert (stats.bad_ridges, stats.degenerate_ridges, stats.degenerate_cones,
             stats.min_dimension) == (0, 282, 48, 6)
 
@@ -108,45 +107,38 @@ def test_condition_one_pattern():
 
 def test_certify_pattern_small():
     for n in (1, 2, 3):
-        rep = certify_fan(build_rays("pattern", n), get_index(2, n))
+        rep = certify_fan(build_rays("pattern", n))
         assert rep.certified
         assert rep.condition1 == "full"
         assert rep.stats.min_dimension == 2 * n
 
 
-def test_certify_rejects_word_mismatch():
-    with pytest.raises(ValueError):
-        certify_fan(build_rays("pattern", 2), get_index(2, 3))
-
-
 def test_certify_rejects_bad_sets():
-    rep = certify_fan(build_rays("naive", 3), get_index(2, 3))
+    rep = certify_fan(build_rays("naive", 3))
     assert not rep.certified
     assert rep.first_failure.startswith("degenerate ridge")
     assert rep.condition1 == "skipped"
 
 
 def test_fixed_53_certifies_n3():
-    rep = certify_fan(build_rays("fixed:5,3", 3), get_index(2, 3))
+    rep = certify_fan(build_rays("fixed:5,3", 3))
     assert rep.certified
 
 
-def test_stats_threads_equal():
-    ra = build_rays("naive", 3)
-    idx = get_index(2, 3)
-    assert fan_statistics(ra, idx, threads=1) == fan_statistics(ra, idx, threads=8)
-
-
 def test_stream_certify_matches_indexed():
-    from multifan.fan import stream_certify
-
+    # the one streamed pass against the enumerated complex: counts, the
+    # degenerate cones by rank, and the base condition over the index
     for name, n in [("pattern", 2), ("pattern", 3), ("naive", 3)]:
         ra = build_rays(name, n)
-        indexed = certify_fan(ra, get_index(2, n))
-        streamed = stream_certify(ra)
-        assert streamed.certified == indexed.certified
-        assert streamed.condition1 == indexed.condition1
-        assert streamed.stats == indexed.stats
+        idx = get_index(2, n)
+        rep = certify_fan(ra)
+        ranks = [facet_rank(ra, f) for f in idx.facets]
+        assert (rep.stats.cones, rep.stats.ridges) == (idx.n_facets, idx.n_ridges)
+        assert rep.stats.degenerate_cones == sum(1 for r in ranks if r < ra.dim)
+        assert rep.stats.min_dimension == min(ranks)
+        if rep.condition1 == "full":
+            assert rep.condition1_holds
+            assert condition_one(ra, idx, greedy_facet(ra.word)) == (True, None)
 
 
 def test_double_cover_fails_base_condition():
@@ -156,13 +148,15 @@ def test_double_cover_fails_base_condition():
     assert tuple(by_angle) == DOUBLE_COVER_ORDER
     ra = double_cover_rays()
     idx = get_index(1, 2)
-    rep = certify_fan(ra, idx)
+    rep = certify_fan(ra)
     assert (rep.stats.bad_ridges, rep.stats.degenerate_ridges) == (0, 0)
     assert rep.condition1 == "full" and rep.condition1_holds is False
     assert not rep.certified
     assert rep.first_failure.startswith("open cones of base and")
     assert lp_condition_one(ra, idx, greedy_facet(ra.word))[0] is False
-    assert stream_certify(ra).condition1_holds is False
+    holds, witness = condition_one(ra, idx, greedy_facet(ra.word))
+    assert not holds
+    assert rep.first_failure == f"open cones of base and {positions_of(witness)} intersect"
 
 
 # (k, n): (draws, scale).  A draw is scale * construction ray + a uniform
@@ -182,7 +176,7 @@ def test_point_location_agrees_with_lp_on_random_rays():
         for _ in range(draws):
             rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
             ra = RayAssignment(ref.word, rays, ref.dim)
-            stats = fan_statistics(ra, idx)
+            stats = stream_statistics(ra)
             if stats.bad_ridges or stats.degenerate_ridges:
                 continue
             kept += 1
@@ -193,6 +187,45 @@ def test_point_location_agrees_with_lp_on_random_rays():
                 # the witness's open cone meets the base's, as reported
                 assert not lp_condition_one(ra, [witness], base)[0]
     assert kept >= 200 and rejected >= 1, (kept, rejected)
+
+
+def _ridge_scan(ra, idx):
+    """The per-ridge oracle: ``classify_ridge`` on every dual edge in id
+    order; (bad count, degenerate count, first non-good ridge)."""
+    counts = {"good": 0, "bad": 0, "degenerate": 0}
+    first = None
+    for ia, ib, _ in idx.dual_edges:
+        rep = classify_ridge(ra, idx.facets[ia], idx.facets[ib])
+        counts[rep.status] += 1
+        if first is None and rep.status != "good":
+            first = f"{rep.status} ridge {rep.ridge}"
+    return counts["bad"], counts["degenerate"], first
+
+
+# (k, n): (draws, scale), drawn as in CROSS_CHECK
+PARITY_CHECK = {(1, 2): (200, 0), (2, 1): (100, 0), (1, 3): (60, 6), (2, 2): (100, 6)}
+
+
+def test_ridge_parity_matches_classify_ridge():
+    rng = random.Random(1)
+    with_bad = with_degenerate = 0
+    for (k, n), (draws, scale) in PARITY_CHECK.items():
+        ref = build_rays("loday" if k == 1 else "pattern", n)
+        idx = get_index(k, n)
+        for _ in range(draws):
+            rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
+            ra = RayAssignment(ref.word, rays, ref.dim)
+            bad, degenerate, first = _ridge_scan(ra, idx)
+            stats = stream_statistics(ra)
+            assert (stats.bad_ridges, stats.degenerate_ridges) == (bad, degenerate), rays
+            rep = certify_fan(ra)
+            if first is None:
+                assert rep.condition1 == "full", rays
+            else:
+                assert rep.first_failure == first, rays
+            with_bad += bad > 0
+            with_degenerate += degenerate > 0
+    assert with_bad >= 1 and with_degenerate >= 1, (with_bad, with_degenerate)
 
 
 def test_point_location_agrees_with_lp_on_constructions():
@@ -206,7 +239,7 @@ def test_point_location_agrees_with_lp_on_constructions():
 
 
 def test_format_stats_table():
-    stats = fan_statistics(build_rays("naive", 3), get_index(2, 3))
+    stats = stream_statistics(build_rays("naive", 3))
     text = format_stats_table([stats])
     lines = text.splitlines()
     assert lines[0].split() == ["n", "3"]

@@ -165,10 +165,9 @@ def test_pattern_verbatim_fails_certification_with_ridge_witness():
     # the variant reading stops being realizing at n=4; the checker names
     # the first bad ridge instead of silently emending the formula
     from multifan.fan import certify_fan
-    from multifan.subword import all_facets
 
     ra = build_rays("pattern-verbatim", 4)
-    rep = certify_fan(ra, all_facets(ra.word))
+    rep = certify_fan(ra)
     assert not rep.certified
     assert rep.stats.bad_ridges == 18
     assert rep.first_failure.startswith("bad ridge")

@@ -9,6 +9,7 @@ from multifan.subword import (
     naive_flip,
     parse_facet_file,
     positions_of,
+    traverse,
     vertex_status,
 )
 from multifan.words import Word, c_sorted_word, mirror, multiassociahedron_word, rotate
@@ -57,10 +58,25 @@ def test_pentagon_flip_graph_is_5_cycle():
 @pytest.mark.parametrize("k,n", SMALL)
 def test_naive_and_root_flips_agree(k, n):
     w = multiassociahedron_word(k, n)
-    a = all_facets(w, use_naive_flips=True)
-    b = all_facets(w)
-    assert a.facets == b.facets
-    assert a.dual_edges == b.dual_edges
+    for f in get_index(k, n).facets:
+        for r in positions_of(f):
+            assert flip(w, f, r) == naive_flip(w, f, r)
+
+
+@pytest.mark.parametrize("k,n", SMALL)
+def test_traverse_yields_each_facet_once_and_each_flip_from_both_sides(k, n):
+    w = multiassociahedron_word(k, n)
+    facets = []
+    flips = set()
+    for f, out in traverse(w):
+        facets.append(f)
+        assert [x for x, _, _ in out] == list(positions_of(f))
+        for x, q, g in out:
+            assert g == f & ~(1 << (x - 1)) | 1 << (q - 1)
+            flips.add((f, x, q, g))
+    assert len(facets) == len(set(facets))
+    assert sorted(facets) == get_index(k, n).facets
+    assert all((g, q, x, f) in flips for f, x, q, g in flips)
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
