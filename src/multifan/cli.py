@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .fan import CheckReport, certify_fan, format_stats_table
+from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
 from .moves import fattening_sequence, format_trace
 from .polygon import diagonal_to_position, enumerate_k_triangulations, format_triangulations
 from .rays import CONSTRUCTIONS, build_rays, format_ray_file, parse_ray_file
@@ -66,12 +66,9 @@ def _write_output(path: str, text: str, manifest: RunManifest):
         fh.write("\n")
 
 
-_EFFECTIVE_ARGV: list[str] = []
-
-
-def _manifest(args, command: str, construction=None, n=None, k=None, seed=None) -> RunManifest:
+def _manifest(args, construction=None, n=None, k=None, seed=None) -> RunManifest:
     return RunManifest(
-        command=" ".join(_EFFECTIVE_ARGV or [command]),
+        command=" ".join(args.argv),
         construction=construction,
         n=n,
         k=k,
@@ -103,7 +100,7 @@ def cmd_facets(args) -> int:
     word, k, n = _resolve_word(args)
     _tier_check(word.rank, args.tier)
     index = all_facets(word)
-    manifest = _manifest(args, "facets", n=word.rank, k=k)
+    manifest = _manifest(args, n=word.rank, k=k)
     _emit(args, format_facet_file(index), manifest)
     return 0
 
@@ -116,7 +113,7 @@ def cmd_rays(args) -> int:
     if base == "perturbed" and args.seed is None:
         raise UsageError("perturbed construction requires --seed")
     ra = build_rays(args.construction, args.n, args.seed)
-    manifest = _manifest(args, "rays", construction=args.construction, n=args.n, seed=args.seed)
+    manifest = _manifest(args, construction=args.construction, n=args.n, seed=args.seed)
     _emit(args, format_ray_file(ra), manifest)
     return 0
 
@@ -132,16 +129,7 @@ def _report_json(word: Word, ra, rep: CheckReport) -> str:
         "condition1_holds": rep.condition1_holds,
         "base_facet": list(rep.base_facet) if rep.base_facet else None,
         "first_failure": rep.first_failure,
-        "stats": {
-            "bad_ridges": rep.stats.bad_ridges,
-            "degenerate_ridges": rep.stats.degenerate_ridges,
-            "ridges": rep.stats.ridges,
-            "ridge_ratio": rep.stats.ridge_ratio,
-            "degenerate_cones": rep.stats.degenerate_cones,
-            "cones": rep.stats.cones,
-            "cone_ratio": rep.stats.cone_ratio,
-            "min_dimension": rep.stats.min_dimension,
-        },
+        "stats": {row: getattr(rep.stats, row) for _, row in STAT_ROWS},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -165,8 +153,7 @@ def cmd_check(args) -> int:
     else:
         sys.stdout.write(f"not certified: {rep.first_failure}\n")
     if args.out:
-        manifest = _manifest(args, "check", construction=ra.construction,
-                             n=word.rank, seed=ra.seed)
+        manifest = _manifest(args, construction=ra.construction, n=word.rank, seed=ra.seed)
         _write_output(args.out, _report_json(word, ra, rep), manifest)
     return 0 if rep.certified else 1
 
@@ -176,10 +163,7 @@ def cmd_reproduce(args) -> int:
     if ns:
         for n in ns:
             _tier_check(n, args.tier)
-    try:
-        results = reproduce_table(args.table, ns)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    results = reproduce_table(args.table, ns)
     fails = 0
     for cell in results:
         if cell.ok:
@@ -195,17 +179,14 @@ def cmd_reproduce(args) -> int:
 
 def cmd_oracle(args) -> int:
     k, n = (int(t) for t in args.kn.split(","))
-    try:
-        tris = enumerate_k_triangulations(k, n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    tris = enumerate_k_triangulations(k, n)
     mapped = {
         frozenset(diagonal_to_position(k, n, d) for d in tri) for tri in tris
     }
     index = all_facets(multiassociahedron_word(k, n))
     facets = {frozenset(positions_of(f)) for f in index.facets}
     if args.out:
-        manifest = _manifest(args, "oracle", n=n, k=k)
+        manifest = _manifest(args, n=n, k=k)
         _write_output(args.out, format_triangulations(tris), manifest)
     if mapped == facets:
         sys.stdout.write(
@@ -223,7 +204,7 @@ def cmd_oracle(args) -> int:
 def cmd_trace(args) -> int:
     word = multiassociahedron_word(args.k_prefix, args.n)
     trace = fattening_sequence(word, triangle_start=args.k_prefix * args.n)
-    manifest = _manifest(args, "trace", n=args.n, k=args.k_prefix)
+    manifest = _manifest(args, n=args.n, k=args.k_prefix)
     _emit(args, format_trace(trace, verbose=args.verbose), manifest)
     return 0
 
@@ -231,6 +212,8 @@ def cmd_trace(args) -> int:
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = (int(t) for t in spec.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty column range {spec!r}")
         return list(range(lo, hi + 1))
     return [int(t) for t in spec.split(",")]
 
@@ -295,16 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _EFFECTIVE_ARGV
-    _EFFECTIVE_ARGV = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,13 +36,14 @@ from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
 from .exactla import bareiss_det, int_rank, scale_to_int, solve_unique
-from .subword import ComplexIndex, Facet, greedy_facet, positions_of, traverse
+from .subword import Facet, greedy_facet, positions_of, traverse
 from .rays import RayAssignment
 
 __all__ = [
     "RidgeReport",
     "FanStats",
     "CheckReport",
+    "STAT_ROWS",
     "facet_rank",
     "classify_ridge",
     "condition_one",
@@ -218,15 +219,13 @@ def condition_one(ra: RayAssignment, facets, base: Facet,
     (strictly inside its cone) lies in no other facet's closed cone;
     returns the first facet containing p as witness otherwise.
 
-    ``facets`` is a facet iterable or an enumerated complex; ``dets``, when
-    given, holds each facet's determinant in the same order.  Every facet
-    must be full rank.  By Cramer's rule, p's coefficient on the j-th ray
-    of a facet F is det(F with row j replaced by p) / det(F), so F's
-    closed cone contains p iff no such determinant has the sign opposite
-    to det(F); the scan of F stops at the first one that does.
+    ``dets``, when given, holds the determinant of each of ``facets`` in
+    the same order.  Every facet must be full rank.  By Cramer's rule, p's
+    coefficient on the j-th ray of a facet F is det(F with row j replaced
+    by p) / det(F), so F's closed cone contains p iff no such determinant
+    has the sign opposite to det(F); the scan of F stops at the first one
+    that does.
     """
-    if isinstance(facets, ComplexIndex):
-        facets = facets.facets
     rays = _int_rays(ra)
     base_rows = [list(rays[r - 1]) for r in positions_of(base)]
     if len(base_rows) != ra.dim or bareiss_det(base_rows) == 0:
@@ -250,10 +249,10 @@ def condition_one(ra: RayAssignment, facets, base: Facet,
     return True, None
 
 
-def certify_fan(ra: RayAssignment, base: Facet | None = None) -> CheckReport:
+def certify_fan(ra: RayAssignment) -> CheckReport:
     """Full certification: the ridge condition on every ridge, then the
-    base condition from ``base`` (the greedy facet by default) against
-    every other facet in bitset order.
+    base condition from the greedy facet against every other facet in
+    bitset order.
 
     A closed cone containing the base point has an open cone meeting the
     open base cone near it, hence the wording of that failure.
@@ -266,30 +265,30 @@ def certify_fan(ra: RayAssignment, base: Facet | None = None) -> CheckReport:
         status = "degenerate" if dets[f] == 0 or dets[g] == 0 else "bad"
         return CheckReport(False, stats, f"{status} ridge {positions_of(f & g)}",
                            "skipped", None, None)
-    if base is None:
-        base = greedy_facet(ra.word)
+    base = greedy_facet(ra.word)
     facets = sorted(dets)
     holds, other = condition_one(ra, facets, base, [dets[f] for f in facets])
     first = None if holds else f"open cones of base and {positions_of(other)} intersect"
     return CheckReport(holds, stats, first, "full", holds, positions_of(base))
 
 
-_ROWS = (
-    ("# bad ridges", lambda s: str(s.bad_ridges)),
-    ("# degenerate ridges", lambda s: str(s.degenerate_ridges)),
-    ("# ridges", lambda s: str(s.ridges)),
-    ("ratio (%)", lambda s: s.ridge_ratio),
-    ("# degenerate cones", lambda s: str(s.degenerate_cones)),
-    ("# cones", lambda s: str(s.cones)),
-    ("ratio (%)", lambda s: s.cone_ratio),
-    ("minimal dimension", lambda s: str(s.min_dimension)),
+# (table label, FanStats attribute) in the order of the reference tables
+STAT_ROWS = (
+    ("# bad ridges", "bad_ridges"),
+    ("# degenerate ridges", "degenerate_ridges"),
+    ("# ridges", "ridges"),
+    ("ratio (%)", "ridge_ratio"),
+    ("# degenerate cones", "degenerate_cones"),
+    ("# cones", "cones"),
+    ("ratio (%)", "cone_ratio"),
+    ("minimal dimension", "min_dimension"),
 )
 
 
 def format_stats_table(columns: list[FanStats]) -> str:
     """Fixed-column table mirroring the reference layout, one column per n."""
     headers = ["n"] + [str(s.n) for s in columns]
-    body = [[label] + [get(s) for s in columns] for label, get in _ROWS]
+    body = [[label] + [str(getattr(s, row)) for s in columns] for label, row in STAT_ROWS]
     rows = [headers] + body
     widths = [max(len(r[c]) for r in rows) for c in range(len(headers))]
     out = []

@@ -361,9 +361,3 @@ def format_trace(trace: MoveTrace, verbose: bool = False) -> str:
         if verbose:
             lines.append(format_word(trace.words[s + 1]))
     return "\n".join(lines) + "\n"
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -188,9 +188,3 @@ def format_triangulations(tris: list[frozenset[Diagonal]]) -> str:
     for tri in sorted(tris, key=lambda t: sorted(t)):
         lines.append(" ".join(f"{a}-{b}" for a, b in sorted(tri)))
     return "\n".join(lines) + "\n"
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

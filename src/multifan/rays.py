@@ -386,9 +386,3 @@ def parse_ray_file(text: str) -> RayAssignment:
             raise ValueError(f"ray file line {no}: ray of dimension {len(rays[-1])}, "
                              f"expected {d}")
     return RayAssignment(Word(n, tuple(letters)), tuple(rays), d, construction, seed)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

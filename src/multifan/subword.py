@@ -1,5 +1,5 @@
 """
-Spherical type-A subword complexes: faces, facets, flips and the dual graph.
+Spherical type-A subword complexes: faces, facets and flips.
 
 For a word Q containing a reduced expression of the longest element w0, the
 faces of SC(Q) are the position sets J such that Q with J deleted still
@@ -12,8 +12,8 @@ candidate with a 0-Hecke evaluation, and a production one driven by the
 root configuration of a facet (constant work per candidate).  They are
 required to agree; tests check this exhaustively for small ranks.  The
 flip-graph traversal :func:`traverse` uses the production flip and is the
-one enumeration of the complex: the index, the statistics and the
-certificate all consume it.
+one enumeration of the complex: the sorted facet list, the statistics and
+the certificate all consume it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "all_facets",
     "vertex_status",
     "format_facet_file",
-    "parse_facet_file",
 ]
 
 # A facet as a bitset over 1-based positions: bit r-1 <-> position r.
@@ -191,14 +190,10 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[tuple[int, int, Facet]]]]:
 
 @dataclass
 class ComplexIndex:
-    """The enumerated complex: facets in sorted bitset order, per-position
-    vertex flags, and the dual graph with its ridges."""
+    """The enumerated complex: its facets in sorted bitset order."""
 
     word: Word
     facets: list[Facet]
-    vertex_flags: list[bool]
-    # (facet id, facet id, shared-positions bitset), ids sorted per edge
-    dual_edges: list[tuple[int, int, Facet]]
 
     @property
     def n_facets(self) -> int:
@@ -206,31 +201,17 @@ class ComplexIndex:
 
     @property
     def n_ridges(self) -> int:
-        return len(self.dual_edges)
+        # the complex is a sphere: every facet position flips, and every
+        # ridge lies in exactly two facets
+        return self.n_facets * self.facet_size() // 2
 
     def facet_size(self) -> int:
         return len(self.word) - self.word.rank * (self.word.rank + 1) // 2
 
 
 def all_facets(w: Word) -> ComplexIndex:
-    """The complex as enumerated by :func:`traverse`.
-
-    Deterministic: facets get ids in increasing bitset order, the dual edge
-    list is sorted.
-    """
-    facets = []
-    edges = []
-    for f, flips in traverse(w):
-        facets.append(f)
-        edges.extend((f, g) for _, _, g in flips if f < g)
-    facets.sort()
-    ids = {f: i for i, f in enumerate(facets)}
-    dual_edges = sorted((ids[f], ids[g], f & g) for f, g in edges)
-    covered = 0
-    for f in facets:
-        covered |= f
-    flags = [bool(covered >> (r - 1) & 1) for r in range(1, len(w) + 1)]
-    return ComplexIndex(w, facets, flags, dual_edges)
+    """The complex as enumerated by :func:`traverse`, facets sorted."""
+    return ComplexIndex(w, sorted(f for f, _ in traverse(w)))
 
 
 def vertex_status(w: Word) -> list[bool]:
@@ -248,18 +229,3 @@ def format_facet_file(index: ComplexIndex) -> str:
     for f in index.facets:
         lines.append(" ".join(str(r) for r in positions_of(f)))
     return "\n".join(lines) + "\n"
-
-
-def parse_facet_file(text: str) -> tuple[Word, list[Facet]]:
-    from .words import parse_word
-
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# word: "):
-        raise ValueError("missing facet file header")
-    head, _, count = lines[0][len("# word: "):].rpartition("; facets: ")
-    word = parse_word(head)
-    body = lines[1 : 1 + int(count)]
-    if len(body) != int(count):
-        raise ValueError("facet count does not match the header")
-    # a blank line is the empty facet (the complex of a reduced word)
-    return word, [bitset_of(int(tok) for tok in ln.split()) for ln in body]

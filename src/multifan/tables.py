@@ -12,23 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .fan import stream_statistics
+from .fan import STAT_ROWS, stream_statistics
 from .rays import build_rays
 
 __all__ = ["TABLE_IDS", "CellResult", "reproduce_table"]
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5-integer", "T6", "F10", "F12")
-
-_STAT_ROWS = (
-    "bad_ridges",
-    "degenerate_ridges",
-    "ridges",
-    "ridge_ratio",
-    "degenerate_cones",
-    "cones",
-    "cone_ratio",
-    "min_dimension",
-)
 
 # which construction regenerates each table
 _MATRIX_SPECS = {
@@ -94,21 +83,10 @@ def _check_stats(table_id: str, ns: list[int]) -> list[CellResult]:
     results = []
     for n in ns:
         stats = stream_statistics(build_rays(construction, n))
-        got = {
-            "bad_ridges": str(stats.bad_ridges),
-            "degenerate_ridges": str(stats.degenerate_ridges),
-            "ridges": str(stats.ridges),
-            "ridge_ratio": stats.ridge_ratio,
-            "degenerate_cones": str(stats.degenerate_cones),
-            "cones": str(stats.cones),
-            "cone_ratio": stats.cone_ratio,
-            "min_dimension": str(stats.min_dimension),
-        }
         ci = cols.index(n)
-        for row in _STAT_ROWS:
-            results.append(
-                CellResult(f"{table_id}[n={n}, {row}]", golden[row][ci], got[row])
-            )
+        for _, row in STAT_ROWS:
+            got = str(getattr(stats, row))
+            results.append(CellResult(f"{table_id}[n={n}, {row}]", golden[row][ci], got))
     return results
 
 
@@ -125,4 +103,4 @@ def reproduce_table(table_id: str, ns: list[int] | None = None) -> list[CellResu
         if ns is not None and ns != [fixed_n]:
             raise ValueError(f"{table_id} is the n={fixed_n} table; drop --n or pass {fixed_n}")
         return _check_matrix(table_id)
-    return _check_stats(table_id, ns or [1, 2, 3, 4, 5])
+    return _check_stats(table_id, [1, 2, 3, 4, 5] if ns is None else ns)

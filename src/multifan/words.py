@@ -230,9 +230,3 @@ def parse_word(text: str) -> Word:
 def format_word(w: Word) -> str:
     """Inverse of :func:`parse_word`'s explicit form."""
     return f"n={w.rank}; " + " ".join(str(a) for a in w.letters)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

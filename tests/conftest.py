@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 from multifan.rays import RayAssignment
-from multifan.subword import all_facets
+from multifan.subword import all_facets, traverse
 from multifan.words import multiassociahedron_word
 
 
@@ -10,6 +10,13 @@ from multifan.words import multiassociahedron_word
 def get_index(k: int, n: int):
     """Session-wide cache of enumerated complexes (they are immutable)."""
     return all_facets(multiassociahedron_word(k, n))
+
+
+@functools.lru_cache(maxsize=None)
+def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
+    flips = traverse(multiassociahedron_word(k, n))
+    return tuple(sorted((f, g) for f, out in flips for _, _, g in out if f < g))
 
 
 # positions of c w0(2) in the angular order of the loday rays

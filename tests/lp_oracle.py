@@ -11,7 +11,7 @@ and a phase-1 simplex per facet instead of Cramer signs at one point.
 from fractions import Fraction
 
 from multifan.exactla import feasible_nonneg
-from multifan.subword import ComplexIndex, positions_of
+from multifan.subword import positions_of
 
 
 def invert(cols) -> list[list[Fraction]]:
@@ -36,8 +36,6 @@ def invert(cols) -> list[list[Fraction]]:
 def lp_condition_one(ra, facets, base):
     """(holds, witness) as ``condition_one`` returns it, by one exact LP per
     facet: the witness is the first facet whose open cone meets the base's."""
-    if isinstance(facets, ComplexIndex):
-        facets = facets.facets
     inv_rows = invert([ra.rays[r - 1] for r in positions_of(base)])
     for f in facets:
         if f == base:

@@ -40,11 +40,12 @@ def test_facets_rejects_short_word(capsys):
 
 def test_rays_and_check_roundtrip(tmp_path, capsys):
     rays = tmp_path / "p3.rays"
-    rc, _, _ = run(capsys, "rays", "--construction", "pattern", "--n", "3",
-                   "--out", str(rays))
+    argv = ["rays", "--construction", "pattern", "--n", "3", "--out", str(rays)]
+    rc, _, _ = run(capsys, *argv)
     assert rc == 0
     manifest = json.loads((tmp_path / "p3.rays.manifest.json").read_text())
     assert manifest["construction"] == "pattern" and manifest["n"] == 3
+    assert manifest["command"] == " ".join(argv)
     assert str(rays) in manifest["outputs"]
 
     report = tmp_path / "p3.json"
@@ -131,6 +132,12 @@ def test_reproduce_f12(capsys):
 def test_reproduce_matrix_rejects_other_n(capsys):
     rc, _, err = run(capsys, "reproduce", "T1", "--n", "3")
     assert rc == 2 and "n=4" in err
+
+
+def test_reproduce_empty_range(capsys):
+    rc, out, err = run(capsys, "reproduce", "T2", "--n", "3..1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_reproduce_tier_gate(capsys):

@@ -15,9 +15,9 @@ from multifan.fan import (
 )
 from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet, positions_of
-from multifan.words import Word
+from multifan.words import Word, mirror, rotate
 
-from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index
+from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index, get_ridges
 from lp_oracle import lp_condition_one
 
 
@@ -36,17 +36,15 @@ def test_facet_rank_pattern_n1():
 
 def test_classify_ridge_pattern_n1():
     ra = build_rays("pattern", 1)
-    idx = get_index(2, 1)
-    for ia, ib, _ in idx.dual_edges:
-        rep = classify_ridge(ra, idx.facets[ia], idx.facets[ib])
+    ridges = get_ridges(2, 1)
+    for f, g in ridges:
+        rep = classify_ridge(ra, f, g)
         assert rep.status == "good"
         # normalised dependence has positive weight on both exchanged rays
         assert rep.dependence[-1] > 0
     # symmetry in the two facets
-    for ia, ib, _ in idx.dual_edges:
-        a = classify_ridge(ra, idx.facets[ia], idx.facets[ib])
-        b = classify_ridge(ra, idx.facets[ib], idx.facets[ia])
-        assert a.status == b.status
+    for f, g in ridges:
+        assert classify_ridge(ra, f, g).status == classify_ridge(ra, g, f).status
 
 
 def test_classify_ridge_rejects_non_adjacent():
@@ -64,10 +62,7 @@ def test_naive_n3_degeneracies():
     assert stats.bad_ridges == 0
     assert stats.min_dimension == 5
     # classify_ridge agrees with the bulk counts
-    per_ridge = [
-        classify_ridge(ra, idx.facets[ia], idx.facets[ib]).status
-        for ia, ib, _ in idx.dual_edges
-    ]
+    per_ridge = [classify_ridge(ra, f, g).status for f, g in get_ridges(2, 3)]
     assert per_ridge.count("degenerate") == 11
     assert per_ridge.count("bad") == 0
     # 2 deficient cones of 84, sharing one ridge: 6 + 6 - 1 = 11
@@ -96,12 +91,12 @@ def test_condition_one_pattern():
     for n in (1, 2, 3):
         ra = build_rays("pattern", n)
         idx = get_index(2, n)
-        ok, witness = condition_one(ra, idx, greedy_facet(ra.word))
+        ok, witness = condition_one(ra, idx.facets, greedy_facet(ra.word))
         assert ok and witness is None
     # any full-rank base works; {1, 2} at n=1 spans the plane and the other
     # two facets avoid its interior
     ra = build_rays("pattern", 1)
-    ok, witness = condition_one(ra, get_index(2, 1), bitset_of([1, 2]))
+    ok, witness = condition_one(ra, get_index(2, 1).facets, bitset_of([1, 2]))
     assert ok and witness is None
 
 
@@ -138,7 +133,7 @@ def test_stream_certify_matches_indexed():
         assert rep.stats.min_dimension == min(ranks)
         if rep.condition1 == "full":
             assert rep.condition1_holds
-            assert condition_one(ra, idx, greedy_facet(ra.word)) == (True, None)
+            assert condition_one(ra, idx.facets, greedy_facet(ra.word)) == (True, None)
 
 
 def test_double_cover_fails_base_condition():
@@ -147,14 +142,14 @@ def test_double_cover_fails_base_condition():
                                                             loday.rays[q - 1][0]))
     assert tuple(by_angle) == DOUBLE_COVER_ORDER
     ra = double_cover_rays()
-    idx = get_index(1, 2)
+    facets = get_index(1, 2).facets
     rep = certify_fan(ra)
     assert (rep.stats.bad_ridges, rep.stats.degenerate_ridges) == (0, 0)
     assert rep.condition1 == "full" and rep.condition1_holds is False
     assert not rep.certified
     assert rep.first_failure.startswith("open cones of base and")
-    assert lp_condition_one(ra, idx, greedy_facet(ra.word))[0] is False
-    holds, witness = condition_one(ra, idx, greedy_facet(ra.word))
+    assert lp_condition_one(ra, facets, greedy_facet(ra.word))[0] is False
+    holds, witness = condition_one(ra, facets, greedy_facet(ra.word))
     assert not holds
     assert rep.first_failure == f"open cones of base and {positions_of(witness)} intersect"
 
@@ -171,7 +166,7 @@ def test_point_location_agrees_with_lp_on_random_rays():
     kept = rejected = 0
     for (k, n), (draws, scale) in CROSS_CHECK.items():
         ref = build_rays("loday" if k == 1 else "pattern", n)
-        idx = get_index(k, n)
+        facets = get_index(k, n).facets
         base = greedy_facet(ref.word)
         for _ in range(draws):
             rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
@@ -180,8 +175,8 @@ def test_point_location_agrees_with_lp_on_random_rays():
             if stats.bad_ridges or stats.degenerate_ridges:
                 continue
             kept += 1
-            holds, witness = condition_one(ra, idx, base)
-            assert holds == lp_condition_one(ra, idx, base)[0], (k, n, rays)
+            holds, witness = condition_one(ra, facets, base)
+            assert holds == lp_condition_one(ra, facets, base)[0], (k, n, rays)
             if not holds:
                 rejected += 1
                 # the witness's open cone meets the base's, as reported
@@ -189,13 +184,13 @@ def test_point_location_agrees_with_lp_on_random_rays():
     assert kept >= 200 and rejected >= 1, (kept, rejected)
 
 
-def _ridge_scan(ra, idx):
-    """The per-ridge oracle: ``classify_ridge`` on every dual edge in id
+def _ridge_scan(ra, ridges):
+    """The per-ridge oracle: ``classify_ridge`` on every ridge in bitset
     order; (bad count, degenerate count, first non-good ridge)."""
     counts = {"good": 0, "bad": 0, "degenerate": 0}
     first = None
-    for ia, ib, _ in idx.dual_edges:
-        rep = classify_ridge(ra, idx.facets[ia], idx.facets[ib])
+    for f, g in ridges:
+        rep = classify_ridge(ra, f, g)
         counts[rep.status] += 1
         if first is None and rep.status != "good":
             first = f"{rep.status} ridge {rep.ridge}"
@@ -211,11 +206,11 @@ def test_ridge_parity_matches_classify_ridge():
     with_bad = with_degenerate = 0
     for (k, n), (draws, scale) in PARITY_CHECK.items():
         ref = build_rays("loday" if k == 1 else "pattern", n)
-        idx = get_index(k, n)
+        ridges = get_ridges(k, n)
         for _ in range(draws):
             rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
             ra = RayAssignment(ref.word, rays, ref.dim)
-            bad, degenerate, first = _ridge_scan(ra, idx)
+            bad, degenerate, first = _ridge_scan(ra, ridges)
             stats = stream_statistics(ra)
             assert (stats.bad_ridges, stats.degenerate_ridges) == (bad, degenerate), rays
             rep = certify_fan(ra)
@@ -228,14 +223,65 @@ def test_ridge_parity_matches_classify_ridge():
     assert with_bad >= 1 and with_degenerate >= 1, (with_bad, with_degenerate)
 
 
+def _unimodular_flip(dim: int, rng: random.Random) -> list[list[int]]:
+    """A seeded integer matrix of determinant -1: a reflection followed by
+    row additions, which keep the determinant."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    m[0][0] = -1
+    for _ in range(3 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _symmetric_images(ra: RayAssignment, rng: random.Random) -> dict[str, RayAssignment]:
+    """The candidate under four symmetries of the fan conditions: each ray
+    rescaled by its own positive integer, one linear map of determinant -1
+    on every ray, and the word mirrored or rotated with the rays moved to
+    the corresponding positions."""
+    factors = [rng.randint(1, 9) for _ in ra.rays]
+    m = _unimodular_flip(ra.dim, rng)
+    rotated, corr = rotate(ra.word)
+    moved = [None] * len(ra.rays)
+    for r, v in enumerate(ra.rays, start=1):
+        moved[corr[r] - 1] = v
+    images = {
+        "rescale": (ra.word, tuple(tuple(c * x for x in v) for v, c in zip(ra.rays, factors))),
+        "linear": (ra.word, tuple(tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+                                  for v in ra.rays)),
+        "mirror": (mirror(ra.word), ra.rays[::-1]),
+        "rotate": (rotated, tuple(moved)),
+    }
+    return {name: RayAssignment(w, rays, ra.dim) for name, (w, rays) in images.items()}
+
+
+@pytest.mark.parametrize("ra", [
+    build_rays("pattern", 3),
+    build_rays("naive", 3),
+    build_rays("pattern-verbatim", 4),
+    build_rays("perturbed", 4, 1),
+    double_cover_rays(),
+], ids=["pattern-3", "naive-3", "pattern-verbatim-4", "perturbed-4", "double-cover"])
+def test_certificate_invariant_under_symmetries(ra):
+    rep = certify_fan(ra)
+    for name, image in _symmetric_images(ra, random.Random(7)).items():
+        got = certify_fan(image)
+        assert (got.stats, got.certified, got.condition1_holds) == \
+            (rep.stats, rep.certified, rep.condition1_holds), name
+        if name == "linear":
+            # p and every cone move together, so the witnesses do too
+            assert got.first_failure == rep.first_failure
+
+
 def test_point_location_agrees_with_lp_on_constructions():
     for name, k, ns in [("pattern", 2, (1, 2, 3)), ("loday", 1, (2, 3, 4)),
                         ("fixed:5,3", 2, (1, 2, 3))]:
         for n in ns:
             ra = build_rays(name, n)
-            idx = get_index(k, n)
+            facets = get_index(k, n).facets
             base = greedy_facet(ra.word)
-            assert condition_one(ra, idx, base) == lp_condition_one(ra, idx, base) == (True, None)
+            assert condition_one(ra, facets, base) == lp_condition_one(ra, facets, base) == (True, None)
 
 
 def test_format_stats_table():
