@@ -86,9 +86,20 @@ def _emit(args, text: str, manifest: RunManifest):
         sys.stdout.write(text)
 
 
+def _kn(spec: str) -> tuple[int, int]:
+    """The ``--kn`` argument: two comma-separated integers k,n."""
+    try:
+        k, n = (int(t) for t in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated integers k,n, got {spec!r}"
+        ) from None
+    return k, n
+
+
 def _resolve_word(args) -> tuple[Word, int | None, int | None]:
     if getattr(args, "kn", None):
-        k, n = (int(t) for t in args.kn.split(","))
+        k, n = args.kn
         return multiassociahedron_word(k, n), k, n
     if getattr(args, "word", None):
         w = parse_word(args.word)
@@ -113,7 +124,7 @@ def cmd_rays(args) -> int:
     if base == "perturbed" and args.seed is None:
         raise UsageError("perturbed construction requires --seed")
     ra = build_rays(args.construction, args.n, args.seed)
-    manifest = _manifest(args, construction=args.construction, n=args.n, seed=args.seed)
+    manifest = _manifest(args, construction=args.construction, n=args.n, seed=ra.seed)
     _emit(args, format_ray_file(ra), manifest)
     return 0
 
@@ -178,7 +189,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    k, n = (int(t) for t in args.kn.split(","))
+    k, n = args.kn
     tris = enumerate_k_triangulations(k, n)
     mapped = {
         frozenset(diagonal_to_position(k, n, d) for d in tri) for tri in tris
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("facets", help="enumerate subword-complex facets")
     s.add_argument("--word", help='word spec, e.g. "c^2 w0(3)" or "n=3; 1 2 3 1 2 1"')
-    s.add_argument("--kn", help="k,n shorthand for c^k w0(n)")
+    s.add_argument("--kn", type=_kn, metavar="K,N", help="k,n shorthand for c^k w0(n)")
     _common(s)
     s.set_defaults(func=cmd_facets)
 
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("check", help="certify a ray file against a word")
     s.add_argument("--rays", required=True, help="ray file path")
     s.add_argument("--word", help="word spec")
-    s.add_argument("--kn", help="k,n shorthand")
+    s.add_argument("--kn", type=_kn, metavar="K,N", help="k,n shorthand")
     _common(s)
     s.set_defaults(func=cmd_check)
 
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_reproduce)
 
     s = subs.add_parser("oracle", help="compare brute-force triangulations with subword facets")
-    s.add_argument("--kn", required=True, help="k,n")
+    s.add_argument("--kn", type=_kn, metavar="K,N", required=True, help="k,n")
     _common(s)
     s.set_defaults(func=cmd_oracle)
 

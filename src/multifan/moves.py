@@ -85,7 +85,10 @@ class MoveTrace:
 
 def apply_move(w: Word, event: MoveEvent) -> tuple[Word, dict[int, int]]:
     """Apply a single move; returns the new word and the correspondence
-    old position -> new position.
+    old position -> new position.  This is the one place where a move is
+    validated and rewrites letters: traces record its words and carry
+    their labels, and ray replays carry their rays, through its
+    correspondence.
 
     Doubling maps the doubled position to the left copy (the right copy is
     new); a braid exchanges the outer positions; a commutation swaps.
@@ -150,59 +153,47 @@ def classify_braid(w: Word, r: int) -> int:
 
 
 class _Builder:
-    """Mutable word + labels, recording moves as they are performed."""
+    """Words and labels, recording moves as they are performed."""
 
     def __init__(self, w: Word, labels):
-        self.rank = w.rank
-        self.letters = list(w.letters)
-        self.labels: list[Label | None] = list(labels)
         self.words = [w]
         self.events: list[MoveEvent] = []
         self.label_states = [tuple(labels)]
 
-    def _record(self, event: MoveEvent):
-        self.events.append(event)
-        self.words.append(Word(self.rank, tuple(self.letters)))
-        self.label_states.append(tuple(self.labels))
-
     def letter(self, r: int) -> int:
-        return self.letters[r - 1]
+        return self.words[-1].letter(r)
 
-    def commute(self, r: int):
-        a, b = self.letters[r - 1], self.letters[r]
-        assert abs(a - b) >= 2, f"illegal commutation at {r}: s_{a} s_{b}"
-        self.letters[r - 1], self.letters[r] = b, a
-        self.labels[r - 1], self.labels[r] = self.labels[r], self.labels[r - 1]
-        self._record(MoveEvent("C", r))
-
-    def double(self, r: int):
-        lab = self.labels[r - 1]
-        assert lab is not None and lab.j == 1 and not lab.primed, (
-            f"doubling expects an (i,1) label at {r}, found {lab}"
-        )
-        self.letters.insert(r, self.letters[r - 1])
-        self.labels.insert(r, Label(lab.i, 1, True))
-        self._record(MoveEvent("D", r))
-
-    def braid(self, r: int):
-        a, b, a2 = self.letters[r - 1 : r + 2]
-        assert a == a2 and abs(a - b) == 1, f"no braid pattern at {r}"
-        self.letters[r - 1 : r + 2] = [b, a, b]
-        ls = self.labels
-        ls[r - 1], ls[r + 1] = ls[r + 1], ls[r - 1]
-        self._record(MoveEvent("B", r))
+    def move(self, kind: str, r: int):
+        """Apply one move and carry every label to its new position; the
+        new copy of a doubled (i,1) letter is labeled (i,1)'."""
+        event = MoveEvent(kind, r)
+        w, corr = apply_move(self.words[-1], event)
+        old = self.label_states[-1]
+        labels: list[Label | None] = [None] * len(w)
+        for q, lab in enumerate(old, start=1):
+            labels[corr[q] - 1] = lab
+        if kind == "D":
+            lab = old[r - 1]
+            assert lab is not None and lab.j == 1 and not lab.primed, (
+                f"doubling expects an (i,1) label at {r}, found {lab}"
+            )
+            labels[r] = Label(lab.i, 1, True)
+        self.words.append(w)
+        self.events.append(event)
+        self.label_states.append(tuple(labels))
 
     def commute_window_to(self, start: int, target: tuple[int, ...]):
         """Bubble the window starting at 1-based ``start`` into the target
         letter sequence using commutations only."""
         for off, want in enumerate(target):
             at = start + off
+            letters = self.words[-1].letters
             m = at
-            while m <= len(self.letters) and self.letters[m - 1] != want:
+            while m <= len(letters) and letters[m - 1] != want:
                 m += 1
-            assert m <= len(self.letters), "target letter not found"
+            assert m <= len(letters), "target letter not found"
             for pos in range(m - 1, at - 1, -1):
-                self.commute(pos)
+                self.move("C", pos)
 
     def trace(self) -> MoveTrace:
         return MoveTrace(tuple(self.words), tuple(self.events), tuple(self.label_states))
@@ -245,8 +236,8 @@ def _insert_moves(b: _Builder, sigma: int, ell: int):
         mover = sigma + ell + k + 1
         assert b.letter(mover) == k
         for pos in range(mover - 1, sigma + 2 * k + 1, -1):
-            b.commute(pos)
-        b.braid(sigma + 2 * k)
+            b.move("C", pos)
+        b.move("B", sigma + 2 * k)
     target = _staircase_letters(ell) + (ell,)
     b.commute_window_to(sigma + 1, target)
 
@@ -266,11 +257,11 @@ def insertion_sequence(w: Word, ell: int, triangle_start: int = 0) -> MoveTrace:
     b = _Builder(w, labels)
     i_star = n + 1 - ell
     anchor = triangle_start + _row_start(n, i_star) + 1
-    b.double(anchor)
+    b.move("D", anchor)
     if ell > 1:
         _insert_moves(b, anchor - 1, ell)
     expected = _staircase_letters(n) + (ell,)
-    got = tuple(b.letters[triangle_start : triangle_start + size + 1])
+    got = b.words[-1].letters[triangle_start : triangle_start + size + 1]
     assert got == expected, f"insertion ended on {got}"
     return b.trace()
 
@@ -297,15 +288,15 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
     for i in range(1, n + 1):
         pos = triangle_start + _row_start(n, i) + i
         assert b.letter(pos) == 1
-        b.double(pos)
+        b.move("D", pos)
         anchors.append(pos)
     for ell in range(2, n + 1):
         sigma = anchors[n - ell] - 1
         _insert_moves(b, sigma, ell)
     expected = _staircase_letters(n) + tuple(range(n, 0, -1))
-    got = tuple(b.letters[triangle_start : triangle_start + size + n])
+    got = b.words[-1].letters[triangle_start : triangle_start + size + n]
     assert got == expected, f"fattening ended on {got}"
-    finals = b.labels[triangle_start : triangle_start + size + n]
+    finals = list(b.label_states[-1][triangle_start : triangle_start + size + n])
     assert finals == final_label_pattern(n), "final labels off pattern"
     return b.trace()
 

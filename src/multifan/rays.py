@@ -5,20 +5,21 @@ Rays are built either by replaying fattening traces move by move (the
 naive, fixed, linear, perturbed and loday constructions) or directly from
 the closed diagonal-indexed formulas (the pattern construction).
 
-Replay semantics per move:
+A replay follows the position correspondence that ``moves.apply_move``
+returns for each move of the trace, so every ray stays on its letter:
 
-* doubling at r with weights (alpha, beta), alpha*beta < 0: the ambient
-  dimension grows by one, the two copies get the old ray with alpha resp.
-  beta appended, everything else is padded with 0;
-* braid at r with weights (a, b, eps), all positive: the new middle ray is
-  a*rho_r + b*rho_{r+2} - eps*rho_{r+1} and the outer rays are exchanged;
+* doubling at r: the ambient dimension grows by one; the copy at r gets
+  the old ray with -1 appended, the copy at r+1 the old ray with +1, and
+  every other ray a 0;
+* braid at r with weights (a, b): the outer rays are exchanged and the
+  new middle ray is a*rho_r + b*rho_{r+2} - rho_{r+1};
 * commutations just carry rays along.
 
-In a first fattening (all staircase letters start at the zero ray) the
-braid weights are the left/right coefficients of a scheme evaluated at the
-grid parameters (i, j) read off the middle letter's label (i, j+1); a
-second fattening uses constant weights (1, 1, 1).  Non-vertices always
-carry the zero vector.
+In a first fattening (the one that starts in dimension 0, where every
+staircase letter carries the zero ray) the braid weights are the
+left/right coefficients of a scheme evaluated at the grid parameters
+(i, j) read off the middle letter's label (i, j+1); a second fattening
+uses the weights (1, 1).  Non-vertices always carry the zero vector.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .words import Word, c_sorted_word, multiassociahedron_word
-from .moves import MoveTrace, commutation_matching, fattening_sequence
+from .moves import MoveTrace, apply_move, commutation_matching, fattening_sequence
 from .polygon import polygon_size, position_to_diagonal
 
 __all__ = [
     "RayVec",
     "RayAssignment",
     "CoefficientScheme",
-    "double_transform",
-    "braid_transform",
     "replay_fattening",
     "scheme_for",
     "build_rays",
@@ -52,10 +51,6 @@ RayVec = tuple[Fraction, ...]
 
 def _vec(values) -> RayVec:
     return tuple(Fraction(x) for x in values)
-
-
-def _zero(d: int) -> RayVec:
-    return (Fraction(0),) * d
 
 
 @dataclass(frozen=True)
@@ -78,90 +73,52 @@ class RayAssignment:
 
 @dataclass(frozen=True)
 class CoefficientScheme:
-    """Braid weights for a first fattening: left and right coefficients as
-    functions of the grid parameters (i, j), plus the constant weights of a
-    second fattening.  All values must evaluate positive."""
+    """Braid weights of a first fattening: left and right coefficients as
+    functions of the grid parameters (i, j).  ``scheme_for`` only builds
+    schemes whose values are positive."""
 
-    name: str
     left: Callable[[int, int], Fraction]
     right: Callable[[int, int], Fraction]
-    second: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(1), Fraction(1))
-
-
-def double_transform(ra: RayAssignment, r: int, alpha, beta) -> RayAssignment:
-    """Realise a doubling at r: dimension d -> d+1, the copies at r, r+1 of
-    the doubled word get old ray + alpha resp. beta in the new coordinate."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha * beta >= 0:
-        raise ValueError("doubling weights must have opposite signs")
-    letters = list(ra.word.letters)
-    letters.insert(r, letters[r - 1])
-    zero = Fraction(0)
-    rays = []
-    for q, v in enumerate(ra.rays, start=1):
-        rays.append(v + (alpha if q == r else zero,))
-        if q == r:
-            rays.append(v + (beta,))
-    return RayAssignment(Word(ra.word.rank, tuple(letters)), tuple(rays), ra.dim + 1,
-                         ra.construction, ra.seed)
-
-
-def braid_transform(ra: RayAssignment, r: int, a, b, eps) -> RayAssignment:
-    """Realise a braid move at r: outer rays exchanged, middle replaced by
-    a*rho_r + b*rho_{r+2} - eps*rho_{r+1}."""
-    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
-    if a <= 0 or b <= 0 or eps <= 0:
-        raise ValueError("braid weights must be positive")
-    x, y, z = ra.word.letters[r - 1 : r + 2]
-    if x != z or abs(x - y) != 1:
-        raise ValueError(f"no braid pattern at {r}")
-    letters = list(ra.word.letters)
-    letters[r - 1 : r + 2] = [y, x, y]
-    lo, mid, hi = ra.rays[r - 1], ra.rays[r], ra.rays[r + 1]
-    new_mid = tuple(a * u + b * w - eps * v for u, v, w in zip(lo, mid, hi))
-    rays = list(ra.rays)
-    rays[r - 1], rays[r], rays[r + 1] = hi, new_mid, lo
-    return RayAssignment(Word(ra.word.rank, tuple(letters)), tuple(rays), ra.dim,
-                         ra.construction, ra.seed)
-
-
-def _commute_transform(ra: RayAssignment, r: int) -> RayAssignment:
-    letters = list(ra.word.letters)
-    letters[r - 1], letters[r] = letters[r], letters[r - 1]
-    rays = list(ra.rays)
-    rays[r - 1], rays[r] = rays[r], rays[r - 1]
-    return RayAssignment(Word(ra.word.rank, tuple(letters)), tuple(rays), ra.dim,
-                         ra.construction, ra.seed)
 
 
 def replay_fattening(ra: RayAssignment, trace: MoveTrace,
-                     scheme: CoefficientScheme, first: bool) -> RayAssignment:
-    """Replay a fattening trace over an assignment on its initial word.
+                     scheme: CoefficientScheme) -> RayAssignment:
+    """Replay a fattening trace over an assignment on its initial word,
+    carrying the rays through the position correspondence of each move.
 
-    ``first`` selects the scheme's left/right weights (with the middle ray
-    checked to be zero); otherwise the constant second-fattening weights.
+    A fattening that starts in dimension 0 is a first fattening: its braid
+    weights come from the scheme (the middle ray is checked to be zero);
+    any other fattening uses the weights (1, 1).
     """
     if ra.word != trace.initial:
         raise ValueError("assignment does not match the trace's initial word")
-    cur = ra
+    first = ra.dim == 0
+    zero, one = Fraction(0), Fraction(1)
+    rays = list(ra.rays)
+    dim = ra.dim
     for s, event in enumerate(trace.events):
-        if event.kind == "C":
-            cur = _commute_transform(cur, event.r)
-        elif event.kind == "D":
-            cur = double_transform(cur, event.r, -1, 1)
-        else:
+        w, corr = apply_move(trace.words[s], event)
+        moved: list[RayVec] = [()] * len(w)
+        for q, v in enumerate(rays, start=1):
+            moved[corr[q] - 1] = v
+        r = event.r
+        if event.kind == "D":
+            moved = [v + (zero,) for v in moved]
+            moved[r - 1] = rays[r - 1] + (-one,)
+            moved[r] = rays[r - 1] + (one,)
+            dim += 1
+        elif event.kind == "B":
+            lo, mid, hi = rays[r - 1 : r + 2]
             if first:
-                lab = trace.labels[s][event.r]  # middle letter, label (i, j+1)
+                lab = trace.labels[s][r]  # middle letter, label (i, j+1)
                 assert lab is not None and lab.j >= 2 and not lab.primed
-                i, j = lab.i, lab.j - 1
-                a, b = scheme.left(i, j), scheme.right(i, j)
-                eps = Fraction(1)
-                assert not any(cur.rays[event.r]), "first-fattening middle ray not zero"
+                a, b = scheme.left(lab.i, lab.j - 1), scheme.right(lab.i, lab.j - 1)
+                assert not any(mid), "first-fattening middle ray not zero"
             else:
-                a, b, eps = scheme.second
-            cur = braid_transform(cur, event.r, a, b, eps)
-        assert cur.word == trace.words[s + 1]
-    return cur
+                a, b = one, one
+            moved[r] = tuple(a * u + b * x - v for u, v, x in zip(lo, mid, hi))
+        rays = moved
+    return RayAssignment(trace.final, tuple(rays), dim, ra.construction, ra.seed)
 
 
 def _transport(ra: RayAssignment, target: Word) -> RayAssignment:
@@ -174,11 +131,11 @@ def _transport(ra: RayAssignment, target: Word) -> RayAssignment:
 
 
 def _fatten_once(ra: RayAssignment, triangle_start: int,
-                 scheme: CoefficientScheme, first: bool) -> RayAssignment:
+                 scheme: CoefficientScheme) -> RayAssignment:
     """One fattening of the staircase factor at ``triangle_start``,
     normalised by commutations onto c^(k+1) w0(c)."""
     trace = fattening_sequence(ra.word, triangle_start)
-    out = replay_fattening(ra, trace, scheme, first)
+    out = replay_fattening(ra, trace, scheme)
     n = ra.word.rank
     k_before = triangle_start // n
     target = multiassociahedron_word(k_before + 1, n)
@@ -198,10 +155,11 @@ def _perturbation_table(n: int, seed: int) -> dict[tuple[int, int, str], Fractio
 
 
 def scheme_for(construction: str, n: int, seed: int | None = None) -> CoefficientScheme:
-    """The braid-weight scheme of a named two-step construction."""
+    """The braid-weight scheme of a named replayed construction; every
+    weight it yields is positive."""
     if construction == "naive" or construction == "loday":
         one = Fraction(1)
-        return CoefficientScheme(construction, lambda i, j: one, lambda i, j: one)
+        return CoefficientScheme(lambda i, j: one, lambda i, j: one)
     if construction.startswith("fixed"):
         if ":" in construction:
             lam_l, lam_r = (Fraction(t) for t in construction.split(":", 1)[1].split(","))
@@ -209,10 +167,9 @@ def scheme_for(construction: str, n: int, seed: int | None = None) -> Coefficien
             lam_l, lam_r = Fraction(5), Fraction(3)
         if lam_l <= 0 or lam_r <= 0:
             raise ValueError("fixed weights must be positive")
-        return CoefficientScheme(construction, lambda i, j: lam_l, lambda i, j: lam_r)
+        return CoefficientScheme(lambda i, j: lam_l, lambda i, j: lam_r)
     if construction == "linear":
         return CoefficientScheme(
-            construction,
             lambda i, j: Fraction(2 * n + 4 - i - j),
             lambda i, j: Fraction(2 * n + 3 - i - j),
         )
@@ -221,7 +178,6 @@ def scheme_for(construction: str, n: int, seed: int | None = None) -> Coefficien
             raise ValueError("perturbed construction requires a seed")
         noise = _perturbation_table(n, seed)
         return CoefficientScheme(
-            construction,
             lambda i, j: Fraction(2 * n + 4 - i - j) + noise[(i, j, "L")],
             lambda i, j: Fraction(2 * n + 3 - i - j) + noise[(i, j, "R")],
         )
@@ -292,21 +248,6 @@ def _build_pattern(n: int, verbatim: bool = False) -> RayAssignment:
     return RayAssignment(word, tuple(rays), 2 * n, name)
 
 
-def _build_loday(n: int) -> RayAssignment:
-    word = c_sorted_word(n)
-    start = RayAssignment(word, (_zero(0),) * len(word), 0, "loday")
-    return _fatten_once(start, 0, scheme_for("loday", n), first=True)
-
-
-def _build_two_step(construction: str, n: int, seed: int | None) -> RayAssignment:
-    scheme = scheme_for(construction, n, seed)
-    word = c_sorted_word(n)
-    ra = RayAssignment(word, (_zero(0),) * len(word), 0, construction, seed)
-    ra = _fatten_once(ra, 0, scheme, first=True)
-    ra = _fatten_once(ra, n, scheme, first=False)
-    return ra
-
-
 CONSTRUCTIONS = ("naive", "fixed", "linear", "perturbed", "pattern",
                  "pattern-verbatim", "loday")
 
@@ -324,15 +265,16 @@ def build_rays(construction: str, n: int, seed: int | None = None) -> RayAssignm
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if construction == "pattern":
-        return _build_pattern(n)
-    if construction == "pattern-verbatim":
-        return _build_pattern(n, verbatim=True)
-    if construction == "loday":
-        return _build_loday(n)
+    if construction in ("pattern", "pattern-verbatim"):
+        return _build_pattern(n, verbatim=construction == "pattern-verbatim")
     if construction != "perturbed":
         seed = None
-    ra = _build_two_step(construction, n, seed)
+    scheme = scheme_for(construction, n, seed)
+    word = c_sorted_word(n)
+    ra = RayAssignment(word, ((),) * len(word), 0, construction, seed)
+    ra = _fatten_once(ra, 0, scheme)
+    if construction != "loday":
+        ra = _fatten_once(ra, n, scheme)
     return ra
 
 

@@ -52,6 +52,14 @@ Facet = int
 
 
 def bitset_of(positions) -> Facet:
+    """The facet bitset of 1-based positions, the inverse of ``positions_of``.
+
+    >>> f = bitset_of((1, 3, 4))
+    >>> f, positions_of(f)
+    (13, (1, 3, 4))
+    >>> bitset_of(positions_of(f)) == f
+    True
+    """
     b = 0
     for r in positions:
         b |= 1 << (r - 1)

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multifan.cli import main
-from multifan.rays import format_ray_file
+from multifan.rays import build_rays, format_ray_file, parse_ray_file
 
 from conftest import double_cover_rays
 
@@ -185,4 +186,89 @@ def test_check_malformed_ray_file(tmp_path, capsys, text, message):
     rc, _, err = run(capsys, "check", "--rays", str(rays), "--kn", "2,1")
     assert rc == 2
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("construction, seed, recorded", [
+    ("pattern", "5", None),
+    ("perturbed", "42", 42),
+])
+def test_rays_manifest_records_used_seed(tmp_path, capsys, construction, seed, recorded):
+    rays = tmp_path / "r.rays"
+    rc, _, _ = run(capsys, "rays", "--construction", construction, "--n", "2",
+                   "--seed", seed, "--out", str(rays))
+    assert rc == 0
+    manifest = json.loads((tmp_path / "r.rays.manifest.json").read_text())
+    header_seed = rays.read_text().splitlines()[0].split("seed=")[1]
+    assert manifest["seed"] == recorded
+    assert header_seed == ("none" if recorded is None else str(recorded))
+
+
+@pytest.mark.parametrize("command", [
+    ["facets"],
+    ["check", "--rays", "unused.rays"],
+    ["oracle"],
+], ids=["facets", "check", "oracle"])
+@pytest.mark.parametrize("kn", ["2", "2,3,4", "x,2", ""],
+                         ids=["one", "three", "not-int", "empty"])
+def test_malformed_kn_is_a_usage_error(capsys, command, kn):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--kn", kn])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--kn" in err and "Traceback" not in err
+
+
+PATTERN2 = format_ray_file(build_rays("pattern", 2))
+
+
+# tokens that are malformed, out of range or merely unusual in a ray file
+FUZZ_TOKENS = ("0", "-1", "12", "3/4", "1/0", "-2/0", "1.5", "1e3", "x", "", "s0", "s1",
+               "s9", "#", "n=2", "n=3", "d=4", "d=x", "seed=7", "=", "/", "-")
+
+
+@st.composite
+def mutated_ray_files(draw):
+    """The pattern n=2 ray file with a few token, character or line edits."""
+    lines = [ln.split(" ") for ln in PATTERN2.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            lines = [[""]]
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i]
+        op = draw(st.sampled_from(["replace", "insert", "delete", "chars",
+                                   "drop-line", "dup-line"]))
+        if op == "drop-line":
+            del lines[i]
+        elif op == "dup-line":
+            lines.insert(i, list(toks))
+        elif op == "chars":
+            text = " ".join(toks)
+            j = draw(st.integers(0, len(text)))
+            end = draw(st.integers(j, min(len(text), j + 4)))
+            chunk = draw(st.text(alphabet="0123456789 -+/=.#nsdex", max_size=4))
+            lines[i] = (text[:j] + chunk + text[end:]).split(" ")
+        else:
+            t = draw(st.integers(0, len(toks) - (op != "insert")))
+            if op == "delete":
+                del toks[t]
+            else:
+                toks[t:t + (op == "replace")] = [draw(st.sampled_from(FUZZ_TOKENS))]
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_ray_files())
+def test_check_fuzzed_ray_file(tmp_path, capsys, text):
+    try:
+        parse_ray_file(text)
+        parsed = True
+    except ValueError:
+        parsed = False
+    rays = tmp_path / "fuzz.rays"
+    rays.write_text(text)
+    rc, _, err = run(capsys, "check", "--rays", str(rays), "--kn", "2,2")
+    assert rc in (0, 1, 2)
+    assert parsed or rc == 2
     assert "Traceback" not in err
