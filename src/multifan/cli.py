@@ -24,7 +24,7 @@ from . import __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
 from .moves import fattening_sequence, format_trace
 from .polygon import diagonal_to_position, enumerate_k_triangulations, format_triangulations
-from .rays import CONSTRUCTIONS, build_rays, format_ray_file, parse_ray_file
+from .rays import build_rays, format_ray_file, parse_ray_file
 from .subword import all_facets, format_facet_file, positions_of
 from .tables import TABLE_IDS, reproduce_table
 from .words import Word, multiassociahedron_word, parse_word, format_word
@@ -117,11 +117,8 @@ def cmd_facets(args) -> int:
 
 
 def cmd_rays(args) -> int:
-    base = args.construction.split(":", 1)[0]
-    if base not in CONSTRUCTIONS:
-        raise UsageError(f"unknown construction {args.construction!r}; know {CONSTRUCTIONS}")
     _tier_check(args.n, args.tier)
-    if base == "perturbed" and args.seed is None:
+    if args.construction == "perturbed" and args.seed is None:
         raise UsageError("perturbed construction requires --seed")
     ra = build_rays(args.construction, args.n, args.seed)
     manifest = _manifest(args, construction=args.construction, n=args.n, seed=ra.seed)

@@ -1,12 +1,13 @@
 """
 Exact rational linear algebra for the fan verifier.
 
-Vectors arrive as tuples of Fractions (or ints).  Every routine first
-clears denominators column by column - scaling a generator by a positive
-rational changes neither ranks, nor determinant signs, nor the signs of
-dependence coefficients - and then works on Python integers with
-fraction-free (Bareiss) elimination, so no precision is ever lost and no
-intermediate gcd storms occur.
+Rays arrive as tuples of Fractions (or ints).  ``scale_to_int`` clears
+their denominators - scaling a generator by a positive rational changes
+neither ranks, nor determinant signs, nor the signs of dependence
+coefficients - and ``bareiss_det`` and ``int_rank`` take the resulting
+integer rows and use fraction-free (Bareiss) elimination, so no precision
+is ever lost and no intermediate gcd storms occur.  ``solve_unique`` works
+on Fractions directly.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -17,6 +18,7 @@ test suite checks point location against.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -32,24 +34,12 @@ def scale_to_int(vec) -> tuple[int, ...]:
     """Positive rescale of a rational vector to a primitive integer vector
     (direction preserved).  The zero vector stays zero."""
     fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    lcm = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (lcm // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -78,12 +68,11 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _int_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot column list)."""
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free row echelon elimination."""
     m = [row[:] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    pivots = []
     r = 0
     prev = 1
     for c in range(ncols):
@@ -99,16 +88,8 @@ def _int_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
                 m[i][j] = (m[i][j] * pivot - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = pivot
-        pivots.append(c)
         r += 1
-    return m, pivots
-
-
-def int_rank(rows: list[list[int]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = _int_row_echelon(rows)
-    return len(pivots)
+    return r
 
 
 def solve_unique(matrix_cols, target) -> tuple[Fraction, ...]:

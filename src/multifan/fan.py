@@ -257,8 +257,6 @@ def certify_fan(ra: RayAssignment) -> CheckReport:
     A closed cone containing the base point has an open cone meeting the
     open base cone near it, hence the wording of that failure.
     """
-    if len(ra.rays) != len(ra.word):
-        raise ValueError("one ray per position required")
     stats, dets, witness = _stats(ra)
     if witness is not None:
         f, g = witness

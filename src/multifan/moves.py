@@ -5,9 +5,9 @@ labeling that makes move sequences replayable.
 A fattening sequence turns a staircase factor w0(c) into w0(c) followed by
 the reversed c, by doubling every letter s_1 of the staircase and then
 performing n(n-1)/2 braid moves, interlaced with commutations.  The trace
-records every move at its exact position together with the evolving label
-assignment, so that ray construction can replay it without re-deriving
-anything.
+records every move at its exact position together with its position
+correspondence and the evolving label assignment, so that ray construction
+can replay it without re-deriving anything.
 
 Labels: the staircase letters start out labeled with their grid position
 (i, j) (row i, column j).  Doubling a letter labeled (i, 1) labels the two
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, contains_longest
+from .words import Word, c_sorted_word, contains_longest
 from .subword import is_face
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "MoveTrace",
     "apply_move",
     "classify_braid",
-    "insertion_sequence",
     "fattening_sequence",
     "commutation_matching",
     "final_label_pattern",
@@ -64,12 +63,14 @@ class MoveEvent:
 @dataclass(frozen=True)
 class MoveTrace:
     """words[0] is the initial word; events[s] transforms words[s] into
-    words[s+1]; labels[s] is the per-position label tuple of words[s]
+    words[s+1] with the position correspondence corrs[s] (as returned by
+    ``apply_move``); labels[s] is the per-position label tuple of words[s]
     (None on letters outside the tracked factor)."""
 
     words: tuple[Word, ...]
     events: tuple[MoveEvent, ...]
     labels: tuple[tuple[Label | None, ...], ...]
+    corrs: tuple[dict[int, int], ...]
 
     @property
     def initial(self) -> Word:
@@ -86,9 +87,9 @@ class MoveTrace:
 def apply_move(w: Word, event: MoveEvent) -> tuple[Word, dict[int, int]]:
     """Apply a single move; returns the new word and the correspondence
     old position -> new position.  This is the one place where a move is
-    validated and rewrites letters: traces record its words and carry
-    their labels, and ray replays carry their rays, through its
-    correspondence.
+    validated and rewrites letters: traces record its words and its
+    correspondence, and carry their labels through it; ray replays carry
+    their rays through the recorded correspondence.
 
     Doubling maps the doubled position to the left copy (the right copy is
     new); a braid exchanges the outer positions; a commutation swaps.
@@ -153,12 +154,14 @@ def classify_braid(w: Word, r: int) -> int:
 
 
 class _Builder:
-    """Words and labels, recording moves as they are performed."""
+    """Words, labels and correspondences, recording moves as they are
+    performed."""
 
     def __init__(self, w: Word, labels):
         self.words = [w]
         self.events: list[MoveEvent] = []
         self.label_states = [tuple(labels)]
+        self.corrs: list[dict[int, int]] = []
 
     def letter(self, r: int) -> int:
         return self.words[-1].letter(r)
@@ -181,6 +184,7 @@ class _Builder:
         self.words.append(w)
         self.events.append(event)
         self.label_states.append(tuple(labels))
+        self.corrs.append(corr)
 
     def commute_window_to(self, start: int, target: tuple[int, ...]):
         """Bubble the window starting at 1-based ``start`` into the target
@@ -196,7 +200,8 @@ class _Builder:
                 self.move("C", pos)
 
     def trace(self) -> MoveTrace:
-        return MoveTrace(tuple(self.words), tuple(self.events), tuple(self.label_states))
+        return MoveTrace(tuple(self.words), tuple(self.events),
+                         tuple(self.label_states), tuple(self.corrs))
 
 
 def _row_start(n: int, i: int) -> int:
@@ -204,27 +209,18 @@ def _row_start(n: int, i: int) -> int:
     return (i - 1) * n - (i - 1) * (i - 2) // 2
 
 
-def _staircase_letters(n: int) -> tuple[int, ...]:
-    out = []
-    for i in range(n, 0, -1):
-        out.extend(range(1, i + 1))
-    return tuple(out)
-
-
-def _grid_labels(n: int) -> list[Label]:
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 2 - i):
-            out.append(Label(i, j))
-    return out
-
-
-def _check_triangle(w: Word, start: int):
+def _builder_at(w: Word, start: int) -> _Builder:
+    """A builder on ``w`` whose staircase factor at 0-based offset ``start``
+    carries the grid labels (i, j), row by row; other letters are unlabeled."""
     n = w.rank
-    want = _staircase_letters(n)
-    got = w.letters[start : start + len(want)]
-    if got != want:
+    staircase = c_sorted_word(n).letters
+    if w.letters[start : start + len(staircase)] != staircase:
         raise ValueError(f"no staircase factor of rank {n} at offset {start}")
+    labels: list[Label | None] = [None] * len(w)
+    labels[start : start + len(staircase)] = [
+        Label(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)
+    ]
+    return _Builder(w, labels)
 
 
 def _insert_moves(b: _Builder, sigma: int, ell: int):
@@ -238,32 +234,8 @@ def _insert_moves(b: _Builder, sigma: int, ell: int):
         for pos in range(mover - 1, sigma + 2 * k + 1, -1):
             b.move("C", pos)
         b.move("B", sigma + 2 * k)
-    target = _staircase_letters(ell) + (ell,)
+    target = c_sorted_word(ell).letters + (ell,)
     b.commute_window_to(sigma + 1, target)
-
-
-def insertion_sequence(w: Word, ell: int, triangle_start: int = 0) -> MoveTrace:
-    """Trace moving the staircase factor at ``triangle_start`` to staircase
-    followed by ``s_ell``: one doubling (of the s_1 in row n+1-ell) and
-    ell-1 braid moves, interlaced with commutations.
-    """
-    n = w.rank
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must be in 1..{n}")
-    _check_triangle(w, triangle_start)
-    labels: list[Label | None] = [None] * len(w)
-    size = n * (n + 1) // 2
-    labels[triangle_start : triangle_start + size] = _grid_labels(n)
-    b = _Builder(w, labels)
-    i_star = n + 1 - ell
-    anchor = triangle_start + _row_start(n, i_star) + 1
-    b.move("D", anchor)
-    if ell > 1:
-        _insert_moves(b, anchor - 1, ell)
-    expected = _staircase_letters(n) + (ell,)
-    got = b.words[-1].letters[triangle_start : triangle_start + size + 1]
-    assert got == expected, f"insertion ended on {got}"
-    return b.trace()
 
 
 def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
@@ -271,7 +243,6 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
     staircase followed by reversed c: n doublings first, then the insertion
     moves for ell = 2..n, innermost first.
 
-    >>> from .words import c_sorted_word
     >>> t = fattening_sequence(c_sorted_word(3))
     >>> t.count("D"), t.count("B")
     (3, 3)
@@ -279,11 +250,7 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
     (1, 2, 3, 1, 2, 1, 3, 2, 1)
     """
     n = w.rank
-    _check_triangle(w, triangle_start)
-    labels: list[Label | None] = [None] * len(w)
-    size = n * (n + 1) // 2
-    labels[triangle_start : triangle_start + size] = _grid_labels(n)
-    b = _Builder(w, labels)
+    b = _builder_at(w, triangle_start)
     anchors = []
     for i in range(1, n + 1):
         pos = triangle_start + _row_start(n, i) + i
@@ -293,10 +260,11 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
     for ell in range(2, n + 1):
         sigma = anchors[n - ell] - 1
         _insert_moves(b, sigma, ell)
-    expected = _staircase_letters(n) + tuple(range(n, 0, -1))
-    got = b.words[-1].letters[triangle_start : triangle_start + size + n]
+    expected = c_sorted_word(n).letters + tuple(range(n, 0, -1))
+    end = triangle_start + len(expected)
+    got = b.words[-1].letters[triangle_start:end]
     assert got == expected, f"fattening ended on {got}"
-    finals = list(b.label_states[-1][triangle_start : triangle_start + size + n])
+    finals = list(b.label_states[-1][triangle_start:end])
     assert finals == final_label_pattern(n), "final labels off pattern"
     return b.trace()
 

@@ -5,8 +5,8 @@ Rays are built either by replaying fattening traces move by move (the
 naive, fixed, linear, perturbed and loday constructions) or directly from
 the closed diagonal-indexed formulas (the pattern construction).
 
-A replay follows the position correspondence that ``moves.apply_move``
-returns for each move of the trace, so every ray stays on its letter:
+A replay follows the position correspondence that the trace records for
+each move, so every ray stays on its letter:
 
 * doubling at r: the ambient dimension grows by one; the copy at r gets
   the old ray with -1 appended, the copy at r+1 the old ray with +1, and
@@ -25,12 +25,13 @@ uses the weights (1, 1).  Non-vertices always carry the zero vector.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .words import Word, c_sorted_word, multiassociahedron_word
-from .moves import MoveTrace, apply_move, commutation_matching, fattening_sequence
+from .moves import MoveTrace, commutation_matching, fattening_sequence
 from .polygon import polygon_size, position_to_diagonal
 
 __all__ = [
@@ -48,9 +49,19 @@ __all__ = [
 
 RayVec = tuple[Fraction, ...]
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
-def _vec(values) -> RayVec:
-    return tuple(Fraction(x) for x in values)
+
+def _rational(token: str) -> Fraction:
+    """An integer or p/q with q > 0, as ``str(Fraction)`` writes it, and
+    nothing else: the work is bounded by the length of the token.
+
+    >>> _rational("-7/2"), _rational("4/2")
+    (Fraction(-7, 2), Fraction(2, 1))
+    """
+    if not _RATIONAL.fullmatch(token):
+        raise ValueError(f"bad rational {token!r}")
+    return Fraction(token)
 
 
 @dataclass(frozen=True)
@@ -97,8 +108,8 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
     rays = list(ra.rays)
     dim = ra.dim
     for s, event in enumerate(trace.events):
-        w, corr = apply_move(trace.words[s], event)
-        moved: list[RayVec] = [()] * len(w)
+        corr = trace.corrs[s]
+        moved: list[RayVec] = [()] * len(trace.words[s + 1])
         for q, v in enumerate(rays, start=1):
             moved[corr[q] - 1] = v
         r = event.r
@@ -160,13 +171,13 @@ def scheme_for(construction: str, n: int, seed: int | None = None) -> Coefficien
     if construction == "naive" or construction == "loday":
         one = Fraction(1)
         return CoefficientScheme(lambda i, j: one, lambda i, j: one)
-    if construction.startswith("fixed"):
-        if ":" in construction:
-            lam_l, lam_r = (Fraction(t) for t in construction.split(":", 1)[1].split(","))
-        else:
-            lam_l, lam_r = Fraction(5), Fraction(3)
-        if lam_l <= 0 or lam_r <= 0:
-            raise ValueError("fixed weights must be positive")
+    if construction == "fixed":
+        construction = "fixed:5,3"
+    if construction.startswith("fixed:"):
+        weights = [_rational(t) for t in construction[len("fixed:"):].split(",")]
+        if len(weights) != 2 or min(weights) <= 0:
+            raise ValueError(f"fixed takes two positive weights L,R, got {construction!r}")
+        lam_l, lam_r = weights
         return CoefficientScheme(lambda i, j: lam_l, lambda i, j: lam_r)
     if construction == "linear":
         return CoefficientScheme(
@@ -278,15 +289,11 @@ def build_rays(construction: str, n: int, seed: int | None = None) -> RayAssignm
     return ra
 
 
-def _fmt_coord(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def format_ray_file(ra: RayAssignment) -> str:
     seed = "none" if ra.seed is None else str(ra.seed)
     lines = [f"# n={ra.word.rank} d={ra.dim} construction={ra.construction} seed={seed}"]
     for pos, v in enumerate(ra.rays, start=1):
-        coords = " ".join(_fmt_coord(x) for x in v)
+        coords = " ".join(str(x) for x in v)
         lines.append(f"{pos} s{ra.word.letter(pos)} {coords}")
     return "\n".join(lines) + "\n"
 
@@ -319,11 +326,9 @@ def parse_ray_file(text: str) -> RayAssignment:
             if len(toks) < 2 or int(toks[0]) != pos or not toks[1].startswith("s"):
                 raise ValueError(f"bad ray line {ln!r}")
             letters.append(int(toks[1][1:]))
-            rays.append(_vec(Fraction(t) for t in toks[2:]))
+            rays.append(tuple(_rational(t) for t in toks[2:]))
         except ValueError as exc:
             raise ValueError(f"ray file line {no}: {exc}") from None
-        except ZeroDivisionError:
-            raise ValueError(f"ray file line {no}: zero denominator") from None
         if len(rays[-1]) != d:
             raise ValueError(f"ray file line {no}: ray of dimension {len(rays[-1])}, "
                              f"expected {d}")

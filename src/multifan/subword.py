@@ -7,13 +7,12 @@ contains a reduced expression of w0; the facets are the complements of the
 reduced expressions of w0 inside Q.  Facets are stored as bitsets over
 positions (bit r-1 set means position r belongs to the facet).
 
-Two flip implementations are provided: a naive one that re-checks every
-candidate with a 0-Hecke evaluation, and a production one driven by the
-root configuration of a facet (constant work per candidate).  They are
-required to agree; tests check this exhaustively for small ranks.  The
-flip-graph traversal :func:`traverse` uses the production flip and is the
-one enumeration of the complex: the sorted facet list, the statistics and
-the certificate all consume it.
+Flips are read off the root configuration of a facet (constant work per
+candidate) by the flip-graph traversal :func:`traverse`, the one
+enumeration of the complex: the sorted facet list, the statistics and the
+certificate all consume it.  :func:`naive_flip` re-checks every candidate
+with a 0-Hecke evaluation; tests check every flip that the traversal
+yields against it for small ranks.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "is_face",
     "greedy_facet",
     "naive_flip",
-    "flip",
     "root_configuration",
     "traverse",
     "all_facets",
@@ -159,17 +157,6 @@ def _partners(w: Word, facet: Facet) -> dict[int, int]:
         else:
             at[key] = q
     return {x: at[key] for x, key in leaving}
-
-
-def flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
-    """Production flip: the partner of ``r`` from the root configuration.
-
-    Returns ``(r2, facet2)`` with ``facet2 = facet - {r} + {r2}``.
-    """
-    if not facet >> (r - 1) & 1:
-        raise ValueError(f"position {r} not in facet")
-    q = _partners(w, facet)[r]
-    return q, facet & ~(1 << (r - 1)) | 1 << (q - 1)
 
 
 def traverse(w: Word) -> Iterator[tuple[Facet, list[tuple[int, int, Facet]]]]:

@@ -69,8 +69,7 @@ def _check_matrix(table_id: str) -> list[CellResult]:
     results = []
     for row, (v, want) in enumerate(zip(ra.rays, golden), start=1):
         for col, (x, y) in enumerate(zip(v, want), start=1):
-            got = str(int(x)) if x.denominator == 1 else str(x)
-            results.append(CellResult(f"{table_id}[row {row}, col {col}]", str(y), got))
+            results.append(CellResult(f"{table_id}[row {row}, col {col}]", str(y), str(x)))
     if len(golden) != len(ra.rays):
         results.append(CellResult(f"{table_id}[rows]", str(len(golden)), str(len(ra.rays))))
     return results

@@ -111,6 +111,17 @@ def test_rays_unknown_construction(capsys):
     assert rc == 2 and "unknown construction" in err
 
 
+@pytest.mark.parametrize("construction, message", [
+    ("fixed:1e99999999,1", "bad rational '1e99999999'"),
+    ("fixedXYZ", "unknown construction"),
+])
+def test_rays_malformed_construction(capsys, construction, message):
+    rc, out, err = run(capsys, "rays", "--construction", construction, "--n", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_reproduce_t3(capsys):
     rc, out, _ = run(capsys, "reproduce", "T3")
     assert rc == 0
@@ -179,7 +190,12 @@ def test_check_double_cover_exit_code(tmp_path, capsys):
     ("", "empty ray file"),
     ("# d=2 construction=naive seed=none\n1 s1 1 0\n", "line 1"),
     ("# n=1 d=2 construction=naive seed=none\n1 s1 1/0 0\n", "line 2"),
-], ids=["empty", "header-without-n", "zero-denominator"])
+    ("# n=1 d=2 construction=naive seed=none\n1 s1 1e99999999 0\n",
+     "line 2: bad rational '1e99999999'"),
+    ("# n=1 d=2 construction=naive seed=none\n1 s1 1.5 0\n", "line 2: bad rational"),
+    ("# n=1 d=2 construction=naive seed=none\n1 s1 1_000 0\n", "line 2: bad rational"),
+], ids=["empty", "header-without-n", "zero-denominator", "exponent", "decimal-point",
+        "underscore"])
 def test_check_malformed_ray_file(tmp_path, capsys, text, message):
     rays = tmp_path / "bad.rays"
     rays.write_text(text)
@@ -224,7 +240,8 @@ PATTERN2 = format_ray_file(build_rays("pattern", 2))
 
 # tokens that are malformed, out of range or merely unusual in a ray file
 FUZZ_TOKENS = ("0", "-1", "12", "3/4", "1/0", "-2/0", "1.5", "1e3", "x", "", "s0", "s1",
-               "s9", "#", "n=2", "n=3", "d=4", "d=x", "seed=7", "=", "/", "-")
+               "s9", "#", "n=2", "n=3", "d=4", "d=x", "seed=7", "=", "/", "-", "1_0",
+               "1e99999999")
 
 
 @st.composite
@@ -246,7 +263,7 @@ def mutated_ray_files(draw):
             text = " ".join(toks)
             j = draw(st.integers(0, len(text)))
             end = draw(st.integers(j, min(len(text), j + 4)))
-            chunk = draw(st.text(alphabet="0123456789 -+/=.#nsdex", max_size=4))
+            chunk = draw(st.text(alphabet="0123456789 -+/=.#nsdex_", max_size=4))
             lines[i] = (text[:j] + chunk + text[end:]).split(" ")
         else:
             t = draw(st.integers(0, len(toks) - (op != "insert")))

@@ -9,7 +9,6 @@ from multifan.moves import (
     fattening_sequence,
     final_label_pattern,
     format_trace,
-    insertion_sequence,
 )
 from multifan.subword import all_facets, is_face, positions_of
 from multifan.words import Word, c_sorted_word, multiassociahedron_word
@@ -72,18 +71,16 @@ def test_classify_rejects_non_braid():
         classify_braid(Word(2, (1, 2, 2)), 1)
 
 
-def test_insertion_examples():
-    for n in range(1, 6):
-        for ell in range(1, n + 1):
-            t = insertion_sequence(c_sorted_word(n), ell)
-            assert t.count("D") == 1
-            assert t.count("B") == ell - 1
-            assert t.final.letters == c_sorted_word(n).letters + (ell,)
-            # replay through apply_move reproduces every intermediate word
-            w = t.initial
-            for s, e in enumerate(t.events):
-                w, _ = apply_move(w, e)
-                assert w == t.words[s + 1]
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_trace_records_each_move_correspondence(k):
+    # the trace carries exactly what apply_move returns for each event
+    for n in range(1, 7):
+        t = fattening_sequence(multiassociahedron_word(k, n), triangle_start=k * n)
+        assert len(t.corrs) == len(t.events)
+        for s, e in enumerate(t.events):
+            w, corr = apply_move(t.words[s], e)
+            assert w == t.words[s + 1]
+            assert t.corrs[s] == corr
 
 
 def test_fattening_counts_and_final_word():
@@ -198,7 +195,7 @@ def test_commutation_matching():
 
 
 def test_format_trace():
-    t = insertion_sequence(c_sorted_word(2), 2)
+    t = fattening_sequence(c_sorted_word(2))
     text = format_trace(t)
     assert text.splitlines()[0] == "D 1"
     verbose = format_trace(t, verbose=True)

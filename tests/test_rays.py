@@ -24,7 +24,8 @@ def ints(ra):
 
 def _prefix(trace, s):
     """The first s moves of a trace."""
-    return MoveTrace(trace.words[: s + 1], trace.events[:s], trace.labels[: s + 1])
+    return MoveTrace(trace.words[: s + 1], trace.events[:s], trace.labels[: s + 1],
+                     trace.corrs[:s])
 
 
 def test_double_transform():
@@ -233,12 +234,12 @@ def test_ray_file_round_trip():
 
 
 def test_unknown_construction():
-    with pytest.raises(ValueError):
-        build_rays("mystery", 3)
-    with pytest.raises(ValueError):
-        build_rays("fixed:-1,3", 3)
-    with pytest.raises(ValueError):
-        build_rays("fixed:0,3", 3)
+    for name in ("mystery", "fixed:-1,3", "fixed:0,3", "fixedXYZ", "fixed5,3",
+                 "fixed:1e3,1", "fixed:1,2,3", "fixed:"):
+        with pytest.raises(ValueError):
+            build_rays(name, 3)
+    # fixed weights are integers or p/q, as ray files write them
+    assert scheme_for("fixed:7/2,1", 3).left(1, 1) == Fraction(7, 2)
 
 
 def test_loday_closed_pattern():

@@ -3,7 +3,6 @@ import pytest
 from multifan.subword import (
     all_facets,
     bitset_of,
-    flip,
     format_facet_file,
     greedy_facet,
     naive_flip,
@@ -29,19 +28,7 @@ def test_greedy_facet():
 
 def test_flip_small():
     w = Word(1, (1, 1))
-    assert flip(w, bitset_of([1]), 1) == (2, bitset_of([2]))
     assert naive_flip(w, bitset_of([1]), 1) == (2, bitset_of([2]))
-
-
-def test_flip_involution_exhaustive():
-    w = multiassociahedron_word(2, 2)
-    idx = get_index(2, 2)
-    assert idx.n_facets == 14
-    for f in idx.facets:
-        for r in positions_of(f):
-            r2, g = flip(w, f, r)
-            r3, h = flip(w, g, r2)
-            assert (r3, h) == (r, f)
 
 
 def test_pentagon_flip_graph_is_5_cycle():
@@ -58,10 +45,11 @@ def test_pentagon_flip_graph_is_5_cycle():
 
 @pytest.mark.parametrize("k,n", SMALL)
 def test_naive_and_root_flips_agree(k, n):
+    # every flip the traversal yields, against the 0-Hecke reference
     w = multiassociahedron_word(k, n)
-    for f in get_index(k, n).facets:
-        for r in positions_of(f):
-            assert flip(w, f, r) == naive_flip(w, f, r)
+    for f, out in traverse(w):
+        for x, q, g in out:
+            assert naive_flip(w, f, x) == (q, g)
 
 
 @pytest.mark.parametrize("k,n", SMALL)
