@@ -135,7 +135,7 @@ def _report_json(word: Word, ra, rep: CheckReport) -> str:
         "certified": rep.certified,
         "condition1": rep.condition1,
         "condition1_holds": rep.condition1_holds,
-        "base_facet": list(rep.base_facet) if rep.base_facet else None,
+        "base_facet": None if rep.base_facet is None else list(rep.base_facet),
         "first_failure": rep.first_failure,
         "stats": {row: getattr(rep.stats, row) for _, row in STAT_ROWS},
     }
@@ -210,6 +210,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    _tier_check(args.n, args.tier)
     word = multiassociahedron_word(args.k_prefix, args.n)
     trace = fattening_sequence(word, triangle_start=args.k_prefix * args.n)
     manifest = _manifest(args, n=args.n, k=args.k_prefix)

@@ -27,6 +27,12 @@ neighbouring facets are full rank, the dependence is unique and the
 exchanged-ray coefficients are automatically nonzero, so the sign test
 reduces to one determinant per facet plus a column-shift parity per
 ridge.
+
+Each fact is decided once, in one flip-graph sweep: a facet's
+determinant when the facet is first met (and its rank, if that is 0),
+a ridge's status when the traversal yields it from its smaller facet,
+and the first failure when the least failing ridge is classified.  The
+base condition then reads the sweep's determinant map.
 """
 
 from __future__ import annotations
@@ -104,10 +110,14 @@ def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
     return [scale_to_int(v) for v in ra.rays]
 
 
+def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[list[int]]:
+    """The integer rows of the cone of ``f``: its rays in position order."""
+    return [list(rays[r - 1]) for r in positions_of(f)]
+
+
 def facet_rank(ra: RayAssignment, facet: Facet) -> int:
     """Rank of the facet's rays over the rationals."""
-    rows = [list(scale_to_int(ra.rays[r - 1])) for r in positions_of(facet)]
-    return int_rank(rows)
+    return int_rank(_cone(_int_rays(ra), facet))
 
 
 def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
@@ -142,69 +152,64 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     return RidgeReport(ridge, status, dep)
 
 
-def _facet_det(rays: list[tuple[int, ...]], f: Facet, dim: int) -> int:
-    rows = [list(rays[r - 1]) for r in positions_of(f)]
-    return bareiss_det(rows) if len(rows) == dim else 0
+def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], str | None]:
+    """Statistics, the determinant of every facet, and the first failure:
+    the ``"bad ridge (...)"`` or ``"degenerate ridge (...)"`` text of the
+    least non-good ridge ``(f, g)``, f < g, in bitset order, or None.
 
-
-def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], tuple[Facet, Facet] | None]:
-    """Statistics, the determinant of every facet, and the first ridge
-    that is not good: its two facets ``(f, g)``, f < g, least in bitset
-    order, or None.
-
-    One flip-graph traversal.  Facet determinants are memoised on first
-    contact and every ridge is taken once, from its smaller facet.  For a
-    ridge between full-rank facets F, G, with x leaving F and q entering,
-    Cramer's rule gives the coefficient of ray x in ray q, written in the
-    rays of F, as (-1)^k det(G) / det(F): moving q's column from x's slot
-    to its sorted place in G crosses the k ridge positions strictly
-    between x and q.  The ridge is good when that coefficient is negative.
+    One flip-graph traversal, which yields each ridge once, from its
+    smaller facet.  Facet determinants are memoised on first contact, and
+    a singular cone is ranked then.  For a ridge between full-rank facets
+    F, G, with x leaving F and q entering, Cramer's rule gives the
+    coefficient of ray x in ray q, written in the rays of F, as
+    (-1)^k det(G) / det(F): moving q's column from x's slot to its sorted
+    place in G crosses the k ridge positions strictly between x and q.
+    The ridge is good when that coefficient is negative.
     """
     rays = _int_rays(ra)
     dim = ra.dim
     dets: dict[Facet, int] = {}
+    singular_ranks: list[int] = []
 
     def det_of(f: Facet) -> int:
         d = dets.get(f)
         if d is None:
-            d = dets[f] = _facet_det(rays, f, dim)
+            rows = _cone(rays, f)
+            d = dets[f] = bareiss_det(rows) if len(rows) == dim else 0
+            if d == 0:
+                singular_ranks.append(int_rank(rows))
         return d
 
     bad = degenerate = ridges = 0
-    witness = None
+    least = failure = None
     for f, flips in traverse(ra.word):
         df = det_of(f)
         for x, q, g in flips:
-            if g < f:
-                continue
             ridges += 1
             dg = det_of(g)
             if df == 0 or dg == 0:
                 degenerate += 1
+                status = "degenerate"
             else:
                 between = f & g & (((1 << (x - 1)) - 1) ^ ((1 << (q - 1)) - 1))
                 if (between.bit_count() % 2 == 0) != ((df > 0) == (dg > 0)):
                     continue
                 bad += 1
-            if witness is None or (f, g) < witness:
-                witness = (f, g)
+                status = "bad"
+            if least is None or (f, g) < least:
+                least = (f, g)
+                failure = f"{status} ridge {positions_of(f & g)}"
 
-    deg_cones = 0
-    min_dim = dim
-    for f, d in dets.items():
-        if d == 0:
-            deg_cones += 1
-            min_dim = min(min_dim, int_rank([list(rays[r - 1]) for r in positions_of(f)]))
     stats = FanStats(
         n=ra.word.rank,
         bad_ridges=bad,
         degenerate_ridges=degenerate,
         ridges=ridges,
-        degenerate_cones=deg_cones,
+        degenerate_cones=len(singular_ranks),
         cones=len(dets),
-        min_dimension=min_dim,
+        min_dimension=min(singular_ranks, default=dim),
     )
-    return stats, dets, witness
+    return stats, dets, failure
 
 
 def stream_statistics(ra: RayAssignment) -> FanStats:
@@ -213,40 +218,34 @@ def stream_statistics(ra: RayAssignment) -> FanStats:
     return _stats(ra)[0]
 
 
-def condition_one(ra: RayAssignment, facets, base: Facet,
-                  dets=None) -> tuple[bool, Facet | None]:
-    """Whether the point p = sum_i i * r_i over the rays of ``base``
-    (strictly inside its cone) lies in no other facet's closed cone;
-    returns the first facet containing p as witness otherwise.
+def condition_one(ra: RayAssignment, dets: dict[Facet, int], base: Facet) -> Facet | None:
+    """The least facet other than ``base`` whose closed cone contains the
+    point p = sum_i i * r_i over the rays of ``base`` (strictly inside its
+    cone), or None: the base condition holds iff there is none.
 
-    ``dets``, when given, holds the determinant of each of ``facets`` in
-    the same order.  Every facet must be full rank.  By Cramer's rule, p's
-    coefficient on the j-th ray of a facet F is det(F with row j replaced
-    by p) / det(F), so F's closed cone contains p iff no such determinant
-    has the sign opposite to det(F); the scan of F stops at the first one
-    that does.
+    ``dets`` maps every facet, ``base`` included, to its determinant, as
+    ``_stats`` builds it; every facet must be full rank.  By Cramer's
+    rule, p's coefficient on the j-th ray of a facet F is det(F with row j
+    replaced by p) / det(F), so F's closed cone contains p iff no such
+    determinant has the sign opposite to det(F); the scan of F stops at
+    the first one that does.
     """
     rays = _int_rays(ra)
-    base_rows = [list(rays[r - 1]) for r in positions_of(base)]
-    if len(base_rows) != ra.dim or bareiss_det(base_rows) == 0:
+    if dets[base] == 0:
         raise ValueError("base facet is rank deficient")
-    point = [sum(i * row[c] for i, row in enumerate(base_rows, start=1))
+    point = [sum(i * row[c] for i, row in enumerate(_cone(rays, base), start=1))
              for c in range(ra.dim)]
-    if dets is None:
-        facets = list(facets)
-        dets = [_facet_det(rays, f, ra.dim) for f in facets]
-    for f, det in zip(facets, dets):
+    for f in sorted(dets):
         if f == base:
             continue
+        det = dets[f]
         if det == 0:
             raise ValueError(f"cone {positions_of(f)} is rank deficient")
-        rows = [list(rays[r - 1]) for r in positions_of(f)]
-        for j in range(ra.dim):
-            if bareiss_det(rows[:j] + [point] + rows[j + 1:]) * det < 0:
-                break
-        else:
-            return False, f
-    return True, None
+        rows = _cone(rays, f)
+        if all(bareiss_det(rows[:j] + [point] + rows[j + 1:]) * det >= 0
+               for j in range(ra.dim)):
+            return f
+    return None
 
 
 def certify_fan(ra: RayAssignment) -> CheckReport:
@@ -257,15 +256,12 @@ def certify_fan(ra: RayAssignment) -> CheckReport:
     A closed cone containing the base point has an open cone meeting the
     open base cone near it, hence the wording of that failure.
     """
-    stats, dets, witness = _stats(ra)
-    if witness is not None:
-        f, g = witness
-        status = "degenerate" if dets[f] == 0 or dets[g] == 0 else "bad"
-        return CheckReport(False, stats, f"{status} ridge {positions_of(f & g)}",
-                           "skipped", None, None)
+    stats, dets, failure = _stats(ra)
+    if failure is not None:
+        return CheckReport(False, stats, failure, "skipped", None, None)
     base = greedy_facet(ra.word)
-    facets = sorted(dets)
-    holds, other = condition_one(ra, facets, base, [dets[f] for f in facets])
+    other = condition_one(ra, dets, base)
+    holds = other is None
     first = None if holds else f"open cones of base and {positions_of(other)} intersect"
     return CheckReport(holds, stats, first, "full", holds, positions_of(base))
 

@@ -49,7 +49,20 @@ __all__ = [
 
 RayVec = tuple[Fraction, ...]
 
+_INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _integer(token: str) -> int:
+    """A plain decimal integer, as ``str(int)`` writes it: an optional
+    minus sign and ASCII digits, with no ``+``, ``_`` or other digits.
+
+    >>> _integer("-12")
+    -12
+    """
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"bad integer {token!r}")
+    return int(token)
 
 
 def _rational(token: str) -> Fraction:
@@ -313,8 +326,8 @@ def parse_ray_file(text: str) -> RayAssignment:
         fields = dict(tok.split("=", 1) for tok in head[2:].split())
         if "n" not in fields or "d" not in fields:
             raise ValueError("header lacks n= or d=")
-        n, d = int(fields["n"]), int(fields["d"])
-        seed = None if fields.get("seed", "none") == "none" else int(fields["seed"])
+        n, d = _integer(fields["n"]), _integer(fields["d"])
+        seed = None if fields.get("seed", "none") == "none" else _integer(fields["seed"])
     except ValueError as exc:
         raise ValueError(f"ray file line {no}: {exc}") from None
     construction = fields.get("construction", "")
@@ -323,9 +336,9 @@ def parse_ray_file(text: str) -> RayAssignment:
     for pos, (no, ln) in enumerate(lines[1:], start=1):
         toks = ln.split()
         try:
-            if len(toks) < 2 or int(toks[0]) != pos or not toks[1].startswith("s"):
+            if len(toks) < 2 or _integer(toks[0]) != pos or not toks[1].startswith("s"):
                 raise ValueError(f"bad ray line {ln!r}")
-            letters.append(int(toks[1][1:]))
+            letters.append(_integer(toks[1][1:]))
             rays.append(tuple(_rational(t) for t in toks[2:]))
         except ValueError as exc:
             raise ValueError(f"ray file line {no}: {exc}") from None

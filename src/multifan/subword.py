@@ -10,9 +10,9 @@ positions (bit r-1 set means position r belongs to the facet).
 Flips are read off the root configuration of a facet (constant work per
 candidate) by the flip-graph traversal :func:`traverse`, the one
 enumeration of the complex: the sorted facet list, the statistics and the
-certificate all consume it.  :func:`naive_flip` re-checks every candidate
-with a 0-Hecke evaluation; tests check every flip that the traversal
-yields against it for small ranks.
+certificate all consume it.  It yields each ridge once, as the flip from
+its smaller facet to the larger; the tests check both directions of every
+such flip against a 0-Hecke reference for small ranks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .words import (
     Word,
     contains_longest,
-    demazure_product,
     identity,
     increases_length,
     longest_element,
@@ -37,7 +36,6 @@ __all__ = [
     "positions_of",
     "is_face",
     "greedy_facet",
-    "naive_flip",
     "root_configuration",
     "traverse",
     "all_facets",
@@ -105,29 +103,6 @@ def greedy_facet(w: Word) -> Facet:
     return facet
 
 
-def naive_flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
-    """Reference flip: try every complement position as the partner of r.
-
-    Returns ``(r2, facet2)`` with ``facet2 = facet - {r} + {r2}``.
-    """
-    if not facet >> (r - 1) & 1:
-        raise ValueError(f"position {r} not in facet")
-    base = facet & ~(1 << (r - 1))
-    partners = []
-    for r2 in range(1, len(w) + 1):
-        if r2 == r or base >> (r2 - 1) & 1 or facet >> (r2 - 1) & 1:
-            continue
-        cand = base | 1 << (r2 - 1)
-        if demazure_product(w.delete(positions_of(cand))) == longest_element(w.rank):
-            partners.append(r2)
-    if len(partners) != 1:
-        raise AssertionError(
-            f"flip of {r} in {positions_of(facet)} has partners {partners}"
-        )
-    r2 = partners[0]
-    return r2, base | 1 << (r2 - 1)
-
-
 def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     """For every position q, the pair ``(pi(i), pi(i+1))`` where ``s_i`` is
     the letter at q and pi is the product of the complement letters before q.
@@ -162,9 +137,10 @@ def _partners(w: Word, facet: Facet) -> dict[int, int]:
 def traverse(w: Word) -> Iterator[tuple[Facet, list[tuple[int, int, Facet]]]]:
     """Breadth-first traversal of the flip graph from the greedy facet.
 
-    Yields every facet once, with its flips ``(x, q, g)``: position x
-    leaves, q enters, g is the neighbouring facet.  Each flip is thus seen
-    from both of its facets; the caller keeps whatever it needs.
+    Yields every facet once, with its flips ``(x, q, g)`` to a larger
+    neighbour ``g > f``: position x leaves, q enters.  Every flip is
+    followed to discover facets, but each ridge is yielded once, from its
+    smaller facet.
     """
     seed = greedy_facet(w)
     seen = {seed}
@@ -175,7 +151,8 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[tuple[int, int, Facet]]]]:
             flips = []
             for x, q in _partners(w, f).items():
                 g = f & ~(1 << (x - 1)) | 1 << (q - 1)
-                flips.append((x, q, g))
+                if g > f:
+                    flips.append((x, q, g))
                 if g not in seen:
                     seen.add(g)
                     next_frontier.append(g)

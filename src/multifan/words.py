@@ -29,7 +29,6 @@ __all__ = [
     "increases_length",
     "demazure_product",
     "contains_longest",
-    "is_reduced",
     "c_sorted_word",
     "multiassociahedron_word",
     "rotate",
@@ -123,17 +122,6 @@ def demazure_product(w: Word) -> Permutation:
 def contains_longest(w: Word) -> bool:
     """Whether ``w`` contains a reduced expression of the longest element."""
     return demazure_product(w) == longest_element(w.rank)
-
-
-def is_reduced(w: Word) -> bool:
-    """Whether ``w`` is a reduced expression of its product (the 0-Hecke
-    fold never skips a letter)."""
-    pi = identity(w.rank)
-    for a in w.letters:
-        if not increases_length(pi, a):
-            return False
-        pi = right_mult(pi, a)
-    return True
 
 
 def c_sorted_word(n: int) -> Word:

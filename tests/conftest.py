@@ -1,9 +1,52 @@
 import functools
 from fractions import Fraction
 
+from multifan.exactla import bareiss_det, scale_to_int
 from multifan.rays import RayAssignment
-from multifan.subword import all_facets, traverse
-from multifan.words import multiassociahedron_word
+from multifan.subword import Facet, all_facets, positions_of, traverse
+from multifan.words import (
+    Word,
+    demazure_product,
+    identity,
+    increases_length,
+    longest_element,
+    multiassociahedron_word,
+    right_mult,
+)
+
+
+def is_reduced(w: Word) -> bool:
+    """Whether ``w`` is a reduced expression of its product (the 0-Hecke
+    fold never skips a letter)."""
+    pi = identity(w.rank)
+    for a in w.letters:
+        if not increases_length(pi, a):
+            return False
+        pi = right_mult(pi, a)
+    return True
+
+
+def naive_flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
+    """Reference flip: try every complement position as the partner of r.
+
+    Returns ``(r2, facet2)`` with ``facet2 = facet - {r} + {r2}``.
+    """
+    if not facet >> (r - 1) & 1:
+        raise ValueError(f"position {r} not in facet")
+    base = facet & ~(1 << (r - 1))
+    partners = []
+    for r2 in range(1, len(w) + 1):
+        if r2 == r or base >> (r2 - 1) & 1 or facet >> (r2 - 1) & 1:
+            continue
+        cand = base | 1 << (r2 - 1)
+        if demazure_product(w.delete(positions_of(cand))) == longest_element(w.rank):
+            partners.append(r2)
+    if len(partners) != 1:
+        raise AssertionError(
+            f"flip of {r} in {positions_of(facet)} has partners {partners}"
+        )
+    r2 = partners[0]
+    return r2, base | 1 << (r2 - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -16,7 +59,17 @@ def get_index(k: int, n: int):
 def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
     flips = traverse(multiassociahedron_word(k, n))
-    return tuple(sorted((f, g) for f, out in flips for _, _, g in out if f < g))
+    return tuple(sorted((f, g) for f, out in flips for _, _, g in out))
+
+
+def facet_dets(ra: RayAssignment, facets) -> dict[int, int]:
+    """The determinant of each facet's rays, 0 when they are too few or too
+    many: the map that ``condition_one`` reads."""
+    dets = {}
+    for f in facets:
+        rows = [list(scale_to_int(ra.rays[r - 1])) for r in positions_of(f)]
+        dets[f] = bareiss_det(rows) if len(rows) == ra.dim else 0
+    return dets
 
 
 # positions of c w0(2) in the angular order of the loday rays

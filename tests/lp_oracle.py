@@ -34,8 +34,9 @@ def invert(cols) -> list[list[Fraction]]:
 
 
 def lp_condition_one(ra, facets, base):
-    """(holds, witness) as ``condition_one`` returns it, by one exact LP per
-    facet: the witness is the first facet whose open cone meets the base's."""
+    """The first of ``facets`` other than ``base`` whose open cone meets the
+    base's, or None, by one exact LP per facet; None exactly when
+    ``condition_one`` returns None, under the ridge condition."""
     inv_rows = invert([ra.rays[r - 1] for r in positions_of(base)])
     for f in facets:
         if f == base:
@@ -44,5 +45,5 @@ def lp_condition_one(ra, facets, base):
                   for r in positions_of(f)]
         a_rows = [[col[i] for col in a_cols] for i in range(ra.dim)]
         if feasible_nonneg(a_rows):
-            return False, f
-    return True, None
+            return f
+    return None

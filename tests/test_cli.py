@@ -178,12 +178,36 @@ def test_trace(capsys):
     assert "n=2;" in out
 
 
+def test_trace_tier_gate(capsys):
+    rc, out, err = run(capsys, "trace", "--n", "6")
+    assert rc == 2 and out == "" and "tier" in err
+    rc, out, _ = run(capsys, "trace", "--n", "6", "--tier", "full")
+    assert rc == 0 and out.startswith("D 1")
+
+
+def test_check_report_empty_base_facet(tmp_path, capsys):
+    # the one facet of w0(1) is empty, and so is its cone in dimension 0
+    rays = tmp_path / "w0.rays"
+    rays.write_text("# n=1 d=0 construction=x seed=none\n1 s1\n")
+    report = tmp_path / "w0.json"
+    rc, out, _ = run(capsys, "check", "--rays", str(rays), "--word", "w0(1)",
+                     "--out", str(report))
+    assert rc == 0 and "certified: complete simplicial fan" in out
+    doc = json.loads(report.read_text())
+    assert doc["condition1"] == "full"
+    assert doc["base_facet"] == []
+
+
 def test_check_double_cover_exit_code(tmp_path, capsys):
     rays = tmp_path / "double.rays"
     rays.write_text(format_ray_file(double_cover_rays()))
     rc, out, _ = run(capsys, "check", "--rays", str(rays), "--kn", "1,2")
     assert rc == 1
     assert "not certified: open cones of base and" in out
+
+
+# the pattern rays at n = 1, which certify against c^2 w0(1)
+PATTERN1 = format_ray_file(build_rays("pattern", 1))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -194,8 +218,15 @@ def test_check_double_cover_exit_code(tmp_path, capsys):
      "line 2: bad rational '1e99999999'"),
     ("# n=1 d=2 construction=naive seed=none\n1 s1 1.5 0\n", "line 2: bad rational"),
     ("# n=1 d=2 construction=naive seed=none\n1 s1 1_000 0\n", "line 2: bad rational"),
+    (PATTERN1.replace("n=1", "n=+1"), "line 1: bad integer '+1'"),
+    (PATTERN1.replace("n=1", "n=0_1"), "line 1: bad integer '0_1'"),
+    (PATTERN1.replace("seed=none", "seed=+7"), "line 1: bad integer '+7'"),
+    (PATTERN1.replace("\n1 s1", "\n+1 s1"), "line 2: bad integer '+1'"),
+    (PATTERN1.replace("\n1 s1", "\n1 s+1"), "line 2: bad integer '+1'"),
+    (PATTERN1.replace("\n1 s1", "\n1 s\u0661"), "line 2: bad integer"),
 ], ids=["empty", "header-without-n", "zero-denominator", "exponent", "decimal-point",
-        "underscore"])
+        "underscore", "plus-n", "underscore-n", "plus-seed", "plus-position", "plus-letter",
+        "arabic-indic-letter"])
 def test_check_malformed_ray_file(tmp_path, capsys, text, message):
     rays = tmp_path / "bad.rays"
     rays.write_text(text)
@@ -241,7 +272,7 @@ PATTERN2 = format_ray_file(build_rays("pattern", 2))
 # tokens that are malformed, out of range or merely unusual in a ray file
 FUZZ_TOKENS = ("0", "-1", "12", "3/4", "1/0", "-2/0", "1.5", "1e3", "x", "", "s0", "s1",
                "s9", "#", "n=2", "n=3", "d=4", "d=x", "seed=7", "=", "/", "-", "1_0",
-               "1e99999999")
+               "1e99999999", "+1", "s+1")
 
 
 @st.composite

@@ -17,7 +17,7 @@ from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet, positions_of
 from multifan.words import Word, mirror, rotate
 
-from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index, get_ridges
+from conftest import DOUBLE_COVER_ORDER, double_cover_rays, facet_dets, get_index, get_ridges
 from lp_oracle import lp_condition_one
 
 
@@ -83,21 +83,18 @@ def test_condition_one_orthants():
             (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
     ra = RayAssignment(word, rays, 2)
     facets = [bitset_of([1, 2]), bitset_of([3, 4])]
-    ok, witness = condition_one(ra, facets, bitset_of([1, 2]))
-    assert ok and witness is None
+    assert condition_one(ra, facet_dets(ra, facets), bitset_of([1, 2])) is None
 
 
 def test_condition_one_pattern():
     for n in (1, 2, 3):
         ra = build_rays("pattern", n)
-        idx = get_index(2, n)
-        ok, witness = condition_one(ra, idx.facets, greedy_facet(ra.word))
-        assert ok and witness is None
+        dets = facet_dets(ra, get_index(2, n).facets)
+        assert condition_one(ra, dets, greedy_facet(ra.word)) is None
     # any full-rank base works; {1, 2} at n=1 spans the plane and the other
     # two facets avoid its interior
     ra = build_rays("pattern", 1)
-    ok, witness = condition_one(ra, get_index(2, 1).facets, bitset_of([1, 2]))
-    assert ok and witness is None
+    assert condition_one(ra, facet_dets(ra, get_index(2, 1).facets), bitset_of([1, 2])) is None
 
 
 def test_certify_pattern_small():
@@ -109,10 +106,18 @@ def test_certify_pattern_small():
 
 
 def test_certify_rejects_bad_sets():
-    rep = certify_fan(build_rays("naive", 3))
+    ra = build_rays("naive", 3)
+    rep = certify_fan(ra)
     assert not rep.certified
     assert rep.first_failure.startswith("degenerate ridge")
     assert rep.condition1 == "skipped"
+    # point location refuses a singular cone, as base or as another facet
+    dets = facet_dets(ra, get_index(2, 3).facets)
+    singular = min(f for f, d in dets.items() if d == 0)
+    with pytest.raises(ValueError, match="base facet is rank deficient"):
+        condition_one(ra, dets, singular)
+    with pytest.raises(ValueError, match=r"cone \(.*\) is rank deficient"):
+        condition_one(ra, dets, greedy_facet(ra.word))
 
 
 def test_fixed_53_certifies_n3():
@@ -133,7 +138,7 @@ def test_stream_certify_matches_indexed():
         assert rep.stats.min_dimension == min(ranks)
         if rep.condition1 == "full":
             assert rep.condition1_holds
-            assert condition_one(ra, idx.facets, greedy_facet(ra.word)) == (True, None)
+            assert condition_one(ra, facet_dets(ra, idx.facets), greedy_facet(ra.word)) is None
 
 
 def test_double_cover_fails_base_condition():
@@ -148,9 +153,9 @@ def test_double_cover_fails_base_condition():
     assert rep.condition1 == "full" and rep.condition1_holds is False
     assert not rep.certified
     assert rep.first_failure.startswith("open cones of base and")
-    assert lp_condition_one(ra, facets, greedy_facet(ra.word))[0] is False
-    holds, witness = condition_one(ra, facets, greedy_facet(ra.word))
-    assert not holds
+    assert lp_condition_one(ra, facets, greedy_facet(ra.word)) is not None
+    witness = condition_one(ra, facet_dets(ra, facets), greedy_facet(ra.word))
+    assert witness is not None
     assert rep.first_failure == f"open cones of base and {positions_of(witness)} intersect"
 
 
@@ -175,12 +180,12 @@ def test_point_location_agrees_with_lp_on_random_rays():
             if stats.bad_ridges or stats.degenerate_ridges:
                 continue
             kept += 1
-            holds, witness = condition_one(ra, facets, base)
-            assert holds == lp_condition_one(ra, facets, base)[0], (k, n, rays)
-            if not holds:
+            witness = condition_one(ra, facet_dets(ra, facets), base)
+            assert (witness is None) == (lp_condition_one(ra, facets, base) is None), (k, n, rays)
+            if witness is not None:
                 rejected += 1
                 # the witness's open cone meets the base's, as reported
-                assert not lp_condition_one(ra, [witness], base)[0]
+                assert lp_condition_one(ra, [witness], base) == witness
     assert kept >= 200 and rejected >= 1, (kept, rejected)
 
 
@@ -281,7 +286,8 @@ def test_point_location_agrees_with_lp_on_constructions():
             ra = build_rays(name, n)
             facets = get_index(k, n).facets
             base = greedy_facet(ra.word)
-            assert condition_one(ra, facets, base) == lp_condition_one(ra, facets, base) == (True, None)
+            assert condition_one(ra, facet_dets(ra, facets), base) is None
+            assert lp_condition_one(ra, facets, base) is None
 
 
 def test_format_stats_table():

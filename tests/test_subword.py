@@ -5,14 +5,13 @@ from multifan.subword import (
     bitset_of,
     format_facet_file,
     greedy_facet,
-    naive_flip,
     positions_of,
     traverse,
     vertex_status,
 )
 from multifan.words import Word, c_sorted_word, mirror, multiassociahedron_word, rotate
 
-from conftest import get_index, get_ridges
+from conftest import get_index, get_ridges, naive_flip
 
 SMALL = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 
@@ -45,27 +44,33 @@ def test_pentagon_flip_graph_is_5_cycle():
 
 @pytest.mark.parametrize("k,n", SMALL)
 def test_naive_and_root_flips_agree(k, n):
-    # every flip the traversal yields, against the 0-Hecke reference
+    # both sides of every ridge the traversal yields, against the 0-Hecke
+    # reference: every flip of the complex is checked
     w = multiassociahedron_word(k, n)
     for f, out in traverse(w):
         for x, q, g in out:
             assert naive_flip(w, f, x) == (q, g)
+            assert naive_flip(w, g, q) == (x, f)
 
 
 @pytest.mark.parametrize("k,n", SMALL)
-def test_traverse_yields_each_facet_once_and_each_flip_from_both_sides(k, n):
+def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
     w = multiassociahedron_word(k, n)
     facets = []
-    flips = set()
+    ridges = []
+    flipped = set()
     for f, out in traverse(w):
         facets.append(f)
-        assert [x for x, _, _ in out] == list(positions_of(f))
         for x, q, g in out:
+            assert g > f
             assert g == f & ~(1 << (x - 1)) | 1 << (q - 1)
-            flips.add((f, x, q, g))
+            ridges.append(f & g)
+            flipped.update(((f, x), (g, q)))
     assert len(facets) == len(set(facets))
     assert sorted(facets) == get_index(k, n).facets
-    assert all((g, q, x, f) in flips for f, x, q, g in flips)
+    assert len(ridges) == len(set(ridges)) == get_index(k, n).n_ridges
+    # every position of every facet flips toward one side or the other
+    assert flipped == {(f, x) for f in facets for x in positions_of(f)}
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])

@@ -8,7 +8,6 @@ from multifan.words import (
     demazure_product,
     format_word,
     identity,
-    is_reduced,
     length,
     longest_element,
     mirror,
@@ -17,6 +16,8 @@ from multifan.words import (
     right_mult,
     rotate,
 )
+
+from conftest import is_reduced
 
 
 def words(max_rank=4, max_len=10):
