@@ -3,12 +3,19 @@ Command-line surface: construction, enumeration, certification and table
 reproduction.
 
 Exit codes: 0 certified / PASS, 1 verified failure (degeneracies found,
-reproduction mismatch, oracle mismatch), 2 usage or IO error.
+reproduction mismatch, oracle mismatch), 2 usage or IO error.  ``main`` is
+the one error boundary: a ``ValueError`` (bad input) or ``OSError`` (a file
+that cannot be read or written) from any command becomes ``error: ...`` on
+stderr and exit 2.
+
+``--tier`` caps n for every command: ``_resolve_word`` applies it to the
+word of ``--kn`` or ``--word``, and the commands that take ``--n`` apply
+it to that.
 
 Output files carry deterministic headers only (construction, n, seed,
-counts); a JSON manifest with timestamps, tool version and content digests
-is written next to each output file.  Reruns with the same arguments and
-seed produce byte-identical output files.
+counts); ``_write_output`` writes each one together with a JSON manifest
+(timestamp, tool version, content digest) next to it.  Reruns with the
+same arguments and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -29,59 +36,45 @@ from .subword import all_facets, format_facet_file, positions_of
 from .tables import TABLE_IDS, reproduce_table
 from .words import Word, multiassociahedron_word, parse_word, format_word
 
-TIER_CAP = {"quick": 4, "desk": 5, "full": 8}
+TIER_CAP = {"desk": 5, "full": 8}
 
 
 @dataclass
 class RunManifest:
     command: str
-    construction: str | None
-    n: int | None
-    k: int | None
-    seed: int | None
     timestamp: float
     version: str
     outputs: dict[str, str]
-
-
-class UsageError(Exception):
-    pass
+    construction: str | None = None
+    n: int | None = None
+    k: int | None = None
+    seed: int | None = None
 
 
 def _tier_check(n: int, tier: str):
     cap = TIER_CAP[tier]
     if n > cap:
-        raise UsageError(
+        raise ValueError(
             f"n={n} exceeds the {tier} tier cap ({cap}); pass --tier full for n up to 8"
         )
 
 
-def _write_output(path: str, text: str, manifest: RunManifest):
+def _write_output(args, path: str, text: str, **facts):
+    """Write ``text`` to ``path``, then its manifest, which records ``facts``
+    (construction, n, k, seed), to ``path.manifest.json``."""
     with open(path, "w") as fh:
         fh.write(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    manifest.outputs[path] = f"sha256:{digest}"
+    manifest = RunManifest(" ".join(args.argv), time.time(), __version__,
+                           {path: f"sha256:{digest}"}, **facts)
     with open(path + ".manifest.json", "w") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _manifest(args, construction=None, n=None, k=None, seed=None) -> RunManifest:
-    return RunManifest(
-        command=" ".join(args.argv),
-        construction=construction,
-        n=n,
-        k=k,
-        seed=seed,
-        timestamp=time.time(),
-        version=__version__,
-        outputs={},
-    )
-
-
-def _emit(args, text: str, manifest: RunManifest):
+def _emit(args, text: str, **facts):
     if args.out:
-        _write_output(args.out, text, manifest)
+        _write_output(args, args.out, text, **facts)
     else:
         sys.stdout.write(text)
 
@@ -97,32 +90,32 @@ def _kn(spec: str) -> tuple[int, int]:
     return k, n
 
 
-def _resolve_word(args) -> tuple[Word, int | None, int | None]:
+def _resolve_word(args) -> tuple[Word, int | None]:
+    """The word of ``--kn`` or ``--word``, within the ``--tier`` cap, and its k
+    (None for ``--word``)."""
     if getattr(args, "kn", None):
         k, n = args.kn
-        return multiassociahedron_word(k, n), k, n
-    if getattr(args, "word", None):
-        w = parse_word(args.word)
-        return w, None, w.rank
-    raise UsageError("pass --word or --kn")
+        word = multiassociahedron_word(k, n)
+    elif getattr(args, "word", None):
+        k, word = None, parse_word(args.word)
+    else:
+        raise ValueError("pass --word or --kn")
+    _tier_check(word.rank, args.tier)
+    return word, k
 
 
 def cmd_facets(args) -> int:
-    word, k, n = _resolve_word(args)
-    _tier_check(word.rank, args.tier)
-    index = all_facets(word)
-    manifest = _manifest(args, n=word.rank, k=k)
-    _emit(args, format_facet_file(index), manifest)
+    word, k = _resolve_word(args)
+    _emit(args, format_facet_file(all_facets(word)), n=word.rank, k=k)
     return 0
 
 
 def cmd_rays(args) -> int:
     _tier_check(args.n, args.tier)
     if args.construction == "perturbed" and args.seed is None:
-        raise UsageError("perturbed construction requires --seed")
+        raise ValueError("perturbed construction requires --seed")
     ra = build_rays(args.construction, args.n, args.seed)
-    manifest = _manifest(args, construction=args.construction, n=args.n, seed=ra.seed)
-    _emit(args, format_ray_file(ra), manifest)
+    _emit(args, format_ray_file(ra), construction=args.construction, n=args.n, seed=ra.seed)
     return 0
 
 
@@ -143,17 +136,11 @@ def _report_json(word: Word, ra, rep: CheckReport) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.rays) as fh:
-            ra = parse_ray_file(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read ray file: {exc}")
-    word, _, _ = _resolve_word(args)
+    with open(args.rays) as fh:
+        ra = parse_ray_file(fh.read())
+    word, _ = _resolve_word(args)
     if ra.word != word:
-        raise UsageError(
-            f"ray file is for {format_word(ra.word)}, not {format_word(word)}"
-        )
-    _tier_check(word.rank, args.tier)
+        raise ValueError(f"ray file is for {format_word(ra.word)}, not {format_word(word)}")
     rep = certify_fan(ra)
     sys.stdout.write(format_stats_table([rep.stats]))
     if rep.certified:
@@ -161,8 +148,8 @@ def cmd_check(args) -> int:
     else:
         sys.stdout.write(f"not certified: {rep.first_failure}\n")
     if args.out:
-        manifest = _manifest(args, construction=ra.construction, n=word.rank, seed=ra.seed)
-        _write_output(args.out, _report_json(word, ra, rep), manifest)
+        _write_output(args, args.out, _report_json(word, ra, rep),
+                      construction=ra.construction, n=word.rank, seed=ra.seed)
     return 0 if rep.certified else 1
 
 
@@ -186,16 +173,15 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    k, n = args.kn
+    word, k = _resolve_word(args)
+    n = word.rank
     tris = enumerate_k_triangulations(k, n)
     mapped = {
         frozenset(diagonal_to_position(k, n, d) for d in tri) for tri in tris
     }
-    index = all_facets(multiassociahedron_word(k, n))
-    facets = {frozenset(positions_of(f)) for f in index.facets}
+    facets = {frozenset(positions_of(f)) for f in all_facets(word).facets}
     if args.out:
-        manifest = _manifest(args, n=n, k=k)
-        _write_output(args.out, format_triangulations(tris), manifest)
+        _write_output(args, args.out, format_triangulations(tris), n=n, k=k)
     if mapped == facets:
         sys.stdout.write(
             f"PASS k={k} n={n}: {len(facets)} facets on both routes\n"
@@ -213,8 +199,7 @@ def cmd_trace(args) -> int:
     _tier_check(args.n, args.tier)
     word = multiassociahedron_word(args.k_prefix, args.n)
     trace = fattening_sequence(word, triangle_start=args.k_prefix * args.n)
-    manifest = _manifest(args, n=args.n, k=args.k_prefix)
-    _emit(args, format_trace(trace, verbose=args.verbose), manifest)
+    _emit(args, format_trace(trace, verbose=args.verbose), n=args.n, k=args.k_prefix)
     return 0
 
 
@@ -292,7 +277,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -254,12 +254,16 @@ def certify_fan(ra: RayAssignment) -> CheckReport:
     bitset order.
 
     A closed cone containing the base point has an open cone meeting the
-    open base cone near it, hence the wording of that failure.
+    open base cone near it, hence the wording of that failure.  A complex
+    without ridges has one facet, the base; if its cone is rank deficient,
+    that is the failure.
     """
     stats, dets, failure = _stats(ra)
+    base = greedy_facet(ra.word)
+    if failure is None and dets[base] == 0:
+        failure = f"degenerate cone {positions_of(base)}"
     if failure is not None:
         return CheckReport(False, stats, failure, "skipped", None, None)
-    base = greedy_facet(ra.word)
     other = condition_one(ra, dets, base)
     holds = other is None
     first = None if holds else f"open cones of base and {positions_of(other)} intersect"

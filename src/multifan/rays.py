@@ -327,6 +327,8 @@ def parse_ray_file(text: str) -> RayAssignment:
         if "n" not in fields or "d" not in fields:
             raise ValueError("header lacks n= or d=")
         n, d = _integer(fields["n"]), _integer(fields["d"])
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
         seed = None if fields.get("seed", "none") == "none" else _integer(fields["seed"])
     except ValueError as exc:
         raise ValueError(f"ray file line {no}: {exc}") from None
@@ -339,6 +341,8 @@ def parse_ray_file(text: str) -> RayAssignment:
             if len(toks) < 2 or _integer(toks[0]) != pos or not toks[1].startswith("s"):
                 raise ValueError(f"bad ray line {ln!r}")
             letters.append(_integer(toks[1][1:]))
+            if not 1 <= letters[-1] <= n:
+                raise ValueError(f"letter s_{letters[-1]} out of range for rank {n}")
             rays.append(tuple(_rational(t) for t in toks[2:]))
         except ValueError as exc:
             raise ValueError(f"ray file line {no}: {exc}") from None

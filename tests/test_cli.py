@@ -164,8 +164,21 @@ def test_oracle(capsys):
 
 
 def test_oracle_guard(capsys):
-    rc, _, err = run(capsys, "oracle", "--kn", "2,8")
+    rc, _, err = run(capsys, "oracle", "--kn", "2,8", "--tier", "full")
     assert rc == 2 and "too large" in err
+
+
+def test_oracle_tier_gate(capsys):
+    rc, out, err = run(capsys, "oracle", "--kn", "2,6")
+    assert rc == 2 and out == "" and "tier" in err
+
+
+def test_tier_quick_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["facets", "--kn", "2,2", "--tier", "quick"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--tier" in err and "Traceback" not in err
 
 
 def test_trace(capsys):
@@ -198,6 +211,19 @@ def test_check_report_empty_base_facet(tmp_path, capsys):
     assert doc["base_facet"] == []
 
 
+def test_check_degenerate_only_cone(tmp_path, capsys):
+    # w0(1) is reduced: its one facet is empty, a rank 0 cone in dimension 1
+    rays = tmp_path / "w0.rays"
+    rays.write_text("# n=1 d=1 construction=x seed=none\n1 s1 5\n")
+    report = tmp_path / "w0.json"
+    rc, out, err = run(capsys, "check", "--rays", str(rays), "--word", "w0(1)",
+                       "--out", str(report))
+    assert rc == 1 and err == ""
+    assert "not certified: degenerate cone ()" in out
+    doc = json.loads(report.read_text())
+    assert doc["condition1"] == "skipped" and doc["certified"] is False
+
+
 def test_check_double_cover_exit_code(tmp_path, capsys):
     rays = tmp_path / "double.rays"
     rays.write_text(format_ray_file(double_cover_rays()))
@@ -224,9 +250,11 @@ PATTERN1 = format_ray_file(build_rays("pattern", 1))
     (PATTERN1.replace("\n1 s1", "\n+1 s1"), "line 2: bad integer '+1'"),
     (PATTERN1.replace("\n1 s1", "\n1 s+1"), "line 2: bad integer '+1'"),
     (PATTERN1.replace("\n1 s1", "\n1 s\u0661"), "line 2: bad integer"),
+    (PATTERN1.replace("n=1", "n=0"), "line 1: rank must be >= 1, got 0"),
+    (PATTERN1.replace("\n2 s1", "\n2 s9"), "line 3: letter s_9 out of range for rank 1"),
 ], ids=["empty", "header-without-n", "zero-denominator", "exponent", "decimal-point",
         "underscore", "plus-n", "underscore-n", "plus-seed", "plus-position", "plus-letter",
-        "arabic-indic-letter"])
+        "arabic-indic-letter", "zero-rank", "letter-out-of-range"])
 def test_check_malformed_ray_file(tmp_path, capsys, text, message):
     rays = tmp_path / "bad.rays"
     rays.write_text(text)
@@ -234,6 +262,21 @@ def test_check_malformed_ray_file(tmp_path, capsys, text, message):
     assert rc == 2
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--rays", "{rays}", "--kn", "2,1", "--out", "{missing}/r.json"],
+    ["facets", "--kn", "2,2", "--out", "{missing}/f.txt"],
+    ["check", "--rays", "{missing}/p1.rays", "--kn", "2,1"],
+], ids=["check-out", "facets-out", "check-rays"])
+def test_io_error_exit_code(tmp_path, capsys, command):
+    rays = tmp_path / "p1.rays"
+    rays.write_text(PATTERN1)
+    missing = tmp_path / "missing"
+    argv = [a.format(rays=rays, missing=missing) for a in command]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("construction, seed, recorded", [
