@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
 from .moves import fattening_sequence, format_trace
-from .polygon import diagonal_to_position, enumerate_k_triangulations, format_triangulations
+from .polygon import enumerate_k_triangulations, format_triangulations, position_diagonals
 from .rays import build_rays, format_ray_file, parse_ray_file
 from .subword import all_facets, format_facet_file, positions_of
 from .tables import TABLE_IDS, reproduce_table
@@ -65,7 +66,7 @@ def _write_output(args, path: str, text: str, **facts):
     with open(path, "w") as fh:
         fh.write(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    manifest = RunManifest(" ".join(args.argv), time.time(), __version__,
+    manifest = RunManifest(shlex.join(args.argv), time.time(), __version__,
                            {path: f"sha256:{digest}"}, **facts)
     with open(path + ".manifest.json", "w") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
@@ -176,19 +177,19 @@ def cmd_oracle(args) -> int:
     word, k = _resolve_word(args)
     n = word.rank
     tris = enumerate_k_triangulations(k, n)
-    mapped = {
-        frozenset(diagonal_to_position(k, n, d) for d in tri) for tri in tris
-    }
-    facets = {frozenset(positions_of(f)) for f in all_facets(word).facets}
+    oracle = set(tris)
+    diags = position_diagonals(k, n)
+    facets = {frozenset(diags[pos - 1] for pos in positions_of(f))
+              for f in all_facets(word).facets}
     if args.out:
         _write_output(args, args.out, format_triangulations(tris), n=n, k=k)
-    if mapped == facets:
+    if oracle == facets:
         sys.stdout.write(
             f"PASS k={k} n={n}: {len(facets)} facets on both routes\n"
         )
         return 0
-    only_oracle = len(mapped - facets)
-    only_subword = len(facets - mapped)
+    only_oracle = len(oracle - facets)
+    only_subword = len(facets - oracle)
     sys.stdout.write(
         f"FAIL k={k} n={n}: {only_oracle} oracle-only, {only_subword} subword-only\n"
     )
@@ -204,12 +205,18 @@ def cmd_trace(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = (int(t) for t in spec.split("..", 1))
-        if lo > hi:
-            raise ValueError(f"empty column range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(t) for t in spec.split(",")]
+    """The ``--n`` column range: ``lo..hi`` or a comma-separated list."""
+    try:
+        if ".." in spec:
+            lo, hi = (int(t) for t in spec.split("..", 1))
+            ns = list(range(lo, hi + 1))
+        else:
+            ns = [int(t) for t in spec.split(",")]
+    except ValueError:
+        ns = []
+    if not ns:
+        raise ValueError(f"--n takes a column range like 1..5 or 1,3, got {spec!r}")
+    return ns
 
 
 def _common(sub, out=True):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, c_sorted_word, contains_longest
+from .words import Word, c_sorted_word, contains_longest, staircase_cells
 from .subword import is_face
 
 __all__ = [
@@ -204,11 +204,6 @@ class _Builder:
                          tuple(self.label_states), tuple(self.corrs))
 
 
-def _row_start(n: int, i: int) -> int:
-    """0-based offset of row i inside the staircase word of rank n."""
-    return (i - 1) * n - (i - 1) * (i - 2) // 2
-
-
 def _builder_at(w: Word, start: int) -> _Builder:
     """A builder on ``w`` whose staircase factor at 0-based offset ``start``
     carries the grid labels (i, j), row by row; other letters are unlabeled."""
@@ -217,9 +212,7 @@ def _builder_at(w: Word, start: int) -> _Builder:
     if w.letters[start : start + len(staircase)] != staircase:
         raise ValueError(f"no staircase factor of rank {n} at offset {start}")
     labels: list[Label | None] = [None] * len(w)
-    labels[start : start + len(staircase)] = [
-        Label(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)
-    ]
+    labels[start : start + len(staircase)] = [Label(i, j) for i, j in staircase_cells(n)]
     return _Builder(w, labels)
 
 
@@ -251,9 +244,12 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
     """
     n = w.rank
     b = _builder_at(w, triangle_start)
+    cells = staircase_cells(n)
     anchors = []
     for i in range(1, n + 1):
-        pos = triangle_start + _row_start(n, i) + i
+        # the 1-based position of the (i, 1) letter, plus i - 1 for the
+        # shift from the i - 1 earlier doublings
+        pos = triangle_start + cells.index((i, 1)) + i
         assert b.letter(pos) == 1
         b.move("D", pos)
         anchors.append(pos)
@@ -273,12 +269,9 @@ def final_label_pattern(n: int) -> list[Label]:
     """Labels of the fattened factor, left to right: the c prefix reads
     (i,1), the staircase of rank n-1 reads (i,j+1) on its (i,j) letter, and
     the reversed-c suffix reads (i,1)' at its i-th letter."""
-    out = [Label(i, 1) for i in range(1, n + 1)]
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            out.append(Label(i, j + 1))
-    out.extend(Label(i, 1, True) for i in range(1, n + 1))
-    return out
+    return ([Label(i, 1) for i in range(1, n + 1)]
+            + [Label(i, j + 1) for i, j in staircase_cells(n - 1)]
+            + [Label(i, 1, True) for i in range(1, n + 1)])
 
 
 def commutation_matching(src: Word, dst: Word) -> list[int]:

@@ -9,17 +9,24 @@ the two arcs it cuts off contains at least k polygon vertices strictly.
 This module is the brute-force oracle: it enumerates k-triangulations by
 backtracking over relevant diagonals and never touches the subword-complex
 machinery, so the two enumerations can be compared as independent routes.
+The identification is one table, ``position_diagonals``, laid out over the
+staircase grid of ``words.staircase_cells`` (after Pilaud-Pocchiola); the
+enumeration (``relevant_diagonals``, ``crossing``,
+``enumerate_k_triangulations``) never reads it, so comparing the two
+routes also checks the table.
 """
 
 from __future__ import annotations
 
+from .words import staircase_cells
+
 __all__ = [
     "Diagonal",
     "polygon_size",
-    "is_relevant",
     "crossing",
     "relevant_diagonals",
     "enumerate_k_triangulations",
+    "position_diagonals",
     "diagonal_to_position",
     "position_to_diagonal",
     "format_triangulations",
@@ -33,14 +40,6 @@ Diagonal = tuple[int, int]
 
 def polygon_size(k: int, n: int) -> int:
     return n + 2 * k + 1
-
-
-def is_relevant(k: int, n: int, d: Diagonal) -> bool:
-    a, b = d
-    m = polygon_size(k, n)
-    if not 1 <= a < b <= m:
-        return False
-    return b - a - 1 >= k and m - (b - a) - 1 >= k
 
 
 def crossing(d1: Diagonal, d2: Diagonal) -> bool:
@@ -143,43 +142,39 @@ def enumerate_k_triangulations(k: int, n: int) -> list[frozenset[Diagonal]]:
     return out
 
 
+def position_diagonals(k: int, n: int) -> list[Diagonal]:
+    """The k-relevant diagonal of each position of c^k w0(c), in word order.
+
+    The j-th letter of the a-th copy of c is (a, a+j+k); the staircase
+    letter in cell (i, j) is (i+k, i+j+2k).
+
+    >>> position_diagonals(1, 2)
+    [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]
+    """
+    prefix = [(a, a + j + k) for a in range(1, k + 1) for j in range(1, n + 1)]
+    return prefix + [(i + k, i + j + 2 * k) for i, j in staircase_cells(n)]
+
+
 def diagonal_to_position(k: int, n: int, d: Diagonal) -> int:
     """Position in c^k w0(c) of a k-relevant diagonal.
-
-    The a <= k diagonals (a, a+j+k) land in the j-th letter of the a-th
-    copy of c; the rest land in the staircase, row a-k, column b-a-k.
 
     >>> diagonal_to_position(2, 4, (1, 4))
     1
     >>> diagonal_to_position(2, 4, (3, 7))
     10
     """
-    if not is_relevant(k, n, d):
-        raise ValueError(f"diagonal {d} is not {k}-relevant for n={n}")
-    a, b = d
-    if a <= k:
-        j = b - a - k
-        return (a - 1) * n + j
-    i = a - k
-    j = b - a - k
-    return (k + i - 1) * n - (i - 1) * (i - 2) // 2 + j
+    try:
+        return position_diagonals(k, n).index(d) + 1
+    except ValueError:
+        raise ValueError(f"diagonal {d} is not {k}-relevant for n={n}") from None
 
 
 def position_to_diagonal(k: int, n: int, pos: int) -> Diagonal:
     """Inverse of :func:`diagonal_to_position`."""
-    total = k * n + n * (n + 1) // 2
-    if not 1 <= pos <= total:
-        raise ValueError(f"position {pos} out of range 1..{total}")
-    if pos <= k * n:
-        a, j = divmod(pos - 1, n)
-        return (a + 1, (a + 1) + (j + 1) + k)
-    rest = pos - k * n
-    i = 1
-    while rest > n + 1 - i:
-        rest -= n + 1 - i
-        i += 1
-    j = rest
-    return (i + k, i + j + 2 * k)
+    diags = position_diagonals(k, n)
+    if not 1 <= pos <= len(diags):
+        raise ValueError(f"position {pos} out of range 1..{len(diags)}")
+    return diags[pos - 1]
 
 
 def format_triangulations(tris: list[frozenset[Diagonal]]) -> str:

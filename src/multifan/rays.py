@@ -16,10 +16,13 @@ each move, so every ray stays on its letter:
 * commutations just carry rays along.
 
 In a first fattening (the one that starts in dimension 0, where every
-staircase letter carries the zero ray) the braid weights are the
-left/right coefficients of a scheme evaluated at the grid parameters
-(i, j) read off the middle letter's label (i, j+1); a second fattening
-uses the weights (1, 1).  Non-vertices always carry the zero vector.
+staircase letter carries the zero ray) the braid weights are read from a
+table over the grid cells (i, j) of the rank n-1 staircase
+(``words.staircase_cells``), at the cell (i, j) of the middle letter's
+label (i, j+1); a second fattening uses the weights (1, 1).  Non-vertices
+always carry the zero vector.  The pattern construction lays its rays out
+by the same grid, through the diagonal of each position
+(``polygon.position_diagonals``).
 """
 
 from __future__ import annotations
@@ -28,16 +31,15 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .words import Word, c_sorted_word, multiassociahedron_word
+from .words import Word, c_sorted_word, multiassociahedron_word, staircase_cells
 from .moves import MoveTrace, commutation_matching, fattening_sequence
-from .polygon import polygon_size, position_to_diagonal
+from .polygon import polygon_size, position_diagonals
 
 __all__ = [
     "RayVec",
     "RayAssignment",
-    "CoefficientScheme",
+    "BraidWeights",
     "replay_fattening",
     "scheme_for",
     "build_rays",
@@ -48,6 +50,10 @@ __all__ = [
 ]
 
 RayVec = tuple[Fraction, ...]
+
+# Braid weights of a first fattening: (left, right) at each grid cell (i, j)
+# of the rank n-1 staircase.
+BraidWeights = dict[tuple[int, int], tuple[Fraction, Fraction]]
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -95,23 +101,13 @@ class RayAssignment:
                 raise ValueError("ray of wrong dimension")
 
 
-@dataclass(frozen=True)
-class CoefficientScheme:
-    """Braid weights of a first fattening: left and right coefficients as
-    functions of the grid parameters (i, j).  ``scheme_for`` only builds
-    schemes whose values are positive."""
-
-    left: Callable[[int, int], Fraction]
-    right: Callable[[int, int], Fraction]
-
-
 def replay_fattening(ra: RayAssignment, trace: MoveTrace,
-                     scheme: CoefficientScheme) -> RayAssignment:
+                     weights: BraidWeights) -> RayAssignment:
     """Replay a fattening trace over an assignment on its initial word,
     carrying the rays through the position correspondence of each move.
 
     A fattening that starts in dimension 0 is a first fattening: its braid
-    weights come from the scheme (the middle ray is checked to be zero);
+    weights come from ``weights`` (the middle ray is checked to be zero);
     any other fattening uses the weights (1, 1).
     """
     if ra.word != trace.initial:
@@ -136,7 +132,7 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
             if first:
                 lab = trace.labels[s][r]  # middle letter, label (i, j+1)
                 assert lab is not None and lab.j >= 2 and not lab.primed
-                a, b = scheme.left(lab.i, lab.j - 1), scheme.right(lab.i, lab.j - 1)
+                a, b = weights[(lab.i, lab.j - 1)]
                 assert not any(mid), "first-fattening middle ray not zero"
             else:
                 a, b = one, one
@@ -155,56 +151,49 @@ def _transport(ra: RayAssignment, target: Word) -> RayAssignment:
 
 
 def _fatten_once(ra: RayAssignment, triangle_start: int,
-                 scheme: CoefficientScheme) -> RayAssignment:
+                 weights: BraidWeights) -> RayAssignment:
     """One fattening of the staircase factor at ``triangle_start``,
     normalised by commutations onto c^(k+1) w0(c)."""
     trace = fattening_sequence(ra.word, triangle_start)
-    out = replay_fattening(ra, trace, scheme)
+    out = replay_fattening(ra, trace, weights)
     n = ra.word.rank
     k_before = triangle_start // n
     target = multiassociahedron_word(k_before + 1, n)
     return _transport(out, target)
 
 
-def _perturbation_table(n: int, seed: int) -> dict[tuple[int, int, str], Fraction]:
-    """Seeded noise terms, numerator uniform in [-1000, 1000] over 10^6,
-    drawn in grid order (i ascending, then j), left before right."""
-    rng = random.Random(seed)
-    table = {}
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            table[(i, j, "L")] = Fraction(rng.randint(-1000, 1000), 10 ** 6)
-            table[(i, j, "R")] = Fraction(rng.randint(-1000, 1000), 10 ** 6)
-    return table
+def scheme_for(construction: str, n: int, seed: int | None = None) -> BraidWeights:
+    """The braid weights of a named replayed construction, as a table
+    ``{(i, j): (left, right)}`` over ``staircase_cells(n - 1)``; every
+    weight in it is positive.
 
+    perturbed adds seeded noise to the linear weights: numerators uniform
+    in [-1000, 1000] over 10^6, drawn cell by cell, left before right.
 
-def scheme_for(construction: str, n: int, seed: int | None = None) -> CoefficientScheme:
-    """The braid-weight scheme of a named replayed construction; every
-    weight it yields is positive."""
+    >>> scheme_for("linear", 3)
+    {(1, 1): (Fraction(8, 1), Fraction(7, 1)), (1, 2): (Fraction(7, 1), Fraction(6, 1)), (2, 1): (Fraction(7, 1), Fraction(6, 1))}
+    """
+    cells = staircase_cells(n - 1)
     if construction == "naive" or construction == "loday":
-        one = Fraction(1)
-        return CoefficientScheme(lambda i, j: one, lambda i, j: one)
+        return {cell: (Fraction(1), Fraction(1)) for cell in cells}
     if construction == "fixed":
         construction = "fixed:5,3"
     if construction.startswith("fixed:"):
         weights = [_rational(t) for t in construction[len("fixed:"):].split(",")]
         if len(weights) != 2 or min(weights) <= 0:
             raise ValueError(f"fixed takes two positive weights L,R, got {construction!r}")
-        lam_l, lam_r = weights
-        return CoefficientScheme(lambda i, j: lam_l, lambda i, j: lam_r)
-    if construction == "linear":
-        return CoefficientScheme(
-            lambda i, j: Fraction(2 * n + 4 - i - j),
-            lambda i, j: Fraction(2 * n + 3 - i - j),
-        )
-    if construction == "perturbed":
+        return {cell: tuple(weights) for cell in cells}
+    if construction == "linear" or construction == "perturbed":
+        linear = {(i, j): (Fraction(2 * n + 4 - i - j), Fraction(2 * n + 3 - i - j))
+                  for i, j in cells}
+        if construction == "linear":
+            return linear
         if seed is None:
             raise ValueError("perturbed construction requires a seed")
-        noise = _perturbation_table(n, seed)
-        return CoefficientScheme(
-            lambda i, j: Fraction(2 * n + 4 - i - j) + noise[(i, j, "L")],
-            lambda i, j: Fraction(2 * n + 3 - i - j) + noise[(i, j, "R")],
-        )
+        rng = random.Random(seed)
+        return {cell: (left + Fraction(rng.randint(-1000, 1000), 10 ** 6),
+                       right + Fraction(rng.randint(-1000, 1000), 10 ** 6))
+                for cell, (left, right) in linear.items()}
     raise ValueError(f"unknown construction {construction!r}")
 
 
@@ -264,10 +253,8 @@ def _rotate_diagonal(n: int, d: tuple[int, int], steps: int) -> tuple[int, int]:
 
 def _build_pattern(n: int, verbatim: bool = False) -> RayAssignment:
     word = multiassociahedron_word(2, n)
-    rays = []
-    for pos in range(1, len(word) + 1):
-        d = _rotate_diagonal(n, position_to_diagonal(2, n, pos), 2)
-        rays.append(pattern_ray(n, d, verbatim))
+    rays = [pattern_ray(n, _rotate_diagonal(n, d, 2), verbatim)
+            for d in position_diagonals(2, n)]
     name = "pattern-verbatim" if verbatim else "pattern"
     return RayAssignment(word, tuple(rays), 2 * n, name)
 
@@ -293,12 +280,12 @@ def build_rays(construction: str, n: int, seed: int | None = None) -> RayAssignm
         return _build_pattern(n, verbatim=construction == "pattern-verbatim")
     if construction != "perturbed":
         seed = None
-    scheme = scheme_for(construction, n, seed)
+    weights = scheme_for(construction, n, seed)
     word = c_sorted_word(n)
     ra = RayAssignment(word, ((),) * len(word), 0, construction, seed)
-    ra = _fatten_once(ra, 0, scheme)
+    ra = _fatten_once(ra, 0, weights)
     if construction != "loday":
-        ra = _fatten_once(ra, n, scheme)
+        ra = _fatten_once(ra, n, weights)
     return ra
 
 

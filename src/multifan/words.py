@@ -29,6 +29,7 @@ __all__ = [
     "increases_length",
     "demazure_product",
     "contains_longest",
+    "staircase_cells",
     "c_sorted_word",
     "multiassociahedron_word",
     "rotate",
@@ -124,6 +125,20 @@ def contains_longest(w: Word) -> bool:
     return demazure_product(w) == longest_element(w.rank)
 
 
+def staircase_cells(n: int) -> list[tuple[int, int]]:
+    """The grid cells (i, j) of the staircase word of rank ``n``, in word
+    order: row i holds the letters s_1..s_{n+1-i}, and cell (i, j) holds
+    s_j.  Every layout of the staircase (its letters, its labels, its braid
+    weights and its diagonals) reads this list.
+
+    >>> staircase_cells(3)
+    [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    >>> staircase_cells(0)
+    []
+    """
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
+
+
 def c_sorted_word(n: int) -> Word:
     """The staircase word ``s_1..s_n s_1..s_{n-1} ... s_1 s_2 s_1``, the
     canonical reduced expression of the longest element.
@@ -133,10 +148,7 @@ def c_sorted_word(n: int) -> Word:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    letters = []
-    for i in range(n, 0, -1):
-        letters.extend(range(1, i + 1))
-    return Word(n, tuple(letters))
+    return Word(n, tuple(j for _, j in staircase_cells(n)))
 
 
 def multiassociahedron_word(k: int, n: int) -> Word:

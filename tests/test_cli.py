@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,6 +26,15 @@ def test_facets_kn(capsys):
     rc, out, _ = run(capsys, "facets", "--kn", "2,3")
     assert rc == 0
     assert "facets: 84" in out.splitlines()[0]
+
+
+def test_manifest_command_reruns_as_written(tmp_path, capsys):
+    # an argument with a space must come back as one argument
+    argv = ["facets", "--word", "c^2 w0(2)", "--out", str(tmp_path / "f.txt")]
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    manifest = json.loads((tmp_path / "f.txt.manifest.json").read_text())
+    assert shlex.split(manifest["command"]) == argv
 
 
 def test_facets_trivial_word(capsys):
@@ -147,9 +157,12 @@ def test_reproduce_matrix_rejects_other_n(capsys):
 
 
 def test_reproduce_empty_range(capsys):
-    rc, out, err = run(capsys, "reproduce", "T2", "--n", "3..1")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    # empty or malformed: each names --n and the range it read
+    for spec in ("3..1", "1..x", "2,y"):
+        rc, out, err = run(capsys, "reproduce", "T2", "--n", spec)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "--n" in err and repr(spec) in err
 
 
 def test_reproduce_tier_gate(capsys):

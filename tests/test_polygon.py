@@ -4,6 +4,7 @@ from multifan.polygon import (
     crossing,
     diagonal_to_position,
     enumerate_k_triangulations,
+    position_diagonals,
     position_to_diagonal,
     relevant_diagonals,
 )
@@ -45,12 +46,19 @@ def test_identification_examples():
     assert diagonal_to_position(2, 4, (3, 7)) == 10
     with pytest.raises(ValueError):
         diagonal_to_position(2, 4, (1, 3))
+    with pytest.raises(ValueError):
+        diagonal_to_position(2, 4, (4, 1))
+    with pytest.raises(ValueError):
+        position_to_diagonal(2, 4, len(multiassociahedron_word(2, 4)) + 1)
 
 
 def test_identification_round_trip():
-    for k, n in [(1, 3), (2, 4), (3, 2)]:
+    for k, n in [(0, 3), (1, 3), (2, 4), (3, 2), (3, 4)]:
         diags = relevant_diagonals(k, n)
         total = len(multiassociahedron_word(k, n))
+        # the position table is a bijection onto the k-relevant diagonals
+        table = position_diagonals(k, n)
+        assert sorted(table) == diags and len(set(table)) == len(table)
         seen = set()
         for d in diags:
             pos = diagonal_to_position(k, n, d)

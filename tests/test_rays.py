@@ -217,8 +217,8 @@ def test_perturbed_noise_bounds():
     scheme = scheme_for("perturbed", 5, seed=9)
     for i in range(1, 5):
         for j in range(1, 6 - i):
-            for fn, base in ((scheme.left, 14 - i - j), (scheme.right, 13 - i - j)):
-                noise = fn(i, j) - base
+            for weight, base in zip(scheme[(i, j)], (14 - i - j, 13 - i - j)):
+                noise = weight - base
                 assert abs(noise) <= Fraction(1, 1000)
                 assert noise.denominator <= 10 ** 6
 
@@ -239,7 +239,7 @@ def test_unknown_construction():
         with pytest.raises(ValueError):
             build_rays(name, 3)
     # fixed weights are integers or p/q, as ray files write them
-    assert scheme_for("fixed:7/2,1", 3).left(1, 1) == Fraction(7, 2)
+    assert scheme_for("fixed:7/2,1", 3)[(1, 1)] == (Fraction(7, 2), 1)
 
 
 def test_loday_closed_pattern():
