@@ -10,7 +10,8 @@ stderr and exit 2.
 
 ``--tier`` caps n for every command: ``_resolve_word`` applies it to the
 word of ``--kn`` or ``--word``, and the commands that take ``--n`` apply
-it to that.
+it to that (``reproduce`` to the largest column, before it builds the
+column list).
 
 Output files carry deterministic headers only (construction, n, seed,
 counts); ``_write_output`` writes each one together with a JSON manifest
@@ -155,10 +156,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    ns = _parse_range(args.n) if args.n else None
-    if ns:
-        for n in ns:
-            _tier_check(n, args.tier)
+    ns = _parse_range(args.n, args.tier) if args.n else None
     results = reproduce_table(args.table, ns)
     fails = 0
     for cell in results:
@@ -204,19 +202,28 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> list[int]:
-    """The ``--n`` column range: ``lo..hi`` or a comma-separated list."""
+def _parse_range(spec: str, tier: str) -> list[int]:
+    """The ``--n`` columns: ``lo..hi`` or a comma-separated list, each
+    column at least 1 and none repeated.  The ``--tier`` cap is applied to
+    the largest column before a range is built.
+
+    >>> _parse_range("2..4", "desk"), _parse_range("5,1", "desk")
+    ([2, 3, 4], [5, 1])
+    """
+    bad = ValueError(f"--n takes a column range like 1..5 or 1,3, got {spec!r}")
+    ns = None
     try:
         if ".." in spec:
             lo, hi = (int(t) for t in spec.split("..", 1))
-            ns = list(range(lo, hi + 1))
         else:
             ns = [int(t) for t in spec.split(",")]
+            lo, hi = min(ns), max(ns)
     except ValueError:
-        ns = []
-    if not ns:
-        raise ValueError(f"--n takes a column range like 1..5 or 1,3, got {spec!r}")
-    return ns
+        raise bad from None
+    if lo < 1 or lo > hi or (ns is not None and len(set(ns)) < len(ns)):
+        raise bad
+    _tier_check(hi, tier)
+    return list(range(lo, hi + 1)) if ns is None else ns
 
 
 def _common(sub, out=True):

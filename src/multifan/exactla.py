@@ -9,6 +9,25 @@ integer rows and use fraction-free (Bareiss) elimination, so no precision
 is ever lost and no intermediate gcd storms occur.  ``solve_unique`` works
 on Fractions directly.
 
+Both share one elimination with deferred scaling.  Bareiss' step k
+replaces every entry x of a row below the pivot row by
+``(x * p_k - a * y) // p_{k-1}``, where a is the row's entry in the pivot
+column and y the pivot row's entry.  A row whose a is 0 would only be
+multiplied by p_k / p_{k-1}, so it is left untouched; each row instead
+keeps its own divisor, the pivot p_s of the last step s that updated it.
+The skipped factors telescope to p_k / p_s, so the update of a stale row
+is ``(x * p_k - a * y) // p_s``, still an exact division, since the
+result is the entry that full Bareiss elimination would hold.  A pivot
+row is brought up to date once, by ``p_{k-1} / p_s``, when it is chosen;
+the last pivot, brought up to date, is the determinant up to the sign of
+the row swaps and of the column order.
+
+The elimination runs from the last column to the first, so an updated
+row is just its entries left of the pivot column and is never sliced
+apart and joined again.  Skipping saves most when the columns eliminated
+first are sparse, so the certifier writes the rays with their sparsest
+coordinates last (see ``fan._int_rays``).
+
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
 certifier decides the base condition by point location instead (see
@@ -19,6 +38,7 @@ test suite checks point location against.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -42,54 +62,75 @@ def scale_to_int(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
+def _eliminate(rows: Sequence[Sequence[int]], square: bool) -> tuple[int, int]:
+    """Fraction-free elimination to row echelon form with deferred
+    scaling, from the last column to the first.
+
+    Returns ``(r, last)``: the number of pivots found and the last pivot,
+    brought up to date and signed by the row swaps and the column
+    reversal.  With ``square`` the elimination stops at the first column
+    without a pivot, since the determinant is then 0.  ``rows`` is never
+    modified.
+    """
+    m = list(rows)
+    nrows = len(m)
+    div = [1] * nrows  # divisor of each row: the pivot of its last update
+    # reversing the n columns of a square matrix takes n(n-1)/2 transpositions
+    sign = -1 if nrows % 4 in (2, 3) else 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+    r = 0
+    for c in reversed(range(len(m[0]) if m else 0)):
+        if r == nrows:
+            break
+        if m[r][c] == 0:
+            for i in range(r + 1, nrows):
+                if m[i][c] != 0:
+                    m[r], m[i] = m[i], m[r]
+                    div[r], div[i] = div[i], div[r]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free row echelon elimination."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * pivot - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = pivot
+                if square:
+                    return r, 0
+                continue
+        rk = m[r]
+        pivot = rk[c]
+        d = div[r]
+        if d == prev:
+            head = rk[:c]
+        else:
+            pivot = pivot * prev // d
+            head = [x * prev // d for x in rk[:c]]
         r += 1
-    return r
+        for i in range(r, nrows):
+            ri = m[i]
+            a = ri[c]
+            if a:
+                d = div[i]
+                # zip stops at column c: entries right of it are never read
+                m[i] = [(x * pivot - a * y) // d for x, y in zip(ri, head)]
+                div[i] = pivot
+        prev = pivot
+    return r, sign * prev
+
+
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    >>> bareiss_det([[0, 2, 1], [3, 0, 0], [0, 0, 4]])
+    -24
+    """
+    r, last = _eliminate(rows, True)
+    return last if r == len(rows) else 0
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free row echelon elimination.
+
+    >>> int_rank([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+    2
+    """
+    return _eliminate(rows, False)[0]
 
 
 def solve_unique(matrix_cols, target) -> tuple[Fraction, ...]:

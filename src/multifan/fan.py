@@ -107,12 +107,28 @@ def ratio_str(count: int, total: int) -> str:
 
 
 def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
-    return [scale_to_int(v) for v in ra.rays]
+    """The rays as primitive integer vectors, written in coordinates that
+    suit the elimination: columns sorted descending by how many rays are
+    nonzero in them (ties in coordinate order), and the first column
+    negated when that permutation is odd.
+
+    Bareiss elimination runs from the last column to the first and leaves
+    a row untouched at every step whose pivot column is zero in it (see
+    ``exactla``), so the sparsest columns, eliminated first, spare most
+    row updates.  The change of coordinates has determinant +1, so every
+    facet determinant, every Cramer numerator of a point built from these
+    rows, and every rank is exactly that of the original coordinates.
+    """
+    rays = [scale_to_int(v) for v in ra.rays]
+    order = sorted(range(ra.dim), key=lambda c: -sum(1 for v in rays if v[c]))
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    signs = [(-1) ** inversions] + [1] * (ra.dim - 1)
+    return [tuple(s * v[c] for s, c in zip(signs, order)) for v in rays]
 
 
-def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[list[int]]:
+def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[tuple[int, ...]]:
     """The integer rows of the cone of ``f``: its rays in position order."""
-    return [list(rays[r - 1]) for r in positions_of(f)]
+    return [rays[r - 1] for r in positions_of(f)]
 
 
 def facet_rank(ra: RayAssignment, facet: Facet) -> int:

@@ -168,6 +168,18 @@ def test_reproduce_empty_range(capsys):
 def test_reproduce_tier_gate(capsys):
     rc, _, err = run(capsys, "reproduce", "T2", "--n", "1..7")
     assert rc == 2 and "tier" in err
+    # the cap is applied to the largest column before the range is built
+    rc, out, err = run(capsys, "reproduce", "T2", "--n", "1..2000000")
+    assert rc == 2 and out == ""
+    assert err == "error: n=2000000 exceeds the desk tier cap (5); pass --tier full for n up to 8\n"
+
+
+def test_reproduce_rejects_repeated_or_nonpositive_columns(capsys):
+    # a repeated column would be computed and counted twice
+    for spec in ("1,1", "2,1,2", "0..2", "0,1"):
+        rc, out, err = run(capsys, "reproduce", "T2", "--n", spec)
+        assert rc == 2 and out == ""
+        assert err == f"error: --n takes a column range like 1..5 or 1,3, got {spec!r}\n"
 
 
 def test_oracle(capsys):

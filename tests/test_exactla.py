@@ -37,11 +37,11 @@ def _rref(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        m[r][c:] = [x / m[r][c] for x in m[r][c:]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i][c:] = [a - f * b if b else a for a, b in zip(m[i][c:], m[r][c:])]
         r += 1
     return [tuple(row) for row in m[:r]]
 
@@ -67,6 +67,80 @@ def test_int_rank():
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
         assert int_rank(rows) == len(_rref(rows)), rows
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions (an independent
+    determinant)."""
+    m = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i][k:] = [a - f * b if b else a for a, b in zip(m[i][k:], m[k][k:])]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def _oracle_draw(rng: random.Random, trial: int) -> tuple[list[list[int]], bool]:
+    """A seeded integer matrix, and whether it was built to swap a stale
+    row in as a pivot.  Sizes run through 0..12, one draw in four is not
+    square, entries are mostly zero, and every seventh draw has 240-bit
+    entries, the size of the perturbed n=6 determinants.  Odd draws of
+    three or more rows are rank deficient; every sixth square draw of size
+    three or more has a zero pivot at step 1 that swaps in a row step 0
+    left stale."""
+    n = trial % 13
+    ncols = n if trial % 4 else rng.randint(max(n - 3, 1), n + 3)
+    bound = 2 ** 240 if trial % 7 == 0 else 5
+    density = rng.choice((0.25, 0.4, 0.55))
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(n)]
+
+    def nonzero():
+        return rng.choice((-1, 1)) * rng.randint(2, max(bound, 2))
+
+    stale = n >= 3 and ncols == n and trial % 6 == 0
+    if stale:
+        # the elimination starts at the last column: step 0 pivots on
+        # rows[0][-1] and updates rows[1], whose entry in column -2 stays 0;
+        # it skips rows[2], which is still stale (scaled by 1, not by that
+        # pivot) when it becomes the pivot of column -2
+        rows[0][-1], rows[1][-1], rows[2][-2] = nonzero(), nonzero(), nonzero()
+        rows[0][-2] = rows[1][-2] = rows[2][-1] = 0
+    elif n >= 3 and trial % 2:
+        i, j, k = rng.sample(range(n), 3)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows, stale
+
+
+def test_elimination_matches_fraction_oracle():
+    # deferred scaling against Fraction elimination, on draws built to
+    # reach every branch: skipped rows, stale pivot rows, early exits
+    rng = random.Random(5)
+    singular = regular = stale_swaps = big = 0
+    for trial in range(1300):
+        rows, stale = _oracle_draw(rng, trial)
+        assert int_rank(rows) == len(_rref(rows)), rows
+        if rows and len(rows[0]) != len(rows):
+            continue
+        det = _fraction_det(rows)
+        assert bareiss_det(rows) == det, rows
+        singular += det == 0
+        regular += det != 0
+        stale_swaps += stale
+        big += det.bit_length() > 240
+    assert singular >= 200 and regular >= 200, (singular, regular)
+    assert stale_swaps >= 50 and big >= 20, (stale_swaps, big)
 
 
 def test_feasible_nonneg():

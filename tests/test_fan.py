@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from multifan.fan import (
+    _int_rays,
+    _stats,
     certify_fan,
     classify_ridge,
     condition_one,
@@ -15,7 +17,7 @@ from multifan.fan import (
 )
 from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet, positions_of
-from multifan.words import Word, mirror, rotate
+from multifan.words import Word, mirror, multiassociahedron_word, rotate
 
 from conftest import DOUBLE_COVER_ORDER, double_cover_rays, facet_dets, get_index, get_ridges
 from lp_oracle import lp_condition_one
@@ -288,6 +290,31 @@ def test_point_location_agrees_with_lp_on_constructions():
             base = greedy_facet(ra.word)
             assert condition_one(ra, facet_dets(ra, facets), base) is None
             assert lp_condition_one(ra, facets, base) is None
+
+
+@pytest.mark.parametrize("construction,seed", [
+    ("naive", None), ("fixed:5,3", None), ("linear", None), ("pattern", None), ("perturbed", 1),
+])
+def test_coordinate_order_keeps_every_determinant(construction, seed):
+    # the sweep works in reordered coordinates; the map it returns is that
+    # of the original ones, which point location and the reports read
+    for n in (1, 2, 3, 4):
+        ra = build_rays(construction, n, seed)
+        _, dets, _ = _stats(ra)
+        assert dets == facet_dets(ra, get_index(2, n).facets), n
+
+
+def test_coordinate_order_folds_an_odd_permutation():
+    # column 0 has three nonzero entries and column 1 four, so the sorted
+    # order swaps them, and the first new column is negated
+    rays = ((0, 1), (1, 1), (0, -1), (-1, 0), (-1, 1))
+    ra = RayAssignment(multiassociahedron_word(1, 2),
+                       tuple(tuple(map(Fraction, v)) for v in rays), 2)
+    assert _int_rays(ra) == [(-1, 0), (-1, 1), (1, 0), (0, -1), (-1, -1)]
+    _, dets, _ = _stats(ra)
+    assert dets == facet_dets(ra, get_index(1, 2).facets)
+    assert {positions_of(f): d for f, d in dets.items()} == \
+        {(1, 2): -1, (2, 3): -1, (3, 4): -1, (4, 5): -1, (1, 5): 1}
 
 
 def test_format_stats_table():
