@@ -4,12 +4,14 @@ Exact rational linear algebra for the fan verifier.
 Rays arrive as tuples of Fractions (or ints).  ``scale_to_int`` clears
 their denominators - scaling a generator by a positive rational changes
 neither ranks, nor determinant signs, nor the signs of dependence
-coefficients - and ``bareiss_det`` and ``int_rank`` take the resulting
-integer rows and use fraction-free (Bareiss) elimination, so no precision
-is ever lost and no intermediate gcd storms occur.  ``solve_unique`` works
-on Fractions directly.
+coefficients - and ``bareiss_det``, ``int_rank`` and ``det_rank`` take
+the resulting integer rows and use fraction-free (Bareiss) elimination, so
+no precision is ever lost and no intermediate gcd storms occur.
+``solve_unique`` works on Fractions directly.
 
-Both share one elimination with deferred scaling.  Bareiss' step k
+All three share one elimination with deferred scaling; ``det_rank`` reads
+both facts off a single pass, for callers that need the rank of exactly
+the matrices whose determinant is 0.  Bareiss' step k
 replaces every entry x of a row below the pivot row by
 ``(x * p_k - a * y) // p_{k-1}``, where a is the row's entry in the pivot
 column and y the pivot row's entry.  A row whose a is 0 would only be
@@ -45,6 +47,7 @@ __all__ = [
     "scale_to_int",
     "bareiss_det",
     "int_rank",
+    "det_rank",
     "solve_unique",
     "feasible_nonneg",
 ]
@@ -131,6 +134,21 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     2
     """
     return _eliminate(rows, False)[0]
+
+
+def det_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The determinant and the rank of an integer matrix, from one
+    elimination that runs through every column.  The determinant of a
+    matrix that is not square is 0.
+
+    >>> det_rank([[0, 2, 1], [3, 0, 0], [0, 0, 4]])
+    (-24, 3)
+    >>> det_rank([[1, 2], [2, 4]])
+    (0, 1)
+    """
+    r, last = _eliminate(rows, False)
+    square = not rows or len(rows[0]) == len(rows)
+    return (last if square and r == len(rows) else 0), r
 
 
 def solve_unique(matrix_cols, target) -> tuple[Fraction, ...]:

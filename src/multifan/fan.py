@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
-from .exactla import bareiss_det, int_rank, scale_to_int, solve_unique
+from .exactla import bareiss_det, det_rank, int_rank, scale_to_int, solve_unique
 from .subword import Facet, greedy_facet, positions_of, traverse
 from .rays import RayAssignment
 
@@ -174,9 +174,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], str | None]:
     least non-good ridge ``(f, g)``, f < g, in bitset order, or None.
 
     One flip-graph traversal, which yields each ridge once, from its
-    smaller facet.  Facet determinants are memoised on first contact, and
-    a singular cone is ranked then.  For a ridge between full-rank facets
-    F, G, with x leaving F and q entering, Cramer's rule gives the
+    smaller facet.  Facet determinants are memoised on first contact; one
+    elimination gives the determinant and, when that is 0, the rank.  For
+    a ridge between full-rank facets F, G, with x leaving F and q
+    entering, Cramer's rule gives the
     coefficient of ray x in ray q, written in the rays of F, as
     (-1)^k det(G) / det(F): moving q's column from x's slot to its sorted
     place in G crosses the k ridge positions strictly between x and q.
@@ -191,9 +192,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], str | None]:
         d = dets.get(f)
         if d is None:
             rows = _cone(rays, f)
-            d = dets[f] = bareiss_det(rows) if len(rows) == dim else 0
+            d, rank = det_rank(rows) if len(rows) == dim else (0, int_rank(rows))
+            dets[f] = d
             if d == 0:
-                singular_ranks.append(int_rank(rows))
+                singular_ranks.append(rank)
         return d
 
     bad = degenerate = ridges = 0

@@ -7,12 +7,18 @@ contains a reduced expression of w0; the facets are the complements of the
 reduced expressions of w0 inside Q.  Facets are stored as bitsets over
 positions (bit r-1 set means position r belongs to the facet).
 
-Flips are read off the root configuration of a facet (constant work per
-candidate) by the flip-graph traversal :func:`traverse`, the one
-enumeration of the complex: the sorted facet list, the statistics and the
-certificate all consume it.  It yields each ridge once, as the flip from
-its smaller facet to the larger; the tests check both directions of every
-such flip against a 0-Hecke reference for small ranks.
+Flips are read off the root configuration of a facet: the partner of a
+facet position is the complement position carrying the same root.  The
+one enumeration of the complex is :func:`traverse`, a reverse search
+(Avis-Fukuda) of the increasing-flip tree rooted at the greedy facet
+(Pilaud-Pocchiola): the sorted facet list, the statistics and the
+certificate all consume it.  It keeps no set of visited facets, only the
+path from the root, and carries the root configuration along that path:
+a flip changes the roots strictly between its two positions only, by one
+reflection, and backtracking applies the same reflection again.  It
+yields each ridge once, as the flip from its smaller facet to the larger;
+the tests check both directions of every such flip against a 0-Hecke
+reference, and the walk against a breadth-first search, for small ranks.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ __all__ = [
 
 # A facet as a bitset over 1-based positions: bit r-1 <-> position r.
 Facet = int
+# A flip (x, q, g): position x leaves the facet, q enters, g is the result.
+Flip = tuple[int, int, Facet]
 
 
 def bitset_of(positions) -> Facet:
@@ -63,14 +71,18 @@ def bitset_of(positions) -> Facet:
 
 
 def positions_of(facet: Facet) -> tuple[int, ...]:
+    """The 1-based positions of a facet bitset, in increasing order, read
+    off its set bits one at a time (``b & -b`` isolates the lowest).
+
+    >>> positions_of(0b1101)
+    (1, 3, 4)
+    """
     out = []
-    r = 1
     b = facet
     while b:
-        if b & 1:
-            out.append(r)
-        b >>= 1
-        r += 1
+        low = b & -b
+        out.append(low.bit_length())
+        b ^= low
     return tuple(out)
 
 
@@ -120,44 +132,92 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def _partners(w: Word, facet: Facet) -> dict[int, int]:
-    """The flip partner of every facet position: the unique complement
-    position whose root is the same unordered pair as its own."""
-    at = {}
-    leaving = []
-    for q, (a, b) in enumerate(root_configuration(w, facet), start=1):
-        key = (a, b) if a < b else (b, a)
-        if facet >> (q - 1) & 1:
-            leaving.append((q, key))
-        else:
-            at[key] = q
-    return {x: at[key] for x, key in leaving}
+def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip]]]:
+    """The reverse search behind :func:`traverse`: yields every facet once,
+    with its increasing flips and its decreasing flips ``(x, q, g)``, both
+    read off the root configuration carried to that facet.
 
-
-def traverse(w: Word) -> Iterator[tuple[Facet, list[tuple[int, int, Facet]]]]:
-    """Breadth-first traversal of the flip graph from the greedy facet.
-
-    Yields every facet once, with its flips ``(x, q, g)`` to a larger
-    neighbour ``g > f``: position x leaves, q enters.  Every flip is
-    followed to discover facets, but each ridge is yielded once, from its
-    smaller facet.
+    A root is stored as the bitmask of its two values, and ``at`` maps the
+    root of each complement position back to the position.
     """
-    seed = greedy_facet(w)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        next_frontier = []
-        for f in frontier:
-            flips = []
-            for x, q in _partners(w, f).items():
-                g = f & ~(1 << (x - 1)) | 1 << (q - 1)
-                if g > f:
-                    flips.append((x, q, g))
-                if g not in seen:
-                    seen.add(g)
-                    next_frontier.append(g)
-            yield f, flips
-        frontier = next_frontier
+    root = greedy_facet(w)
+    key = [0] + [1 << a | 1 << b for a, b in root_configuration(w, root)]
+    at = {key[q]: q for q in range(1, len(key)) if not root >> (q - 1) & 1}
+
+    def exchange(f: Facet, q: int, x: int, free: int) -> None:
+        # reflect the roots strictly between q and x; ``free`` is the one of
+        # q, x that leaves the facet, the new complement position of beta
+        beta = key[x]
+        for r in range(q + 1, x):
+            k = key[r]
+            if k & beta and k != beta:
+                k ^= beta
+                key[r] = k
+                if not f >> (r - 1) & 1:
+                    at[k] = r
+        at[beta] = free
+
+    f, m = root, len(key)  # m(root) is past the last position
+    # per facet on the path from the root: its children not yet visited,
+    # and the flip into it, applied again when the walk leaves it
+    path = []
+    entry = None
+    while True:
+        up = []
+        down = []
+        b = f
+        while b:
+            low = b & -b
+            x = low.bit_length()
+            q = at[key[x]]
+            g = f ^ low | 1 << (q - 1)
+            if q > x:
+                up.append((x, q, g))
+            else:
+                down.append((x, q, g))
+            b ^= low
+        yield f, up, down
+        path.append((iter([c for c in down if c[1] < m]), entry))
+        while path:
+            children, entry = path[-1]
+            child = next(children, None)
+            if child is not None:
+                x, q, g = child
+                exchange(g, q, x, x)
+                f, m, entry = g, q, (x, q, f)
+                break
+            path.pop()
+            if entry is not None:
+                x, q, f = entry
+                exchange(f, q, x, q)
+        else:
+            return
+
+
+def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip]]]:
+    """Every facet once, with its flips ``(x, q, g)`` to a larger neighbour
+    ``g > f``: position x leaves, q enters, and q > x.  Each ridge is thus
+    yielded once, from its smaller facet.
+
+    The walk is a reverse search, a depth-first search of the
+    increasing-flip tree.  Its root is the greedy facet, the one facet
+    without an increasing flip, and m(root) is past the last position.
+    The parent of any other facet G is its increasing flip at the least
+    position m(G) that has one.  The children of F are the facets G
+    reached by a decreasing flip x -> q of F with q < m(F), and m(G) = q:
+    the flip leaves every root before q unchanged, so the positions of G
+    before q keep their decreasing flips, and q flips back up to x.  So
+    no parent test and no visited set is needed, only the path from the
+    root, at most 29 facets deep at n=7.
+
+    The root configuration is computed once, at the root, and carried
+    along the path.  A flip x -> q exchanging the root beta reflects, by
+    beta's transposition, the root of every position strictly between q
+    and x; x and q both carry beta, and every other position keeps its
+    root.  The update is an involution, so backtracking applies it again.
+    """
+    for f, up, _ in _walk(w):
+        yield f, up
 
 
 @dataclass

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 from multifan.exactla import bareiss_det, scale_to_int
 from multifan.rays import RayAssignment
-from multifan.subword import Facet, all_facets, positions_of, traverse
+from multifan.subword import (
+    Facet,
+    all_facets,
+    greedy_facet,
+    positions_of,
+    root_configuration,
+    traverse,
+)
 from multifan.words import (
     Word,
     demazure_product,
@@ -47,6 +54,45 @@ def naive_flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
         )
     r2 = partners[0]
     return r2, base | 1 << (r2 - 1)
+
+
+def partners(w: Word, facet: Facet) -> dict[int, int]:
+    """The flip partner of every facet position, from a root configuration
+    computed from scratch: the unique complement position whose root is
+    the same unordered pair as its own."""
+    at = {}
+    leaving = []
+    for q, (a, b) in enumerate(root_configuration(w, facet), start=1):
+        key = (a, b) if a < b else (b, a)
+        if facet >> (q - 1) & 1:
+            leaving.append((q, key))
+        else:
+            at[key] = q
+    return {x: at[key] for x, key in leaving}
+
+
+def bfs_traverse(w: Word):
+    """Reference enumeration: breadth-first search of the flip graph from
+    the greedy facet, with a set of every facet seen and the partners of
+    every facet from scratch.  Yields what ``traverse`` yields, in another
+    order: each facet once, with its flips ``(x, q, g)`` to a larger
+    neighbour."""
+    seed = greedy_facet(w)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        next_frontier = []
+        for f in frontier:
+            flips = []
+            for x, q in partners(w, f).items():
+                g = f & ~(1 << (x - 1)) | 1 << (q - 1)
+                if g > f:
+                    flips.append((x, q, g))
+                if g not in seen:
+                    seen.add(g)
+                    next_frontier.append(g)
+            yield f, flips
+        frontier = next_frontier
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import pytest
 
 from multifan.exactla import (
     bareiss_det,
+    det_rank,
     feasible_nonneg,
     int_rank,
     scale_to_int,
@@ -141,6 +142,24 @@ def test_elimination_matches_fraction_oracle():
         big += det.bit_length() > 240
     assert singular >= 200 and regular >= 200, (singular, regular)
     assert stale_swaps >= 50 and big >= 20, (stale_swaps, big)
+
+
+def test_det_rank_matches_both_functions_and_fraction_oracle():
+    # one elimination gives what bareiss_det and int_rank give separately
+    rng = random.Random(17)
+    kinds = {"singular": 0, "regular": 0, "not square": 0}
+    for trial in range(1300):
+        rows, _ = _oracle_draw(rng, trial)
+        det, rank = det_rank(rows)
+        assert rank == int_rank(rows) == len(_rref(rows)), rows
+        if rows and len(rows[0]) != len(rows):
+            assert det == 0, rows
+            kinds["not square"] += 1
+            continue
+        assert det == bareiss_det(rows) == _fraction_det(rows), rows
+        assert (det != 0) == (rank == len(rows)), rows
+        kinds["regular" if det else "singular"] += 1
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_feasible_nonneg():

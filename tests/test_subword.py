@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifan.subword import (
+    _walk,
     all_facets,
     bitset_of,
     format_facet_file,
@@ -11,9 +13,10 @@ from multifan.subword import (
 )
 from multifan.words import Word, c_sorted_word, mirror, multiassociahedron_word, rotate
 
-from conftest import get_index, get_ridges, naive_flip
+from conftest import bfs_traverse, get_index, get_ridges, naive_flip, partners
 
 SMALL = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+LARGER = [(1, 5), (2, 4), (2, 5), (3, 3), (3, 4)]
 
 
 def test_greedy_facet():
@@ -71,6 +74,65 @@ def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
     assert len(ridges) == len(set(ridges)) == get_index(k, n).n_ridges
     # every position of every facet flips toward one side or the other
     assert flipped == {(f, x) for f in facets for x in positions_of(f)}
+
+
+def _assert_walk_matches_bfs(w):
+    walked = list(traverse(w))
+    facets = [f for f, _ in walked]
+    assert len(facets) == len(set(facets))
+    expected = {f: sorted(out) for f, out in bfs_traverse(w)}
+    assert {f: sorted(out) for f, out in walked} == expected
+
+
+@pytest.mark.parametrize("k,n", SMALL + LARGER)
+def test_walk_matches_bfs(k, n):
+    _assert_walk_matches_bfs(multiassociahedron_word(k, n))
+
+
+@pytest.mark.parametrize("k,n", SMALL)
+def test_walk_matches_bfs_on_rotated_and_mirrored_words(k, n):
+    w = multiassociahedron_word(k, n)
+    _assert_walk_matches_bfs(rotate(w)[0])
+    _assert_walk_matches_bfs(mirror(w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_on_reduced_word_of_w0(n):
+    # the complement of the empty facet is the whole word: one facet, no flip
+    assert list(traverse(c_sorted_word(n))) == [(0, [])]
+    _assert_walk_matches_bfs(c_sorted_word(n))
+
+
+@st.composite
+def words_with_w0(draw):
+    """A rotation of a word of rank at most 3 made of the staircase
+    reduced word of w0 with up to seven letters inserted anywhere."""
+    n = draw(st.integers(1, 3))
+    letters = list(c_sorted_word(n).letters)
+    for at, a in draw(st.lists(st.tuples(st.integers(0, 20), st.integers(1, n)),
+                               max_size=7)):
+        letters.insert(at % (len(letters) + 1), a)
+    w = Word(n, tuple(letters))
+    for _ in range(draw(st.integers(0, len(letters) - 1))):
+        w = rotate(w)[0]
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_with_w0())
+def test_walk_matches_bfs_on_drawn_words(w):
+    _assert_walk_matches_bfs(w)
+
+
+@pytest.mark.parametrize("k,n", SMALL)
+def test_carried_partners_match_root_configuration(k, n):
+    # the roots the walk carries from facet to facet, against the roots of
+    # each facet computed from scratch: every flip, both directions
+    w = multiassociahedron_word(k, n)
+    for f, up, down in _walk(w):
+        assert all(q > x for x, q, _ in up) and all(q < x for x, q, _ in down)
+        assert {x: q for x, q, _ in up + down} == partners(w, f)
+        assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in up + down)
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
