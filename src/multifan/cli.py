@@ -27,6 +27,7 @@ import json
 import shlex
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -61,24 +62,27 @@ def _tier_check(n: int, tier: str):
         )
 
 
-def _write_output(args, path: str, text: str, **facts):
-    """Write ``text`` to ``path``, then its manifest, which records ``facts``
-    (construction, n, k, seed), to ``path.manifest.json``."""
+def _write_output(args, path: str, chunks: Iterable[str], **facts):
+    """Write the text ``chunks`` to ``path`` one at a time, hashing them as
+    they go, then the manifest, which records ``facts`` (construction, n,
+    k, seed), to ``path.manifest.json``."""
+    digest = hashlib.sha256()
     with open(path, "w") as fh:
-        fh.write(text)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk.encode())
     manifest = RunManifest(shlex.join(args.argv), time.time(), __version__,
-                           {path: f"sha256:{digest}"}, **facts)
+                           {path: f"sha256:{digest.hexdigest()}"}, **facts)
     with open(path + ".manifest.json", "w") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit(args, text: str, **facts):
+def _emit(args, chunks: Iterable[str], **facts):
     if args.out:
-        _write_output(args, args.out, text, **facts)
+        _write_output(args, args.out, chunks, **facts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _kn(spec: str) -> tuple[int, int]:
@@ -117,7 +121,7 @@ def cmd_rays(args) -> int:
     if args.construction == "perturbed" and args.seed is None:
         raise ValueError("perturbed construction requires --seed")
     ra = build_rays(args.construction, args.n, args.seed)
-    _emit(args, format_ray_file(ra), construction=args.construction, n=args.n, seed=ra.seed)
+    _emit(args, [format_ray_file(ra)], construction=args.construction, n=args.n, seed=ra.seed)
     return 0
 
 
@@ -150,7 +154,7 @@ def cmd_check(args) -> int:
     else:
         sys.stdout.write(f"not certified: {rep.first_failure}\n")
     if args.out:
-        _write_output(args, args.out, _report_json(word, ra, rep),
+        _write_output(args, args.out, [_report_json(word, ra, rep)],
                       construction=ra.construction, n=word.rank, seed=ra.seed)
     return 0 if rep.certified else 1
 
@@ -180,7 +184,7 @@ def cmd_oracle(args) -> int:
     facets = {frozenset(diags[pos - 1] for pos in positions_of(f))
               for f in all_facets(word).facets}
     if args.out:
-        _write_output(args, args.out, format_triangulations(tris), n=n, k=k)
+        _write_output(args, args.out, [format_triangulations(tris)], n=n, k=k)
     if oracle == facets:
         sys.stdout.write(
             f"PASS k={k} n={n}: {len(facets)} facets on both routes\n"
@@ -198,7 +202,7 @@ def cmd_trace(args) -> int:
     _tier_check(args.n, args.tier)
     word = multiassociahedron_word(args.k_prefix, args.n)
     trace = fattening_sequence(word, triangle_start=args.k_prefix * args.n)
-    _emit(args, format_trace(trace, verbose=args.verbose), n=args.n, k=args.k_prefix)
+    _emit(args, [format_trace(trace, verbose=args.verbose)], n=args.n, k=args.k_prefix)
     return 0
 
 

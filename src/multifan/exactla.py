@@ -4,15 +4,14 @@ Exact rational linear algebra for the fan verifier.
 Rays arrive as tuples of Fractions (or ints).  ``scale_to_int`` clears
 their denominators - scaling a generator by a positive rational changes
 neither ranks, nor determinant signs, nor the signs of dependence
-coefficients - and ``bareiss_det``, ``int_rank`` and ``det_rank`` take
+coefficients - and ``bareiss_det``, ``int_rank`` and ``adjugate`` take
 the resulting integer rows and use fraction-free (Bareiss) elimination, so
 no precision is ever lost and no intermediate gcd storms occur.
 ``solve_unique`` works on Fractions directly.
 
-All three share one elimination with deferred scaling; ``det_rank`` reads
-both facts off a single pass, for callers that need the rank of exactly
-the matrices whose determinant is 0.  Bareiss' step k
-replaces every entry x of a row below the pivot row by
+``bareiss_det`` and ``int_rank`` share one elimination with deferred
+scaling.  Bareiss' step k replaces every entry x of a row below the pivot
+row by
 ``(x * p_k - a * y) // p_{k-1}``, where a is the row's entry in the pivot
 column and y the pivot row's entry.  A row whose a is 0 would only be
 multiplied by p_k / p_{k-1}, so it is left untouched; each row instead
@@ -30,11 +29,18 @@ apart and joined again.  Skipping saves most when the columns eliminated
 first are sparse, so the certifier writes the rays with their sparsest
 coordinates last (see ``fan._int_rays``).
 
+``adjugate`` (fraction-free Gauss-Jordan) and ``exchange_column`` serve
+the certifier's walk, which carries each facet's adjugate from its
+parent's (see ``fan._stats``): replacing one row of a regular matrix
+changes each adjugate column by one exact division, and the determinant
+of the new matrix is one dot product with the old adjugate.
+
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
 certifier decides the base condition by point location instead (see
-``fan.condition_one``); the simplex is the independent oracle that the
-test suite checks point location against.
+``fan._stats``, and ``fan.condition_one`` for the sweep from scratch); the
+simplex is the independent oracle that the test suite checks point
+location against.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ __all__ = [
     "scale_to_int",
     "bareiss_det",
     "int_rank",
-    "det_rank",
+    "adjugate",
+    "exchange_column",
     "solve_unique",
     "feasible_nonneg",
 ]
@@ -136,19 +143,78 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _eliminate(rows, False)[0]
 
 
-def det_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """The determinant and the rank of an integer matrix, from one
-    elimination that runs through every column.  The determinant of a
-    matrix that is not square is 0.
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """The determinant and the columns of the adjugate of a square integer
+    matrix A, so that row i of A times column j is det(A) if i = j, else
+    0, and column j times a vector r is the determinant of A with row j
+    replaced by r.
 
-    >>> det_rank([[0, 2, 1], [3, 0, 0], [0, 0, 4]])
-    (-24, 3)
-    >>> det_rank([[1, 2], [2, 4]])
-    (0, 1)
+    Fraction-free Gauss-Jordan elimination of [A | I]: the left block ends
+    as the last pivot times I, so the right block is the last pivot times
+    the inverse, which is the adjugate up to the sign of the row swaps.  A
+    matrix of rank d - 2 or less has adjugate 0.  One of rank d - 1 has a
+    row j that the others span (a nonzero entry of the left null vector
+    the elimination leaves in its last row) and a column c without a
+    pivot; A with row j replaced by the unit vector of c is regular, and
+    its adjugate is exchanged back to row j of A by ``exchange_column``.
+
+    >>> adjugate([[2, 1], [4, 3]])
+    (2, [[3, -4], [-1, 2]])
+    >>> adjugate([[1, 2], [2, 4]])
+    (0, [[4, -2], [-2, 1]])
     """
-    r, last = _eliminate(rows, False)
-    square = not rows or len(rows[0]) == len(rows)
-    return (last if square and r == len(rows) else 0), r
+    d = len(rows)
+    m = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    sign = prev = 1
+    r = 0
+    free = None
+    for c in range(d):
+        p = next((i for i in range(r, d) if m[i][c]), None)
+        if p is None:
+            if free is not None:
+                return 0, [[0] * d for _ in range(d)]
+            free = c
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pivot = top[c]
+        for i in range(d):
+            a = m[i][c]
+            if i != r:
+                m[i] = [(x * pivot - a * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
+        r += 1
+    if free is None:
+        return sign * prev, [[sign * m[i][d + j] for i in range(d)] for j in range(d)]
+    null = m[d - 1][d:]
+    j = next(i for i, w in enumerate(null) if w)
+    unit = [int(i == free) for i in range(d)]
+    det, cols = adjugate([unit if i == j else row for i, row in enumerate(rows)])
+    pivot = cols[j]
+    return 0, [pivot if c == j else
+               exchange_column(col, pivot, sum(a * b for a, b in zip(rows[j], col)), 0, det)
+               for c, col in enumerate(cols)]
+
+
+def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
+                    det: int) -> list[int]:
+    """Column c of adj(A') for A' = A with row j replaced by a vector v,
+    from columns ``col`` (c) and ``pivot`` (j) of adj(A), det(A) = ``det``
+    (nonzero), t = v . col and e = v . pivot = det(A'):
+    ``(e * col - t * pivot) / det``, an exact division.  Column j itself
+    is unchanged, and e may be 0.
+
+    Row 1 of [[2, 1], [4, 3]] replaced by v = (1, 1):
+
+    >>> det, (col, pivot) = adjugate([[2, 1], [4, 3]])
+    >>> exchange_column(col, pivot, 3 - 4, -1 + 2, det)
+    [1, -1]
+    >>> adjugate([[2, 1], [1, 1]])
+    (1, [[1, -1], [-1, 2]])
+    """
+    return [(e * a - t * b) // det for a, b in zip(col, pivot)]
 
 
 def solve_unique(matrix_cols, target) -> tuple[Fraction, ...]:

@@ -28,11 +28,16 @@ exchanged-ray coefficients are automatically nonzero, so the sign test
 reduces to one determinant per facet plus a column-shift parity per
 ridge.
 
-Each fact is decided once, in one flip-graph sweep: a facet's
-determinant when the facet is first met (and its rank, if that is 0),
-a ridge's status when the traversal yields it from its smaller facet,
-and the first failure when the least failing ridge is classified.  The
-base condition then reads the sweep's determinant map.
+Each fact is decided once, in one walk of the flip graph rooted at the
+base facet (``subword._walk``): a facet's determinant when the walk
+enters it, as one dot product with its parent's adjugate (and its rank,
+if that is 0); a ridge's status at the later visited of its two facets,
+against the determinant signs of the facets visited before; the first
+failure when the least failing ridge is classified; and the base
+condition, from the base point's Cramer numerators carried down the same
+walk.  No determinant map is kept and no facet is visited twice;
+``condition_one`` is the point location from scratch, which the tests
+compare the walk against.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
-from .exactla import bareiss_det, det_rank, int_rank, scale_to_int, solve_unique
-from .subword import Facet, greedy_facet, positions_of, traverse
+from .exactla import adjugate, bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
+from .subword import Facet, _walk, greedy_facet, positions_of
 from .rays import RayAssignment
 
 __all__ = [
@@ -168,55 +173,164 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     return RidgeReport(ridge, status, dep)
 
 
-def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], str | None]:
-    """Statistics, the determinant of every facet, and the first failure:
-    the ``"bad ridge (...)"`` or ``"degenerate ridge (...)"`` text of the
-    least non-good ridge ``(f, g)``, f < g, in bitset order, or None.
+# facets between two self-checks of the carried determinants
+SELF_CHECK_EVERY = 4096
 
-    One flip-graph traversal, which yields each ridge once, from its
-    smaller facet.  Facet determinants are memoised on first contact; one
-    elimination gives the determinant and, when that is 0, the rank.  For
-    a ridge between full-rank facets F, G, with x leaving F and q
-    entering, Cramer's rule gives the
-    coefficient of ray x in ray q, written in the rays of F, as
-    (-1)^k det(G) / det(F): moving q's column from x's slot to its sorted
-    place in G crosses the k ridge positions strictly between x and q.
-    The ridge is good when that coefficient is negative.
+
+def _dot(sparse: list[tuple[int, int]], col: list[int]) -> int:
+    return sum([a * col[c] for c, a in sparse])
+
+
+def _odd(f: Facet, x: int, q: int) -> int:
+    """The parity of the positions of ``f`` strictly between x and q, for x
+    not in ``f``."""
+    return (f & (((1 << (x - 1)) - 1) ^ ((1 << (q - 1)) - 1)) & ~(1 << (q - 1))).bit_count() & 1
+
+
+class _Cone:
+    """The matrix of the rays of the positions ``f``, as rows in position
+    order: its determinant, and caches of its adjugate columns and of the
+    base point's Cramer numerators by position.  A cone made by
+    ``exchanged`` derives them from its ``parent``'s on first use; any
+    other starts with every column."""
+
+    __slots__ = ("f", "det", "cols", "pi", "parent", "x", "q", "v")
+
+    def __init__(self, f: Facet, det: int, cols: dict[int, list[int]] | None = None):
+        self.f, self.det, self.cols = f, det, cols
+        self.pi = self.parent = None
+
+    def column(self, c: int) -> list[int]:
+        col = self.cols.get(c)
+        if col is None:
+            parent = self.parent
+            col = parent.column(c)
+            col = self.cols[c] = exchange_column(
+                col, self.cols[self.q], _dot(self.v, col), self.det, parent.det)
+        return col
+
+    def numerator(self, c: int) -> int:
+        n = self.pi.get(c)
+        if n is None:
+            parent = self.parent
+            t = _dot(self.v, parent.column(c))
+            n = self.pi[c] = (self.det * parent.numerator(c) - t * self.pi[self.q]) // parent.det
+        return n
+
+    def exchanged(self, x: int, q: int, v: list[tuple[int, int]], locate: bool = False) -> _Cone:
+        """This cone with position x exchanged for q, of sparse ray ``v``:
+        C'[q] = s C[x] and det' = v . C'[q], where s moves q's row from x's
+        place to its own across the positions strictly between them.  With
+        ``locate``, the numerators are carried too."""
+        f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
+        col = self.column(x)
+        odd = _odd(f, x, q)
+        if odd:
+            col = [-a for a in col]
+        cone = _Cone(f, _dot(v, col), {q: col})
+        cone.parent, cone.x, cone.q, cone.v = self, x, q, v
+        if locate:
+            n = self.numerator(x)
+            cone.pi = {q: -n if odd else n}
+        return cone
+
+
+def _stats(ra: RayAssignment, dets: dict[Facet, int] | None = None
+           ) -> tuple[FanStats, str | None, Facet | None]:
+    """Statistics, the first failure and the base condition's witness, from
+    one walk of the flip graph rooted at the base facet (``subword._walk``).
+
+    The first failure is the ``"bad ridge (...)"`` or ``"degenerate ridge
+    (...)"`` text of the least non-good ridge ``(f, g)``, f < g, in bitset
+    order, else ``"degenerate cone (...)"`` for a lone singular facet.  The
+    witness, read only without a failure, is ``condition_one``'s.  With
+    ``dets``, every facet's determinant is stored in it.
+
+    Let F have determinant D and adjugate columns C[c], so that C[c] . r
+    is det F with the row of position c replaced by r.  A flip x -> q
+    enters a child of determinant D' = s (v . C[x]), v the ray of q, where
+    s = (-1)^k moves q's row across the k positions strictly between x and
+    q.  The child's columns are C'[q] = s C[x] and (D' C[c] - (v . C[c])
+    C'[q]) / D, and its Cramer numerators of the base point p follow with
+    p . C in place of C.  Each is derived when first read and then kept,
+    so a leaf costs one dot product.  A singular F cannot divide by D:
+    ``_singular_child`` goes around it.
+
+    A ridge is classified at the later visited of its two facets, against
+    the signs of those visited before: with x leaving F and q entering G,
+    the coefficient of ray x in ray q is (-1)^k det(G) / det(F), good when
+    negative.  Until the first failing ridge, a facet's closed cone
+    contains p iff no numerator has the sign opposite to its determinant.
+    Every ``SELF_CHECK_EVERY``-th facet is checked from scratch.
     """
     rays = _int_rays(ra)
-    dim = ra.dim
-    dets: dict[Facet, int] = {}
+    sparse = [[(c, a) for c, a in enumerate(v) if a] for v in rays]
+    signs: dict[Facet, int] = {}
     singular_ranks: list[int] = []
-
-    def det_of(f: Facet) -> int:
-        d = dets.get(f)
-        if d is None:
-            rows = _cone(rays, f)
-            d, rank = det_rank(rows) if len(rows) == dim else (0, int_rank(rows))
-            dets[f] = d
-            if d == 0:
-                singular_ranks.append(rank)
-        return d
-
+    path: list[_Cone] = []
     bad = degenerate = ridges = 0
-    least = failure = None
-    for f, flips in traverse(ra.word):
-        df = det_of(f)
-        for x, q, g in flips:
-            ridges += 1
-            dg = det_of(g)
-            if df == 0 or dg == 0:
-                degenerate += 1
-                status = "degenerate"
+    least = failure = witness = point = None
+    # cones of too few or too many rays are singular, and carry no columns
+    square = greedy_facet(ra.word).bit_count() == ra.dim
+    for count, (g, up, down, entry, depth) in enumerate(_walk(ra.word)):
+        del path[depth:]
+        locate = failure is None and point is not None
+        if not square:
+            cone = _Cone(g, 0)
+        elif entry is None:
+            cone = _scratch(g, rays, sparse)
+            if cone.det:
+                rows = _cone(rays, g)
+                point = [sum(i * row[c] for i, row in enumerate(rows, 1)) for c in range(ra.dim)]
+                cone.pi = {r: i * cone.det for i, r in enumerate(positions_of(g), 1)}
+        else:
+            x, q, _ = entry
+            parent = path[-1]
+            v = sparse[q - 1]
+            children = any(r < q for _, r, _ in down)
+            if parent.det and (children or locate):
+                cone = parent.exchanged(x, q, v, locate)
+            elif not children:
+                det = _dot(v, parent.column(x))
+                cone = _Cone(g, -det if _odd(g, x, q) else det)
             else:
-                between = f & g & (((1 << (x - 1)) - 1) ^ ((1 << (q - 1)) - 1))
-                if (between.bit_count() % 2 == 0) != ((df > 0) == (dg > 0)):
+                cone = _singular_child(parent, x, q, v, rays, sparse)
+        det = cone.det
+        sign = (det > 0) - (det < 0)
+        for flips in (up, down):
+            for y, r, h in flips:
+                other = signs.get(h)
+                if other is None:
                     continue
-                bad += 1
-                status = "bad"
-            if least is None or (f, g) < least:
-                least = (f, g)
-                failure = f"{status} ridge {positions_of(f & g)}"
+                ridges += 1
+                if not (sign and other):
+                    degenerate += 1
+                    status = "degenerate"
+                else:
+                    between = g & h & (((1 << (y - 1)) - 1) ^ ((1 << (r - 1)) - 1))
+                    if between.bit_count() & 1 == (sign == other):
+                        continue
+                    bad += 1
+                    status = "bad"
+                pair = (g, h) if g < h else (h, g)
+                if least is None or pair < least:
+                    least = pair
+                    failure = f"{status} ridge {positions_of(g & h)}"
+        signs[g] = sign
+        if dets is not None:
+            dets[g] = det
+        if not sign:
+            singular_ranks.append(int_rank(_cone(rays, g)))
+        locate = failure is None and point is not None
+        if locate and entry is not None and (witness is None or g < witness):
+            if all(cone.numerator(y) * sign >= 0 for flips in (up, down) for y, _, _ in flips):
+                witness = g
+        if square and count % SELF_CHECK_EVERY == 0:
+            _self_check(rays, cone, point if locate else None)
+        path.append(cone)
+    if failure is None and not signs[g]:
+        # the walk's only facet, the base, is singular
+        failure = f"degenerate cone {positions_of(g)}"
 
     stats = FanStats(
         n=ra.word.rank,
@@ -224,10 +338,63 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, dict[Facet, int], str | None]:
         degenerate_ridges=degenerate,
         ridges=ridges,
         degenerate_cones=len(singular_ranks),
-        cones=len(dets),
-        min_dimension=min(singular_ranks, default=dim),
+        cones=len(signs),
+        min_dimension=min(singular_ranks, default=ra.dim),
     )
-    return stats, dets, failure
+    return stats, failure, witness
+
+
+def _singular_child(parent: _Cone, x: int, q: int, v, rays, sparse) -> _Cone:
+    """The child of a singular ``parent`` by x -> q, with the means to
+    derive its columns.  The parent was made from a regular matrix B by
+    x' -> q', so the child is B with x and x' exchanged for q and q', in
+    two steps through a regular intermediate matrix; or, when all of those
+    are singular too, or B is not known, it is computed from scratch."""
+    base = parent.parent
+    if base is not None:
+        if x == parent.q:
+            return base.exchanged(parent.x, q, v)
+        routes = [((x, q, v), (parent.x, parent.q, parent.v)),
+                  ((parent.x, q, v), (x, parent.q, parent.v))]
+        if parent.x != parent.q:  # else B's row at q' is a unit vector
+            routes.append(((x, parent.q, parent.v), (parent.x, q, v)))
+        for first, then in routes:
+            step = base.exchanged(*first)
+            if step.det:
+                return step.exchanged(*then)
+    return _scratch(parent.f & ~(1 << (x - 1)) | 1 << (q - 1), rays, sparse)
+
+
+def _scratch(f: Facet, rays, sparse) -> _Cone:
+    """The cone of ``f`` with its adjugate computed from scratch.  A
+    singular one of rank d - 1 is exchanged from a regular neighbour, its
+    matrix with one row replaced by a unit vector, so that its children
+    can be exchanged from that."""
+    rows = _cone(rays, f)
+    det, cols = adjugate(rows)
+    where = positions_of(f)
+    if not det:
+        for j, col in enumerate(cols):
+            c = next((c for c, a in enumerate(col) if a), None)
+            if c is not None:
+                unit = [int(i == c) for i in range(len(rows))]
+                ndet, ncols = adjugate(rows[:j] + [unit] + rows[j + 1:])
+                neighbour = _Cone(f, ndet, dict(zip(where, ncols)))
+                return neighbour.exchanged(where[j], where[j], sparse[where[j] - 1])
+    return _Cone(f, det, dict(zip(where, cols)))
+
+
+def _self_check(rays, cone: _Cone, point):
+    """Recompute the determinant of ``cone``, and with ``point`` its
+    Cramer numerator at its first cached position, from scratch."""
+    rows = _cone(rays, cone.f)
+    if bareiss_det(rows) != cone.det:
+        raise ArithmeticError(f"carried determinant of cone {positions_of(cone.f)} is wrong")
+    if point is not None and rows:
+        r, numerator = next(iter(cone.pi.items()))
+        j = positions_of(cone.f).index(r)
+        if bareiss_det(rows[:j] + [point] + rows[j + 1:]) != numerator:
+            raise ArithmeticError(f"carried Cramer numerator of cone {positions_of(cone.f)} is wrong")
 
 
 def stream_statistics(ra: RayAssignment) -> FanStats:
@@ -241,8 +408,9 @@ def condition_one(ra: RayAssignment, dets: dict[Facet, int], base: Facet) -> Fac
     point p = sum_i i * r_i over the rays of ``base`` (strictly inside its
     cone), or None: the base condition holds iff there is none.
 
-    ``dets`` maps every facet, ``base`` included, to its determinant, as
-    ``_stats`` builds it; every facet must be full rank.  By Cramer's
+    The reference for the walk's point location in ``_stats``, from
+    scratch: ``dets`` maps every facet, ``base`` included, to its
+    determinant, and every facet must be full rank.  By Cramer's
     rule, p's coefficient on the j-th ray of a facet F is det(F with row j
     replaced by p) / det(F), so F's closed cone contains p iff no such
     determinant has the sign opposite to det(F); the scan of F stops at
@@ -267,25 +435,21 @@ def condition_one(ra: RayAssignment, dets: dict[Facet, int], base: Facet) -> Fac
 
 
 def certify_fan(ra: RayAssignment) -> CheckReport:
-    """Full certification: the ridge condition on every ridge, then the
-    base condition from the greedy facet against every other facet in
-    bitset order.
+    """Full certification from one walk (``_stats``): the ridge condition
+    on every ridge, and, if that holds, the base condition from the greedy
+    facet, whose witness is the least other facet containing its point.
 
     A closed cone containing the base point has an open cone meeting the
     open base cone near it, hence the wording of that failure.  A complex
     without ridges has one facet, the base; if its cone is rank deficient,
     that is the failure.
     """
-    stats, dets, failure = _stats(ra)
-    base = greedy_facet(ra.word)
-    if failure is None and dets[base] == 0:
-        failure = f"degenerate cone {positions_of(base)}"
+    stats, failure, other = _stats(ra)
     if failure is not None:
         return CheckReport(False, stats, failure, "skipped", None, None)
-    other = condition_one(ra, dets, base)
     holds = other is None
     first = None if holds else f"open cones of base and {positions_of(other)} intersect"
-    return CheckReport(holds, stats, first, "full", holds, positions_of(base))
+    return CheckReport(holds, stats, first, "full", holds, positions_of(greedy_facet(ra.word)))
 
 
 # (table label, FanStats attribute) in the order of the reference tables

@@ -132,10 +132,13 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip]]]:
+def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | None, int]]:
     """The reverse search behind :func:`traverse`: yields every facet once,
     with its increasing flips and its decreasing flips ``(x, q, g)``, both
-    read off the root configuration carried to that facet.
+    read off the root configuration carried to that facet, the flip
+    ``(x, q, parent)`` that entered it (None at the root), and its depth in
+    the tree.  The children of a facet entered at q are its decreasing
+    flips that enter below q, and each facet is yielded before them.
 
     A root is stored as the bitmask of its two values, and ``at`` maps the
     root of each complement position back to the position.
@@ -176,7 +179,7 @@ def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip]]]:
             else:
                 down.append((x, q, g))
             b ^= low
-        yield f, up, down
+        yield f, up, down, entry, len(path)
         path.append((iter([c for c in down if c[1] < m]), entry))
         while path:
             children, entry = path[-1]
@@ -216,7 +219,7 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip]]]:
     and x; x and q both carry beta, and every other position keeps its
     root.  The update is an involution, so backtracking applies it again.
     """
-    for f, up, _ in _walk(w):
+    for f, up, *_ in _walk(w):
         yield f, up
 
 
@@ -254,10 +257,11 @@ def vertex_status(w: Word) -> list[bool]:
     return [is_face(w, (r,)) for r in range(1, len(w) + 1)]
 
 
-def format_facet_file(index: ComplexIndex) -> str:
+def format_facet_file(index: ComplexIndex) -> Iterator[str]:
+    """The lines of the facet file, one at a time: a header, then the
+    positions of each facet in sorted order."""
     from .words import format_word
 
-    lines = [f"# word: {format_word(index.word)}; facets: {index.n_facets}"]
+    yield f"# word: {format_word(index.word)}; facets: {index.n_facets}\n"
     for f in index.facets:
-        lines.append(" ".join(str(r) for r in positions_of(f)))
-    return "\n".join(lines) + "\n"
+        yield " ".join(map(str, positions_of(f))) + "\n"

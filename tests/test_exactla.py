@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from multifan.exactla import (
+    adjugate,
     bareiss_det,
-    det_rank,
+    exchange_column,
     feasible_nonneg,
     int_rank,
     scale_to_int,
@@ -144,22 +145,78 @@ def test_elimination_matches_fraction_oracle():
     assert stale_swaps >= 50 and big >= 20, (stale_swaps, big)
 
 
-def test_det_rank_matches_both_functions_and_fraction_oracle():
-    # one elimination gives what bareiss_det and int_rank give separately
-    rng = random.Random(17)
-    kinds = {"singular": 0, "regular": 0, "not square": 0}
-    for trial in range(1300):
-        rows, _ = _oracle_draw(rng, trial)
-        det, rank = det_rank(rows)
-        assert rank == int_rank(rows) == len(_rref(rows)), rows
-        if rows and len(rows[0]) != len(rows):
-            assert det == 0, rows
-            kinds["not square"] += 1
+def _fraction_adjugate(rows):
+    """Columns of the adjugate by cofactors: entry i of column j is
+    (-1)^(i+j) times the minor without row j and column i."""
+    d = len(rows)
+    return [[(-1) ** (i + j) * _fraction_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+             for i in range(d)] for j in range(d)]
+
+
+def _rank_draw(rng: random.Random, d: int, rank: int, bound: int) -> list[list[int]]:
+    """A d x d integer matrix of at most the given rank: random rows, then
+    the rows past ``rank`` replaced by combinations of the first ones, and
+    the rows shuffled."""
+    rows = [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(d)]
+            for _ in range(d)]
+    for k in range(rank, d):
+        coeffs = [rng.randint(-2, 2) for _ in range(rank)]
+        rows[k] = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(d)]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_adjugate_matches_fraction_oracle():
+    # A adj(A) = det(A) I, and every column equals the cofactors, on
+    # regular matrices and on singular ones of rank d - 1 (nonzero
+    # adjugate) and below (adjugate 0)
+    rng = random.Random(23)
+    kinds = {"regular": 0, "rank d-1": 0, "rank d-2": 0}
+    for trial in range(900):
+        d = 1 + trial % 6
+        rank = d - rng.choice((0, 0, 1, 2)) if d > 1 else 1
+        rows = _rank_draw(rng, d, max(rank, 0), 2 ** 240 if trial % 9 == 0 else 4)
+        det, cols = adjugate(rows)
+        assert det == _fraction_det(rows), rows
+        assert cols == _fraction_adjugate(rows), rows
+        assert all(sum(a * b for a, b in zip(row, col)) == (det if i == j else 0)
+                   for i, row in enumerate(rows) for j, col in enumerate(cols)), rows
+        if det:
+            kinds["regular"] += 1
+        else:
+            kinds["rank d-1" if any(any(col) for col in cols) else "rank d-2"] += 1
+    assert min(kinds.values()) >= 100, kinds
+    assert adjugate([]) == (1, [])
+
+
+def test_row_exchange_matches_adjugate_from_scratch():
+    # the exchange of one row of a regular matrix, column by column,
+    # against the adjugate of the new matrix from scratch, also when the
+    # new row makes it singular
+    rng = random.Random(29)
+    singular = 0
+    for trial in range(900):
+        d = 1 + trial % 6
+        rows = _rank_draw(rng, d, d, 2 ** 240 if trial % 9 == 0 else 4)
+        det, cols = adjugate(rows)
+        if not det:
             continue
-        assert det == bareiss_det(rows) == _fraction_det(rows), rows
-        assert (det != 0) == (rank == len(rows)), rows
-        kinds["regular" if det else "singular"] += 1
-    assert min(kinds.values()) >= 200, kinds
+        j = rng.randrange(d)
+        if d > 1 and trial % 3 == 0:
+            # a combination of the other rows: the new matrix is singular
+            others = [row for i, row in enumerate(rows) if i != j]
+            coeffs = [rng.randint(-2, 2) for _ in others]
+            v = [sum(c * row[k] for c, row in zip(coeffs, others)) for k in range(d)]
+        else:
+            v = [rng.randint(-4, 4) for _ in range(d)]
+        pivot = cols[j]
+        e = sum(a * b for a, b in zip(v, pivot))
+        exchanged = [pivot if c == j else
+                     exchange_column(col, pivot, sum(a * b for a, b in zip(v, col)), e, det)
+                     for c, col in enumerate(cols)]
+        assert (e, exchanged) == adjugate(rows[:j] + [v] + rows[j + 1:]), (rows, j, v)
+        singular += e == 0
+    assert singular >= 100, singular
 
 
 def test_feasible_nonneg():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from multifan import exactla, fan
 from multifan.fan import (
     _int_rays,
     _stats,
@@ -183,11 +184,19 @@ def test_point_location_agrees_with_lp_on_random_rays():
                 continue
             kept += 1
             witness = condition_one(ra, facet_dets(ra, facets), base)
-            assert (witness is None) == (lp_condition_one(ra, facets, base) is None), (k, n, rays)
+            lp_witness = lp_condition_one(ra, facets, base)
+            assert (witness is None) == (lp_witness is None), (k, n, rays)
+            # the walk locates the point as the from-scratch sweep does
+            rep = certify_fan(ra)
+            assert rep.condition1_holds == (witness is None), (k, n, rays)
             if witness is not None:
                 rejected += 1
-                # the witness's open cone meets the base's, as reported
+                assert rep.first_failure == \
+                    f"open cones of base and {positions_of(witness)} intersect", (k, n, rays)
+                # the witness's open cone meets the base's, as reported; the
+                # least such cone may be smaller, since it need not hold p
                 assert lp_condition_one(ra, [witness], base) == witness
+                assert lp_witness <= witness
     assert kept >= 200 and rejected >= 1, (kept, rejected)
 
 
@@ -300,7 +309,8 @@ def test_coordinate_order_keeps_every_determinant(construction, seed):
     # of the original ones, which point location and the reports read
     for n in (1, 2, 3, 4):
         ra = build_rays(construction, n, seed)
-        _, dets, _ = _stats(ra)
+        dets = {}
+        _stats(ra, dets)
         assert dets == facet_dets(ra, get_index(2, n).facets), n
 
 
@@ -311,10 +321,34 @@ def test_coordinate_order_folds_an_odd_permutation():
     ra = RayAssignment(multiassociahedron_word(1, 2),
                        tuple(tuple(map(Fraction, v)) for v in rays), 2)
     assert _int_rays(ra) == [(-1, 0), (-1, 1), (1, 0), (0, -1), (-1, -1)]
-    _, dets, _ = _stats(ra)
+    dets = {}
+    _stats(ra, dets)
     assert dets == facet_dets(ra, get_index(1, 2).facets)
     assert {positions_of(f): d for f, d in dets.items()} == \
         {(1, 2): -1, (2, 3): -1, (3, 4): -1, (4, 5): -1, (1, 5): 1}
+
+
+@pytest.mark.parametrize("construction,n", [("naive", 5), ("pattern", 4)])
+def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, construction, n):
+    # naive n=5 reaches every way a cone gets its columns: exchanged from
+    # its parent, routed around a singular parent, rebuilt from scratch
+    # with or without a regular neighbour; pattern n=4 locates the base
+    # point at every facet
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    ra = build_rays(construction, n)
+    dets = {}
+    _stats(ra, dets)
+    assert dets == facet_dets(ra, get_index(2, n).facets)
+
+
+def test_self_check_catches_a_wrong_column(monkeypatch):
+    def off_by_one(*args):
+        return [a + 1 for a in exactla.exchange_column(*args)]
+
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "exchange_column", off_by_one)
+    with pytest.raises(ArithmeticError, match="carried"):
+        certify_fan(build_rays("pattern", 3))
 
 
 def test_format_stats_table():

@@ -129,10 +129,34 @@ def test_carried_partners_match_root_configuration(k, n):
     # the roots the walk carries from facet to facet, against the roots of
     # each facet computed from scratch: every flip, both directions
     w = multiassociahedron_word(k, n)
-    for f, up, down in _walk(w):
+    for f, up, down, _, _ in _walk(w):
         assert all(q > x for x, q, _ in up) and all(q < x for x, q, _ in down)
         assert {x: q for x, q, _ in up + down} == partners(w, f)
         assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in up + down)
+
+
+@pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
+def test_walk_reports_each_facet_below_its_parent(k, n):
+    # each facet is entered by a decreasing flip of the last facet yielded
+    # one level up, its parent; and a facet entered at q has as children
+    # exactly its decreasing flips that enter below q
+    path = []
+    down_of, children, entered = {}, {}, {}
+    for f, _, down, entry, depth in _walk(multiassociahedron_word(k, n)):
+        assert depth <= len(path)
+        del path[depth:]
+        bound = float("inf")
+        if entry is None:
+            assert depth == 0
+        else:
+            x, q, parent = entry
+            assert parent == path[-1] and (x, q, f) in down_of[parent]
+            entered.setdefault(parent, set()).add(f)
+            bound = q
+        down_of[f] = down
+        children[f] = {g for _, q, g in down if q < bound}
+        path.append(f)
+    assert all(entered.get(f, set()) == kids for f, kids in children.items())
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
@@ -223,6 +247,6 @@ def test_facet_counts_match_reference():
 
 def test_facet_file_format():
     idx = get_index(2, 2)
-    head, *body = format_facet_file(idx).splitlines()
+    head, *body = "".join(format_facet_file(idx)).splitlines()
     assert head == "# word: n=2; 1 2 1 2 1 2 1; facets: 14"
     assert body == [" ".join(map(str, positions_of(f))) for f in idx.facets]
