@@ -57,9 +57,9 @@ class RunManifest:
 def _tier_check(n: int, tier: str):
     cap = TIER_CAP[tier]
     if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the {tier} tier cap ({cap}); pass --tier full for n up to 8"
-        )
+        hint = "".join(f"; pass --tier {larger} for n up to {c}"
+                       for larger, c in TIER_CAP.items() if c > cap)
+        raise ValueError(f"n={n} exceeds the {tier} tier cap ({cap}){hint}")
 
 
 def _write_output(args, path: str, chunks: Iterable[str], **facts):

@@ -25,15 +25,16 @@ the row swaps and of the column order.
 
 The elimination runs from the last column to the first, so an updated
 row is just its entries left of the pivot column and is never sliced
-apart and joined again.  Skipping saves most when the columns eliminated
-first are sparse, so the certifier writes the rays with their sparsest
-coordinates last (see ``fan._int_rays``).
+apart and joined again.
 
 ``adjugate`` (fraction-free Gauss-Jordan) and ``exchange_column`` serve
 the certifier's walk, which carries each facet's adjugate from its
 parent's (see ``fan._stats``): replacing one row of a regular matrix
 changes each adjugate column by one exact division, and the determinant
-of the new matrix is one dot product with the old adjugate.
+of the new matrix is one dot product with the old adjugate.  A matrix of
+rank d - 1 has no inverse to exchange from, so ``adjugate`` returns the
+adjugate of a regular neighbour instead, one row replaced by a unit
+vector, and the row that puts the matrix back.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -72,15 +73,13 @@ def scale_to_int(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _eliminate(rows: Sequence[Sequence[int]], square: bool) -> tuple[int, int]:
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Fraction-free elimination to row echelon form with deferred
     scaling, from the last column to the first.
 
     Returns ``(r, last)``: the number of pivots found and the last pivot,
     brought up to date and signed by the row swaps and the column
-    reversal.  With ``square`` the elimination stops at the first column
-    without a pivot, since the determinant is then 0.  ``rows`` is never
-    modified.
+    reversal.  ``rows`` is never modified.
     """
     m = list(rows)
     nrows = len(m)
@@ -100,8 +99,6 @@ def _eliminate(rows: Sequence[Sequence[int]], square: bool) -> tuple[int, int]:
                     sign = -sign
                     break
             else:
-                if square:
-                    return r, 0
                 continue
         rk = m[r]
         pivot = rk[c]
@@ -130,7 +127,7 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     >>> bareiss_det([[0, 2, 1], [3, 0, 0], [0, 0, 4]])
     -24
     """
-    r, last = _eliminate(rows, True)
+    r, last = _eliminate(rows)
     return last if r == len(rows) else 0
 
 
@@ -140,28 +137,32 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     >>> int_rank([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
     2
     """
-    return _eliminate(rows, False)[0]
+    return _eliminate(rows)[0]
 
 
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """The determinant and the columns of the adjugate of a square integer
-    matrix A, so that row i of A times column j is det(A) if i = j, else
-    0, and column j times a vector r is the determinant of A with row j
-    replaced by r.
+def adjugate(rows: Sequence[Sequence[int]]
+             ) -> tuple[int | None, int, list[list[int]]]:
+    """``(j, det, cols)``: the determinant and the columns of the adjugate
+    of a square integer matrix B, so that row i of B times column c is
+    det(B) if i = c, else 0, and column c times a vector r is the
+    determinant of B with row c replaced by r.
+
+    B is the matrix A of ``rows`` and j is None, unless A has rank d - 1.
+    Then A has a row j that the others span (a nonzero entry of the left
+    null vector the elimination leaves in its last row) and a column c
+    without a pivot, and B is A with row j replaced by the unit vector of
+    c: B is regular, and exchanging its row j back to A's by
+    ``exchange_column`` gives adj(A).  A matrix of rank d - 2 or less has
+    adjugate 0.
 
     Fraction-free Gauss-Jordan elimination of [A | I]: the left block ends
     as the last pivot times I, so the right block is the last pivot times
-    the inverse, which is the adjugate up to the sign of the row swaps.  A
-    matrix of rank d - 2 or less has adjugate 0.  One of rank d - 1 has a
-    row j that the others span (a nonzero entry of the left null vector
-    the elimination leaves in its last row) and a column c without a
-    pivot; A with row j replaced by the unit vector of c is regular, and
-    its adjugate is exchanged back to row j of A by ``exchange_column``.
+    the inverse, which is the adjugate up to the sign of the row swaps.
 
     >>> adjugate([[2, 1], [4, 3]])
-    (2, [[3, -4], [-1, 2]])
+    (None, 2, [[3, -4], [-1, 2]])
     >>> adjugate([[1, 2], [2, 4]])
-    (0, [[4, -2], [-2, 1]])
+    (0, -2, [[4, -2], [-1, 0]])
     """
     d = len(rows)
     m = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
@@ -172,7 +173,7 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
         p = next((i for i in range(r, d) if m[i][c]), None)
         if p is None:
             if free is not None:
-                return 0, [[0] * d for _ in range(d)]
+                return None, 0, [[0] * d for _ in range(d)]
             free = c
             continue
         if p != r:
@@ -187,15 +188,11 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
         prev = pivot
         r += 1
     if free is None:
-        return sign * prev, [[sign * m[i][d + j] for i in range(d)] for j in range(d)]
-    null = m[d - 1][d:]
-    j = next(i for i, w in enumerate(null) if w)
+        return None, sign * prev, [[sign * m[i][d + j] for i in range(d)] for j in range(d)]
+    j = next(i for i, w in enumerate(m[d - 1][d:]) if w)
     unit = [int(i == free) for i in range(d)]
-    det, cols = adjugate([unit if i == j else row for i, row in enumerate(rows)])
-    pivot = cols[j]
-    return 0, [pivot if c == j else
-               exchange_column(col, pivot, sum(a * b for a, b in zip(rows[j], col)), 0, det)
-               for c, col in enumerate(cols)]
+    _, det, cols = adjugate([unit if i == j else row for i, row in enumerate(rows)])
+    return j, det, cols
 
 
 def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
@@ -208,11 +205,11 @@ def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
 
     Row 1 of [[2, 1], [4, 3]] replaced by v = (1, 1):
 
-    >>> det, (col, pivot) = adjugate([[2, 1], [4, 3]])
+    >>> _, det, (col, pivot) = adjugate([[2, 1], [4, 3]])
     >>> exchange_column(col, pivot, 3 - 4, -1 + 2, det)
     [1, -1]
     >>> adjugate([[2, 1], [1, 1]])
-    (1, [[1, -1], [-1, 2]])
+    (None, 1, [[1, -1], [-1, 2]])
     """
     return [(e * a - t * b) // det for a, b in zip(col, pivot)]
 

@@ -35,9 +35,10 @@ if that is 0); a ridge's status at the later visited of its two facets,
 against the determinant signs of the facets visited before; the first
 failure when the least failing ridge is classified; and the base
 condition, from the base point's Cramer numerators carried down the same
-walk.  No determinant map is kept and no facet is visited twice;
-``condition_one`` is the point location from scratch, which the tests
-compare the walk against.
+walk.  No facet is visited twice, and the walk keeps only the signs of
+the facets visited and the adjugate columns read along its current path.
+``condition_one`` is the point location from scratch: it shares nothing
+with the walk, and the tests compare the walk against it.
 """
 
 from __future__ import annotations
@@ -112,23 +113,9 @@ def ratio_str(count: int, total: int) -> str:
 
 
 def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
-    """The rays as primitive integer vectors, written in coordinates that
-    suit the elimination: columns sorted descending by how many rays are
-    nonzero in them (ties in coordinate order), and the first column
-    negated when that permutation is odd.
-
-    Bareiss elimination runs from the last column to the first and leaves
-    a row untouched at every step whose pivot column is zero in it (see
-    ``exactla``), so the sparsest columns, eliminated first, spare most
-    row updates.  The change of coordinates has determinant +1, so every
-    facet determinant, every Cramer numerator of a point built from these
-    rows, and every rank is exactly that of the original coordinates.
-    """
-    rays = [scale_to_int(v) for v in ra.rays]
-    order = sorted(range(ra.dim), key=lambda c: -sum(1 for v in rays if v[c]))
-    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    signs = [(-1) ** inversions] + [1] * (ra.dim - 1)
-    return [tuple(s * v[c] for s, c in zip(signs, order)) for v in rays]
+    """The rays as primitive integer vectors: a positive rescale changes
+    no rank and no sign that the certificate reads."""
+    return [scale_to_int(v) for v in ra.rays]
 
 
 def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[tuple[int, ...]]:
@@ -235,16 +222,14 @@ class _Cone:
         return cone
 
 
-def _stats(ra: RayAssignment, dets: dict[Facet, int] | None = None
-           ) -> tuple[FanStats, str | None, Facet | None]:
+def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     """Statistics, the first failure and the base condition's witness, from
     one walk of the flip graph rooted at the base facet (``subword._walk``).
 
     The first failure is the ``"bad ridge (...)"`` or ``"degenerate ridge
     (...)"`` text of the least non-good ridge ``(f, g)``, f < g, in bitset
     order, else ``"degenerate cone (...)"`` for a lone singular facet.  The
-    witness, read only without a failure, is ``condition_one``'s.  With
-    ``dets``, every facet's determinant is stored in it.
+    witness, read only without a failure, is ``condition_one``'s.
 
     Let F have determinant D and adjugate columns C[c], so that C[c] . r
     is det F with the row of position c replaced by r.  A flip x -> q
@@ -317,8 +302,6 @@ def _stats(ra: RayAssignment, dets: dict[Facet, int] | None = None
                     least = pair
                     failure = f"{status} ridge {positions_of(g & h)}"
         signs[g] = sign
-        if dets is not None:
-            dets[g] = det
         if not sign:
             singular_ranks.append(int_rank(_cone(rays, g)))
         locate = failure is None and point is not None
@@ -367,21 +350,16 @@ def _singular_child(parent: _Cone, x: int, q: int, v, rays, sparse) -> _Cone:
 
 def _scratch(f: Facet, rays, sparse) -> _Cone:
     """The cone of ``f`` with its adjugate computed from scratch.  A
-    singular one of rank d - 1 is exchanged from a regular neighbour, its
-    matrix with one row replaced by a unit vector, so that its children
-    can be exchanged from that."""
-    rows = _cone(rays, f)
-    det, cols = adjugate(rows)
+    singular one of rank d - 1 is exchanged from the regular neighbour
+    whose adjugate ``adjugate`` returns, so that its children can be
+    exchanged from that."""
+    j, det, cols = adjugate(_cone(rays, f))
     where = positions_of(f)
-    if not det:
-        for j, col in enumerate(cols):
-            c = next((c for c, a in enumerate(col) if a), None)
-            if c is not None:
-                unit = [int(i == c) for i in range(len(rows))]
-                ndet, ncols = adjugate(rows[:j] + [unit] + rows[j + 1:])
-                neighbour = _Cone(f, ndet, dict(zip(where, ncols)))
-                return neighbour.exchanged(where[j], where[j], sparse[where[j] - 1])
-    return _Cone(f, det, dict(zip(where, cols)))
+    cone = _Cone(f, det, dict(zip(where, cols)))
+    if j is not None:
+        r = where[j]
+        cone = cone.exchanged(r, r, sparse[r - 1])
+    return cone
 
 
 def _self_check(rays, cone: _Cone, point):
@@ -403,31 +381,32 @@ def stream_statistics(ra: RayAssignment) -> FanStats:
     return _stats(ra)[0]
 
 
-def condition_one(ra: RayAssignment, dets: dict[Facet, int], base: Facet) -> Facet | None:
-    """The least facet other than ``base`` whose closed cone contains the
-    point p = sum_i i * r_i over the rays of ``base`` (strictly inside its
-    cone), or None: the base condition holds iff there is none.
+def condition_one(ra: RayAssignment, facets, base: Facet) -> Facet | None:
+    """The least of ``facets`` other than ``base`` whose closed cone
+    contains the point p = sum_i i * r_i over the rays of ``base``
+    (strictly inside its cone), or None: the base condition holds iff
+    there is none.
 
     The reference for the walk's point location in ``_stats``, from
-    scratch: ``dets`` maps every facet, ``base`` included, to its
-    determinant, and every facet must be full rank.  By Cramer's
-    rule, p's coefficient on the j-th ray of a facet F is det(F with row j
-    replaced by p) / det(F), so F's closed cone contains p iff no such
-    determinant has the sign opposite to det(F); the scan of F stops at
-    the first one that does.
+    scratch: every facet, ``base`` included, must be full rank.  By
+    Cramer's rule, p's coefficient on the j-th ray of a facet F is det(F
+    with row j replaced by p) / det(F), so F's closed cone contains p iff
+    no such determinant has the sign opposite to det(F); the scan of F
+    stops at the first one that does.
     """
     rays = _int_rays(ra)
-    if dets[base] == 0:
+    rows = _cone(rays, base)
+    # every facet has as many rays as the base
+    if len(rows) != ra.dim or bareiss_det(rows) == 0:
         raise ValueError("base facet is rank deficient")
-    point = [sum(i * row[c] for i, row in enumerate(_cone(rays, base), start=1))
-             for c in range(ra.dim)]
-    for f in sorted(dets):
+    point = [sum(i * row[c] for i, row in enumerate(rows, start=1)) for c in range(ra.dim)]
+    for f in sorted(facets):
         if f == base:
             continue
-        det = dets[f]
+        rows = _cone(rays, f)
+        det = bareiss_det(rows)
         if det == 0:
             raise ValueError(f"cone {positions_of(f)} is rank deficient")
-        rows = _cone(rays, f)
         if all(bareiss_det(rows[:j] + [point] + rows[j + 1:]) * det >= 0
                for j in range(ra.dim)):
             return f

@@ -1,7 +1,6 @@
 import functools
 from fractions import Fraction
 
-from multifan.exactla import bareiss_det, scale_to_int
 from multifan.rays import RayAssignment
 from multifan.subword import (
     Facet,
@@ -106,16 +105,6 @@ def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
     flips = traverse(multiassociahedron_word(k, n))
     return tuple(sorted((f, g) for f, out in flips for _, _, g in out))
-
-
-def facet_dets(ra: RayAssignment, facets) -> dict[int, int]:
-    """The determinant of each facet's rays, 0 when they are too few or too
-    many: the map that ``condition_one`` reads."""
-    dets = {}
-    for f in facets:
-        rows = [list(scale_to_int(ra.rays[r - 1])) for r in positions_of(f)]
-        dets[f] = bareiss_det(rows) if len(rows) == ra.dim else 0
-    return dets
 
 
 # positions of c w0(2) in the angular order of the loday rays

@@ -19,6 +19,7 @@ from multifan.moves import classify_braid, fattening_sequence
 from multifan.polygon import diagonal_to_position, enumerate_k_triangulations
 from multifan.rays import build_rays
 from multifan.subword import all_facets, is_face, positions_of
+from multifan.tables import reproduce_table
 from multifan.words import c_sorted_word, multiassociahedron_word
 
 from conftest import get_index
@@ -109,6 +110,16 @@ def test_c05_extended_n8_bad_ridges():
     stats = stream_statistics(build_rays("linear", 8))
     ok = stats.bad_ridges == 20 and stats.cones == COUNTS_FULL[8]
     report("C5x", ok, f"n=8: {stats.cones} cones, {stats.bad_ridges} bad ridges (expected 20)")
+
+
+@pytest.mark.fulltier
+@pytest.mark.parametrize("table", ["T2", "T4", "T6"])
+def test_c03_c05_golden_n6_columns(table):
+    # the naive, fixed(5,3) and linear columns at n=6: 10,992, 5,742 and
+    # 2,904 singular cones, rebuilt along every path of the walk
+    cells = reproduce_table(table, [6])
+    failed = [c.cell for c in cells if not c.ok]
+    report(f"{table}x(n=6)", not failed, f"{len(cells)} cells, failing: {failed}")
 
 
 def test_c06_pattern_certification():

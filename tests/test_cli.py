@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multifan.cli import main
-from multifan.rays import build_rays, format_ray_file, parse_ray_file
+from multifan.rays import RayAssignment, build_rays, format_ray_file, parse_ray_file
 
 from conftest import double_cover_rays
 
@@ -247,6 +247,35 @@ def test_check_degenerate_only_cone(tmp_path, capsys):
     assert "not certified: degenerate cone ()" in out
     doc = json.loads(report.read_text())
     assert doc["condition1"] == "skipped" and doc["certified"] is False
+
+
+@pytest.mark.parametrize("dim,min_dimension", [(3, 3), (5, 4)])
+def test_check_rays_of_another_dimension_than_the_facets(tmp_path, capsys, dim, min_dimension):
+    # the pattern rays at n = 2 with the last coordinate dropped, or a zero
+    # one appended: the four rays of each facet span at most a 3- or 4-space
+    ra = build_rays("pattern", 2)
+    rays = tuple(v[:dim] + (0,) * (dim - len(v)) for v in ra.rays)
+    path = tmp_path / "other.rays"
+    path.write_text(format_ray_file(RayAssignment(ra.word, rays, dim, "x")))
+    report = tmp_path / "other.json"
+    rc, out, err = run(capsys, "check", "--rays", str(path), "--kn", "2,2", "--out", str(report))
+    assert rc == 1 and err == ""
+    assert "not certified: degenerate ridge" in out
+    doc = json.loads(report.read_text())
+    assert doc["condition1"] == "skipped" and doc["certified"] is False
+    stats = doc["stats"]
+    assert (stats["cones"], stats["degenerate_cones"]) == (14, 14)
+    assert (stats["ridges"], stats["degenerate_ridges"], stats["bad_ridges"]) == (28, 28, 0)
+    assert stats["min_dimension"] == min_dimension
+
+
+def test_tier_hint_only_below_the_top_tier(capsys):
+    rc, out, err = run(capsys, "facets", "--kn", "2,9", "--tier", "full")
+    assert rc == 2 and out == ""
+    assert err == "error: n=9 exceeds the full tier cap (8)\n"
+    rc, out, err = run(capsys, "facets", "--kn", "2,6")
+    assert rc == 2 and out == ""
+    assert err == "error: n=6 exceeds the desk tier cap (5); pass --tier full for n up to 8\n"
 
 
 def test_check_double_cover_exit_code(tmp_path, capsys):

@@ -166,27 +166,49 @@ def _rank_draw(rng: random.Random, d: int, rank: int, bound: int) -> list[list[i
     return rows
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _own_adjugate(rows):
+    """The determinant and adjugate columns of ``rows`` itself: those that
+    ``adjugate`` returns, or, for a neighbour, its row j exchanged back.
+    Checks that a neighbour is regular and differs from ``rows`` only in
+    row j, which it replaces by a unit vector."""
+    j, det, cols = adjugate(rows)
+    if j is None:
+        return det, cols
+    assert det, rows
+    pivot = cols[j]
+    units = [[int(i == c) for i in range(len(rows))] for c in range(len(rows))]
+    assert any(det == _fraction_det(rows[:j] + [unit] + rows[j + 1:]) and
+               cols == _fraction_adjugate(rows[:j] + [unit] + rows[j + 1:])
+               for unit in units), rows
+    return 0, [pivot if c == j else exchange_column(col, pivot, _dot(rows[j], col), 0, det)
+               for c, col in enumerate(cols)]
+
+
 def test_adjugate_matches_fraction_oracle():
     # A adj(A) = det(A) I, and every column equals the cofactors, on
-    # regular matrices and on singular ones of rank d - 1 (nonzero
-    # adjugate) and below (adjugate 0)
+    # regular matrices and on singular ones of rank d - 1 (through the
+    # regular neighbour) and below (adjugate 0)
     rng = random.Random(23)
     kinds = {"regular": 0, "rank d-1": 0, "rank d-2": 0}
     for trial in range(900):
         d = 1 + trial % 6
         rank = d - rng.choice((0, 0, 1, 2)) if d > 1 else 1
         rows = _rank_draw(rng, d, max(rank, 0), 2 ** 240 if trial % 9 == 0 else 4)
-        det, cols = adjugate(rows)
+        det, cols = _own_adjugate(rows)
         assert det == _fraction_det(rows), rows
         assert cols == _fraction_adjugate(rows), rows
-        assert all(sum(a * b for a, b in zip(row, col)) == (det if i == j else 0)
+        assert all(_dot(row, col) == (det if i == j else 0)
                    for i, row in enumerate(rows) for j, col in enumerate(cols)), rows
         if det:
             kinds["regular"] += 1
         else:
-            kinds["rank d-1" if any(any(col) for col in cols) else "rank d-2"] += 1
+            kinds["rank d-1" if adjugate(rows)[0] is not None else "rank d-2"] += 1
     assert min(kinds.values()) >= 100, kinds
-    assert adjugate([]) == (1, [])
+    assert adjugate([]) == (None, 1, [])
 
 
 def test_row_exchange_matches_adjugate_from_scratch():
@@ -198,8 +220,8 @@ def test_row_exchange_matches_adjugate_from_scratch():
     for trial in range(900):
         d = 1 + trial % 6
         rows = _rank_draw(rng, d, d, 2 ** 240 if trial % 9 == 0 else 4)
-        det, cols = adjugate(rows)
-        if not det:
+        j, det, cols = adjugate(rows)
+        if j is not None or not det:
             continue
         j = rng.randrange(d)
         if d > 1 and trial % 3 == 0:
@@ -210,11 +232,10 @@ def test_row_exchange_matches_adjugate_from_scratch():
         else:
             v = [rng.randint(-4, 4) for _ in range(d)]
         pivot = cols[j]
-        e = sum(a * b for a, b in zip(v, pivot))
-        exchanged = [pivot if c == j else
-                     exchange_column(col, pivot, sum(a * b for a, b in zip(v, col)), e, det)
+        e = _dot(v, pivot)
+        exchanged = [pivot if c == j else exchange_column(col, pivot, _dot(v, col), e, det)
                      for c, col in enumerate(cols)]
-        assert (e, exchanged) == adjugate(rows[:j] + [v] + rows[j + 1:]), (rows, j, v)
+        assert (e, exchanged) == _own_adjugate(rows[:j] + [v] + rows[j + 1:]), (rows, j, v)
         singular += e == 0
     assert singular >= 100, singular
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from multifan import exactla, fan
 from multifan.fan import (
-    _int_rays,
+    _self_check,
     _stats,
     certify_fan,
     classify_ridge,
@@ -18,9 +19,9 @@ from multifan.fan import (
 )
 from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet, positions_of
-from multifan.words import Word, mirror, multiassociahedron_word, rotate
+from multifan.words import Word, mirror, rotate
 
-from conftest import DOUBLE_COVER_ORDER, double_cover_rays, facet_dets, get_index, get_ridges
+from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index, get_ridges
 from lp_oracle import lp_condition_one
 
 
@@ -86,18 +87,17 @@ def test_condition_one_orthants():
             (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
     ra = RayAssignment(word, rays, 2)
     facets = [bitset_of([1, 2]), bitset_of([3, 4])]
-    assert condition_one(ra, facet_dets(ra, facets), bitset_of([1, 2])) is None
+    assert condition_one(ra, facets, bitset_of([1, 2])) is None
 
 
 def test_condition_one_pattern():
     for n in (1, 2, 3):
         ra = build_rays("pattern", n)
-        dets = facet_dets(ra, get_index(2, n).facets)
-        assert condition_one(ra, dets, greedy_facet(ra.word)) is None
+        assert condition_one(ra, get_index(2, n).facets, greedy_facet(ra.word)) is None
     # any full-rank base works; {1, 2} at n=1 spans the plane and the other
     # two facets avoid its interior
     ra = build_rays("pattern", 1)
-    assert condition_one(ra, facet_dets(ra, get_index(2, 1).facets), bitset_of([1, 2])) is None
+    assert condition_one(ra, get_index(2, 1).facets, bitset_of([1, 2])) is None
 
 
 def test_certify_pattern_small():
@@ -115,12 +115,12 @@ def test_certify_rejects_bad_sets():
     assert rep.first_failure.startswith("degenerate ridge")
     assert rep.condition1 == "skipped"
     # point location refuses a singular cone, as base or as another facet
-    dets = facet_dets(ra, get_index(2, 3).facets)
-    singular = min(f for f, d in dets.items() if d == 0)
+    facets = get_index(2, 3).facets
+    singular = min(f for f in facets if facet_rank(ra, f) < ra.dim)
     with pytest.raises(ValueError, match="base facet is rank deficient"):
-        condition_one(ra, dets, singular)
+        condition_one(ra, facets, singular)
     with pytest.raises(ValueError, match=r"cone \(.*\) is rank deficient"):
-        condition_one(ra, dets, greedy_facet(ra.word))
+        condition_one(ra, facets, greedy_facet(ra.word))
 
 
 def test_fixed_53_certifies_n3():
@@ -141,7 +141,7 @@ def test_stream_certify_matches_indexed():
         assert rep.stats.min_dimension == min(ranks)
         if rep.condition1 == "full":
             assert rep.condition1_holds
-            assert condition_one(ra, facet_dets(ra, idx.facets), greedy_facet(ra.word)) is None
+            assert condition_one(ra, idx.facets, greedy_facet(ra.word)) is None
 
 
 def test_double_cover_fails_base_condition():
@@ -157,7 +157,7 @@ def test_double_cover_fails_base_condition():
     assert not rep.certified
     assert rep.first_failure.startswith("open cones of base and")
     assert lp_condition_one(ra, facets, greedy_facet(ra.word)) is not None
-    witness = condition_one(ra, facet_dets(ra, facets), greedy_facet(ra.word))
+    witness = condition_one(ra, facets, greedy_facet(ra.word))
     assert witness is not None
     assert rep.first_failure == f"open cones of base and {positions_of(witness)} intersect"
 
@@ -183,7 +183,7 @@ def test_point_location_agrees_with_lp_on_random_rays():
             if stats.bad_ridges or stats.degenerate_ridges:
                 continue
             kept += 1
-            witness = condition_one(ra, facet_dets(ra, facets), base)
+            witness = condition_one(ra, facets, base)
             lp_witness = lp_condition_one(ra, facets, base)
             assert (witness is None) == (lp_witness is None), (k, n, rays)
             # the walk locates the point as the from-scratch sweep does
@@ -297,48 +297,86 @@ def test_point_location_agrees_with_lp_on_constructions():
             ra = build_rays(name, n)
             facets = get_index(k, n).facets
             base = greedy_facet(ra.word)
-            assert condition_one(ra, facet_dets(ra, facets), base) is None
+            assert condition_one(ra, facets, base) is None
             assert lp_condition_one(ra, facets, base) is None
+
+
+def _checked_stats(monkeypatch, ra):
+    """``_stats`` with the self-check at every facet, which recomputes the
+    facet's determinant from its rays and raises unless the carried one is
+    the same: every ``(cone, point)`` checked, one per cone."""
+    checked = []
+
+    def check(rays, cone, point):
+        checked.append((cone, point))
+        _self_check(rays, cone, point)
+
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "_self_check", check)
+    cones = _stats(ra)[0].cones
+    assert len(checked) == cones
+    return checked
 
 
 @pytest.mark.parametrize("construction,seed", [
     ("naive", None), ("fixed:5,3", None), ("linear", None), ("pattern", None), ("perturbed", 1),
 ])
-def test_coordinate_order_keeps_every_determinant(construction, seed):
-    # the sweep works in reordered coordinates; the map it returns is that
-    # of the original ones, which point location and the reports read
+def test_coordinate_order_keeps_every_determinant(monkeypatch, construction, seed):
+    # the walk works in the rays' own coordinates, scaled to integers, and
+    # carries every facet's exact determinant in them
     for n in (1, 2, 3, 4):
-        ra = build_rays(construction, n, seed)
-        dets = {}
-        _stats(ra, dets)
-        assert dets == facet_dets(ra, get_index(2, n).facets), n
+        checked = _checked_stats(monkeypatch, build_rays(construction, n, seed))
+        assert {cone.f for cone, _ in checked} == set(get_index(2, n).facets), n
 
 
-def test_coordinate_order_folds_an_odd_permutation():
-    # column 0 has three nonzero entries and column 1 four, so the sorted
-    # order swaps them, and the first new column is negated
-    rays = ((0, 1), (1, 1), (0, -1), (-1, 0), (-1, 1))
-    ra = RayAssignment(multiassociahedron_word(1, 2),
-                       tuple(tuple(map(Fraction, v)) for v in rays), 2)
-    assert _int_rays(ra) == [(-1, 0), (-1, 1), (1, 0), (0, -1), (-1, -1)]
-    dets = {}
-    _stats(ra, dets)
-    assert dets == facet_dets(ra, get_index(1, 2).facets)
-    assert {positions_of(f): d for f, d in dets.items()} == \
-        {(1, 2): -1, (2, 3): -1, (3, 4): -1, (4, 5): -1, (1, 5): 1}
+def _column_sources(monkeypatch):
+    """Label each cone that ``_scratch`` or ``_singular_child`` makes by how
+    it gets its columns; the map from ``id`` to ``(cone, label)`` keeps
+    every cone, so that no id is reused."""
+    made = {}
+    scratch, singular_child = fan._scratch, fan._singular_child
+
+    def rebuilt(f, rays, sparse):
+        cone = scratch(f, rays, sparse)
+        rank = "regular" if cone.det else "rank d-1" if cone.parent else "rank <= d-2"
+        made[id(cone)] = cone, f"rebuilt, {rank}"
+        return cone
+
+    def routed(parent, x, q, v, rays, sparse):
+        cone = singular_child(parent, x, q, v, rays, sparse)
+        if id(cone) in made:
+            label = "fallback " + made[id(cone)][1]
+        elif cone.parent is parent.parent:
+            label = "direct"  # x was the position that entered the parent
+        else:
+            step = cone.parent
+            label = {(x, q): "route 1", (parent.x, q): "route 2",
+                     (x, parent.q): "route 3"}[step.x, step.q]
+        made[id(cone)] = cone, label
+        return cone
+
+    monkeypatch.setattr(fan, "_scratch", rebuilt)
+    monkeypatch.setattr(fan, "_singular_child", routed)
+    return made
 
 
 @pytest.mark.parametrize("construction,n", [("naive", 5), ("pattern", 4)])
 def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, construction, n):
-    # naive n=5 reaches every way a cone gets its columns: exchanged from
-    # its parent, routed around a singular parent, rebuilt from scratch
-    # with or without a regular neighbour; pattern n=4 locates the base
-    # point at every facet
-    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
-    ra = build_rays(construction, n)
-    dets = {}
-    _stats(ra, dets)
-    assert dets == facet_dets(ra, get_index(2, n).facets)
+    made = _column_sources(monkeypatch)
+    checked = _checked_stats(monkeypatch, build_rays(construction, n))
+    if construction == "pattern":
+        # the base point is located at every facet
+        assert all(point is not None for _, point in checked)
+        return
+    # naive n=5 reaches every way a cone gets its columns
+    sources = collections.Counter(
+        made[id(cone)][1] if id(cone) in made else
+        "exchanged from the parent" if cone.cols else "leaf determinant"
+        for cone, _ in checked)
+    assert sources["rebuilt, regular"] == 1  # the base
+    for source in ("exchanged from the parent", "leaf determinant", "direct", "route 1", "route 2",
+                   "route 3", "fallback rebuilt, rank d-1", "fallback rebuilt, rank <= d-2"):
+        assert sources[source] >= 1, sources
 
 
 def test_self_check_catches_a_wrong_column(monkeypatch):
