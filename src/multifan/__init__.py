@@ -1,19 +1,34 @@
-"""Exact-arithmetic fan realizations of 2-associahedra via subword complexes."""
+"""Exact-arithmetic fan realizations of 2-associahedra via subword complexes.
+
+The names below are imported from their modules on first use, so that a
+command imports only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .words import Word, c_sorted_word, multiassociahedron_word, parse_word
-from .subword import all_facets, greedy_facet, vertex_status
-from .polygon import enumerate_k_triangulations, diagonal_to_position, position_to_diagonal
-from .moves import apply_move, classify_braid, fattening_sequence
-from .rays import RayAssignment, build_rays, parse_ray_file, format_ray_file
-from .fan import certify_fan, stream_statistics, classify_ridge, condition_one
+# the reference tables that ``multifan reproduce`` regenerates, here so that
+# the command line lists them without importing ``tables``
+TABLE_IDS = ("T1", "T2", "T3", "T4", "T5-integer", "T6", "F10", "F12")
 
-__all__ = [
-    "Word", "c_sorted_word", "multiassociahedron_word", "parse_word",
-    "all_facets", "greedy_facet", "vertex_status",
-    "enumerate_k_triangulations", "diagonal_to_position", "position_to_diagonal",
-    "apply_move", "classify_braid", "fattening_sequence",
-    "RayAssignment", "build_rays", "parse_ray_file", "format_ray_file",
-    "certify_fan", "stream_statistics", "classify_ridge", "condition_one",
-]
+_MODULE_OF = {
+    "words": ("Word", "c_sorted_word", "multiassociahedron_word", "parse_word"),
+    "subword": ("all_facets", "greedy_facet", "vertex_status"),
+    "polygon": ("enumerate_k_triangulations", "diagonal_to_position", "position_to_diagonal"),
+    "moves": ("apply_move", "classify_braid", "fattening_sequence"),
+    "rays": ("RayAssignment", "build_rays", "parse_ray_file", "format_ray_file"),
+    "fan": ("certify_fan", "stream_statistics", "classify_ridge", "condition_one"),
+}
+_MODULE = {name: module for module, names in _MODULE_OF.items() for name in names}
+
+__all__ = list(_MODULE)
+
+
+def __getattr__(name: str):
+    module = _MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -22,7 +22,6 @@ same arguments and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import shlex
 import sys
@@ -30,13 +29,10 @@ import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
-from . import __version__
+from . import TABLE_IDS, __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
-from .moves import fattening_sequence, format_trace
-from .polygon import enumerate_k_triangulations, format_triangulations, position_diagonals
-from .rays import build_rays, format_ray_file, parse_ray_file
+from .rays import format_ray_file, parse_ray_file
 from .subword import all_facets, format_facet_file, positions_of
-from .tables import TABLE_IDS, reproduce_table
 from .words import Word, multiassociahedron_word, parse_word, format_word
 
 TIER_CAP = {"desk": 5, "full": 8}
@@ -66,6 +62,8 @@ def _write_output(args, path: str, chunks: Iterable[str], **facts):
     """Write the text ``chunks`` to ``path`` one at a time, hashing them as
     they go, then the manifest, which records ``facts`` (construction, n,
     k, seed), to ``path.manifest.json``."""
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "w") as fh:
         for chunk in chunks:
@@ -117,6 +115,8 @@ def cmd_facets(args) -> int:
 
 
 def cmd_rays(args) -> int:
+    from .rays import build_rays
+
     _tier_check(args.n, args.tier)
     if args.construction == "perturbed" and args.seed is None:
         raise ValueError("perturbed construction requires --seed")
@@ -160,6 +160,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .tables import reproduce_table
+
     ns = _parse_range(args.n, args.tier) if args.n else None
     results = reproduce_table(args.table, ns)
     fails = 0
@@ -176,6 +178,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .polygon import enumerate_k_triangulations, format_triangulations, position_diagonals
+
     word, k = _resolve_word(args)
     n = word.rank
     tris = enumerate_k_triangulations(k, n)
@@ -199,6 +203,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .moves import fattening_sequence, format_trace
+
     _tier_check(args.n, args.tier)
     word = multiassociahedron_word(args.k_prefix, args.n)
     trace = fattening_sequence(word, triangle_start=args.k_prefix * args.n)

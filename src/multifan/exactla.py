@@ -34,7 +34,12 @@ changes each adjugate column by one exact division, and the determinant
 of the new matrix is one dot product with the old adjugate.  A matrix of
 rank d - 1 has no inverse to exchange from, so ``adjugate`` returns the
 adjugate of a regular neighbour instead, one row replaced by a unit
-vector, and the row that puts the matrix back.
+vector, and the row that puts the matrix back.  ``adjugate`` defers
+scaling by the same rule: Gauss-Jordan updates the rows above the pivot
+row too, but a row with a 0 in the pivot column is left untouched, the
+pivot row is brought up to date when chosen and then counts as updated
+by its own pivot, and every row is brought up to the last pivot at the
+end.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -155,9 +160,10 @@ def adjugate(rows: Sequence[Sequence[int]]
     ``exchange_column`` gives adj(A).  A matrix of rank d - 2 or less has
     adjugate 0.
 
-    Fraction-free Gauss-Jordan elimination of [A | I]: the left block ends
-    as the last pivot times I, so the right block is the last pivot times
-    the inverse, which is the adjugate up to the sign of the row swaps.
+    Fraction-free Gauss-Jordan elimination of [A | I], with the deferred
+    scaling of ``_eliminate``: the left block ends as the last pivot times
+    I, so the right block is the last pivot times the inverse, which is
+    the adjugate up to the sign of the row swaps.
 
     >>> adjugate([[2, 1], [4, 3]])
     (None, 2, [[3, -4], [-1, 2]])
@@ -166,6 +172,7 @@ def adjugate(rows: Sequence[Sequence[int]]
     """
     d = len(rows)
     m = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    div = [1] * d  # divisor of each row: the pivot of its last update
     sign = prev = 1
     r = 0
     free = None
@@ -178,17 +185,26 @@ def adjugate(rows: Sequence[Sequence[int]]
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
+            div[r], div[p] = div[p], div[r]
             sign = -sign
         top = m[r]
-        pivot = top[c]
+        if div[r] != prev:
+            top = m[r] = [y * prev // div[r] for y in top]
+        pivot = div[r] = top[c]  # a pivot row is up to date after its step
         for i in range(d):
-            a = m[i][c]
-            if i != r:
-                m[i] = [(x * pivot - a * y) // prev for x, y in zip(m[i], top)]
+            ri = m[i]
+            a = ri[c]
+            if a and i != r:
+                dv = div[i]
+                m[i] = [(x * pivot - a * y) // dv for x, y in zip(ri, top)]
+                div[i] = pivot
         prev = pivot
         r += 1
     if free is None:
-        return None, sign * prev, [[sign * m[i][d + j] for i in range(d)] for j in range(d)]
+        # the right block, every row brought up to the last pivot
+        right = [row[d:] if dv == prev else [x * prev // dv for x in row[d:]]
+                 for row, dv in zip(m, div)]
+        return None, sign * prev, [[sign * row[j] for row in right] for j in range(d)]
     j = next(i for i, w in enumerate(m[d - 1][d:]) if w)
     unit = [int(i == free) for i in range(d)]
     _, det, cols = adjugate([unit if i == j else row for i, row in enumerate(rows)])

@@ -31,7 +31,8 @@ ridge.
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword._walk``): a facet's determinant when the walk
 enters it, as one dot product with its parent's adjugate (and its rank,
-if that is 0); a ridge's status at the later visited of its two facets,
+if that is 0, read off the adjugate columns at hand where one is
+nonzero); a ridge's status at the later visited of its two facets,
 against the determinant signs of the facets visited before; the first
 failure when the least failing ridge is classified; and the base
 condition, from the base point's Cramer numerators carried down the same
@@ -46,10 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactla import adjugate, bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
 from .subword import Facet, _walk, greedy_facet, positions_of
-from .rays import RayAssignment
+
+if TYPE_CHECKING:
+    from .rays import RayAssignment
 
 __all__ = [
     "RidgeReport",
@@ -239,7 +243,15 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     C'[q]) / D, and its Cramer numerators of the base point p follow with
     p . C in place of C.  Each is derived when first read and then kept,
     so a leaf costs one dot product.  A singular F cannot divide by D:
-    ``_singular_child`` goes around it.
+    ``_singular_child`` goes around it.  The walk hands over each facet's
+    children with it, so a facet without any is known to be a leaf.
+
+    adj(G) is nonzero iff G has rank at least d - 1, so a singular G with
+    a nonzero column at hand has rank d - 1: its entering column C'[q],
+    read for a leaf's determinant too, or any column cached on its cone
+    (a cone of rank d - 1 rebuilt through ``adjugate``'s regular
+    neighbour caches a nonzero one).  Only the other singular cones are
+    ranked by ``int_rank``.
 
     A ridge is classified at the later visited of its two facets, against
     the signs of those visited before: with x leaving F and q entering G,
@@ -257,9 +269,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     least = failure = witness = point = None
     # cones of too few or too many rays are singular, and carry no columns
     square = greedy_facet(ra.word).bit_count() == ra.dim
-    for count, (g, up, down, entry, depth) in enumerate(_walk(ra.word)):
+    for count, (g, up, down, children, entry, depth) in enumerate(_walk(ra.word)):
         del path[depth:]
         locate = failure is None and point is not None
+        leaf = ()  # a leaf's column q, up to sign: a leaf keeps no columns
         if not square:
             cone = _Cone(g, 0)
         elif entry is None:
@@ -272,12 +285,13 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             x, q, _ = entry
             parent = path[-1]
             v = sparse[q - 1]
-            children = any(r < q for _, r, _ in down)
             if parent.det and (children or locate):
                 cone = parent.exchanged(x, q, v, locate)
             elif not children:
-                det = _dot(v, parent.column(x))
+                col = parent.column(x)
+                det = _dot(v, col)
                 cone = _Cone(g, -det if _odd(g, x, q) else det)
+                leaf = (col,)
             else:
                 cone = _singular_child(parent, x, q, v, rays, sparse)
         det = cone.det
@@ -303,7 +317,9 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
                     failure = f"{status} ridge {positions_of(g & h)}"
         signs[g] = sign
         if not sign:
-            singular_ranks.append(int_rank(_cone(rays, g)))
+            # adj(g) is nonzero iff g has rank d - 1 or more
+            known = cone.cols.values() if cone.cols else leaf
+            singular_ranks.append(ra.dim - 1 if any(map(any, known)) else int_rank(_cone(rays, g)))
         locate = failure is None and point is not None
         if locate and entry is not None and (witness is None or g < witness):
             if all(cone.numerator(y) * sign >= 0 for flips in (up, down) for y, _, _ in flips):

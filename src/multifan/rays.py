@@ -31,10 +31,12 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .words import Word, c_sorted_word, multiassociahedron_word, staircase_cells
-from .moves import MoveTrace, commutation_matching, fattening_sequence
-from .polygon import polygon_size, position_diagonals
+
+if TYPE_CHECKING:
+    from .moves import MoveTrace
 
 __all__ = [
     "RayVec",
@@ -143,6 +145,8 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
 
 def _transport(ra: RayAssignment, target: Word) -> RayAssignment:
     """Carry rays along commutations onto a commutation-equivalent word."""
+    from .moves import commutation_matching
+
     match = commutation_matching(ra.word, target)
     rays: list[RayVec] = [None] * len(target)  # type: ignore[list-item]
     for src, dst in enumerate(match):
@@ -154,6 +158,8 @@ def _fatten_once(ra: RayAssignment, triangle_start: int,
                  weights: BraidWeights) -> RayAssignment:
     """One fattening of the staircase factor at ``triangle_start``,
     normalised by commutations onto c^(k+1) w0(c)."""
+    from .moves import fattening_sequence
+
     trace = fattening_sequence(ra.word, triangle_start)
     out = replay_fattening(ra, trace, weights)
     n = ra.word.rank
@@ -245,6 +251,8 @@ def pattern_ray(n: int, d: tuple[int, int], verbatim: bool = False) -> RayVec:
 
 
 def _rotate_diagonal(n: int, d: tuple[int, int], steps: int) -> tuple[int, int]:
+    from .polygon import polygon_size
+
     m = polygon_size(2, n)
     a = (d[0] + steps - 1) % m + 1
     b = (d[1] + steps - 1) % m + 1
@@ -252,6 +260,8 @@ def _rotate_diagonal(n: int, d: tuple[int, int], steps: int) -> tuple[int, int]:
 
 
 def _build_pattern(n: int, verbatim: bool = False) -> RayAssignment:
+    from .polygon import position_diagonals
+
     word = multiassociahedron_word(2, n)
     rays = [pattern_ray(n, _rotate_diagonal(n, d, 2), verbatim)
             for d in position_diagonals(2, n)]

@@ -132,13 +132,14 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | None, int]]:
+def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], list[Flip], Flip | None, int]]:
     """The reverse search behind :func:`traverse`: yields every facet once,
     with its increasing flips and its decreasing flips ``(x, q, g)``, both
-    read off the root configuration carried to that facet, the flip
-    ``(x, q, parent)`` that entered it (None at the root), and its depth in
-    the tree.  The children of a facet entered at q are its decreasing
-    flips that enter below q, and each facet is yielded before them.
+    read off the root configuration carried to that facet, its children,
+    the flip ``(x, q, parent)`` that entered it (None at the root), and its
+    depth in the tree.  The children of a facet entered at q are its
+    decreasing flips that enter below q, in the order of ``down``, and each
+    facet is yielded before them.
 
     A root is stored as the bitmask of its two values, and ``at`` maps the
     root of each complement position back to the position.
@@ -168,6 +169,7 @@ def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | None,
     while True:
         up = []
         down = []
+        children = []
         b = f
         while b:
             low = b & -b
@@ -177,13 +179,16 @@ def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | None,
             if q > x:
                 up.append((x, q, g))
             else:
-                down.append((x, q, g))
+                flip = (x, q, g)
+                down.append(flip)
+                if q < m:
+                    children.append(flip)
             b ^= low
-        yield f, up, down, entry, len(path)
-        path.append((iter([c for c in down if c[1] < m]), entry))
+        yield f, up, down, children, entry, len(path)
+        path.append((iter(children), entry))
         while path:
-            children, entry = path[-1]
-            child = next(children, None)
+            pending, entry = path[-1]
+            child = next(pending, None)
             if child is not None:
                 x, q, g = child
                 exchange(g, q, x, x)

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
+from . import TABLE_IDS
 from .fan import STAT_ROWS, stream_statistics
 from .rays import build_rays
 
 __all__ = ["TABLE_IDS", "CellResult", "reproduce_table"]
-
-TABLE_IDS = ("T1", "T2", "T3", "T4", "T5-integer", "T6", "F10", "F12")
 
 # which construction regenerates each table
 _MATRIX_SPECS = {

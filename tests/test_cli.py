@@ -1,5 +1,10 @@
+import importlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -417,3 +422,34 @@ def test_check_fuzzed_ray_file(tmp_path, capsys, text):
     assert rc in (0, 1, 2)
     assert parsed or rc == 2
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_only_what_check_runs():
+    # the construction, enumeration-oracle and table modules, and hashlib,
+    # load only in the commands that use them
+    code = ("import sys, multifan.cli; print(' '.join(sorted(m for m in sys.modules if m in "
+            "('multifan.moves', 'multifan.polygon', 'multifan.tables', 'hashlib'))))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
+
+
+def test_package_names_resolve_on_first_use():
+    import multifan
+
+    names = {
+        "words": ("Word", "c_sorted_word", "multiassociahedron_word", "parse_word"),
+        "subword": ("all_facets", "greedy_facet", "vertex_status"),
+        "polygon": ("enumerate_k_triangulations", "diagonal_to_position", "position_to_diagonal"),
+        "moves": ("apply_move", "classify_braid", "fattening_sequence"),
+        "rays": ("RayAssignment", "build_rays", "parse_ray_file", "format_ray_file"),
+        "fan": ("certify_fan", "stream_statistics", "classify_ridge", "condition_one"),
+    }
+    assert sorted(multifan.__all__) == sorted(n for ns in names.values() for n in ns)
+    for module, ns in names.items():
+        for name in ns:
+            assert getattr(multifan, name) is getattr(importlib.import_module(f"multifan.{module}"), name)
+    with pytest.raises(AttributeError):
+        multifan.no_such_name

@@ -211,6 +211,68 @@ def test_adjugate_matches_fraction_oracle():
     assert adjugate([]) == (None, 1, [])
 
 
+def _with_stale_pivot(rows):
+    """``rows`` with rows and columns permuted, which keeps the rank, so
+    that step 0 of ``adjugate`` pivots on an entry other than +-1 in row 0
+    and skips row 1, which then becomes the pivot of step 1 while stale;
+    None if the entries allow no such order."""
+    d = len(rows)
+    for c in range(d):
+        for k in range(d):
+            if abs(rows[k][c]) < 2:
+                continue
+            for i in range(d):
+                c1 = next((c1 for c1 in range(d) if rows[i][c1]), None)
+                if i == k or rows[i][c] or c1 is None:
+                    continue
+                cols = [c, c1] + [x for x in range(d) if x not in (c, c1)]
+                order = [k, i] + [x for x in range(d) if x not in (k, i)]
+                return [[rows[r][x] for x in cols] for r in order]
+    return None
+
+
+def test_adjugate_skips_rows_and_brings_stale_pivots_up_to_date():
+    # mostly zero entries, so that most steps leave rows untouched: against
+    # the cofactors, at rank d, d - 1 and below, with 240-bit entries too
+    rng = random.Random(31)
+    kinds = {"regular": 0, "rank d-1": 0, "rank d-2": 0}
+    stale = big = 0
+    for trial in range(600):
+        d = 2 + trial % 5
+        bound = 2 ** 240 if trial % 7 == 0 else 9
+        rows = [[rng.randint(-bound, bound) if rng.random() < 0.45 else 0 for _ in range(d)]
+                for _ in range(d)]
+        for k in rng.sample(range(d), rng.choice((0, 0, 0, 1, 2))):
+            # a sparse combination of the other rows
+            i, j = rng.choices([x for x in range(d) if x != k], k=2)
+            a, b = rng.choice((1, -1, 2)), rng.choice((0, 0, 1, -3))
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        if trial % 2:
+            arranged = _with_stale_pivot(rows)
+            if arranged is not None:
+                rows = arranged
+                stale += 1
+        det, cols = _own_adjugate(rows)
+        assert det == _fraction_det(rows), rows
+        assert cols == _fraction_adjugate(rows), rows
+        if det:
+            kinds["regular"] += 1
+        else:
+            kinds["rank d-1" if adjugate(rows)[0] is not None else "rank d-2"] += 1
+        big += max(abs(x) for row in rows for x in row).bit_length() > 200
+    assert min(kinds.values()) >= 100 and stale >= 150 and big >= 50, (kinds, stale, big)
+
+
+def test_adjugate_of_a_matrix_whose_first_step_skips_a_row():
+    # step 0 pivots on the 5 of row 0 and leaves row 1 untouched; step 1
+    # swaps row 3 in, pivots on 25 and skips the three other rows; step 2
+    # pivots on row 2, brought up to date from 5 to 25 first
+    rows = [[5, 0, -1, -3], [0, 0, -3, 1], [5, 0, 0, -3], [5, 5, -3, 2]]
+    j, det, cols = adjugate(rows)
+    assert (j, det) == (None, _fraction_det(rows)) and det != 0
+    assert cols == _fraction_adjugate(rows)
+
+
 def test_row_exchange_matches_adjugate_from_scratch():
     # the exchange of one row of a regular matrix, column by column,
     # against the adjugate of the new matrix from scratch, also when the

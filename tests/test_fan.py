@@ -379,6 +379,53 @@ def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, cons
         assert sources[source] >= 1, sources
 
 
+def _rank_calls(monkeypatch, ra):
+    """``(calls, skipped, stats)``: the singular cones that ``_stats`` ranks
+    by ``int_rank`` and those it ranks from a nonzero adjugate column, each
+    of which is checked to have rank d - 1."""
+    ranked = []  # int_rank calls since the last cone was checked
+    calls = skipped = 0
+
+    def rank(rows):
+        ranked.append(rows)
+        return exactla.int_rank(rows)
+
+    def check(rays, cone, point):
+        # ``_stats`` ranks a singular cone before it checks the cone
+        nonlocal calls, skipped
+        if cone.det:
+            assert not ranked
+        elif ranked:
+            assert len(ranked) == 1
+            calls += 1
+        else:
+            assert exactla.int_rank(fan._cone(rays, cone.f)) == ra.dim - 1, positions_of(cone.f)
+            skipped += 1
+        ranked.clear()
+
+    monkeypatch.setattr(fan, "int_rank", rank)
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "_self_check", check)
+    stats = _stats(ra)[0]
+    return calls, skipped, stats
+
+
+@pytest.mark.parametrize("construction", ["naive", "linear"])
+def test_singular_ranks_read_from_carried_columns(monkeypatch, construction):
+    # a singular cone with a nonzero adjugate column at hand has rank
+    # d - 1, and only the others are ranked from scratch
+    calls, skipped, stats = _rank_calls(monkeypatch, build_rays(construction, 5))
+    assert calls + skipped == stats.degenerate_cones
+    assert calls < stats.degenerate_cones and skipped > 0, (calls, skipped)
+
+
+@pytest.mark.fulltier
+def test_singular_ranks_linear_n6_int_rank_calls(monkeypatch):
+    # 1,022 of the 2,904 singular cones of the linear n=6 rays need int_rank
+    calls, skipped, stats = _rank_calls(monkeypatch, build_rays("linear", 6))
+    assert stats.degenerate_cones == 2904 and calls <= 1022, (calls, skipped)
+
+
 def test_self_check_catches_a_wrong_column(monkeypatch):
     def off_by_one(*args):
         return [a + 1 for a in exactla.exchange_column(*args)]

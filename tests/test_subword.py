@@ -129,7 +129,7 @@ def test_carried_partners_match_root_configuration(k, n):
     # the roots the walk carries from facet to facet, against the roots of
     # each facet computed from scratch: every flip, both directions
     w = multiassociahedron_word(k, n)
-    for f, up, down, _, _ in _walk(w):
+    for f, up, down, _, _, _ in _walk(w):
         assert all(q > x for x, q, _ in up) and all(q < x for x, q, _ in down)
         assert {x: q for x, q, _ in up + down} == partners(w, f)
         assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in up + down)
@@ -139,10 +139,11 @@ def test_carried_partners_match_root_configuration(k, n):
 def test_walk_reports_each_facet_below_its_parent(k, n):
     # each facet is entered by a decreasing flip of the last facet yielded
     # one level up, its parent; and a facet entered at q has as children
-    # exactly its decreasing flips that enter below q
+    # exactly its decreasing flips that enter below q, which the walk
+    # yields with it, in order
     path = []
     down_of, children, entered = {}, {}, {}
-    for f, _, down, entry, depth in _walk(multiassociahedron_word(k, n)):
+    for f, _, down, kids, entry, depth in _walk(multiassociahedron_word(k, n)):
         assert depth <= len(path)
         del path[depth:]
         bound = float("inf")
@@ -154,7 +155,8 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
             entered.setdefault(parent, set()).add(f)
             bound = q
         down_of[f] = down
-        children[f] = {g for _, q, g in down if q < bound}
+        assert kids == [flip for flip in down if flip[1] < bound]
+        children[f] = {g for _, _, g in kids}
         path.append(f)
     assert all(entered.get(f, set()) == kids for f, kids in children.items())
 
