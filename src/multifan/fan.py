@@ -29,13 +29,13 @@ reduces to one determinant per facet plus a column-shift parity per
 ridge.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
-base facet (``subword._walk``): a facet's determinant when the walk
+base facet (``subword.traverse``): a facet's determinant when the walk
 enters it, as one dot product with its parent's adjugate (and its rank,
-if that is 0, read off the adjugate columns at hand where one is
-nonzero); a ridge's status at the later visited of its two facets,
+if that is 0, read off the adjugate columns cached on its cone where one
+is nonzero); a ridge's status at the later visited of its two facets,
 against the determinant signs of the facets visited before; the first
 failure when the least failing ridge is classified; and the base
-condition, from the base point's Cramer numerators carried down the same
+condition, from the base point's Cramer numerators derived down the same
 walk.  No facet is visited twice, and the walk keeps only the signs of
 the facets visited and the adjugate columns read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactla import adjugate, bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
-from .subword import Facet, _walk, greedy_facet, positions_of
+from .subword import Facet, greedy_facet, positions_of, traverse
 
 if TYPE_CHECKING:
     from .rays import RayAssignment
@@ -182,14 +182,14 @@ class _Cone:
     """The matrix of the rays of the positions ``f``, as rows in position
     order: its determinant, and caches of its adjugate columns and of the
     base point's Cramer numerators by position.  A cone made by
-    ``exchanged`` derives them from its ``parent``'s on first use; any
+    ``exchanged`` derives both from its ``parent``'s on first use; any
     other starts with every column."""
 
     __slots__ = ("f", "det", "cols", "pi", "parent", "x", "q", "v")
 
-    def __init__(self, f: Facet, det: int, cols: dict[int, list[int]] | None = None):
-        self.f, self.det, self.cols = f, det, cols
-        self.pi = self.parent = None
+    def __init__(self, f: Facet, det: int, cols: dict[int, list[int]]):
+        self.f, self.det, self.cols, self.pi = f, det, cols, {}
+        self.parent = None
 
     def column(self, c: int) -> list[int]:
         col = self.cols.get(c)
@@ -204,31 +204,32 @@ class _Cone:
         n = self.pi.get(c)
         if n is None:
             parent = self.parent
-            t = _dot(self.v, parent.column(c))
-            n = self.pi[c] = (self.det * parent.numerator(c) - t * self.pi[self.q]) // parent.det
+            if c == self.q:
+                n = parent.numerator(self.x)
+                if _odd(self.f, self.x, c):
+                    n = -n
+            else:
+                t = _dot(self.v, parent.column(c))
+                n = (self.det * parent.numerator(c) - t * self.numerator(self.q)) // parent.det
+            self.pi[c] = n
         return n
 
-    def exchanged(self, x: int, q: int, v: list[tuple[int, int]], locate: bool = False) -> _Cone:
+    def exchanged(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
         """This cone with position x exchanged for q, of sparse ray ``v``:
         C'[q] = s C[x] and det' = v . C'[q], where s moves q's row from x's
-        place to its own across the positions strictly between them.  With
-        ``locate``, the numerators are carried too."""
+        place to its own across the positions strictly between them."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
         col = self.column(x)
-        odd = _odd(f, x, q)
-        if odd:
+        if _odd(f, x, q):
             col = [-a for a in col]
         cone = _Cone(f, _dot(v, col), {q: col})
         cone.parent, cone.x, cone.q, cone.v = self, x, q, v
-        if locate:
-            n = self.numerator(x)
-            cone.pi = {q: -n if odd else n}
         return cone
 
 
 def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     """Statistics, the first failure and the base condition's witness, from
-    one walk of the flip graph rooted at the base facet (``subword._walk``).
+    one walk of the flip graph rooted at the base facet (``traverse``).
 
     The first failure is the ``"bad ridge (...)"`` or ``"degenerate ridge
     (...)"`` text of the least non-good ridge ``(f, g)``, f < g, in bitset
@@ -242,23 +243,23 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     q.  The child's columns are C'[q] = s C[x] and (D' C[c] - (v . C[c])
     C'[q]) / D, and its Cramer numerators of the base point p follow with
     p . C in place of C.  Each is derived when first read and then kept,
-    so a leaf costs one dot product.  A singular F cannot divide by D:
-    ``_singular_child`` goes around it.  The walk hands over each facet's
-    children with it, so a facet without any is known to be a leaf.
+    so a leaf costs one dot product.  A singular F cannot divide by D, so
+    a child that has children of its own is made by ``_singular_child``;
+    a leaf's determinant needs no division.
 
     adj(G) is nonzero iff G has rank at least d - 1, so a singular G with
-    a nonzero column at hand has rank d - 1: its entering column C'[q],
-    read for a leaf's determinant too, or any column cached on its cone
-    (a cone of rank d - 1 rebuilt through ``adjugate``'s regular
-    neighbour caches a nonzero one).  Only the other singular cones are
+    a nonzero column cached on its cone has rank d - 1: its entering
+    column C'[q], or any column of a cone of rank d - 1 rebuilt through
+    ``adjugate``'s regular neighbour.  Only the other singular cones are
     ranked by ``int_rank``.
 
     A ridge is classified at the later visited of its two facets, against
     the signs of those visited before: with x leaving F and q entering G,
     the coefficient of ray x in ray q is (-1)^k det(G) / det(F), good when
     negative.  Until the first failing ridge, a facet's closed cone
-    contains p iff no numerator has the sign opposite to its determinant.
-    Every ``SELF_CHECK_EVERY``-th facet is checked from scratch.
+    contains p iff no numerator has the sign opposite to its determinant;
+    every cone on the path is then regular.  Every ``SELF_CHECK_EVERY``-th
+    facet is checked from scratch.
     """
     rays = _int_rays(ra)
     sparse = [[(c, a) for c, a in enumerate(v) if a] for v in rays]
@@ -269,12 +270,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     least = failure = witness = point = None
     # cones of too few or too many rays are singular, and carry no columns
     square = greedy_facet(ra.word).bit_count() == ra.dim
-    for count, (g, up, down, children, entry, depth) in enumerate(_walk(ra.word)):
+    for count, (g, flips, children, entry, depth) in enumerate(traverse(ra.word)):
         del path[depth:]
-        locate = failure is None and point is not None
-        leaf = ()  # a leaf's column q, up to sign: a leaf keeps no columns
         if not square:
-            cone = _Cone(g, 0)
+            cone = _Cone(g, 0, {})
         elif entry is None:
             cone = _scratch(g, rays, sparse)
             if cone.det:
@@ -284,45 +283,38 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         else:
             x, q, _ = entry
             parent = path[-1]
-            v = sparse[q - 1]
-            if parent.det and (children or locate):
-                cone = parent.exchanged(x, q, v, locate)
-            elif not children:
-                col = parent.column(x)
-                det = _dot(v, col)
-                cone = _Cone(g, -det if _odd(g, x, q) else det)
-                leaf = (col,)
+            if parent.det or not children:
+                cone = parent.exchanged(x, q, sparse[q - 1])
             else:
-                cone = _singular_child(parent, x, q, v, rays, sparse)
+                cone = _singular_child(parent, x, q, sparse[q - 1], rays, sparse)
         det = cone.det
         sign = (det > 0) - (det < 0)
-        for flips in (up, down):
-            for y, r, h in flips:
-                other = signs.get(h)
-                if other is None:
+        for y, r, h in flips:
+            other = signs.get(h)
+            if other is None:
+                continue
+            ridges += 1
+            if not (sign and other):
+                degenerate += 1
+                status = "degenerate"
+            else:
+                between = g & h & (((1 << (y - 1)) - 1) ^ ((1 << (r - 1)) - 1))
+                if between.bit_count() & 1 == (sign == other):
                     continue
-                ridges += 1
-                if not (sign and other):
-                    degenerate += 1
-                    status = "degenerate"
-                else:
-                    between = g & h & (((1 << (y - 1)) - 1) ^ ((1 << (r - 1)) - 1))
-                    if between.bit_count() & 1 == (sign == other):
-                        continue
-                    bad += 1
-                    status = "bad"
-                pair = (g, h) if g < h else (h, g)
-                if least is None or pair < least:
-                    least = pair
-                    failure = f"{status} ridge {positions_of(g & h)}"
+                bad += 1
+                status = "bad"
+            pair = (g, h) if g < h else (h, g)
+            if least is None or pair < least:
+                least = pair
+                failure = f"{status} ridge {positions_of(g & h)}"
         signs[g] = sign
         if not sign:
             # adj(g) is nonzero iff g has rank d - 1 or more
-            known = cone.cols.values() if cone.cols else leaf
-            singular_ranks.append(ra.dim - 1 if any(map(any, known)) else int_rank(_cone(rays, g)))
+            singular_ranks.append(
+                ra.dim - 1 if any(map(any, cone.cols.values())) else int_rank(_cone(rays, g)))
         locate = failure is None and point is not None
         if locate and entry is not None and (witness is None or g < witness):
-            if all(cone.numerator(y) * sign >= 0 for flips in (up, down) for y, _, _ in flips):
+            if all(cone.numerator(y) * sign >= 0 for y, _, _ in flips):
                 witness = g
         if square and count % SELF_CHECK_EVERY == 0:
             _self_check(rays, cone, point if locate else None)
@@ -380,14 +372,12 @@ def _scratch(f: Facet, rays, sparse) -> _Cone:
 
 def _self_check(rays, cone: _Cone, point):
     """Recompute the determinant of ``cone``, and with ``point`` its
-    Cramer numerator at its first cached position, from scratch."""
+    Cramer numerator at its first position, from scratch."""
     rows = _cone(rays, cone.f)
     if bareiss_det(rows) != cone.det:
         raise ArithmeticError(f"carried determinant of cone {positions_of(cone.f)} is wrong")
     if point is not None and rows:
-        r, numerator = next(iter(cone.pi.items()))
-        j = positions_of(cone.f).index(r)
-        if bareiss_det(rows[:j] + [point] + rows[j + 1:]) != numerator:
+        if bareiss_det([point] + rows[1:]) != cone.numerator(positions_of(cone.f)[0]):
             raise ArithmeticError(f"carried Cramer numerator of cone {positions_of(cone.f)} is wrong")
 
 

@@ -320,12 +320,21 @@ def parse_ray_file(text: str) -> RayAssignment:
     try:
         if not head.startswith("# "):
             raise ValueError("missing ray file header")
-        fields = dict(tok.split("=", 1) for tok in head[2:].split())
+        fields = {}
+        for tok in head[2:].split():
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise ValueError(f"bad header field {tok!r}")
+            if key in fields:
+                raise ValueError(f"repeated header field {key!r}")
+            fields[key] = value
         if "n" not in fields or "d" not in fields:
             raise ValueError("header lacks n= or d=")
         n, d = _integer(fields["n"]), _integer(fields["d"])
         if n < 1:
             raise ValueError(f"rank must be >= 1, got {n}")
+        if d < 0:
+            raise ValueError(f"dimension must be >= 0, got {d}")
         seed = None if fields.get("seed", "none") == "none" else _integer(fields["seed"])
     except ValueError as exc:
         raise ValueError(f"ray file line {no}: {exc}") from None

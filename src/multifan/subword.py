@@ -9,16 +9,12 @@ positions (bit r-1 set means position r belongs to the facet).
 
 Flips are read off the root configuration of a facet: the partner of a
 facet position is the complement position carrying the same root.  The
-one enumeration of the complex is :func:`traverse`, a reverse search
-(Avis-Fukuda) of the increasing-flip tree rooted at the greedy facet
-(Pilaud-Pocchiola): the sorted facet list, the statistics and the
-certificate all consume it.  It keeps no set of visited facets, only the
-path from the root, and carries the root configuration along that path:
-a flip changes the roots strictly between its two positions only, by one
-reflection, and backtracking applies the same reflection again.  It
-yields each ridge once, as the flip from its smaller facet to the larger;
-the tests check both directions of every such flip against a 0-Hecke
-reference, and the walk against a breadth-first search, for small ranks.
+one enumeration of the complex is :func:`traverse`, a reverse search of
+the increasing-flip tree that keeps only the path from the root: the
+sorted facet list, the statistics and the certificate all consume it.  It
+yields every facet with all of its flips, so each ridge is seen from both
+of its facets; the tests check every flip against a 0-Hecke reference,
+and the walk against a breadth-first search, for small ranks.
 """
 
 from __future__ import annotations
@@ -132,17 +128,34 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], list[Flip], Flip | None, int]]:
-    """The reverse search behind :func:`traverse`: yields every facet once,
-    with its increasing flips and its decreasing flips ``(x, q, g)``, both
-    read off the root configuration carried to that facet, its children,
-    the flip ``(x, q, parent)`` that entered it (None at the root), and its
-    depth in the tree.  The children of a facet entered at q are its
-    decreasing flips that enter below q, in the order of ``down``, and each
-    facet is yielded before them.
+def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | None, int]]:
+    """Every facet f once, as ``(f, flips, children, entry, depth)``: all
+    of f's flips ``(x, q, g)`` in position order, position x leaving and q
+    entering; those among them that enter its children; the flip ``(x, q,
+    parent)`` that entered f, None at the root; and its depth in the tree.
+    Each facet is yielded before its children, in the order of
+    ``children``, and each ridge is seen from both of its facets.
 
-    A root is stored as the bitmask of its two values, and ``at`` maps the
-    root of each complement position back to the position.
+    The walk is a reverse search (Avis-Fukuda), a depth-first search of
+    the increasing-flip tree (Pilaud-Pocchiola).  Its root is the greedy
+    facet, the one facet without an increasing flip (q > x), and m(root)
+    is past the last position.  The parent of any other facet G is its
+    increasing flip at the least position m(G) that has one.  The
+    children of F are the facets G reached by a flip x -> q of F with
+    q < m(F), and m(G) = q: the flip leaves every root before q
+    unchanged, so the positions of G before q keep their decreasing
+    flips, and q flips back up to x.  Such a flip decreases, since an
+    increasing flip of F has q > x >= m(F).  So no parent test and no
+    visited set is needed, only the path from the root, at most 29
+    facets deep at n=7.
+
+    The root configuration is computed once, at the root, and carried
+    along the path.  A root is stored as the bitmask of its two values,
+    and ``at`` maps the root of each complement position back to the
+    position.  A flip x -> q exchanging the root beta reflects, by beta's
+    transposition, the root of every position strictly between q and x;
+    x and q both carry beta, and every other position keeps its root.
+    The update is an involution, so backtracking applies it again.
     """
     root = greedy_facet(w)
     key = [0] + [1 << a | 1 << b for a, b in root_configuration(w, root)]
@@ -167,24 +180,19 @@ def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], list[Flip], 
     path = []
     entry = None
     while True:
-        up = []
-        down = []
+        flips = []
         children = []
         b = f
         while b:
             low = b & -b
             x = low.bit_length()
             q = at[key[x]]
-            g = f ^ low | 1 << (q - 1)
-            if q > x:
-                up.append((x, q, g))
-            else:
-                flip = (x, q, g)
-                down.append(flip)
-                if q < m:
-                    children.append(flip)
+            flip = (x, q, f ^ low | 1 << (q - 1))
+            flips.append(flip)
+            if q < m:
+                children.append(flip)
             b ^= low
-        yield f, up, down, children, entry, len(path)
+        yield f, flips, children, entry, len(path)
         path.append((iter(children), entry))
         while path:
             pending, entry = path[-1]
@@ -200,32 +208,6 @@ def _walk(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], list[Flip], 
                 exchange(f, q, x, q)
         else:
             return
-
-
-def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip]]]:
-    """Every facet once, with its flips ``(x, q, g)`` to a larger neighbour
-    ``g > f``: position x leaves, q enters, and q > x.  Each ridge is thus
-    yielded once, from its smaller facet.
-
-    The walk is a reverse search, a depth-first search of the
-    increasing-flip tree.  Its root is the greedy facet, the one facet
-    without an increasing flip, and m(root) is past the last position.
-    The parent of any other facet G is its increasing flip at the least
-    position m(G) that has one.  The children of F are the facets G
-    reached by a decreasing flip x -> q of F with q < m(F), and m(G) = q:
-    the flip leaves every root before q unchanged, so the positions of G
-    before q keep their decreasing flips, and q flips back up to x.  So
-    no parent test and no visited set is needed, only the path from the
-    root, at most 29 facets deep at n=7.
-
-    The root configuration is computed once, at the root, and carried
-    along the path.  A flip x -> q exchanging the root beta reflects, by
-    beta's transposition, the root of every position strictly between q
-    and x; x and q both carry beta, and every other position keeps its
-    root.  The update is an involution, so backtracking applies it again.
-    """
-    for f, up, *_ in _walk(w):
-        yield f, up
 
 
 @dataclass
@@ -251,7 +233,7 @@ class ComplexIndex:
 
 def all_facets(w: Word) -> ComplexIndex:
     """The complex as enumerated by :func:`traverse`, facets sorted."""
-    return ComplexIndex(w, sorted(f for f, _ in traverse(w)))
+    return ComplexIndex(w, sorted(f for f, *_ in traverse(w)))
 
 
 def vertex_status(w: Word) -> list[bool]:

@@ -73,9 +73,8 @@ def partners(w: Word, facet: Facet) -> dict[int, int]:
 def bfs_traverse(w: Word):
     """Reference enumeration: breadth-first search of the flip graph from
     the greedy facet, with a set of every facet seen and the partners of
-    every facet from scratch.  Yields what ``traverse`` yields, in another
-    order: each facet once, with its flips ``(x, q, g)`` to a larger
-    neighbour."""
+    every facet from scratch.  Yields each facet once, with all of its
+    flips ``(x, q, g)``, as ``traverse`` does, in another order."""
     seed = greedy_facet(w)
     seen = {seed}
     frontier = [seed]
@@ -85,8 +84,7 @@ def bfs_traverse(w: Word):
             flips = []
             for x, q in partners(w, f).items():
                 g = f & ~(1 << (x - 1)) | 1 << (q - 1)
-                if g > f:
-                    flips.append((x, q, g))
+                flips.append((x, q, g))
                 if g not in seen:
                     seen.add(g)
                     next_frontier.append(g)
@@ -103,8 +101,8 @@ def get_index(k: int, n: int):
 @functools.lru_cache(maxsize=None)
 def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
-    flips = traverse(multiassociahedron_word(k, n))
-    return tuple(sorted((f, g) for f, out in flips for _, _, g in out))
+    walk = traverse(multiassociahedron_word(k, n))
+    return tuple(sorted((f, g) for f, flips, *_ in walk for _, _, g in flips if f < g))
 
 
 # positions of c w0(2) in the angular order of the loday rays

@@ -311,9 +311,13 @@ PATTERN1 = format_ray_file(build_rays("pattern", 1))
     (PATTERN1.replace("\n1 s1", "\n1 s\u0661"), "line 2: bad integer"),
     (PATTERN1.replace("n=1", "n=0"), "line 1: rank must be >= 1, got 0"),
     (PATTERN1.replace("\n2 s1", "\n2 s9"), "line 3: letter s_9 out of range for rank 1"),
+    (PATTERN1.replace("d=2", "d=2 foo"), "ray file line 1: bad header field 'foo'"),
+    (PATTERN1.replace("d=2", "d=-1"), "ray file line 1: dimension must be >= 0"),
+    (PATTERN1.replace("d=2", "d=2 n=2"), "ray file line 1: repeated header field 'n'"),
 ], ids=["empty", "header-without-n", "zero-denominator", "exponent", "decimal-point",
         "underscore", "plus-n", "underscore-n", "plus-seed", "plus-position", "plus-letter",
-        "arabic-indic-letter", "zero-rank", "letter-out-of-range"])
+        "arabic-indic-letter", "zero-rank", "letter-out-of-range", "header-field-without-value",
+        "negative-dimension", "repeated-header-field"])
 def test_check_malformed_ray_file(tmp_path, capsys, text, message):
     rays = tmp_path / "bad.rays"
     rays.write_text(text)

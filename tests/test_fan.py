@@ -370,12 +370,11 @@ def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, cons
         return
     # naive n=5 reaches every way a cone gets its columns
     sources = collections.Counter(
-        made[id(cone)][1] if id(cone) in made else
-        "exchanged from the parent" if cone.cols else "leaf determinant"
+        made[id(cone)][1] if id(cone) in made else "exchanged from the parent"
         for cone, _ in checked)
     assert sources["rebuilt, regular"] == 1  # the base
-    for source in ("exchanged from the parent", "leaf determinant", "direct", "route 1", "route 2",
-                   "route 3", "fallback rebuilt, rank d-1", "fallback rebuilt, rank <= d-2"):
+    for source in ("exchanged from the parent", "direct", "route 1", "route 2", "route 3",
+                   "fallback rebuilt, rank d-1", "fallback rebuilt, rank <= d-2"):
         assert sources[source] >= 1, sources
 
 
@@ -434,6 +433,26 @@ def test_self_check_catches_a_wrong_column(monkeypatch):
     monkeypatch.setattr(fan, "exchange_column", off_by_one)
     with pytest.raises(ArithmeticError, match="carried"):
         certify_fan(build_rays("pattern", 3))
+
+
+def test_self_check_catches_a_wrong_numerator(monkeypatch):
+    # corrupt the first derived numerator that a self-check reads, the one
+    # at its cone's first position
+    numerator = fan._Cone.numerator
+    corrupted = []
+
+    def off_by_one(cone, c):
+        n = numerator(cone, c)
+        if not corrupted and cone.parent is not None and c == positions_of(cone.f)[0]:
+            corrupted.append(c)
+            n = cone.pi[c] = n + 1
+        return n
+
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan._Cone, "numerator", off_by_one)
+    with pytest.raises(ArithmeticError, match="carried Cramer numerator"):
+        certify_fan(build_rays("pattern", 3))
+    assert corrupted
 
 
 def test_format_stats_table():

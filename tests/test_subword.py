@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifan.subword import (
-    _walk,
     all_facets,
     bitset_of,
     format_facet_file,
@@ -47,41 +46,39 @@ def test_pentagon_flip_graph_is_5_cycle():
 
 @pytest.mark.parametrize("k,n", SMALL)
 def test_naive_and_root_flips_agree(k, n):
-    # both sides of every ridge the traversal yields, against the 0-Hecke
-    # reference: every flip of the complex is checked
+    # every flip of every facet the traversal yields, against the 0-Hecke
+    # reference: both sides of every ridge are checked
     w = multiassociahedron_word(k, n)
-    for f, out in traverse(w):
-        for x, q, g in out:
+    for f, flips, *_ in traverse(w):
+        for x, q, g in flips:
             assert naive_flip(w, f, x) == (q, g)
-            assert naive_flip(w, g, q) == (x, f)
 
 
 @pytest.mark.parametrize("k,n", SMALL)
 def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
+    # each ridge once from each of its two facets
     w = multiassociahedron_word(k, n)
     facets = []
     ridges = []
-    flipped = set()
-    for f, out in traverse(w):
+    for f, flips, *_ in traverse(w):
         facets.append(f)
-        for x, q, g in out:
-            assert g > f
+        # one flip per position of the facet, in position order
+        assert [x for x, _, _ in flips] == list(positions_of(f))
+        for x, q, g in flips:
             assert g == f & ~(1 << (x - 1)) | 1 << (q - 1)
-            ridges.append(f & g)
-            flipped.update(((f, x), (g, q)))
+            ridges.append((f & g, f, g))
     assert len(facets) == len(set(facets))
     assert sorted(facets) == get_index(k, n).facets
-    assert len(ridges) == len(set(ridges)) == get_index(k, n).n_ridges
-    # every position of every facet flips toward one side or the other
-    assert flipped == {(f, x) for f in facets for x in positions_of(f)}
+    assert len(ridges) == len(set(ridges)) == 2 * get_index(k, n).n_ridges
+    assert sorted((r, g, f) for r, f, g in ridges) == sorted(ridges)
 
 
 def _assert_walk_matches_bfs(w):
     walked = list(traverse(w))
-    facets = [f for f, _ in walked]
+    facets = [f for f, *_ in walked]
     assert len(facets) == len(set(facets))
-    expected = {f: sorted(out) for f, out in bfs_traverse(w)}
-    assert {f: sorted(out) for f, out in walked} == expected
+    expected = {f: sorted(flips) for f, flips in bfs_traverse(w)}
+    assert {f: sorted(flips) for f, flips, *_ in walked} == expected
 
 
 @pytest.mark.parametrize("k,n", SMALL + LARGER)
@@ -99,7 +96,7 @@ def test_walk_matches_bfs_on_rotated_and_mirrored_words(k, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_on_reduced_word_of_w0(n):
     # the complement of the empty facet is the whole word: one facet, no flip
-    assert list(traverse(c_sorted_word(n))) == [(0, [])]
+    assert list(traverse(c_sorted_word(n))) == [(0, [], [], None, 0)]
     _assert_walk_matches_bfs(c_sorted_word(n))
 
 
@@ -129,10 +126,9 @@ def test_carried_partners_match_root_configuration(k, n):
     # the roots the walk carries from facet to facet, against the roots of
     # each facet computed from scratch: every flip, both directions
     w = multiassociahedron_word(k, n)
-    for f, up, down, _, _, _ in _walk(w):
-        assert all(q > x for x, q, _ in up) and all(q < x for x, q, _ in down)
-        assert {x: q for x, q, _ in up + down} == partners(w, f)
-        assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in up + down)
+    for f, flips, *_ in traverse(w):
+        assert {x: q for x, q, _ in flips} == partners(w, f)
+        assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in flips)
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
@@ -142,8 +138,8 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
     # exactly its decreasing flips that enter below q, which the walk
     # yields with it, in order
     path = []
-    down_of, children, entered = {}, {}, {}
-    for f, _, down, kids, entry, depth in _walk(multiassociahedron_word(k, n)):
+    flips_of, children, entered = {}, {}, {}
+    for f, flips, kids, entry, depth in traverse(multiassociahedron_word(k, n)):
         assert depth <= len(path)
         del path[depth:]
         bound = float("inf")
@@ -151,11 +147,11 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
             assert depth == 0
         else:
             x, q, parent = entry
-            assert parent == path[-1] and (x, q, f) in down_of[parent]
+            assert x > q and parent == path[-1] and (x, q, f) in flips_of[parent]
             entered.setdefault(parent, set()).add(f)
             bound = q
-        down_of[f] = down
-        assert kids == [flip for flip in down if flip[1] < bound]
+        flips_of[f] = flips
+        assert kids == [(x, q, g) for x, q, g in flips if q < x and q < bound]
         children[f] = {g for _, _, g in kids}
         path.append(f)
     assert all(entered.get(f, set()) == kids for f, kids in children.items())
