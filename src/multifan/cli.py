@@ -11,7 +11,9 @@ stderr and exit 2.
 ``--tier`` caps n for every command: ``_resolve_word`` applies it to the
 word of ``--kn`` or ``--word``, and the commands that take ``--n`` apply
 it to that (``reproduce`` to the largest column, before it builds the
-column list).
+column list).  ``_resolve_word`` also caps the word's facet size at twice
+that, the facet size of c^2 w0(cap), so that each tier's largest complex
+is Delta(2, cap).
 
 Output files carry deterministic headers only (construction, n, seed,
 counts); ``_write_output`` writes each one together with a JSON manifest
@@ -50,12 +52,17 @@ class RunManifest:
     seed: int | None = None
 
 
-def _tier_check(n: int, tier: str):
+def _tier_check(n: int, tier: str, facet_size: int = 0):
     cap = TIER_CAP[tier]
     if n > cap:
-        hint = "".join(f"; pass --tier {larger} for n up to {c}"
-                       for larger, c in TIER_CAP.items() if c > cap)
-        raise ValueError(f"n={n} exceeds the {tier} tier cap ({cap}){hint}")
+        name, what, scale = "n", f"n={n}", 1
+    elif facet_size > 2 * cap:
+        name, what, scale = "facet size", f"facet size {facet_size}", 2
+    else:
+        return
+    hint = "".join(f"; pass --tier {larger} for {name} up to {scale * c}"
+                   for larger, c in TIER_CAP.items() if c > cap)
+    raise ValueError(f"{what} exceeds the {tier} tier cap ({scale * cap}){hint}")
 
 
 def _write_output(args, path: str, chunks: Iterable[str], **facts):
@@ -104,7 +111,7 @@ def _resolve_word(args) -> tuple[Word, int | None]:
         k, word = None, parse_word(args.word)
     else:
         raise ValueError("pass --word or --kn")
-    _tier_check(word.rank, args.tier)
+    _tier_check(word.rank, args.tier, len(word) - word.rank * (word.rank + 1) // 2)
     return word, k
 
 

@@ -264,6 +264,9 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     rays = _int_rays(ra)
     sparse = [[(c, a) for c, a in enumerate(v) if a] for v in rays]
     signs: dict[Facet, int] = {}
+    sign_of = signs.get
+    # below[r]: the positions before r
+    below = [0] + [(1 << r) - 1 for r in range(len(ra.word))]
     singular_ranks: list[int] = []
     path: list[_Cone] = []
     bad = degenerate = ridges = 0
@@ -290,7 +293,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         det = cone.det
         sign = (det > 0) - (det < 0)
         for y, r, h in flips:
-            other = signs.get(h)
+            other = sign_of(h)
             if other is None:
                 continue
             ridges += 1
@@ -298,7 +301,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
                 degenerate += 1
                 status = "degenerate"
             else:
-                between = g & h & (((1 << (y - 1)) - 1) ^ ((1 << (r - 1)) - 1))
+                between = g & h & (below[y] ^ below[r])
                 if between.bit_count() & 1 == (sign == other):
                     continue
                 bad += 1

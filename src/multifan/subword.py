@@ -10,8 +10,9 @@ positions (bit r-1 set means position r belongs to the facet).
 Flips are read off the root configuration of a facet: the partner of a
 facet position is the complement position carrying the same root.  The
 one enumeration of the complex is :func:`traverse`, a reverse search of
-the increasing-flip tree that keeps only the path from the root: the
-sorted facet list, the statistics and the certificate all consume it.  It
+the increasing-flip tree that keeps only the path from the root, each
+level with its own copy of the facet's root configuration: the sorted
+facet list, the statistics and the certificate all consume it.  It
 yields every facet with all of its flips, so each ridge is seen from both
 of its facets; the tests check every flip against a 0-Hecke reference,
 and the walk against a breadth-first search, for small ranks.
@@ -19,6 +20,7 @@ and the walk against a breadth-first search, for small ranks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -150,62 +152,71 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | No
     facets deep at n=7.
 
     The root configuration is computed once, at the root, and carried
-    along the path.  A root is stored as the bitmask of its two values,
-    and ``at`` maps the root of each complement position back to the
-    position.  A flip x -> q exchanging the root beta reflects, by beta's
-    transposition, the root of every position strictly between q and x;
-    x and q both carry beta, and every other position keeps its root.
-    The update is an involution, so backtracking applies it again.
+    along the path.  The roots, the pairs of values, are numbered once;
+    ``key[r]`` is the number of position r's root, and ``at`` maps the
+    root of each complement position back to the position.  A flip x -> q
+    exchanging the root beta reflects, by beta's transposition, the root
+    of every position strictly between q and x, read from the table
+    ``refl[beta]``; x and q both carry beta, and every other position
+    keeps its root.  Each level of the path holds its own ``key``, ``at``
+    and sorted facet positions: a child gets updated copies of its
+    parent's, so leaving it drops them and undoes nothing.
     """
     root = greedy_facet(w)
-    key = [0] + [1 << a | 1 << b for a, b in root_configuration(w, root)]
-    at = {key[q]: q for q in range(1, len(key)) if not root >> (q - 1) & 1}
+    values = identity(w.rank)
+    pairs = [(a, b) for i, a in enumerate(values) for b in values[i + 1:]]
+    ids = {p: i for i, p in enumerate(pairs)}
+    # refl[beta][k]: root k reflected by the transposition t of root beta;
+    # every pair of values is a root, as the complement of a facet is a
+    # reduced word of w0
+    refl = [[ids[tuple(sorted(t.get(v, v) for v in p))] for p in pairs]
+            for t in ({a: b, b: a} for a, b in pairs)]
+    key = [0] + [ids[min(a, b), max(a, b)] for a, b in root_configuration(w, root)]
+    bit = [0] + [1 << r for r in range(len(key) - 1)]  # bit[r]: position r
+    at = [0] * len(pairs)
+    for q in range(1, len(key)):
+        if not root & bit[q]:
+            at[key[q]] = q
 
-    def exchange(f: Facet, q: int, x: int, free: int) -> None:
-        # reflect the roots strictly between q and x; ``free`` is the one of
-        # q, x that leaves the facet, the new complement position of beta
-        beta = key[x]
-        for r in range(q + 1, x):
-            k = key[r]
-            if k & beta and k != beta:
-                k ^= beta
-                key[r] = k
-                if not f >> (r - 1) & 1:
-                    at[k] = r
-        at[beta] = free
-
-    f, m = root, len(key)  # m(root) is past the last position
-    # per facet on the path from the root: its children not yet visited,
-    # and the flip into it, applied again when the walk leaves it
+    f, m, pos = root, len(key), list(positions_of(root))  # m(root) is past the last position
+    # per facet on the path from the root: the facet, its roots, its
+    # positions and its children not yet visited
     path = []
     entry = None
     while True:
         flips = []
         children = []
-        b = f
-        while b:
-            low = b & -b
-            x = low.bit_length()
+        for x in pos:
             q = at[key[x]]
-            flip = (x, q, f ^ low | 1 << (q - 1))
+            flip = (x, q, f ^ bit[x] | bit[q])
             flips.append(flip)
             if q < m:
                 children.append(flip)
-            b ^= low
         yield f, flips, children, entry, len(path)
-        path.append((iter(children), entry))
+        path.append((f, key, at, pos, iter(children)))
         while path:
-            pending, entry = path[-1]
+            parent, key, at, pos, pending = path[-1]
             child = next(pending, None)
             if child is not None:
-                x, q, g = child
-                exchange(g, q, x, x)
-                f, m, entry = g, q, (x, q, f)
+                x, q, f = child
+                # q < x: position x leaves, q enters, and the roots
+                # strictly between them are reflected by beta's
+                beta = key[x]
+                rb = refl[beta]
+                key, at = key[:], at[:]
+                for r in range(q + 1, x):
+                    k = rb[key[r]]
+                    if k != key[r]:
+                        key[r] = k
+                        if not f & bit[r]:
+                            at[k] = r
+                at[beta] = x
+                i = bisect_left(pos, q)
+                j = bisect_left(pos, x, i)
+                pos = pos[:i] + [q] + pos[i:j] + pos[j + 1:]
+                m, entry = q, (x, q, parent)
                 break
             path.pop()
-            if entry is not None:
-                x, q, f = entry
-                exchange(f, q, x, q)
         else:
             return
 

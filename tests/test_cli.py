@@ -283,6 +283,16 @@ def test_tier_hint_only_below_the_top_tier(capsys):
     assert err == "error: n=6 exceeds the desk tier cap (5); pass --tier full for n up to 8\n"
 
 
+@pytest.mark.parametrize("source", [["--kn", "6,5"], ["--word", "c^99999 w0(3)"]])
+def test_tier_caps_the_facet_size(capsys, source):
+    # within the rank cap, but far beyond Delta(2, 5)'s facet size of 10:
+    # rejected before any enumeration starts, which would not end
+    rc, out, err = run(capsys, "facets", *source)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: facet size ")
+    assert err.endswith(" exceeds the desk tier cap (10); pass --tier full for facet size up to 16\n")
+
+
 def test_check_double_cover_exit_code(tmp_path, capsys):
     rays = tmp_path / "double.rays"
     rays.write_text(format_ray_file(double_cover_rays()))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,14 +123,31 @@ def test_walk_matches_bfs_on_drawn_words(w):
     _assert_walk_matches_bfs(w)
 
 
-@pytest.mark.parametrize("k,n", SMALL)
+@pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
 def test_carried_partners_match_root_configuration(k, n):
     # the roots the walk carries from facet to facet, against the roots of
-    # each facet computed from scratch: every flip, both directions
+    # each facet computed from scratch: every flip, both directions, on
+    # the word, its rotation and its mirror image
     w = multiassociahedron_word(k, n)
-    for f, flips, *_ in traverse(w):
-        assert {x: q for x, q, _ in flips} == partners(w, f)
-        assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in flips)
+    for v in (w, rotate(w)[0], mirror(w)):
+        for f, flips, *_ in traverse(v):
+            assert {x: q for x, q, _ in flips} == partners(v, f)
+            assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in flips)
+
+
+@pytest.mark.parametrize("k,n,digest", [
+    (2, 5, "d84f3a231ef394b07a3d91f2f29b8c83ec37ce68d74cde58e5cc34b03ededa9b"),
+    (3, 3, "a2c4cdf9762ccdeb1e7807544c39171879c2f3ba65070c4e21ac19e7624ecec6"),
+], ids=["2-5", "3-3"])
+def test_walk_records_are_pinned(k, n, digest):
+    # every record the walk yields, in order: the facet, its flips, its
+    # children, the flip that entered it and its depth.  The statistics,
+    # first failures and witnesses all follow the walk's order, so a
+    # rewrite of the walk must yield this same sequence
+    h = hashlib.sha256()
+    for record in traverse(multiassociahedron_word(k, n)):
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
