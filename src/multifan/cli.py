@@ -106,13 +106,14 @@ def _resolve_word(args) -> tuple[Word, int | None]:
     (None for ``--word``)."""
     if getattr(args, "kn", None):
         k, n = args.kn
-        word = multiassociahedron_word(k, n)
-    elif getattr(args, "word", None):
-        k, word = None, parse_word(args.word)
-    else:
-        raise ValueError("pass --word or --kn")
-    _tier_check(word.rank, args.tier, len(word) - word.rank * (word.rank + 1) // 2)
-    return word, k
+        # c^k w0(n) has facet size k n: capped before the word is built
+        _tier_check(n, args.tier, k * n)
+        return multiassociahedron_word(k, n), k
+    if getattr(args, "word", None):
+        word = parse_word(args.word)
+        _tier_check(word.rank, args.tier, len(word) - word.rank * (word.rank + 1) // 2)
+        return word, None
+    raise ValueError("pass --word or --kn")
 
 
 def cmd_facets(args) -> int:

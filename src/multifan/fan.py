@@ -30,14 +30,16 @@ ridge.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
-enters it, as one dot product with its parent's adjugate (and its rank,
-if that is 0, read off the adjugate columns cached on its cone where one
-is nonzero); a ridge's status at the later visited of its two facets,
+enters it, as a dot product with its parent's adjugate, or for a facet
+without children as a scalar from its grandparent's (and its rank, if
+that is 0, from a regular visited neighbour or a nonzero adjugate
+column); a ridge's status at the later visited of its two facets,
 against the determinant signs of the facets visited before; the first
 failure when the least failing ridge is classified; and the base
-condition, from the base point's Cramer numerators derived down the same
-walk.  No facet is visited twice, and the walk keeps only the signs of
-the facets visited and the adjugate columns read along its current path.
+condition, from the base point's Cramer numerators, carried as one
+extra entry of each adjugate column.  No facet is visited twice, and the
+walk keeps only the signs of the facets visited and the adjugate columns
+read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 """
@@ -180,16 +182,20 @@ def _odd(f: Facet, x: int, q: int) -> int:
 
 class _Cone:
     """The matrix of the rays of the positions ``f``, as rows in position
-    order: its determinant, and caches of its adjugate columns and of the
-    base point's Cramer numerators by position.  A cone made by
-    ``exchanged`` derives both from its ``parent``'s on first use; any
-    other starts with every column."""
+    order: its determinant and a cache of its adjugate columns by
+    position.  Each column carries one extra, last entry: the Cramer
+    numerator p . C[c] of the base point p (of the point 0 on a cone
+    rebuilt by ``_scratch``), which the exchange formula updates with the
+    rest of the column.  A cone made by ``exchanged`` derives its columns
+    from its ``parent``'s on first use; any other starts with every
+    column.  A cone made by ``leaf`` has no column: only its determinant
+    and, in ``num``, its numerator at q."""
 
-    __slots__ = ("f", "det", "cols", "pi", "parent", "x", "q", "v")
+    __slots__ = ("f", "det", "cols", "num", "parent", "x", "q", "v")
 
     def __init__(self, f: Facet, det: int, cols: dict[int, list[int]]):
-        self.f, self.det, self.cols, self.pi = f, det, cols, {}
-        self.parent = None
+        self.f, self.det, self.cols = f, det, cols
+        self.parent = self.num = None
 
     def column(self, c: int) -> list[int]:
         col = self.cols.get(c)
@@ -201,18 +207,23 @@ class _Cone:
         return col
 
     def numerator(self, c: int) -> int:
-        n = self.pi.get(c)
-        if n is None:
-            parent = self.parent
-            if c == self.q:
-                n = parent.numerator(self.x)
-                if _odd(self.f, self.x, c):
-                    n = -n
-            else:
-                t = _dot(self.v, parent.column(c))
-                n = (self.det * parent.numerator(c) - t * self.numerator(self.q)) // parent.det
-            self.pi[c] = n
-        return n
+        """p . C[c], from this cone's column c if it is at hand, else from
+        its parent's, as the last entry of the column it would derive."""
+        col = self.cols.get(c)
+        if col is not None:
+            return col[-1]
+        if c == self.q:
+            return self.num
+        col = self.parent.column(c)
+        return (self.det * col[-1] - _dot(self.v, col) * self.numerator(self.q)) // self.parent.det
+
+    def adjugate_nonzero(self) -> bool:
+        """Whether a column of adj is nonzero: one at hand, or for a cone
+        made by ``leaf``, its column at q, s C[x], derived from its
+        parent's.  adj is nonzero iff the cone has rank d - 1 or more."""
+        if self.num is not None:
+            return any(self.parent.column(self.x))
+        return any(map(any, self.cols.values()))
 
     def exchanged(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
         """This cone with position x exchanged for q, of sparse ray ``v``:
@@ -223,6 +234,25 @@ class _Cone:
         if _odd(f, x, q):
             col = [-a for a in col]
         cone = _Cone(f, _dot(v, col), {q: col})
+        cone.parent, cone.x, cone.q, cone.v = self, x, q, v
+        return cone
+
+    def leaf(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
+        """``exchanged``, for a child without children: unless column x is
+        at hand, the child's determinant s v . C[x] and its numerator s p .
+        C[x] are taken as scalars through the parent P's column x, C[x] =
+        (D C_P[x] - t C[q']) / D_P with t = v' . C_P[x], for the position
+        q' of ray v' that entered this cone, so that C[x] is not derived."""
+        if x in self.cols:
+            return self.exchanged(x, q, v)
+        parent = self.parent
+        a = parent.column(x)
+        b = self.cols[self.q]
+        t = _dot(self.v, a)
+        f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
+        s = -1 if _odd(f, x, q) else 1
+        cone = _Cone(f, s * (self.det * _dot(v, a) - t * _dot(v, b)) // parent.det, {})
+        cone.num = s * (self.det * a[-1] - t * b[-1]) // parent.det
         cone.parent, cone.x, cone.q, cone.v = self, x, q, v
         return cone
 
@@ -241,16 +271,28 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     enters a child of determinant D' = s (v . C[x]), v the ray of q, where
     s = (-1)^k moves q's row across the k positions strictly between x and
     q.  The child's columns are C'[q] = s C[x] and (D' C[c] - (v . C[c])
-    C'[q]) / D, and its Cramer numerators of the base point p follow with
-    p . C in place of C.  Each is derived when first read and then kept,
-    so a leaf costs one dot product.  A singular F cannot divide by D, so
-    a child that has children of its own is made by ``_singular_child``;
-    a leaf's determinant needs no division.
+    C'[q]) / D.  Each column carries the Cramer numerator p . C[c] of the
+    base point p as one extra, last entry, i D at the base's i-th
+    position, so the same exchange derives it.  Each column is derived
+    when first read and then kept.  A singular F cannot divide by D, so a
+    child that has children of its own is made by ``_singular_child``;
+    every other cone with children was exchanged from a regular one.
 
-    adj(G) is nonzero iff G has rank at least d - 1, so a singular G with
-    a nonzero column cached on its cone has rank d - 1: its entering
-    column C'[q], or any column of a cone of rank d - 1 rebuilt through
-    ``adjugate``'s regular neighbour.  Only the other singular cones are
+    A leaf G = F - x + q derives no column: unless C[x] is at hand, its
+    determinant is the scalar s (D (v . C_P[x]) - t (v . C[q'])) / D_P
+    from F's parent P, with t = v' . C_P[x] for the ray v' of the position
+    q' that entered F, and its numerator at q the same form with the
+    numerator entries in place of v . C.  A numerator of G at another
+    position c comes from F's column c, as the last entry of the column
+    that G would derive.  So F derives column x only for a child with
+    children of its own, for point location or for a rank.
+
+    adj(G) is nonzero iff G has rank at least d - 1, and a singular G
+    with a regular visited neighbour has rank d - 1, the d - 1 rays they
+    share being independent: a singular leaf of a regular parent among
+    them.  Else a nonzero column of G decides it: its entering column
+    C'[q], derived for a leaf, or any column of a cone of rank d - 1
+    rebuilt through ``adjugate``'s regular neighbour.  Only the other singular cones are
     ranked by ``int_rank``.
 
     A ridge is classified at the later visited of its two facets, against
@@ -282,11 +324,14 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             if cone.det:
                 rows = _cone(rays, g)
                 point = [sum(i * row[c] for i, row in enumerate(rows, 1)) for c in range(ra.dim)]
-                cone.pi = {r: i * cone.det for i, r in enumerate(positions_of(g), 1)}
+                for i, r in enumerate(positions_of(g), 1):
+                    cone.cols[r][-1] = i * cone.det
         else:
             x, q, _ = entry
             parent = path[-1]
-            if parent.det or not children:
+            if not children:
+                cone = parent.leaf(x, q, sparse[q - 1])
+            elif parent.det:
                 cone = parent.exchanged(x, q, sparse[q - 1])
             else:
                 cone = _singular_child(parent, x, q, sparse[q - 1], rays, sparse)
@@ -312,9 +357,12 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
                 failure = f"{status} ridge {positions_of(g & h)}"
         signs[g] = sign
         if not sign:
-            # adj(g) is nonzero iff g has rank d - 1 or more
-            singular_ranks.append(
-                ra.dim - 1 if any(map(any, cone.cols.values())) else int_rank(_cone(rays, g)))
+            # g has rank d - 1 if it shares d - 1 rays with a regular
+            # neighbour, or if adj(g) is nonzero
+            if any(sign_of(h) for _, _, h in flips) or cone.adjugate_nonzero():
+                singular_ranks.append(ra.dim - 1)
+            else:
+                singular_ranks.append(int_rank(_cone(rays, g)))
         locate = failure is None and point is not None
         if locate and entry is not None and (witness is None or g < witness):
             if all(cone.numerator(y) * sign >= 0 for y, _, _ in flips):
@@ -360,13 +408,13 @@ def _singular_child(parent: _Cone, x: int, q: int, v, rays, sparse) -> _Cone:
 
 
 def _scratch(f: Facet, rays, sparse) -> _Cone:
-    """The cone of ``f`` with its adjugate computed from scratch.  A
-    singular one of rank d - 1 is exchanged from the regular neighbour
-    whose adjugate ``adjugate`` returns, so that its children can be
-    exchanged from that."""
+    """The cone of ``f`` with its adjugate computed from scratch, its
+    numerator entries those of the point 0.  A singular one of rank d - 1
+    is exchanged from the regular neighbour whose adjugate ``adjugate``
+    returns, so that its children can be exchanged from that."""
     j, det, cols = adjugate(_cone(rays, f))
     where = positions_of(f)
-    cone = _Cone(f, det, dict(zip(where, cols)))
+    cone = _Cone(f, det, {r: col + [0] for r, col in zip(where, cols)})
     if j is not None:
         r = where[j]
         cone = cone.exchanged(r, r, sparse[r - 1])

@@ -293,6 +293,22 @@ def test_tier_caps_the_facet_size(capsys, source):
     assert err.endswith(" exceeds the desk tier cap (10); pass --tier full for facet size up to 16\n")
 
 
+@pytest.mark.parametrize("kn,message", [
+    ("2,2000", "n=2000 exceeds the desk tier cap (5)"),
+    ("400,5", "facet size 2000 exceeds the desk tier cap (10)"),
+])
+def test_tier_caps_kn_before_building_the_word(capsys, monkeypatch, kn, message):
+    # the word of --kn 2,2000 has 2M letters: the cap is applied to n and
+    # k n before it is built
+    def unbuilt(k, n):
+        raise AssertionError(f"word built for k={k}, n={n}")
+
+    monkeypatch.setattr("multifan.cli.multiassociahedron_word", unbuilt)
+    rc, out, err = run(capsys, "facets", "--kn", kn)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_check_double_cover_exit_code(tmp_path, capsys):
     rays = tmp_path / "double.rays"
     rays.write_text(format_ray_file(double_cover_rays()))

@@ -418,11 +418,32 @@ def test_singular_ranks_read_from_carried_columns(monkeypatch, construction):
     assert calls < stats.degenerate_cones and skipped > 0, (calls, skipped)
 
 
+def test_walk_derives_few_columns_and_ranks(monkeypatch):
+    # a leaf takes its determinant and numerator as scalars, and a
+    # singular cone with a regular visited neighbour has rank d - 1:
+    # 5,769 columns derived for the pattern n=5 certificate (7,316 when
+    # every leaf derived its column), and 92 of the 782 singular cones of
+    # the naive n=5 rays ranked by int_rank (338 by the columns alone)
+    derived = []
+
+    def counted(*args):
+        derived.append(args)
+        return exactla.exchange_column(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(fan, "exchange_column", counted)
+        assert _stats(build_rays("pattern", 5))[0].cones == 4719
+    assert len(derived) <= 5769, len(derived)
+    calls, skipped, stats = _rank_calls(monkeypatch, build_rays("naive", 5))
+    assert stats.degenerate_cones == calls + skipped == 782
+    assert calls <= 92, (calls, skipped)
+
+
 @pytest.mark.fulltier
 def test_singular_ranks_linear_n6_int_rank_calls(monkeypatch):
-    # 1,022 of the 2,904 singular cones of the linear n=6 rays need int_rank
+    # 295 of the 2,904 singular cones of the linear n=6 rays need int_rank
     calls, skipped, stats = _rank_calls(monkeypatch, build_rays("linear", 6))
-    assert stats.degenerate_cones == 2904 and calls <= 1022, (calls, skipped)
+    assert stats.degenerate_cones == 2904 and calls <= 295, (calls, skipped)
 
 
 def test_self_check_catches_a_wrong_column(monkeypatch):
@@ -436,21 +457,44 @@ def test_self_check_catches_a_wrong_column(monkeypatch):
 
 
 def test_self_check_catches_a_wrong_numerator(monkeypatch):
-    # corrupt the first derived numerator that a self-check reads, the one
-    # at its cone's first position
-    numerator = fan._Cone.numerator
+    # corrupt the numerator entry, the last, of the first column derived:
+    # the determinants stay right, and the numerators derived from it go
+    # wrong
     corrupted = []
 
-    def off_by_one(cone, c):
-        n = numerator(cone, c)
-        if not corrupted and cone.parent is not None and c == positions_of(cone.f)[0]:
-            corrupted.append(c)
-            n = cone.pi[c] = n + 1
-        return n
+    def off_by_one(*args):
+        col = exactla.exchange_column(*args)
+        if not corrupted:
+            col[-1] += 1
+            corrupted.append(col)
+        return col
 
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
-    monkeypatch.setattr(fan._Cone, "numerator", off_by_one)
+    monkeypatch.setattr(fan, "exchange_column", off_by_one)
     with pytest.raises(ArithmeticError, match="carried Cramer numerator"):
+        certify_fan(build_rays("pattern", 3))
+    assert corrupted
+
+
+@pytest.mark.parametrize("scalar,message", [
+    ("det", "carried determinant"), ("num", "carried Cramer numerator"),
+])
+def test_self_check_catches_a_wrong_leaf_scalar(monkeypatch, scalar, message):
+    # corrupt the determinant or the numerator at q of the first leaf
+    # taken as scalars, without a column
+    leaf = fan._Cone.leaf
+    corrupted = []
+
+    def off_by_one(cone, x, q, v):
+        child = leaf(cone, x, q, v)
+        if not corrupted and not child.cols:
+            setattr(child, scalar, getattr(child, scalar) + 1)
+            corrupted.append(child)
+        return child
+
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan._Cone, "leaf", off_by_one)
+    with pytest.raises(ArithmeticError, match=message):
         certify_fan(build_rays("pattern", 3))
     assert corrupted
 
