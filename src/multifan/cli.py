@@ -11,9 +11,10 @@ stderr and exit 2.
 ``--tier`` caps n for every command: ``_resolve_word`` applies it to the
 word of ``--kn`` or ``--word``, and the commands that take ``--n`` apply
 it to that (``reproduce`` to the largest column, before it builds the
-column list).  ``_resolve_word`` also caps the word's facet size at twice
-that, the facet size of c^2 w0(cap), so that each tier's largest complex
-is Delta(2, cap).
+column list).  ``_resolve_word`` and ``trace`` also cap the word's facet
+size at twice that, the facet size of c^2 w0(cap), so that each tier's
+largest complex is Delta(2, cap); a word c^k w0(n) is capped before it
+is built.
 
 Output files carry deterministic headers only (construction, n, seed,
 counts); ``_write_output`` writes each one together with a JSON manifest
@@ -35,7 +36,7 @@ from . import TABLE_IDS, __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
 from .rays import format_ray_file, parse_ray_file
 from .subword import all_facets, format_facet_file, positions_of
-from .words import Word, multiassociahedron_word, parse_word, format_word
+from .words import Word, format_word, multiassociahedron_word, parse_shorthand, parse_word
 
 TIER_CAP = {"desk": 5, "full": 8}
 
@@ -105,15 +106,20 @@ def _resolve_word(args) -> tuple[Word, int | None]:
     """The word of ``--kn`` or ``--word``, within the ``--tier`` cap, and its k
     (None for ``--word``)."""
     if getattr(args, "kn", None):
-        k, n = args.kn
-        # c^k w0(n) has facet size k n: capped before the word is built
-        _tier_check(n, args.tier, k * n)
-        return multiassociahedron_word(k, n), k
-    if getattr(args, "word", None):
-        word = parse_word(args.word)
-        _tier_check(word.rank, args.tier, len(word) - word.rank * (word.rank + 1) // 2)
-        return word, None
-    raise ValueError("pass --word or --kn")
+        (k, n), known_k = args.kn, args.kn[0]
+    elif getattr(args, "word", None):
+        shorthand = parse_shorthand(args.word)
+        if shorthand is None:
+            # an explicit word is no longer than its spec
+            word = parse_word(args.word)
+            _tier_check(word.rank, args.tier, len(word) - word.rank * (word.rank + 1) // 2)
+            return word, None
+        (k, n), known_k = shorthand, None
+    else:
+        raise ValueError("pass --word or --kn")
+    # c^k w0(n) has facet size k n: capped before the word is built
+    _tier_check(n, args.tier, k * n)
+    return multiassociahedron_word(k, n), known_k
 
 
 def cmd_facets(args) -> int:
@@ -213,7 +219,7 @@ def cmd_oracle(args) -> int:
 def cmd_trace(args) -> int:
     from .moves import fattening_sequence, format_trace
 
-    _tier_check(args.n, args.tier)
+    _tier_check(args.n, args.tier, args.k_prefix * args.n)
     word = multiassociahedron_word(args.k_prefix, args.n)
     trace = fattening_sequence(word, triangle_start=args.k_prefix * args.n)
     _emit(args, [format_trace(trace, verbose=args.verbose)], n=args.n, k=args.k_prefix)

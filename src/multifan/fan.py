@@ -31,15 +31,13 @@ ridge.
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
 enters it, as a dot product with its parent's adjugate, or for a facet
-without children as a scalar from its grandparent's (and its rank, if
-that is 0, from a regular visited neighbour or a nonzero adjugate
-column); a ridge's status at the later visited of its two facets,
-against the determinant signs of the facets visited before; the first
-failure when the least failing ridge is classified; and the base
-condition, from the base point's Cramer numerators, carried as one
-extra entry of each adjugate column.  No facet is visited twice, and the
-walk keeps only the signs of the facets visited and the adjugate columns
-read along its current path.
+without children as a scalar from its grandparent's; a ridge's status at
+the later visited of its two facets, against the determinant signs of
+the facets visited before; the first failure when the least failing
+ridge is classified; and the base condition, from the base point's
+Cramer numerators, carried as one extra entry of each adjugate column.
+No facet is visited twice, and the walk keeps only the signs of the
+facets visited and the adjugate columns read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 """
@@ -217,14 +215,6 @@ class _Cone:
         col = self.parent.column(c)
         return (self.det * col[-1] - _dot(self.v, col) * self.numerator(self.q)) // self.parent.det
 
-    def adjugate_nonzero(self) -> bool:
-        """Whether a column of adj is nonzero: one at hand, or for a cone
-        made by ``leaf``, its column at q, s C[x], derived from its
-        parent's.  adj is nonzero iff the cone has rank d - 1 or more."""
-        if self.num is not None:
-            return any(self.parent.column(self.x))
-        return any(map(any, self.cols.values()))
-
     def exchanged(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
         """This cone with position x exchanged for q, of sparse ray ``v``:
         C'[q] = s C[x] and det' = v . C'[q], where s moves q's row from x's
@@ -285,15 +275,11 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     numerator entries in place of v . C.  A numerator of G at another
     position c comes from F's column c, as the last entry of the column
     that G would derive.  So F derives column x only for a child with
-    children of its own, for point location or for a rank.
+    children of its own or for point location.
 
-    adj(G) is nonzero iff G has rank at least d - 1, and a singular G
-    with a regular visited neighbour has rank d - 1, the d - 1 rays they
-    share being independent: a singular leaf of a regular parent among
-    them.  Else a nonzero column of G decides it: its entering column
-    C'[q], derived for a leaf, or any column of a cone of rank d - 1
-    rebuilt through ``adjugate``'s regular neighbour.  Only the other singular cones are
-    ranked by ``int_rank``.
+    A singular cone that shares a ridge with a regular one has rank d - 1,
+    the d - 1 rays they share being independent.  Only the singular cones
+    without a regular neighbour are ranked by ``int_rank``, after the walk.
 
     A ridge is classified at the later visited of its two facets, against
     the signs of those visited before: with x leaving F and q entering G,
@@ -309,9 +295,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     sign_of = signs.get
     # below[r]: the positions before r
     below = [0] + [(1 << r) - 1 for r in range(len(ra.word))]
-    singular_ranks: list[int] = []
+    # the singular facets that no ridge visited so far joins to a regular one
+    unranked: set[Facet] = set()
     path: list[_Cone] = []
-    bad = degenerate = ridges = 0
+    bad = degenerate = ridges = singular = 0
     least = failure = witness = point = None
     # cones of too few or too many rays are singular, and carry no columns
     square = greedy_facet(ra.word).bit_count() == ra.dim
@@ -337,6 +324,9 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
                 cone = _singular_child(parent, x, q, sparse[q - 1], rays, sparse)
         det = cone.det
         sign = (det > 0) - (det < 0)
+        if not sign:
+            singular += 1
+            unranked.add(g)
         for y, r, h in flips:
             other = sign_of(h)
             if other is None:
@@ -345,6 +335,9 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             if not (sign and other):
                 degenerate += 1
                 status = "degenerate"
+                if sign or other:
+                    # the regular one shares d - 1 independent rays with the other
+                    unranked.discard(h if sign else g)
             else:
                 between = g & h & (below[y] ^ below[r])
                 if between.bit_count() & 1 == (sign == other):
@@ -356,13 +349,6 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
                 least = pair
                 failure = f"{status} ridge {positions_of(g & h)}"
         signs[g] = sign
-        if not sign:
-            # g has rank d - 1 if it shares d - 1 rays with a regular
-            # neighbour, or if adj(g) is nonzero
-            if any(sign_of(h) for _, _, h in flips) or cone.adjugate_nonzero():
-                singular_ranks.append(ra.dim - 1)
-            else:
-                singular_ranks.append(int_rank(_cone(rays, g)))
         locate = failure is None and point is not None
         if locate and entry is not None and (witness is None or g < witness):
             if all(cone.numerator(y) * sign >= 0 for y, _, _ in flips):
@@ -374,14 +360,17 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         # the walk's only facet, the base, is singular
         failure = f"degenerate cone {positions_of(g)}"
 
+    # an unranked cone of a square walk has rank d - 1 or less, so the rank
+    # d - 1 of the other singular cones is the minimum only without one
     stats = FanStats(
         n=ra.word.rank,
         bad_ridges=bad,
         degenerate_ridges=degenerate,
         ridges=ridges,
-        degenerate_cones=len(singular_ranks),
+        degenerate_cones=singular,
         cones=len(signs),
-        min_dimension=min(singular_ranks, default=ra.dim),
+        min_dimension=min((int_rank(_cone(rays, f)) for f in unranked),
+                          default=ra.dim - 1 if singular else ra.dim),
     )
     return stats, failure, witness
 

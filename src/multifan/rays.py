@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .words import Word, c_sorted_word, multiassociahedron_word, staircase_cells
+from .words import Word, _integer, c_sorted_word, multiassociahedron_word, staircase_cells
 
 if TYPE_CHECKING:
     from .moves import MoveTrace
@@ -57,20 +57,7 @@ RayVec = tuple[Fraction, ...]
 # of the rank n-1 staircase.
 BraidWeights = dict[tuple[int, int], tuple[Fraction, Fraction]]
 
-_INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def _integer(token: str) -> int:
-    """A plain decimal integer, as ``str(int)`` writes it: an optional
-    minus sign and ASCII digits, with no ``+``, ``_`` or other digits.
-
-    >>> _integer("-12")
-    -12
-    """
-    if not _INTEGER.fullmatch(token):
-        raise ValueError(f"bad integer {token!r}")
-    return int(token)
 
 
 def _rational(token: str) -> Fraction:

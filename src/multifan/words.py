@@ -17,6 +17,7 @@ Permutations are stored in one-line notation as tuples of the images of
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -34,12 +35,27 @@ __all__ = [
     "multiassociahedron_word",
     "rotate",
     "mirror",
+    "parse_shorthand",
     "parse_word",
     "format_word",
 ]
 
 # One-line notation: images of 1..n+1, a tuple of distinct ints.
 Permutation = tuple[int, ...]
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    """A plain decimal integer, as ``str(int)`` writes it: an optional
+    minus sign and ASCII digits, with no ``+``, ``_`` or other digits.
+
+    >>> _integer("-12")
+    -12
+    """
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"bad integer {token!r}")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -188,8 +204,26 @@ def mirror(w: Word) -> Word:
     return Word(w.rank, w.letters[::-1])
 
 
+def parse_shorthand(text: str) -> tuple[int, int] | None:
+    """The k and n of a shorthand word spec ``c^k w0(n)``, read without
+    building the word, or None for an explicit spec.
+
+    >>> parse_shorthand("c^2 w0(3)"), parse_shorthand("w0(4)"), parse_shorthand("n=1; 1")
+    ((2, 3), (0, 4), None)
+    """
+    text = text.strip()
+    if ";" in text:
+        return None
+    prefix, w0, call = text.partition("w0(")
+    prefix = prefix.strip()
+    if not w0 or not call.endswith(")") or (prefix not in ("", "c") and prefix[:2] != "c^"):
+        raise ValueError(f"bad word spec {text!r}")
+    k = _integer(prefix[2:].strip()) if prefix[:2] == "c^" else len(prefix)
+    return k, _integer(call[:-1].strip())
+
+
 def parse_word(text: str) -> Word:
-    """Parse a word spec.
+    """Parse a word spec, its integers as ``_integer`` reads them.
 
     Accepted forms:
 
@@ -200,31 +234,13 @@ def parse_word(text: str) -> Word:
     >>> parse_word("c^2 w0(2)").letters
     (1, 2, 1, 2, 1, 2, 1)
     """
-    text = text.strip()
-    if ";" in text:
-        head, _, tail = text.partition(";")
-        head = head.strip()
-        if not head.startswith("n="):
-            raise ValueError(f"bad word spec {text!r}: expected 'n=<rank>; ...'")
-        n = int(head[2:])
-        letters = tuple(int(tok) for tok in tail.split())
-        return Word(n, letters)
-    if "w0(" in text:
-        prefix, _, call = text.partition("w0(")
-        if not call.endswith(")"):
-            raise ValueError(f"bad word spec {text!r}")
-        n = int(call[:-1])
-        prefix = prefix.strip()
-        if prefix == "":
-            k = 0
-        elif prefix == "c":
-            k = 1
-        elif prefix.startswith("c^"):
-            k = int(prefix[2:])
-        else:
-            raise ValueError(f"bad word spec {text!r}")
-        return multiassociahedron_word(k, n)
-    raise ValueError(f"bad word spec {text!r}")
+    kn = parse_shorthand(text)
+    if kn is not None:
+        return multiassociahedron_word(*kn)
+    head, _, tail = text.strip().partition(";")
+    if head[:2] != "n=":
+        raise ValueError(f"bad word spec {text.strip()!r}: expected 'n=<rank>; ...'")
+    return Word(_integer(head[2:].strip()), tuple(map(_integer, tail.split())))
 
 
 def format_word(w: Word) -> str:

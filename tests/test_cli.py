@@ -226,6 +226,13 @@ def test_trace_tier_gate(capsys):
     assert rc == 2 and out == "" and "tier" in err
     rc, out, _ = run(capsys, "trace", "--n", "6", "--tier", "full")
     assert rc == 0 and out.startswith("D 1")
+    # the k-prefix word c^4 w0(3) has facet size 12
+    rc, out, err = run(capsys, "trace", "--n", "3", "--k-prefix", "4")
+    assert rc == 2 and out == ""
+    assert err == ("error: facet size 12 exceeds the desk tier cap (10); "
+                   "pass --tier full for facet size up to 16\n")
+    rc, out, _ = run(capsys, "trace", "--n", "3", "--k-prefix", "4", "--tier", "full")
+    assert rc == 0 and out.startswith("D 13")
 
 
 def test_check_report_empty_base_facet(tmp_path, capsys):
@@ -307,6 +314,29 @@ def test_tier_caps_kn_before_building_the_word(capsys, monkeypatch, kn, message)
     rc, out, err = run(capsys, "facets", "--kn", kn)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["facets", "--word", "w0(100000)"], "n=100000 exceeds the desk tier cap (5)"),
+    (["facets", "--word", "c^30000000 w0(2)"], "facet size 60000000 exceeds the desk tier cap (10)"),
+    (["trace", "--n", "3", "--k-prefix", "30000000"],
+     "facet size 90000000 exceeds the desk tier cap (10)"),
+], ids=["w0", "c^k-w0", "k-prefix"])
+def test_oversized_word_specs_exit_2_in_bounded_memory(argv, message):
+    # none of these words fits in 512 MB of address space: the cap comes
+    # before the word, so the exit code is 2, not a MemoryError's 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-m", "multifan", *argv], env=env, capture_output=True,
+                         text=True, preexec_fn=_limit_address_space, timeout=120)
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert out.stderr.startswith(f"error: {message}")
 
 
 def test_check_double_cover_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -378,52 +379,117 @@ def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, cons
         assert sources[source] >= 1, sources
 
 
+# sha256 of repr(_stats(ra)): its FanStats, first failure and witness
+STATS_DIGESTS = {
+    ("naive", 1, None): "db2ffd60c68b8787bb65827bf4c0971ddea6ef359889d2935fb69312a6799dd2",
+    ("naive", 2, None): "06be308b9f62927089956e2afefa520b4d9f588e4c81a6453ab16c026957f11b",
+    ("naive", 3, None): "075ca0e0b6018e87e46e384326c20f0afb1d5a44a305de4dbdc1688ed786c3c9",
+    ("naive", 4, None): "20fc537da663074e930cbc05d575ad1c05010594f3143e232df2df6b97162a09",
+    ("naive", 5, None): "0b2df86d7ddac75e1576c5f01ac88d1f4a738e75ba09d33e46dad77f254fad60",
+    ("fixed:5,3", 1, None): "db2ffd60c68b8787bb65827bf4c0971ddea6ef359889d2935fb69312a6799dd2",
+    ("fixed:5,3", 2, None): "06be308b9f62927089956e2afefa520b4d9f588e4c81a6453ab16c026957f11b",
+    ("fixed:5,3", 3, None): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("fixed:5,3", 4, None): "733aeb45fa17fd86ffc8c937d0a8f7fc1ef14e67e842c0ef32c25012fe455b84",
+    ("fixed:5,3", 5, None): "3c82b8a63b04f368d74e6fd1a222cf229ea74481d9c568faf718509d0fa1b28e",
+    ("linear", 1, None): "db2ffd60c68b8787bb65827bf4c0971ddea6ef359889d2935fb69312a6799dd2",
+    ("linear", 2, None): "06be308b9f62927089956e2afefa520b4d9f588e4c81a6453ab16c026957f11b",
+    ("linear", 3, None): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("linear", 4, None): "8052f9c69a5889a64895c14ee67baec49ff062a5570018ae44d9c557ed34a2c7",
+    ("linear", 5, None): "6f92b223de249ef103594769f9e06d97c53480960fbfb601e430e886046a59f2",
+    ("pattern", 1, None): "db2ffd60c68b8787bb65827bf4c0971ddea6ef359889d2935fb69312a6799dd2",
+    ("pattern", 2, None): "06be308b9f62927089956e2afefa520b4d9f588e4c81a6453ab16c026957f11b",
+    ("pattern", 3, None): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("pattern", 4, None): "0da56e2cb07b318d1cad0a83b20a3335cac32f3b38638fdb5b2385654e25412e",
+    ("pattern", 5, None): "8b1b5a368bae6870f81375c22a62bc820e05f6a1996d0778a203f04fd7a7448f",
+    ("pattern-verbatim", 1, None): "db2ffd60c68b8787bb65827bf4c0971ddea6ef359889d2935fb69312a6799dd2",
+    ("pattern-verbatim", 2, None): "06be308b9f62927089956e2afefa520b4d9f588e4c81a6453ab16c026957f11b",
+    ("pattern-verbatim", 3, None): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("pattern-verbatim", 4, None): "a6691ce0a60c05eee96c76bb278df859bb255d61fb7533f45c31c587d1f39501",
+    ("pattern-verbatim", 5, None): "652726252cf9e905782ab380a5aa6479cc25cb0726c2005ae073601d9d06cf2c",
+    ("loday", 1, None): "37d359bd50758d11960386afec2d9697cce54bd451f4ff60c46e646a62d7c830",
+    ("loday", 2, None): "a6f11c831254a3f9ee5b92ce9d2129b6dcbfa3328a14f5e6e5ca7a4bc5485746",
+    ("loday", 3, None): "42ccee59ee289dde41a621aa78e5f9c29af163b792a50845cc1112f018c956fb",
+    ("loday", 4, None): "5bef3b6bf2a5d0ce8323b4ccdb8ed345747cc9f519c294373e80aefd6b80a61a",
+    ("loday", 5, None): "9ee2b5fe37db867a70a34e382c015b5c32a5833766e6939dbd3b14973ec96236",
+    ("perturbed", 3, 1): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("perturbed", 4, 1): "0da56e2cb07b318d1cad0a83b20a3335cac32f3b38638fdb5b2385654e25412e",
+    ("perturbed", 5, 1): "8b1b5a368bae6870f81375c22a62bc820e05f6a1996d0778a203f04fd7a7448f",
+    ("perturbed", 3, 2): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("perturbed", 4, 2): "0da56e2cb07b318d1cad0a83b20a3335cac32f3b38638fdb5b2385654e25412e",
+    ("perturbed", 5, 2): "94518b34208c84d04ee211564c32f037fb063d3794cfc4bad849d2b6fe946cb3",
+    ("perturbed", 3, 3): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("perturbed", 4, 3): "93285faf848d84bda5f2f18aea1f56eb058dfd124f7f68515a2fbfaa5a1d5a47",
+    ("perturbed", 5, 3): "ab58292ea8b580d7049a9777d0a67d188721b07ecbc1a8c574d36b3deb9b8f7f",
+}
+
+
+@pytest.mark.parametrize("construction", sorted({c for c, _, _ in STATS_DIGESTS}))
+def test_walk_results_are_pinned(construction):
+    # the statistics, first failure and witness of each case: a rewrite of
+    # the walk, of its ridge signs or of its rank rule must keep them all
+    pinned = {key: digest for key, digest in STATS_DIGESTS.items() if key[0] == construction}
+    got = {(c, n, seed): hashlib.sha256(repr(_stats(build_rays(c, n, seed))).encode()).hexdigest()
+           for c, n, seed in pinned}
+    assert got == pinned
+
+
 def _rank_calls(monkeypatch, ra):
-    """``(calls, skipped, stats)``: the singular cones that ``_stats`` ranks
-    by ``int_rank`` and those it ranks from a nonzero adjugate column, each
-    of which is checked to have rank d - 1."""
-    ranked = []  # int_rank calls since the last cone was checked
-    calls = skipped = 0
+    """``(calls, skipped, stats)``: the number of ``int_rank`` calls that
+    ``_stats`` makes and of the singular cones that it ranks without one.
+    Every singular cone is ranked again from scratch: each call is on a
+    distinct singular cone, each cone skipped has rank d - 1, and the
+    least rank is the minimal dimension."""
+    ranked = []
+    singular = []
 
     def rank(rows):
-        ranked.append(rows)
+        ranked.append(tuple(rows))
         return exactla.int_rank(rows)
 
     def check(rays, cone, point):
-        # ``_stats`` ranks a singular cone before it checks the cone
-        nonlocal calls, skipped
-        if cone.det:
-            assert not ranked
-        elif ranked:
-            assert len(ranked) == 1
-            calls += 1
-        else:
-            assert exactla.int_rank(fan._cone(rays, cone.f)) == ra.dim - 1, positions_of(cone.f)
-            skipped += 1
-        ranked.clear()
+        if not cone.det:
+            singular.append(tuple(fan._cone(rays, cone.f)))
 
     monkeypatch.setattr(fan, "int_rank", rank)
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
     monkeypatch.setattr(fan, "_self_check", check)
     stats = _stats(ra)[0]
-    return calls, skipped, stats
+    ranks = {rows: exactla.int_rank(rows) for rows in singular}
+    assert len(ranks) == len(singular) == stats.degenerate_cones
+    assert len(set(ranked)) == len(ranked) and set(ranked) <= set(ranks)
+    skipped = set(ranks) - set(ranked)
+    assert all(ranks[rows] == ra.dim - 1 for rows in skipped)
+    assert stats.min_dimension == min(ranks.values(), default=ra.dim)
+    return len(ranked), len(skipped), stats
 
 
-@pytest.mark.parametrize("construction", ["naive", "linear"])
-def test_singular_ranks_read_from_carried_columns(monkeypatch, construction):
-    # a singular cone with a nonzero adjugate column at hand has rank
-    # d - 1, and only the others are ranked from scratch
-    calls, skipped, stats = _rank_calls(monkeypatch, build_rays(construction, 5))
-    assert calls + skipped == stats.degenerate_cones
-    assert calls < stats.degenerate_cones and skipped > 0, (calls, skipped)
+@pytest.mark.parametrize("construction,expected", [("naive", 92), ("linear", 6)],
+                         ids=["naive", "linear"])
+def test_singular_ranks_from_regular_neighbours(monkeypatch, construction, expected):
+    # a singular cone that shares a ridge with a regular one has rank
+    # d - 1; int_rank ranks the others, the singular cones without a
+    # regular neighbour, found here by a determinant per facet
+    ra = build_rays(construction, 5)
+    rays = [exactla.scale_to_int(v) for v in ra.rays]
+    regular = {f: exactla.bareiss_det([rays[r - 1] for r in positions_of(f)]) != 0
+               for f in get_index(2, 5).facets}
+    alone = {f for f, reg in regular.items() if not reg}
+    for f, g in get_ridges(2, 5):
+        if regular[f]:
+            alone.discard(g)
+        if regular[g]:
+            alone.discard(f)
+    calls, skipped, stats = _rank_calls(monkeypatch, ra)
+    assert stats.degenerate_cones == sum(not reg for reg in regular.values())
+    assert calls == len(alone) == expected and skipped > 0, (calls, skipped)
 
 
 def test_walk_derives_few_columns_and_ranks(monkeypatch):
     # a leaf takes its determinant and numerator as scalars, and a
-    # singular cone with a regular visited neighbour has rank d - 1:
-    # 5,769 columns derived for the pattern n=5 certificate (7,316 when
-    # every leaf derived its column), and 92 of the 782 singular cones of
-    # the naive n=5 rays ranked by int_rank (338 by the columns alone)
+    # singular cone with a regular neighbour has rank d - 1: 5,769 columns
+    # derived for the pattern n=5 certificate (7,316 when every leaf
+    # derived its column), and 92 of the 782 singular cones of the naive
+    # n=5 rays ranked by int_rank
     derived = []
 
     def counted(*args):
@@ -441,9 +507,10 @@ def test_walk_derives_few_columns_and_ranks(monkeypatch):
 
 @pytest.mark.fulltier
 def test_singular_ranks_linear_n6_int_rank_calls(monkeypatch):
-    # 295 of the 2,904 singular cones of the linear n=6 rays need int_rank
+    # 224 of the 2,904 singular cones of the linear n=6 rays have no
+    # regular neighbour and need int_rank
     calls, skipped, stats = _rank_calls(monkeypatch, build_rays("linear", 6))
-    assert stats.degenerate_cones == 2904 and calls <= 295, (calls, skipped)
+    assert stats.degenerate_cones == 2904 and calls <= 224, (calls, skipped)
 
 
 def test_self_check_catches_a_wrong_column(monkeypatch):

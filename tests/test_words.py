@@ -12,6 +12,7 @@ from multifan.words import (
     longest_element,
     mirror,
     multiassociahedron_word,
+    parse_shorthand,
     parse_word,
     right_mult,
     rotate,
@@ -141,3 +142,20 @@ def test_parse_and_format():
         parse_word("garbage")
     with pytest.raises(ValueError):
         Word(2, (3,))
+
+
+def test_shorthand_is_read_without_building_the_word():
+    assert parse_shorthand("c^2 w0(3)") == (2, 3)
+    assert parse_shorthand(" c w0(4) ") == (1, 4)
+    assert parse_shorthand("w0(100000)") == (0, 100000)
+    assert parse_shorthand("n=3; 1 2 3 1 2 1") is None
+
+
+@pytest.mark.parametrize("spec", [
+    "c^+2 w0(2)", "c^1_0 w0(2)", "w0(+3)", "w0(1_0)", "w0(\u0663)", "c^\u0662 w0(2)",
+    "n=+2; 1 2 1", "n=2; 1 +2 1", "n=2; 1 2_0", "n=\u0663; 1",
+])
+def test_word_spec_integers_are_plain_decimals(spec):
+    # int() would take each of these: a sign, an underscore, an Arabic-Indic digit
+    with pytest.raises(ValueError, match="bad integer"):
+        parse_word(spec)
