@@ -36,7 +36,7 @@ from . import TABLE_IDS, __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
 from .rays import format_ray_file, parse_ray_file
 from .subword import all_facets, format_facet_file, positions_of
-from .words import Word, format_word, multiassociahedron_word, parse_shorthand, parse_word
+from .words import Word, _integer, format_word, multiassociahedron_word, parse_shorthand, parse_word
 
 TIER_CAP = {"desk": 5, "full": 8}
 
@@ -54,6 +54,10 @@ class RunManifest:
 
 
 def _tier_check(n: int, tier: str, facet_size: int = 0):
+    """Refuse n < 1, then cap n and the facet size by the tier.  With n >= 1,
+    a facet size k n below 0 passes, for the word to refuse k < 0."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     cap = TIER_CAP[tier]
     if n > cap:
         name, what, scale = "n", f"n={n}", 1
@@ -91,10 +95,18 @@ def _emit(args, chunks: Iterable[str], **facts):
         sys.stdout.writelines(chunks)
 
 
+def _integer_arg(spec: str) -> int:
+    """An integer option, read as the integers of a word spec are."""
+    try:
+        return _integer(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _kn(spec: str) -> tuple[int, int]:
     """The ``--kn`` argument: two comma-separated integers k,n."""
     try:
-        k, n = (int(t) for t in spec.split(","))
+        k, n = (_integer(t) for t in spec.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated integers k,n, got {spec!r}"
@@ -238,9 +250,9 @@ def _parse_range(spec: str, tier: str) -> list[int]:
     ns = None
     try:
         if ".." in spec:
-            lo, hi = (int(t) for t in spec.split("..", 1))
+            lo, hi = (_integer(t) for t in spec.split("..", 1))
         else:
-            ns = [int(t) for t in spec.split(",")]
+            ns = [_integer(t) for t in spec.split(",")]
             lo, hi = min(ns), max(ns)
     except ValueError:
         raise bad from None
@@ -252,7 +264,7 @@ def _parse_range(spec: str, tier: str) -> list[int]:
 
 def _common(sub, out=True):
     sub.add_argument("--tier", choices=sorted(TIER_CAP), default="desk")
-    sub.add_argument("--threads", type=int, choices=(1,), default=1,
+    sub.add_argument("--threads", type=_integer_arg, choices=(1,), default=1,
                      help="single-process only; kept so that existing command lines still run")
     if out:
         sub.add_argument("--out", help="write the result here (plus .manifest.json)")
@@ -275,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("rays", help="build construction rays")
     s.add_argument("--construction", required=True,
                    help="naive | fixed[:L,R] | linear | perturbed | pattern | pattern-verbatim | loday")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--n", type=_integer_arg, required=True)
+    s.add_argument("--seed", type=_integer_arg)
     _common(s)
     s.set_defaults(func=cmd_rays)
 
@@ -299,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_oracle)
 
     s = subs.add_parser("trace", help="emit a fattening move trace")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k-prefix", type=int, default=0,
+    s.add_argument("--n", type=_integer_arg, required=True)
+    s.add_argument("--k-prefix", type=_integer_arg, default=0,
                    help="fatten the staircase after k copies of c")
     s.add_argument("--verbose", action="store_true",
                    help="print the word after each move")

@@ -31,15 +31,13 @@ apart and joined again.
 the certifier's walk, which carries each facet's adjugate from its
 parent's (see ``fan._stats``): replacing one row of a regular matrix
 changes each adjugate column by one exact division, and the determinant
-of the new matrix is one dot product with the old adjugate.  A matrix of
-rank d - 1 has no inverse to exchange from, so ``adjugate`` returns the
-adjugate of a regular neighbour instead, one row replaced by a unit
-vector, and the row that puts the matrix back.  ``adjugate`` defers
-scaling by the same rule: Gauss-Jordan updates the rows above the pivot
-row too, but a row with a 0 in the pivot column is left untouched, the
-pivot row is brought up to date when chosen and then counts as updated
-by its own pivot, and every row is brought up to the last pivot at the
-end.
+of the new matrix is one dot product with the old adjugate.  A singular
+matrix has no inverse to exchange from, and ``adjugate`` returns no
+columns for it.  ``adjugate`` defers scaling by the same rule as
+``_eliminate``: Gauss-Jordan updates the rows above the pivot row too,
+but a row with a 0 in the pivot column is left untouched, the pivot row
+is brought up to date when chosen and then counts as updated by its own
+pivot, and every row is brought up to the last pivot at the end.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -145,20 +143,12 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _eliminate(rows)[0]
 
 
-def adjugate(rows: Sequence[Sequence[int]]
-             ) -> tuple[int | None, int, list[list[int]]]:
-    """``(j, det, cols)``: the determinant and the columns of the adjugate
-    of a square integer matrix B, so that row i of B times column c is
-    det(B) if i = c, else 0, and column c times a vector r is the
-    determinant of B with row c replaced by r.
-
-    B is the matrix A of ``rows`` and j is None, unless A has rank d - 1.
-    Then A has a row j that the others span (a nonzero entry of the left
-    null vector the elimination leaves in its last row) and a column c
-    without a pivot, and B is A with row j replaced by the unit vector of
-    c: B is regular, and exchanging its row j back to A's by
-    ``exchange_column`` gives adj(A).  A matrix of rank d - 2 or less has
-    adjugate 0.
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """``(det, cols)``: the determinant and the columns of the adjugate of
+    a regular square integer matrix A, so that row i of A times column c
+    is det(A) if i = c, else 0, and column c times a vector r is the
+    determinant of A with row c replaced by r; ``(0, None)`` for a
+    singular A.
 
     Fraction-free Gauss-Jordan elimination of [A | I], with the deferred
     scaling of ``_eliminate``: the left block ends as the last pivot times
@@ -166,49 +156,38 @@ def adjugate(rows: Sequence[Sequence[int]]
     the adjugate up to the sign of the row swaps.
 
     >>> adjugate([[2, 1], [4, 3]])
-    (None, 2, [[3, -4], [-1, 2]])
+    (2, [[3, -4], [-1, 2]])
     >>> adjugate([[1, 2], [2, 4]])
-    (0, -2, [[4, -2], [-1, 0]])
+    (0, None)
     """
     d = len(rows)
     m = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
     div = [1] * d  # divisor of each row: the pivot of its last update
     sign = prev = 1
-    r = 0
-    free = None
     for c in range(d):
-        p = next((i for i in range(r, d) if m[i][c]), None)
+        p = next((i for i in range(c, d) if m[i][c]), None)
         if p is None:
-            if free is not None:
-                return None, 0, [[0] * d for _ in range(d)]
-            free = c
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            div[r], div[p] = div[p], div[r]
+            return 0, None
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            div[c], div[p] = div[p], div[c]
             sign = -sign
-        top = m[r]
-        if div[r] != prev:
-            top = m[r] = [y * prev // div[r] for y in top]
-        pivot = div[r] = top[c]  # a pivot row is up to date after its step
+        top = m[c]
+        if div[c] != prev:
+            top = m[c] = [y * prev // div[c] for y in top]
+        pivot = div[c] = top[c]  # a pivot row is up to date after its step
         for i in range(d):
             ri = m[i]
             a = ri[c]
-            if a and i != r:
+            if a and i != c:
                 dv = div[i]
                 m[i] = [(x * pivot - a * y) // dv for x, y in zip(ri, top)]
                 div[i] = pivot
         prev = pivot
-        r += 1
-    if free is None:
-        # the right block, every row brought up to the last pivot
-        right = [row[d:] if dv == prev else [x * prev // dv for x in row[d:]]
-                 for row, dv in zip(m, div)]
-        return None, sign * prev, [[sign * row[j] for row in right] for j in range(d)]
-    j = next(i for i, w in enumerate(m[d - 1][d:]) if w)
-    unit = [int(i == free) for i in range(d)]
-    _, det, cols = adjugate([unit if i == j else row for i, row in enumerate(rows)])
-    return j, det, cols
+    # the right block, every row brought up to the last pivot
+    right = [row[d:] if dv == prev else [x * prev // dv for x in row[d:]]
+             for row, dv in zip(m, div)]
+    return sign * prev, [[sign * row[j] for row in right] for j in range(d)]
 
 
 def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
@@ -221,11 +200,11 @@ def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
 
     Row 1 of [[2, 1], [4, 3]] replaced by v = (1, 1):
 
-    >>> _, det, (col, pivot) = adjugate([[2, 1], [4, 3]])
+    >>> det, (col, pivot) = adjugate([[2, 1], [4, 3]])
     >>> exchange_column(col, pivot, 3 - 4, -1 + 2, det)
     [1, -1]
     >>> adjugate([[2, 1], [1, 1]])
-    (None, 1, [[1, -1], [-1, 2]])
+    (1, [[1, -1], [-1, 2]])
     """
     return [(e * a - t * b) // det for a, b in zip(col, pivot)]
 

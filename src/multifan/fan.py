@@ -31,15 +31,17 @@ ridge.
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
 enters it, as a dot product with its parent's adjugate, or for a facet
-without children as a scalar from its grandparent's; a ridge's status at
-the later visited of its two facets, against the determinant signs of
-the facets visited before; the first failure when the least failing
-ridge is classified; and the base condition, from the base point's
-Cramer numerators, carried as one extra entry of each adjugate column.
-No facet is visited twice, and the walk keeps only the signs of the
-facets visited and the adjugate columns read along its current path.
-``condition_one`` is the point location from scratch: it shares nothing
-with the walk, and the tests compare the walk against it.
+without children as a scalar from its grandparent's, and below a
+singular facet by exchanges from the nearest regular cone, one position
+at a time; a ridge's status at the later visited of its two facets,
+against the determinant signs of the facets visited before; the first
+failure when the least failing ridge is classified; and the base
+condition, from the base point's Cramer numerators, carried as one extra
+entry of each adjugate column.  No facet is visited twice, and the walk
+keeps only the signs of the facets visited and the adjugate columns read
+along its current path.  ``condition_one`` is the point location from
+scratch: it shares nothing with the walk, and the tests compare the walk
+against it.
 """
 
 from __future__ import annotations
@@ -183,17 +185,19 @@ class _Cone:
     order: its determinant and a cache of its adjugate columns by
     position.  Each column carries one extra, last entry: the Cramer
     numerator p . C[c] of the base point p (of the point 0 on a cone
-    rebuilt by ``_scratch``), which the exchange formula updates with the
+    rebuilt from scratch), which the exchange formula updates with the
     rest of the column.  A cone made by ``exchanged`` derives its columns
-    from its ``parent``'s on first use; any other starts with every
-    column.  A cone made by ``leaf`` has no column: only its determinant
-    and, in ``num``, its numerator at q."""
+    from its ``parent``'s on first use; one rebuilt from scratch starts
+    with every column, or none if singular.  A cone made by ``leaf`` has
+    no column: only its determinant and, in ``num``, its numerator at q.
+    A singular cone without ``q`` has no column, and its ``parent``, if
+    any, is the regular cone to exchange its children from."""
 
-    __slots__ = ("f", "det", "cols", "num", "parent", "x", "q", "v")
+    __slots__ = ("f", "det", "cols", "num", "parent", "q", "v")
 
-    def __init__(self, f: Facet, det: int, cols: dict[int, list[int]]):
-        self.f, self.det, self.cols = f, det, cols
-        self.parent = self.num = None
+    def __init__(self, f: Facet, det: int, cols: dict[int, list[int]], parent: _Cone | None = None):
+        self.f, self.det, self.cols, self.parent = f, det, cols, parent
+        self.num = self.q = None
 
     def column(self, c: int) -> list[int]:
         col = self.cols.get(c)
@@ -223,8 +227,8 @@ class _Cone:
         col = self.column(x)
         if _odd(f, x, q):
             col = [-a for a in col]
-        cone = _Cone(f, _dot(v, col), {q: col})
-        cone.parent, cone.x, cone.q, cone.v = self, x, q, v
+        cone = _Cone(f, _dot(v, col), {q: col}, self)
+        cone.q, cone.v = q, v
         return cone
 
     def leaf(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
@@ -241,9 +245,9 @@ class _Cone:
         t = _dot(self.v, a)
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
         s = -1 if _odd(f, x, q) else 1
-        cone = _Cone(f, s * (self.det * _dot(v, a) - t * _dot(v, b)) // parent.det, {})
+        cone = _Cone(f, s * (self.det * _dot(v, a) - t * _dot(v, b)) // parent.det, {}, self)
         cone.num = s * (self.det * a[-1] - t * b[-1]) // parent.det
-        cone.parent, cone.x, cone.q, cone.v = self, x, q, v
+        cone.q, cone.v = q, v
         return cone
 
 
@@ -265,8 +269,8 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     base point p as one extra, last entry, i D at the base's i-th
     position, so the same exchange derives it.  Each column is derived
     when first read and then kept.  A singular F cannot divide by D, so a
-    child that has children of its own is made by ``_singular_child``;
-    every other cone with children was exchanged from a regular one.
+    child of F is exchanged by ``_derive`` from the regular cone that F
+    came from, unless it is a leaf that F can give as scalars (below).
 
     A leaf G = F - x + q derives no column: unless C[x] is at hand, its
     determinant is the scalar s (D (v . C_P[x]) - t (v . C[q'])) / D_P
@@ -307,7 +311,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         if not square:
             cone = _Cone(g, 0, {})
         elif entry is None:
-            cone = _scratch(g, rays, sparse)
+            cone = _derive(None, g, rays, sparse)
             if cone.det:
                 rows = _cone(rays, g)
                 point = [sum(i * row[c] for i, row in enumerate(rows, 1)) for c in range(ra.dim)]
@@ -316,12 +320,12 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         else:
             x, q, _ = entry
             parent = path[-1]
-            if not children:
+            if not children and parent.q is not None:
                 cone = parent.leaf(x, q, sparse[q - 1])
             elif parent.det:
                 cone = parent.exchanged(x, q, sparse[q - 1])
             else:
-                cone = _singular_child(parent, x, q, sparse[q - 1], rays, sparse)
+                cone = _derive(parent.parent, g, rays, sparse)
         det = cone.det
         sign = (det > 0) - (det < 0)
         if not sign:
@@ -375,39 +379,35 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     return stats, failure, witness
 
 
-def _singular_child(parent: _Cone, x: int, q: int, v, rays, sparse) -> _Cone:
-    """The child of a singular ``parent`` by x -> q, with the means to
-    derive its columns.  The parent was made from a regular matrix B by
-    x' -> q', so the child is B with x and x' exchanged for q and q', in
-    two steps through a regular intermediate matrix; or, when all of those
-    are singular too, or B is not known, it is computed from scratch."""
-    base = parent.parent
-    if base is not None:
-        if x == parent.q:
-            return base.exchanged(parent.x, q, v)
-        routes = [((x, q, v), (parent.x, parent.q, parent.v)),
-                  ((parent.x, q, v), (x, parent.q, parent.v))]
-        if parent.x != parent.q:  # else B's row at q' is a unit vector
-            routes.append(((x, parent.q, parent.v), (parent.x, q, v)))
-        for first, then in routes:
-            step = base.exchanged(*first)
-            if step.det:
-                return step.exchanged(*then)
-    return _scratch(parent.f & ~(1 << (x - 1)) | 1 << (q - 1), rays, sparse)
-
-
-def _scratch(f: Facet, rays, sparse) -> _Cone:
-    """The cone of ``f`` with its adjugate computed from scratch, its
-    numerator entries those of the point 0.  A singular one of rank d - 1
-    is exchanged from the regular neighbour whose adjugate ``adjugate``
-    returns, so that its children can be exchanged from that."""
-    j, det, cols = adjugate(_cone(rays, f))
-    where = positions_of(f)
-    cone = _Cone(f, det, {r: col + [0] for r, col in zip(where, cols)})
-    if j is not None:
-        r = where[j]
-        cone = cone.exchanged(r, r, sparse[r - 1])
-    return cone
+def _derive(base: _Cone | None, g: Facet, rays, sparse) -> _Cone:
+    """The cone of ``g``, from scratch without ``base``, else exchanged
+    from the regular cone ``base`` one position at a time: each position
+    that ``base`` has and ``g`` lacks is swapped for one that ``g`` has,
+    every step but the last to a regular cone.  With M the k x k matrix of
+    the v_q . C[x] / D of ``base``, det(g) / D = det M, and a step pivots
+    on a nonzero entry of M, leaving a Schur complement of one less rank.
+    So the steps run out with two or more swaps left only if ``g`` has
+    rank d - 2 or less; it then gets determinant 0, no columns, and as
+    parent the last regular cone of its route, to derive its children."""
+    if base is None:
+        det, cols = adjugate(_cone(rays, g))
+        return _Cone(g, det, {r: col + [0] for r, col in zip(positions_of(g), cols or ())})
+    outs = list(positions_of(base.f & ~g))
+    ins = list(positions_of(g & ~base.f))
+    cone = base
+    while len(outs) > 1:
+        for x in outs:
+            col = cone.column(x)
+            q = next((q for q in ins if _dot(sparse[q - 1], col)), None)
+            if q is not None:
+                break
+        else:
+            return _Cone(g, 0, {}, cone)
+        outs.remove(x)
+        ins.remove(q)
+        cone = cone.exchanged(x, q, sparse[q - 1])
+    # no swap when g is a cone of the route to its parent
+    return cone.exchanged(outs[0], ins[0], sparse[ins[0] - 1]) if outs else cone
 
 
 def _self_check(rays, cone: _Cone, point):

@@ -316,6 +316,48 @@ def test_tier_caps_kn_before_building_the_word(capsys, monkeypatch, kn, message)
     assert err.startswith(f"error: {message}")
 
 
+def _exit(capsys, *argv):
+    """``run``, with argparse's usage errors as their exit code."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("argv,token", [
+    (["facets", "--kn", "+2,\u0663"], "+2,\u0663"),
+    (["reproduce", "T2", "--n", "1_0..1_1"], "1_0..1_1"),
+    (["reproduce", "T2", "--n", "+1,2"], "+1,2"),
+    (["rays", "--construction", "naive", "--n", " 3"], " 3"),
+    (["rays", "--construction", "perturbed", "--n", "2", "--seed", "+5"], "+5"),
+    (["trace", "--n", "3", "--k-prefix", "1_0"], "1_0"),
+    (["trace", "--n", "\u0663"], "\u0663"),
+    (["facets", "--kn", "2,2", "--threads", "+1"], "+1"),
+], ids=["kn", "n-range", "n-list", "rays-n", "seed", "k-prefix", "trace-n", "threads"])
+def test_option_integers_are_plain_decimals(capsys, argv, token):
+    # int() would take each of these, as it would in a word spec
+    rc, out, err = _exit(capsys, *argv)
+    assert (rc, out) == (2, ""), err
+    assert repr(token) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "--n", "-3", "--k-prefix", "-5"], "n must be >= 1, got -3"),
+    (["trace", "--n", "3", "--k-prefix", "-5"], "k must be >= 0"),
+    (["facets", "--kn=-2,-3"], "n must be >= 1, got -3"),
+    (["facets", "--kn=-2,3"], "k must be >= 0"),
+    (["facets", "--word", "c^-4 w0(2)"], "k must be >= 0"),
+    (["rays", "--construction", "naive", "--n", "0"], "n must be >= 1, got 0"),
+], ids=["trace-k-and-n", "trace-k", "kn-k-and-n", "kn-k", "word-k", "rays-n"])
+def test_negative_specs_are_refused_before_the_tier_cap(capsys, argv, message):
+    # k n of two negative numbers is positive: the signs come first, so
+    # the message names the sign, not a cap
+    rc, out, err = _exit(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def _limit_address_space():
     import resource
 

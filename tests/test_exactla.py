@@ -170,45 +170,24 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _own_adjugate(rows):
-    """The determinant and adjugate columns of ``rows`` itself: those that
-    ``adjugate`` returns, or, for a neighbour, its row j exchanged back.
-    Checks that a neighbour is regular and differs from ``rows`` only in
-    row j, which it replaces by a unit vector."""
-    j, det, cols = adjugate(rows)
-    if j is None:
-        return det, cols
-    assert det, rows
-    pivot = cols[j]
-    units = [[int(i == c) for i in range(len(rows))] for c in range(len(rows))]
-    assert any(det == _fraction_det(rows[:j] + [unit] + rows[j + 1:]) and
-               cols == _fraction_adjugate(rows[:j] + [unit] + rows[j + 1:])
-               for unit in units), rows
-    return 0, [pivot if c == j else exchange_column(col, pivot, _dot(rows[j], col), 0, det)
-               for c, col in enumerate(cols)]
-
-
 def test_adjugate_matches_fraction_oracle():
     # A adj(A) = det(A) I, and every column equals the cofactors, on
-    # regular matrices and on singular ones of rank d - 1 (through the
-    # regular neighbour) and below (adjugate 0)
+    # regular matrices; a singular one, of rank d - 1 or below, has no
+    # columns
     rng = random.Random(23)
-    kinds = {"regular": 0, "rank d-1": 0, "rank d-2": 0}
+    kinds = {"regular": 0, "singular": 0}
     for trial in range(900):
         d = 1 + trial % 6
         rank = d - rng.choice((0, 0, 1, 2)) if d > 1 else 1
         rows = _rank_draw(rng, d, max(rank, 0), 2 ** 240 if trial % 9 == 0 else 4)
-        det, cols = _own_adjugate(rows)
+        det, cols = adjugate(rows)
         assert det == _fraction_det(rows), rows
-        assert cols == _fraction_adjugate(rows), rows
+        assert cols == (_fraction_adjugate(rows) if det else None), rows
         assert all(_dot(row, col) == (det if i == j else 0)
-                   for i, row in enumerate(rows) for j, col in enumerate(cols)), rows
-        if det:
-            kinds["regular"] += 1
-        else:
-            kinds["rank d-1" if adjugate(rows)[0] is not None else "rank d-2"] += 1
-    assert min(kinds.values()) >= 100, kinds
-    assert adjugate([]) == (None, 1, [])
+                   for i, row in enumerate(rows) for j, col in enumerate(cols or ())), rows
+        kinds["regular" if det else "singular"] += 1
+    assert min(kinds.values()) >= 300, kinds
+    assert adjugate([]) == (1, [])
 
 
 def _with_stale_pivot(rows):
@@ -235,7 +214,7 @@ def test_adjugate_skips_rows_and_brings_stale_pivots_up_to_date():
     # mostly zero entries, so that most steps leave rows untouched: against
     # the cofactors, at rank d, d - 1 and below, with 240-bit entries too
     rng = random.Random(31)
-    kinds = {"regular": 0, "rank d-1": 0, "rank d-2": 0}
+    kinds = {"regular": 0, "singular": 0}
     stale = big = 0
     for trial in range(600):
         d = 2 + trial % 5
@@ -252,13 +231,10 @@ def test_adjugate_skips_rows_and_brings_stale_pivots_up_to_date():
             if arranged is not None:
                 rows = arranged
                 stale += 1
-        det, cols = _own_adjugate(rows)
+        det, cols = adjugate(rows)
         assert det == _fraction_det(rows), rows
-        assert cols == _fraction_adjugate(rows), rows
-        if det:
-            kinds["regular"] += 1
-        else:
-            kinds["rank d-1" if adjugate(rows)[0] is not None else "rank d-2"] += 1
+        assert cols == (_fraction_adjugate(rows) if det else None), rows
+        kinds["regular" if det else "singular"] += 1
         big += max(abs(x) for row in rows for x in row).bit_length() > 200
     assert min(kinds.values()) >= 100 and stale >= 150 and big >= 50, (kinds, stale, big)
 
@@ -268,22 +244,22 @@ def test_adjugate_of_a_matrix_whose_first_step_skips_a_row():
     # swaps row 3 in, pivots on 25 and skips the three other rows; step 2
     # pivots on row 2, brought up to date from 5 to 25 first
     rows = [[5, 0, -1, -3], [0, 0, -3, 1], [5, 0, 0, -3], [5, 5, -3, 2]]
-    j, det, cols = adjugate(rows)
-    assert (j, det) == (None, _fraction_det(rows)) and det != 0
+    det, cols = adjugate(rows)
+    assert det == _fraction_det(rows) != 0
     assert cols == _fraction_adjugate(rows)
 
 
 def test_row_exchange_matches_adjugate_from_scratch():
     # the exchange of one row of a regular matrix, column by column,
-    # against the adjugate of the new matrix from scratch, also when the
-    # new row makes it singular
+    # against the adjugate of the new matrix from scratch, and against its
+    # cofactors, also when the new row makes it singular
     rng = random.Random(29)
     singular = 0
     for trial in range(900):
         d = 1 + trial % 6
         rows = _rank_draw(rng, d, d, 2 ** 240 if trial % 9 == 0 else 4)
-        j, det, cols = adjugate(rows)
-        if j is not None or not det:
+        det, cols = adjugate(rows)
+        if cols is None:
             continue
         j = rng.randrange(d)
         if d > 1 and trial % 3 == 0:
@@ -297,7 +273,9 @@ def test_row_exchange_matches_adjugate_from_scratch():
         e = _dot(v, pivot)
         exchanged = [pivot if c == j else exchange_column(col, pivot, _dot(v, col), e, det)
                      for c, col in enumerate(cols)]
-        assert (e, exchanged) == _own_adjugate(rows[:j] + [v] + rows[j + 1:]), (rows, j, v)
+        new = rows[:j] + [v] + rows[j + 1:]
+        assert (e, exchanged) == (_fraction_det(new), _fraction_adjugate(new)), (rows, j, v)
+        assert adjugate(new) == ((e, exchanged) if e else (0, None)), (rows, j, v)
         singular += e == 0
     assert singular >= 100, singular
 
