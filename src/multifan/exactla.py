@@ -4,9 +4,9 @@ Exact rational linear algebra for the fan verifier.
 Rays arrive as tuples of Fractions (or ints).  ``scale_to_int`` clears
 their denominators - scaling a generator by a positive rational changes
 neither ranks, nor determinant signs, nor the signs of dependence
-coefficients - and ``bareiss_det``, ``int_rank`` and ``adjugate`` take
-the resulting integer rows and use fraction-free (Bareiss) elimination, so
-no precision is ever lost and no intermediate gcd storms occur.
+coefficients - and ``bareiss_det`` and ``int_rank`` take the resulting
+integer rows and use fraction-free (Bareiss) elimination, so no precision
+is ever lost and no intermediate gcd storms occur.
 ``solve_unique`` works on Fractions directly.
 
 ``bareiss_det`` and ``int_rank`` share one elimination with deferred
@@ -27,17 +27,11 @@ The elimination runs from the last column to the first, so an updated
 row is just its entries left of the pivot column and is never sliced
 apart and joined again.
 
-``adjugate`` (fraction-free Gauss-Jordan) and ``exchange_column`` serve
-the certifier's walk, which carries each facet's adjugate from its
-parent's (see ``fan._stats``): replacing one row of a regular matrix
-changes each adjugate column by one exact division, and the determinant
-of the new matrix is one dot product with the old adjugate.  A singular
-matrix has no inverse to exchange from, and ``adjugate`` returns no
-columns for it.  ``adjugate`` defers scaling by the same rule as
-``_eliminate``: Gauss-Jordan updates the rows above the pivot row too,
-but a row with a 0 in the pivot column is left untouched, the pivot row
-is brought up to date when chosen and then counts as updated by its own
-pivot, and every row is brought up to the last pivot at the end.
+``exchange_column`` serves the certifier's walk, which carries each
+facet's adjugate from its parent's, starting from the unit matrix (see
+``fan._stats``): replacing one row of a regular matrix changes each
+adjugate column by one exact division, and the determinant of the new
+matrix is one dot product with the old adjugate.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -57,7 +51,6 @@ __all__ = [
     "scale_to_int",
     "bareiss_det",
     "int_rank",
-    "adjugate",
     "exchange_column",
     "solve_unique",
     "feasible_nonneg",
@@ -143,53 +136,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _eliminate(rows)[0]
 
 
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
-    """``(det, cols)``: the determinant and the columns of the adjugate of
-    a regular square integer matrix A, so that row i of A times column c
-    is det(A) if i = c, else 0, and column c times a vector r is the
-    determinant of A with row c replaced by r; ``(0, None)`` for a
-    singular A.
-
-    Fraction-free Gauss-Jordan elimination of [A | I], with the deferred
-    scaling of ``_eliminate``: the left block ends as the last pivot times
-    I, so the right block is the last pivot times the inverse, which is
-    the adjugate up to the sign of the row swaps.
-
-    >>> adjugate([[2, 1], [4, 3]])
-    (2, [[3, -4], [-1, 2]])
-    >>> adjugate([[1, 2], [2, 4]])
-    (0, None)
-    """
-    d = len(rows)
-    m = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
-    div = [1] * d  # divisor of each row: the pivot of its last update
-    sign = prev = 1
-    for c in range(d):
-        p = next((i for i in range(c, d) if m[i][c]), None)
-        if p is None:
-            return 0, None
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            div[c], div[p] = div[p], div[c]
-            sign = -sign
-        top = m[c]
-        if div[c] != prev:
-            top = m[c] = [y * prev // div[c] for y in top]
-        pivot = div[c] = top[c]  # a pivot row is up to date after its step
-        for i in range(d):
-            ri = m[i]
-            a = ri[c]
-            if a and i != c:
-                dv = div[i]
-                m[i] = [(x * pivot - a * y) // dv for x, y in zip(ri, top)]
-                div[i] = pivot
-        prev = pivot
-    # the right block, every row brought up to the last pivot
-    right = [row[d:] if dv == prev else [x * prev // dv for x in row[d:]]
-             for row, dv in zip(m, div)]
-    return sign * prev, [[sign * row[j] for row in right] for j in range(d)]
-
-
 def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
                     det: int) -> list[int]:
     """Column c of adj(A') for A' = A with row j replaced by a vector v,
@@ -198,13 +144,12 @@ def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
     ``(e * col - t * pivot) / det``, an exact division.  Column j itself
     is unchanged, and e may be 0.
 
-    Row 1 of [[2, 1], [4, 3]] replaced by v = (1, 1):
+    Row 1 of A = [[2, 1], [4, 3]], of determinant 2 and adjugate columns
+    (3, -4) and (-1, 2), replaced by v = (1, 1) gives A' = [[2, 1], [1, 1]]
+    of determinant v . (-1, 2) = 1 and adjugate columns (1, -1) and (-1, 2):
 
-    >>> det, (col, pivot) = adjugate([[2, 1], [4, 3]])
-    >>> exchange_column(col, pivot, 3 - 4, -1 + 2, det)
+    >>> exchange_column([3, -4], [-1, 2], 3 - 4, -1 + 2, 2)
     [1, -1]
-    >>> adjugate([[2, 1], [1, 1]])
-    (1, [[1, -1], [-1, 2]])
     """
     return [(e * a - t * b) // det for a, b in zip(col, pivot)]
 

@@ -31,17 +31,17 @@ ridge.
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
 enters it, as a dot product with its parent's adjugate, or for a facet
-without children as a scalar from its grandparent's, and below a
-singular facet by exchanges from the nearest regular cone, one position
-at a time; a ridge's status at the later visited of its two facets,
-against the determinant signs of the facets visited before; the first
-failure when the least failing ridge is classified; and the base
-condition, from the base point's Cramer numerators, carried as one extra
-entry of each adjugate column.  No facet is visited twice, and the walk
-keeps only the signs of the facets visited and the adjugate columns read
-along its current path.  ``condition_one`` is the point location from
-scratch: it shares nothing with the walk, and the tests compare the walk
-against it.
+without children as a scalar from its grandparent's, and for the base
+facet or below a singular facet by exchanges from the unit matrix or
+from the nearest regular cone, one position at a time; a ridge's status
+at the later visited of its two facets, against the determinant signs
+of the facets visited before; the first failure when the least failing
+ridge is classified; and the base condition, from the base point's
+Cramer numerators, carried as one extra entry of each adjugate column.
+No facet is visited twice, and the walk keeps only the signs of the
+facets visited and the adjugate columns read along its current path.
+``condition_one`` is the point location from scratch: it shares nothing
+with the walk, and the tests compare the walk against it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exactla import adjugate, bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
+from .exactla import bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
 from .subword import Facet, greedy_facet, positions_of, traverse
 
 if TYPE_CHECKING:
@@ -184,14 +184,13 @@ class _Cone:
     """The matrix of the rays of the positions ``f``, as rows in position
     order: its determinant and a cache of its adjugate columns by
     position.  Each column carries one extra, last entry: the Cramer
-    numerator p . C[c] of the base point p (of the point 0 on a cone
-    rebuilt from scratch), which the exchange formula updates with the
-    rest of the column.  A cone made by ``exchanged`` derives its columns
-    from its ``parent``'s on first use; one rebuilt from scratch starts
-    with every column, or none if singular.  A cone made by ``leaf`` has
-    no column: only its determinant and, in ``num``, its numerator at q.
-    A singular cone without ``q`` has no column, and its ``parent``, if
-    any, is the regular cone to exchange its children from."""
+    numerator p . C[c] of the base point p, which the exchange formula
+    updates with the rest of the column.  A cone made by ``exchanged``
+    derives its columns from its ``parent``'s on first use; the unit cone
+    (``_unit``) starts with every column.  A cone made by ``leaf`` has no
+    column: only its determinant and, in ``num``, its numerator at q.  A
+    singular cone without ``q`` has no column, and its ``parent``, if any,
+    is the regular cone to exchange its children from."""
 
     __slots__ = ("f", "det", "cols", "num", "parent", "q", "v")
 
@@ -251,6 +250,15 @@ class _Cone:
         return cone
 
 
+def _unit(point: list[int], end: int) -> _Cone:
+    """The unit matrix, as the cone of the d positions past ``end``: row
+    and column e_j at position end + j, determinant 1, and numerator
+    entries p . e_j = p_j of the point p."""
+    d = len(point)
+    cols = {end + j: [int(i == j) for i in range(1, d + 1)] + [p] for j, p in enumerate(point, 1)}
+    return _Cone(((1 << d) - 1) << end, 1, cols)
+
+
 def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     """Statistics, the first failure and the base condition's witness, from
     one walk of the flip graph rooted at the base facet (``traverse``).
@@ -266,11 +274,17 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     s = (-1)^k moves q's row across the k positions strictly between x and
     q.  The child's columns are C'[q] = s C[x] and (D' C[c] - (v . C[c])
     C'[q]) / D.  Each column carries the Cramer numerator p . C[c] of the
-    base point p as one extra, last entry, i D at the base's i-th
-    position, so the same exchange derives it.  Each column is derived
-    when first read and then kept.  A singular F cannot divide by D, so a
-    child of F is exchanged by ``_derive`` from the regular cone that F
-    came from, unless it is a leaf that F can give as scalars (below).
+    base point p as one extra, last entry, so the same exchange derives
+    it.  Each column is derived when first read and then kept.  A
+    singular F cannot divide by D, so a child of F is exchanged by
+    ``_derive`` from the regular cone that F came from, unless it is a
+    leaf that F can give as scalars (below).
+
+    The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
+    positions past the word's last, of determinant 1, columns e_j and
+    numerator entries p_j.  ``_derive`` exchanges the base's rays in, one
+    position at a time, and exactness carries p . C[r_i] = i D to the
+    base's i-th position r_i.
 
     A leaf G = F - x + q derives no column: unless C[x] is at hand, its
     determinant is the scalar s (D (v . C_P[x]) - t (v . C[q'])) / D_P
@@ -311,12 +325,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         if not square:
             cone = _Cone(g, 0, {})
         elif entry is None:
-            cone = _derive(None, g, rays, sparse)
-            if cone.det:
-                rows = _cone(rays, g)
-                point = [sum(i * row[c] for i, row in enumerate(rows, 1)) for c in range(ra.dim)]
-                for i, r in enumerate(positions_of(g), 1):
-                    cone.cols[r][-1] = i * cone.det
+            point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
+            cone = _derive(_unit(point, len(ra.word)), g, sparse)
+            if not cone.det:
+                point = None  # no point strictly inside a singular base
         else:
             x, q, _ = entry
             parent = path[-1]
@@ -325,7 +337,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             elif parent.det:
                 cone = parent.exchanged(x, q, sparse[q - 1])
             else:
-                cone = _derive(parent.parent, g, rays, sparse)
+                cone = _derive(parent.parent, g, sparse)
         det = cone.det
         sign = (det > 0) - (det < 0)
         if not sign:
@@ -379,19 +391,16 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     return stats, failure, witness
 
 
-def _derive(base: _Cone | None, g: Facet, rays, sparse) -> _Cone:
-    """The cone of ``g``, from scratch without ``base``, else exchanged
-    from the regular cone ``base`` one position at a time: each position
-    that ``base`` has and ``g`` lacks is swapped for one that ``g`` has,
-    every step but the last to a regular cone.  With M the k x k matrix of
-    the v_q . C[x] / D of ``base``, det(g) / D = det M, and a step pivots
-    on a nonzero entry of M, leaving a Schur complement of one less rank.
-    So the steps run out with two or more swaps left only if ``g`` has
-    rank d - 2 or less; it then gets determinant 0, no columns, and as
-    parent the last regular cone of its route, to derive its children."""
-    if base is None:
-        det, cols = adjugate(_cone(rays, g))
-        return _Cone(g, det, {r: col + [0] for r, col in zip(positions_of(g), cols or ())})
+def _derive(base: _Cone, g: Facet, sparse) -> _Cone:
+    """The cone of ``g``, exchanged from the regular cone ``base`` one
+    position at a time: each position that ``base`` has and ``g`` lacks is
+    swapped for one that ``g`` has, every step but the last to a regular
+    cone.  With M the k x k matrix of the v_q . C[x] / D of ``base``,
+    det(g) / D = det M, and a step pivots on a nonzero entry of M, leaving
+    a Schur complement of one less rank.  So the steps run out with two or
+    more swaps left only if ``g`` has rank d - 2 or less; it then gets
+    determinant 0, no columns, and as parent the last regular cone of its
+    route, to derive its children."""
     outs = list(positions_of(base.f & ~g))
     ins = list(positions_of(g & ~base.f))
     cone = base

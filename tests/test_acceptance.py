@@ -116,7 +116,7 @@ def test_c05_extended_n8_bad_ridges():
 @pytest.mark.parametrize("table", ["T2", "T4", "T6"])
 def test_c03_c05_golden_n6_columns(table):
     # the naive, fixed(5,3) and linear columns at n=6: 10,992, 5,742 and
-    # 2,904 singular cones, rebuilt along every path of the walk
+    # 2,904 singular cones, exchanged from the nearest regular cone
     cells = reproduce_table(table, [6])
     failed = [c.cell for c in cells if not c.ok]
     report(f"{table}x(n=6)", not failed, f"{len(cells)} cells, failing: {failed}")

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from multifan import fan
 from multifan.exactla import (
-    adjugate,
     bareiss_det,
     exchange_column,
     feasible_nonneg,
@@ -170,97 +170,58 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _from_unit(rows, point):
+    """The cone of ``rows`` at positions 1..d, exchanged in by
+    ``fan._derive`` from the unit matrix at positions d + 1..2d, whose
+    numerator entries are those of ``point``."""
+    d = len(rows)
+    sparse = [[(c, a) for c, a in enumerate(row) if a] for row in rows]
+    return fan._derive(fan._unit(point, d), (1 << d) - 1, sparse)
+
+
 def test_adjugate_matches_fraction_oracle():
-    # A adj(A) = det(A) I, and every column equals the cofactors, on
-    # regular matrices; a singular one, of rank d - 1 or below, has no
-    # columns
+    # the cone derived from the unit matrix one row at a time: its
+    # determinant, and every column equal to the cofactors with p . C as
+    # its last entry, A adj(A) = det(A) I; a cone is stuck, with no column,
+    # exactly when its rank is d - 2 or less
     rng = random.Random(23)
-    kinds = {"regular": 0, "singular": 0}
+    kinds = {"regular": 0, "singular": 0, "stuck": 0}
     for trial in range(900):
         d = 1 + trial % 6
         rank = d - rng.choice((0, 0, 1, 2)) if d > 1 else 1
         rows = _rank_draw(rng, d, max(rank, 0), 2 ** 240 if trial % 9 == 0 else 4)
-        det, cols = adjugate(rows)
-        assert det == _fraction_det(rows), rows
-        assert cols == (_fraction_adjugate(rows) if det else None), rows
-        assert all(_dot(row, col) == (det if i == j else 0)
-                   for i, row in enumerate(rows) for j, col in enumerate(cols or ())), rows
-        kinds["regular" if det else "singular"] += 1
-    assert min(kinds.values()) >= 300, kinds
-    assert adjugate([]) == (1, [])
-
-
-def _with_stale_pivot(rows):
-    """``rows`` with rows and columns permuted, which keeps the rank, so
-    that step 0 of ``adjugate`` pivots on an entry other than +-1 in row 0
-    and skips row 1, which then becomes the pivot of step 1 while stale;
-    None if the entries allow no such order."""
-    d = len(rows)
-    for c in range(d):
-        for k in range(d):
-            if abs(rows[k][c]) < 2:
-                continue
-            for i in range(d):
-                c1 = next((c1 for c1 in range(d) if rows[i][c1]), None)
-                if i == k or rows[i][c] or c1 is None:
-                    continue
-                cols = [c, c1] + [x for x in range(d) if x not in (c, c1)]
-                order = [k, i] + [x for x in range(d) if x not in (k, i)]
-                return [[rows[r][x] for x in cols] for r in order]
-    return None
-
-
-def test_adjugate_skips_rows_and_brings_stale_pivots_up_to_date():
-    # mostly zero entries, so that most steps leave rows untouched: against
-    # the cofactors, at rank d, d - 1 and below, with 240-bit entries too
-    rng = random.Random(31)
-    kinds = {"regular": 0, "singular": 0}
-    stale = big = 0
-    for trial in range(600):
-        d = 2 + trial % 5
-        bound = 2 ** 240 if trial % 7 == 0 else 9
-        rows = [[rng.randint(-bound, bound) if rng.random() < 0.45 else 0 for _ in range(d)]
-                for _ in range(d)]
-        for k in rng.sample(range(d), rng.choice((0, 0, 0, 1, 2))):
-            # a sparse combination of the other rows
-            i, j = rng.choices([x for x in range(d) if x != k], k=2)
-            a, b = rng.choice((1, -1, 2)), rng.choice((0, 0, 1, -3))
-            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
-        if trial % 2:
-            arranged = _with_stale_pivot(rows)
-            if arranged is not None:
-                rows = arranged
-                stale += 1
-        det, cols = adjugate(rows)
-        assert det == _fraction_det(rows), rows
-        assert cols == (_fraction_adjugate(rows) if det else None), rows
-        kinds["regular" if det else "singular"] += 1
-        big += max(abs(x) for row in rows for x in row).bit_length() > 200
-    assert min(kinds.values()) >= 100 and stale >= 150 and big >= 50, (kinds, stale, big)
-
-
-def test_adjugate_of_a_matrix_whose_first_step_skips_a_row():
-    # step 0 pivots on the 5 of row 0 and leaves row 1 untouched; step 1
-    # swaps row 3 in, pivots on 25 and skips the three other rows; step 2
-    # pivots on row 2, brought up to date from 5 to 25 first
-    rows = [[5, 0, -1, -3], [0, 0, -3, 1], [5, 0, 0, -3], [5, 5, -3, 2]]
-    det, cols = adjugate(rows)
-    assert det == _fraction_det(rows) != 0
-    assert cols == _fraction_adjugate(rows)
+        point = [rng.randint(-9, 9) for _ in range(d)]
+        cone = _from_unit(rows, point)
+        assert cone.f == (1 << d) - 1 and cone.det == _fraction_det(rows), rows
+        stuck = cone.q is None
+        assert stuck == (len(_rref(rows)) <= d - 2), rows
+        if stuck:
+            assert cone.det == 0 and cone.cols == {} and cone.parent.det, rows
+        else:
+            cols = [cone.column(c) for c in range(1, d + 1)]
+            assert cols == [col + [_dot(point, col)] for col in _fraction_adjugate(rows)], rows
+            assert all(_dot(row, col) == (cone.det if i == j else 0)
+                       for i, row in enumerate(rows) for j, col in enumerate(cols)), rows
+        kinds["stuck" if stuck else "regular" if cone.det else "singular"] += 1
+    assert kinds["regular"] >= 300 and kinds["singular"] + kinds["stuck"] >= 100, kinds
+    assert min(kinds.values()) >= 50, kinds
+    unit = fan._unit([], 0)
+    assert fan._derive(unit, 0, []) is unit and unit.det == 1
 
 
 def test_row_exchange_matches_adjugate_from_scratch():
-    # the exchange of one row of a regular matrix, column by column,
-    # against the adjugate of the new matrix from scratch, and against its
-    # cofactors, also when the new row makes it singular
+    # the exchange of one row of a regular matrix, column by column, from
+    # the cofactors of the old matrix against those of the new one, also
+    # when the new row makes it singular
     rng = random.Random(29)
     singular = 0
     for trial in range(900):
         d = 1 + trial % 6
         rows = _rank_draw(rng, d, d, 2 ** 240 if trial % 9 == 0 else 4)
-        det, cols = adjugate(rows)
-        if cols is None:
+        det = _fraction_det(rows)
+        if not det:
             continue
+        cols = _fraction_adjugate(rows)
         j = rng.randrange(d)
         if d > 1 and trial % 3 == 0:
             # a combination of the other rows: the new matrix is singular
@@ -275,7 +236,6 @@ def test_row_exchange_matches_adjugate_from_scratch():
                      for c, col in enumerate(cols)]
         new = rows[:j] + [v] + rows[j + 1:]
         assert (e, exchanged) == (_fraction_det(new), _fraction_adjugate(new)), (rows, j, v)
-        assert adjugate(new) == ((e, exchanged) if e else (0, None)), (rows, j, v)
         singular += e == 0
     assert singular >= 100, singular
 

@@ -336,28 +336,29 @@ def _column_sources(monkeypatch, ra):
     id is reused.  A derived cone is checked against the rule of
     ``_derive``: its route from ``base`` is one step per position
     exchanged, through regular cones, and it is stuck, with no route, only
-    at rank d - 2 or less."""
+    at rank d - 2 or less.  The unit cone is the one ``base`` without a
+    parent, and its route to the base facet takes d steps."""
     made = {}
     derive = fan._derive
     rays = fan._int_rays(ra)
 
-    def derived(base, g, rays, sparse):
-        cone = derive(base, g, rays, sparse)
-        assert cone.f == g
-        if base is None:
-            label = "rebuilt"
+    def derived(base, g, sparse):
+        cone = derive(base, g, sparse)
+        assert cone.f == g and base.det and base.f != g
+        if cone.q is None:
+            assert exactla.int_rank(fan._cone(rays, g)) <= ra.dim - 2
+            assert cone.parent.det and cone.cols == {}
+            label = "stuck"
         else:
-            assert base.det and base.f != g
-            if cone.q is None:
-                assert exactla.int_rank(fan._cone(rays, g)) <= ra.dim - 2
-                assert cone.parent.det and cone.cols == {}
-                label = "stuck"
+            steps, step = 1, cone.parent
+            while step is not base:
+                assert step.det
+                steps, step = steps + 1, step.parent
+            assert steps == (base.f & ~g).bit_count()
+            if base.parent is None:
+                assert steps == ra.dim
+                label = "routed from the unit in d steps"
             else:
-                steps, step = 1, cone.parent
-                while step is not base:
-                    assert step.det
-                    steps, step = steps + 1, step.parent
-                assert steps == (base.f & ~g).bit_count()
                 label = {1: "derived in 1 step", 2: "derived in 2 steps"}.get(
                     steps, "derived in 3+ steps")
         made[id(cone)] = cone, label
@@ -381,49 +382,52 @@ def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, cons
         made[id(cone)][1] if id(cone) in made
         else "exchanged from the parent" if cone.cols else "a leaf's scalars"
         for cone, _ in checked)
-    assert sources["rebuilt"] == 1  # the base
+    assert sources["routed from the unit in d steps"] == 1  # the base
     for source in ("exchanged from the parent", "a leaf's scalars", "derived in 1 step",
                    "derived in 2 steps", "derived in 3+ steps", "stuck"):
         assert sources[source] >= 1, sources
 
 
-def _adjugate_calls(monkeypatch):
-    """The rows of every later ``adjugate`` call of the walk."""
-    calls = []
+def _unit_cones(monkeypatch):
+    """Every unit cone that a later walk builds."""
+    cones = []
+    unit = fan._unit
 
-    def counted(rows):
-        calls.append(rows)
-        return exactla.adjugate(rows)
+    def counted(point, end):
+        cones.append(unit(point, end))
+        return cones[-1]
 
-    monkeypatch.setattr(fan, "adjugate", counted)
-    return calls
+    monkeypatch.setattr(fan, "_unit", counted)
+    return cones
 
 
 @pytest.mark.parametrize("construction", ["naive", "fixed:5,3", "linear", "pattern"])
 def test_adjugate_runs_once_per_walk(monkeypatch, construction):
-    # a regular base facet is the one adjugate computed from scratch; every
-    # other cone, singular ones and their children too, is exchanged
-    calls = _adjugate_calls(monkeypatch)
+    # the one adjugate that the walk does not exchange from another is the
+    # unit cone's, built once, whose route leads to the base; every other
+    # cone, singular ones and their children too, is exchanged
+    units = _unit_cones(monkeypatch)
     stats = _stats(build_rays(construction, 5))[0]
-    assert len(calls) == 1 and (stats.degenerate_cones > 0) == (construction != "pattern")
+    assert len(units) == 1 and (stats.degenerate_cones > 0) == (construction != "pattern")
 
 
 def test_derive_from_the_cone_itself():
     # a cone on the route to a singular one may be a facet of the walk
     # later: derived from itself, it is that cone
     ra = build_rays("pattern", 3)
-    rays = fan._int_rays(ra)
-    sparse = [[(c, a) for c, a in enumerate(v) if a] for v in rays]
-    base = fan._derive(None, greedy_facet(ra.word), rays, sparse)
-    assert fan._derive(base, base.f, rays, sparse) is base
+    sparse = [[(c, a) for c, a in enumerate(v) if a] for v in fan._int_rays(ra)]
+    g = greedy_facet(ra.word)
+    base = fan._derive(fan._unit([0] * ra.dim, len(ra.word)), g, sparse)
+    assert base.f == g and base.det
+    assert fan._derive(base, g, sparse) is base
 
 
 @pytest.mark.parametrize("dependent", [1, 2], ids=["rank d-1", "rank d-2"])
 def test_singular_base_facet(monkeypatch, dependent):
     # the base cone of the pattern n=3 rays, its last rays replaced by
-    # combinations of its first two: the walk starts in a singular region
-    # with no regular cone to exchange from, and rebuilds each cone there
-    # from scratch until it reaches a regular one
+    # combinations of its first two: the walk starts in a singular region,
+    # and the cones there are exchanged from the regular cones on the route
+    # from the one unit cone
     ra = build_rays("pattern", 3)
     base = positions_of(greedy_facet(ra.word))
     rays = list(ra.rays)
@@ -434,9 +438,10 @@ def test_singular_base_facet(monkeypatch, dependent):
     rows = fan._cone(fan._int_rays(ra), greedy_facet(ra.word))
     assert exactla.int_rank(rows) == ra.dim - dependent
     stats, failure, _ = _stats(ra)
-    calls = _adjugate_calls(monkeypatch)
+    units = _unit_cones(monkeypatch)
     checked = _checked_stats(monkeypatch, ra)
-    assert len(calls) > 2 and any(cone.det for cone, _ in checked)
+    assert len(units) == 1 and not checked[0][0].det and checked[0][1] is None
+    assert any(cone.det for cone, _ in checked)
     ridges = get_ridges(2, 3)
     bad, degenerate, first = _ridge_scan(ra, ridges)
     cones = [fan._cone(fan._int_rays(ra), f) for f in get_index(2, 3).facets]
@@ -516,6 +521,17 @@ def test_singular_heavy_n6_walks_are_pinned():
     assert len(pinned) == 3 and _digests(pinned) == pinned
 
 
+@pytest.mark.fulltier
+def test_benchmark_n6_walks_are_pinned():
+    # the certified pattern and the rejected perturbed (seed 1) rays at
+    # n=6, whose base numerators come from the route from the unit matrix
+    pinned = {
+        ("pattern", 6, None): "533b6f48c0b262ddf05f72969a7da3ef8f360ebeb50a55751441ef2775fa4025",
+        ("perturbed", 6, 1): "37829561e7439f8e0097410161a21abe6e85b5379908cff1412df482be051773",
+    }
+    assert _digests(pinned) == pinned
+
+
 def _rank_calls(monkeypatch, ra):
     """``(calls, skipped, stats)``: the number of ``int_rank`` calls that
     ``_stats`` makes and of the singular cones that it ranks without one.
@@ -569,11 +585,12 @@ def test_singular_ranks_from_regular_neighbours(monkeypatch, construction, expec
 
 def test_walk_derives_few_columns_and_ranks(monkeypatch):
     # a leaf takes its determinant and numerator as scalars, and a
-    # singular cone with a regular neighbour has rank d - 1: 5,769 columns
-    # derived for the pattern n=5 certificate (7,316 when every leaf
+    # singular cone with a regular neighbour has rank d - 1: 5,859 columns
+    # derived for the pattern n=5 certificate, d (d - 1) = 90 of them on
+    # the route from the unit matrix to the base (7,406 when every leaf
     # derived its column), and 92 of the 782 singular cones of the naive
-    # n=5 rays ranked by int_rank.  The naive n=5 walk derives 6,571
-    # columns: 6,845 when the children of a cone of rank d - 2 or less are
+    # n=5 rays ranked by int_rank.  The naive n=5 walk derives 6,661
+    # columns: 6,935 when the children of a cone of rank d - 2 or less are
     # exchanged from the first regular cone of its route, not the last
     derived = []
 
@@ -584,10 +601,10 @@ def test_walk_derives_few_columns_and_ranks(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(fan, "exchange_column", counted)
         assert _stats(build_rays("pattern", 5))[0].cones == 4719
-        assert len(derived) <= 5769, len(derived)
+        assert len(derived) <= 5859, len(derived)
         derived.clear()
         assert _stats(build_rays("naive", 5))[0].cones == 4719
-        assert len(derived) <= 6571, len(derived)
+        assert len(derived) <= 6661, len(derived)
     calls, skipped, stats = _rank_calls(monkeypatch, build_rays("naive", 5))
     assert stats.degenerate_cones == calls + skipped == 782
     assert calls <= 92, (calls, skipped)
@@ -612,19 +629,27 @@ def test_self_check_catches_a_wrong_column(monkeypatch):
 
 
 def test_self_check_catches_a_wrong_numerator(monkeypatch):
-    # corrupt the numerator entry, the last, of the first column derived:
-    # the determinants stay right, and the numerators derived from it go
-    # wrong
+    # corrupt the numerator entry, the last, of the first column derived
+    # once the base cone is built, by the walk and not by the route from
+    # the unit: the determinants stay right, and the numerators derived
+    # from it go wrong
     corrupted = []
+    bases = []
+    derive = fan._derive
+
+    def routed(*args):
+        bases.append(derive(*args))
+        return bases[-1]
 
     def off_by_one(*args):
         col = exactla.exchange_column(*args)
-        if not corrupted:
+        if bases and not corrupted:
             col[-1] += 1
             corrupted.append(col)
         return col
 
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "_derive", routed)
     monkeypatch.setattr(fan, "exchange_column", off_by_one)
     with pytest.raises(ArithmeticError, match="carried Cramer numerator"):
         certify_fan(build_rays("pattern", 3))
