@@ -30,7 +30,7 @@ import shlex
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import TABLE_IDS, __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
@@ -41,8 +41,7 @@ from .words import Word, _integer, format_word, multiassociahedron_word, parse_s
 TIER_CAP = {"desk": 5, "full": 8}
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     timestamp: float
     version: str
@@ -84,7 +83,7 @@ def _write_output(args, path: str, chunks: Iterable[str], **facts):
     manifest = RunManifest(shlex.join(args.argv), time.time(), __version__,
                            {path: f"sha256:{digest.hexdigest()}"}, **facts)
     with open(path + ".manifest.json", "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -117,9 +116,9 @@ def _kn(spec: str) -> tuple[int, int]:
 def _resolve_word(args) -> tuple[Word, int | None]:
     """The word of ``--kn`` or ``--word``, within the ``--tier`` cap, and its k
     (None for ``--word``)."""
-    if getattr(args, "kn", None):
+    if getattr(args, "kn", None) is not None:
         (k, n), known_k = args.kn, args.kn[0]
-    elif getattr(args, "word", None):
+    elif getattr(args, "word", None) is not None:
         shorthand = parse_shorthand(args.word)
         if shorthand is None:
             # an explicit word is no longer than its spec

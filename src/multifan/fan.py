@@ -46,10 +46,9 @@ with the walk, and the tests compare the walk against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exactla import bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
 from .subword import Facet, greedy_facet, positions_of, traverse
@@ -72,16 +71,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RidgeReport:
+class RidgeReport(NamedTuple):
     ridge: tuple[int, ...]
     status: str  # "good" | "bad" | "degenerate"
     # dependence over the rays of f then the entering ray, when unique
     dependence: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
-class FanStats:
+class FanStats(NamedTuple):
     n: int
     bad_ridges: int
     degenerate_ridges: int
@@ -99,8 +96,7 @@ class FanStats:
         return ratio_str(self.degenerate_cones, self.cones)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     certified: bool
     stats: FanStats
     first_failure: str | None

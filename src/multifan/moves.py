@@ -20,7 +20,7 @@ reversed-c suffix reads (1,1)'..(n,1)' left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import Word, c_sorted_word, contains_longest, staircase_cells
 from .subword import is_face
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     i: int
     j: int
     primed: bool = False
@@ -48,8 +47,7 @@ class Label:
         return f"({self.i},{self.j})" + ("'" if self.primed else "")
 
 
-@dataclass(frozen=True)
-class MoveEvent:
+class MoveEvent(NamedTuple):
     """kind 'C' (commutation), 'D' (double), 'B' (braid); r is the 1-based
     position where the move applies."""
 
@@ -60,8 +58,7 @@ class MoveEvent:
         return f"{self.kind} {self.r}"
 
 
-@dataclass(frozen=True)
-class MoveTrace:
+class MoveTrace(NamedTuple):
     """words[0] is the initial word; events[s] transforms words[s] into
     words[s+1] with the position correspondence corrs[s] (as returned by
     ``apply_move``); labels[s] is the per-position label tuple of words[s]

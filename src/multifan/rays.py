@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .words import Word, _integer, c_sorted_word, multiassociahedron_word, staircase_cells
 
@@ -72,22 +71,27 @@ def _rational(token: str) -> Fraction:
     return Fraction(token)
 
 
-@dataclass(frozen=True)
-class RayAssignment:
-    """Exact rays, one per position of ``word``; dimension ``dim``."""
-
+class _RayAssignment(NamedTuple):
     word: Word
     rays: tuple[RayVec, ...]
     dim: int
     construction: str = ""
     seed: int | None = None
 
-    def __post_init__(self):
+
+class RayAssignment(_RayAssignment):
+    """Exact rays, one per position of ``word``; dimension ``dim``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.rays) != len(self.word):
             raise ValueError("one ray per position required")
         for v in self.rays:
             if len(v) != self.dim:
                 raise ValueError("ray of wrong dimension")
+        return self
 
 
 def replay_fattening(ra: RayAssignment, trace: MoveTrace,

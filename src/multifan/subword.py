@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import (
     Word,
@@ -221,8 +221,7 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | No
             return
 
 
-@dataclass
-class ComplexIndex:
+class ComplexIndex(NamedTuple):
     """The enumerated complex: its facets in sorted bitset order."""
 
     word: Word

@@ -9,8 +9,8 @@ from scratch and diffs every cell, reporting PASS/FAIL lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import TABLE_IDS
 from .fan import STAT_ROWS, stream_statistics
@@ -33,8 +33,7 @@ _STATS_SPECS = {
 }
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     cell: str
     expected: str
     got: str

@@ -18,7 +18,7 @@ Permutations are stored in one-line notation as tuples of the images of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Permutation",
@@ -58,19 +58,24 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-@dataclass(frozen=True)
-class Word:
-    """An immutable word; ``letters[r-1]`` is the letter at 1-based position r."""
-
+# typing forbids __new__ in a NamedTuple body: Word validates in a subclass
+class _Word(NamedTuple):
     rank: int
     letters: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        for a in self.letters:
-            if not 1 <= a <= self.rank:
-                raise ValueError(f"letter s_{a} out of range for rank {self.rank}")
+
+class Word(_Word):
+    """An immutable word; ``letters[r-1]`` is the letter at 1-based position r."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, letters: tuple[int, ...]):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        for a in letters:
+            if not 1 <= a <= rank:
+                raise ValueError(f"letter s_{a} out of range for rank {rank}")
+        return super().__new__(cls, rank, letters)
 
     def __len__(self) -> int:
         return len(self.letters)

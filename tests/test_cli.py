@@ -40,6 +40,8 @@ def test_manifest_command_reruns_as_written(tmp_path, capsys):
     assert rc == 0
     manifest = json.loads((tmp_path / "f.txt.manifest.json").read_text())
     assert shlex.split(manifest["command"]) == argv
+    assert sorted(manifest) == ["command", "construction", "k", "n", "outputs", "seed",
+                                "timestamp", "version"]
 
 
 def test_facets_trivial_word(capsys):
@@ -52,6 +54,17 @@ def test_facets_rejects_short_word(capsys):
     rc, _, err = run(capsys, "facets", "--word", "n=2; 1 2")
     assert rc == 2
     assert "reduced expression" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--word", ""], "bad word spec ''"),
+    (["--word", "  "], "bad word spec ''"),
+    ([], "pass --word or --kn"),
+], ids=["empty", "blank", "neither"])
+def test_facets_word_spec_present_but_empty(capsys, argv, message):
+    # an empty --word is a bad spec, not a missing one
+    rc, out, err = run(capsys, "facets", *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_rays_and_check_roundtrip(tmp_path, capsys):
@@ -528,14 +541,18 @@ def test_check_fuzzed_ray_file(tmp_path, capsys, text):
 
 def test_cli_import_loads_only_what_check_runs():
     # the construction, enumeration-oracle and table modules, and hashlib,
-    # load only in the commands that use them
-    code = ("import sys, multifan.cli; print(' '.join(sorted(m for m in sys.modules if m in "
-            "('multifan.moves', 'multifan.polygon', 'multifan.tables', 'hashlib'))))")
+    # load only in the commands that use them; the records are NamedTuples,
+    # so no command pays for dataclasses and the inspect it imports.
+    # multifan.rays is the import of the rays command and the ray writers.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
+    for module in ("multifan.cli", "multifan.rays"):
+        code = (f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m in "
+                "('multifan.moves', 'multifan.polygon', 'multifan.tables', 'hashlib', "
+                "'dataclasses', 'inspect'))))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "", module
 
 
 def test_package_names_resolve_on_first_use():
