@@ -14,11 +14,11 @@ TABLE_IDS = ("T1", "T2", "T3", "T4", "T5-integer", "T6", "F10", "F12")
 
 _MODULE_OF = {
     "words": ("Word", "c_sorted_word", "multiassociahedron_word", "parse_word"),
-    "subword": ("all_facets", "greedy_facet", "vertex_status"),
+    "subword": ("all_facets", "greedy_facet"),
     "polygon": ("enumerate_k_triangulations", "diagonal_to_position", "position_to_diagonal"),
     "moves": ("apply_move", "classify_braid", "fattening_sequence"),
     "rays": ("RayAssignment", "build_rays", "parse_ray_file", "format_ray_file"),
-    "fan": ("certify_fan", "stream_statistics", "classify_ridge", "condition_one"),
+    "fan": ("certify_fan", "stream_statistics"),
 }
 _MODULE = {name: module for module, names in _MODULE_OF.items() for name in names}
 

@@ -169,7 +169,7 @@ def _report_json(word: Word, ra, rep: CheckReport) -> str:
 def cmd_check(args) -> int:
     with open(args.rays) as fh:
         ra = parse_ray_file(fh.read())
-    word, _ = _resolve_word(args)
+    word, k = _resolve_word(args)
     if ra.word != word:
         raise ValueError(f"ray file is for {format_word(ra.word)}, not {format_word(word)}")
     rep = certify_fan(ra)
@@ -180,7 +180,7 @@ def cmd_check(args) -> int:
         sys.stdout.write(f"not certified: {rep.first_failure}\n")
     if args.out:
         _write_output(args, args.out, [_report_json(word, ra, rep)],
-                      construction=ra.construction, n=word.rank, seed=ra.seed)
+                      construction=ra.construction, n=word.rank, k=k, seed=ra.seed)
     return 0 if rep.certified else 1
 
 

@@ -30,10 +30,10 @@ ridge.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
-enters it, as a dot product with its parent's adjugate, or for a facet
-without children as a scalar from its grandparent's, and for the base
-facet or below a singular facet by exchanges from the unit matrix or
-from the nearest regular cone, one position at a time; a ridge's status
+enters it, as a dot product with its parent's adjugate, read through
+the grandparent's for a facet without children, and for the base facet
+or below a singular facet by exchanges from the unit matrix or from the
+nearest regular cone, one position at a time; a ridge's status
 at the later visited of its two facets, against the determinant signs
 of the facets visited before; the first failure when the least failing
 ridge is classified; and the base condition, from the base point's
@@ -182,67 +182,61 @@ class _Cone:
     position.  Each column carries one extra, last entry: the Cramer
     numerator p . C[c] of the base point p, which the exchange formula
     updates with the rest of the column.  A cone made by ``exchanged``
-    derives its columns from its ``parent``'s on first use; the unit cone
-    (``_unit``) starts with every column.  A cone made by ``leaf`` has no
-    column: only its determinant and, in ``num``, its numerator at q.  A
-    singular cone without ``q`` has no column, and its ``parent``, if any,
-    is the regular cone to exchange its children from."""
+    records the flip x -> q of ray ``v`` and its sign ``s`` that made it
+    from its ``parent``, and derives its columns from the parent's on
+    first use; ``dot`` reads one entry of a column without deriving it.
+    The unit cone (``_unit``) starts with every column.  A singular cone
+    without ``q`` has no column, and its ``parent``, if any, is the
+    regular cone to exchange its children from."""
 
-    __slots__ = ("f", "det", "cols", "num", "parent", "q", "v")
+    __slots__ = ("f", "det", "cols", "parent", "x", "q", "s", "v")
 
     def __init__(self, f: Facet, det: int, cols: dict[int, list[int]], parent: _Cone | None = None):
         self.f, self.det, self.cols, self.parent = f, det, cols, parent
-        self.num = self.q = None
+        self.q = None
 
     def column(self, c: int) -> list[int]:
         col = self.cols.get(c)
         if col is None:
             parent = self.parent
-            col = parent.column(c)
-            col = self.cols[c] = exchange_column(
-                col, self.cols[self.q], _dot(self.v, col), self.det, parent.det)
+            if c == self.q:
+                col = parent.column(self.x)
+                if self.s < 0:
+                    col = [-a for a in col]
+            else:
+                col = parent.column(c)
+                col = exchange_column(col, self.column(self.q), _dot(self.v, col), self.det, parent.det)
+            self.cols[c] = col
         return col
 
-    def numerator(self, c: int) -> int:
-        """p . C[c], from this cone's column c if it is at hand, else from
-        its parent's, as the last entry of the column it would derive."""
+    def dot(self, w: list[tuple[int, int]] | None, c: int) -> int:
+        """w . C[c] for a sparse ray w, or with w None the Cramer numerator
+        p . C[c], the column's last entry.  Without column c at hand it is
+        read through the parent P's column, as the entry of the column
+        that ``column`` would derive: (D (w . C_P[c]) - (v . C_P[c]) (w .
+        C[q])) / D_P, with w . C[q] = s (w . C_P[x])."""
         col = self.cols.get(c)
         if col is not None:
-            return col[-1]
+            return col[-1] if w is None else _dot(w, col)
         if c == self.q:
-            return self.num
-        col = self.parent.column(c)
-        return (self.det * col[-1] - _dot(self.v, col) * self.numerator(self.q)) // self.parent.det
+            return self.s * self.parent.dot(w, self.x)
+        parent = self.parent
+        col = parent.column(c)
+        a = col[-1] if w is None else _dot(w, col)
+        return (self.det * a - _dot(self.v, col) * self.dot(w, self.q)) // parent.det
 
-    def exchanged(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
+    def exchanged(self, x: int, q: int, v: list[tuple[int, int]], leaf: bool = False) -> _Cone:
         """This cone with position x exchanged for q, of sparse ray ``v``:
         C'[q] = s C[x] and det' = v . C'[q], where s moves q's row from x's
-        place to its own across the positions strictly between them."""
+        place to its own across the positions strictly between them.  A
+        ``leaf``, a cone without children, derives no column: its
+        determinant is read through this cone (``dot``)."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
-        col = self.column(x)
-        if _odd(f, x, q):
-            col = [-a for a in col]
-        cone = _Cone(f, _dot(v, col), {q: col}, self)
-        cone.q, cone.v = q, v
-        return cone
-
-    def leaf(self, x: int, q: int, v: list[tuple[int, int]]) -> _Cone:
-        """``exchanged``, for a child without children: unless column x is
-        at hand, the child's determinant s v . C[x] and its numerator s p .
-        C[x] are taken as scalars through the parent P's column x, C[x] =
-        (D C_P[x] - t C[q']) / D_P with t = v' . C_P[x], for the position
-        q' of ray v' that entered this cone, so that C[x] is not derived."""
-        if x in self.cols:
-            return self.exchanged(x, q, v)
-        parent = self.parent
-        a = parent.column(x)
-        b = self.cols[self.q]
-        t = _dot(self.v, a)
-        f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
-        s = -1 if _odd(f, x, q) else 1
-        cone = _Cone(f, s * (self.det * _dot(v, a) - t * _dot(v, b)) // parent.det, {}, self)
-        cone.num = s * (self.det * a[-1] - t * b[-1]) // parent.det
-        cone.q, cone.v = q, v
+        cone = _Cone(f, 0, {}, self)
+        cone.x, cone.q, cone.s, cone.v = x, q, -1 if _odd(f, x, q) else 1, v
+        if not leaf:
+            cone.column(q)
+        cone.det = cone.dot(v, q)
         return cone
 
 
@@ -271,25 +265,17 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     q.  The child's columns are C'[q] = s C[x] and (D' C[c] - (v . C[c])
     C'[q]) / D.  Each column carries the Cramer numerator p . C[c] of the
     base point p as one extra, last entry, so the same exchange derives
-    it.  Each column is derived when first read and then kept.  A
-    singular F cannot divide by D, so a child of F is exchanged by
-    ``_derive`` from the regular cone that F came from, unless it is a
-    leaf that F can give as scalars (below).
+    it.  Each column is derived when first read and then kept; a scalar
+    w . C'[c] is read (``_Cone.dot``) through C[c] without deriving
+    C'[c], so a leaf derives no column.  A singular F cannot divide by D,
+    so a child of F is exchanged by ``_derive`` from the regular cone
+    that F came from, unless it is a leaf, read through F's parent.
 
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
     positions past the word's last, of determinant 1, columns e_j and
     numerator entries p_j.  ``_derive`` exchanges the base's rays in, one
     position at a time, and exactness carries p . C[r_i] = i D to the
     base's i-th position r_i.
-
-    A leaf G = F - x + q derives no column: unless C[x] is at hand, its
-    determinant is the scalar s (D (v . C_P[x]) - t (v . C[q'])) / D_P
-    from F's parent P, with t = v' . C_P[x] for the ray v' of the position
-    q' that entered F, and its numerator at q the same form with the
-    numerator entries in place of v . C.  A numerator of G at another
-    position c comes from F's column c, as the last entry of the column
-    that G would derive.  So F derives column x only for a child with
-    children of its own or for point location.
 
     A singular cone that shares a ridge with a regular one has rank d - 1,
     the d - 1 rays they share being independent.  Only the singular cones
@@ -328,10 +314,8 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         else:
             x, q, _ = entry
             parent = path[-1]
-            if not children and parent.q is not None:
-                cone = parent.leaf(x, q, sparse[q - 1])
-            elif parent.det:
-                cone = parent.exchanged(x, q, sparse[q - 1])
+            if parent.det or not children and parent.q is not None:
+                cone = parent.exchanged(x, q, sparse[q - 1], not children)
             else:
                 cone = _derive(parent.parent, g, sparse)
         det = cone.det
@@ -363,7 +347,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         signs[g] = sign
         locate = failure is None and point is not None
         if locate and entry is not None and (witness is None or g < witness):
-            if all(cone.numerator(y) * sign >= 0 for y, _, _ in flips):
+            if all(cone.dot(None, y) * sign >= 0 for y, _, _ in flips):
                 witness = g
         if square and count % SELF_CHECK_EVERY == 0:
             _self_check(rays, cone, point if locate else None)
@@ -422,7 +406,7 @@ def _self_check(rays, cone: _Cone, point):
     if bareiss_det(rows) != cone.det:
         raise ArithmeticError(f"carried determinant of cone {positions_of(cone.f)} is wrong")
     if point is not None and rows:
-        if bareiss_det([point] + rows[1:]) != cone.numerator(positions_of(cone.f)[0]):
+        if bareiss_det([point] + rows[1:]) != cone.dot(None, positions_of(cone.f)[0]):
             raise ArithmeticError(f"carried Cramer numerator of cone {positions_of(cone.f)} is wrong")
 
 

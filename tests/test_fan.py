@@ -322,7 +322,7 @@ def _checked_stats(monkeypatch, ra):
 @pytest.mark.parametrize("construction,seed", [
     ("naive", None), ("fixed:5,3", None), ("linear", None), ("pattern", None), ("perturbed", 1),
 ])
-def test_coordinate_order_keeps_every_determinant(monkeypatch, construction, seed):
+def test_self_check_passes_at_every_facet(monkeypatch, construction, seed):
     # the walk works in the rays' own coordinates, scaled to integers, and
     # carries every facet's exact determinant in them
     for n in (1, 2, 3, 4):
@@ -402,7 +402,7 @@ def _unit_cones(monkeypatch):
 
 
 @pytest.mark.parametrize("construction", ["naive", "fixed:5,3", "linear", "pattern"])
-def test_adjugate_runs_once_per_walk(monkeypatch, construction):
+def test_one_unit_cone_per_walk(monkeypatch, construction):
     # the one adjugate that the walk does not exchange from another is the
     # unit cone's, built once, whose route leads to the base; every other
     # cone, singular ones and their children too, is exchanged
@@ -660,23 +660,45 @@ def test_self_check_catches_a_wrong_numerator(monkeypatch):
     ("det", "carried determinant"), ("num", "carried Cramer numerator"),
 ])
 def test_self_check_catches_a_wrong_leaf_scalar(monkeypatch, scalar, message):
-    # corrupt the determinant or the numerator at q of the first leaf
-    # taken as scalars, without a column
-    leaf = fan._Cone.leaf
+    # corrupt the first leaf's first scalar read at q, its determinant or
+    # its numerator, and every later read of it: a leaf has no column, and
+    # reads both through its parent's
+    dot = fan._Cone.dot
     corrupted = []
 
-    def off_by_one(cone, x, q, v):
-        child = leaf(cone, x, q, v)
-        if not corrupted and not child.cols:
-            setattr(child, scalar, getattr(child, scalar) + 1)
-            corrupted.append(child)
-        return child
+    def off_by_one(cone, w, c):
+        value = dot(cone, w, c)
+        if (c == cone.q and not cone.cols and (w is None) == (scalar == "num")
+                and corrupted in ([], [cone])):
+            corrupted[:] = [cone]
+            value += 1
+        return value
 
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
-    monkeypatch.setattr(fan._Cone, "leaf", off_by_one)
+    monkeypatch.setattr(fan._Cone, "dot", off_by_one)
     with pytest.raises(ArithmeticError, match=message):
         certify_fan(build_rays("pattern", 3))
     assert corrupted
+
+
+@pytest.mark.parametrize("construction", ["naive", "linear", "pattern"])
+def test_dot_reads_the_column_it_would_derive(monkeypatch, construction):
+    # every cone of the walk exchanged from a regular parent: its scalar
+    # reads through the parent equal the entries of its own columns,
+    # derived only after the read
+    for n in (1, 2, 3, 4):
+        ra = build_rays(construction, n)
+        checked = [cone for cone, _ in _checked_stats(monkeypatch, ra)
+                   if cone.parent is not None and cone.parent.det and cone.q is not None]
+        assert checked or n == 1, n
+        ones = [(i, 1) for i in range(ra.dim)]
+        for cone in checked:
+            positions = positions_of(cone.f)
+            reads = [[cone.dot(w, c) for c in positions] for w in (cone.v, ones, None)]
+            cols = [cone.column(c) for c in positions]
+            assert reads == [[fan._dot(cone.v, col) for col in cols],
+                             [fan._dot(ones, col) for col in cols],
+                             [col[-1] for col in cols]], (n, positions_of(cone.f))
 
 
 def test_format_stats_table():
