@@ -115,9 +115,9 @@ def _kn(spec: str) -> tuple[int, int]:
 
 def _resolve_word(args) -> tuple[Word, int | None]:
     """The word of ``--kn`` or ``--word``, within the ``--tier`` cap, and its k
-    (None for ``--word``)."""
+    (None for an explicit ``--word``)."""
     if getattr(args, "kn", None) is not None:
-        (k, n), known_k = args.kn, args.kn[0]
+        k, n = args.kn
     elif getattr(args, "word", None) is not None:
         shorthand = parse_shorthand(args.word)
         if shorthand is None:
@@ -125,12 +125,12 @@ def _resolve_word(args) -> tuple[Word, int | None]:
             word = parse_word(args.word)
             _tier_check(word.rank, args.tier, len(word) - word.rank * (word.rank + 1) // 2)
             return word, None
-        (k, n), known_k = shorthand, None
+        k, n = shorthand
     else:
         raise ValueError("pass --word or --kn")
     # c^k w0(n) has facet size k n: capped before the word is built
     _tier_check(n, args.tier, k * n)
-    return multiassociahedron_word(k, n), known_k
+    return multiassociahedron_word(k, n), k
 
 
 def cmd_facets(args) -> int:

@@ -6,7 +6,12 @@ their denominators - scaling a generator by a positive rational changes
 neither ranks, nor determinant signs, nor the signs of dependence
 coefficients - and ``bareiss_det`` and ``int_rank`` take the resulting
 integer rows and use fraction-free (Bareiss) elimination, so no precision
-is ever lost and no intermediate gcd storms occur.
+is ever lost and no intermediate gcd storms occur.  Clearing denominators
+one ray at a time can leave a coordinate divisible by a common content
+over all the rays; the certifier (``fan._int_rays``) divides it out, a
+positive diagonal change of basis that divides every determinant by the
+same positive factor.  On the perturbed n=6 rays that factor has 98 bits,
+and the median determinant of the walk drops from 216 to 118 bits.
 ``solve_unique`` works on Fractions directly.
 
 ``bareiss_det`` and ``int_rank`` share one elimination with deferred

@@ -46,6 +46,7 @@ with the walk, and the tests compare the walk against it.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -115,9 +116,19 @@ def ratio_str(count: int, total: int) -> str:
 
 
 def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
-    """The rays as primitive integer vectors: a positive rescale changes
-    no rank and no sign that the certificate reads."""
-    return [scale_to_int(v) for v in ra.rays]
+    """The rays as integer vectors in content-free coordinates: each ray
+    made primitive by ``scale_to_int``, then each coordinate divided by its
+    content, the gcd of its entries over all the rays (1 for a zero
+    coordinate).  The first is a positive rescale of each ray, the second
+    a positive diagonal change of basis D of the ambient space: every
+    determinant and every Cramer numerator of the point p = sum_i i r_i is
+    divided by the same positive product of the contents, and p is carried
+    to p D^-1.  So neither changes a rank, a sign, or which cones contain
+    the point; the rays are not primitive afterwards, and making them
+    primitive again would move p."""
+    rays = [scale_to_int(v) for v in ra.rays]
+    content = [math.gcd(*column) or 1 for column in zip(*rays)]
+    return [tuple(a // g for a, g in zip(v, content)) for v in rays]
 
 
 def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[tuple[int, ...]]:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multifan.cli import main
 from multifan.rays import RayAssignment, build_rays, format_ray_file, parse_ray_file
+from multifan.words import format_word, multiassociahedron_word
 
 from conftest import double_cover_rays
 
@@ -44,16 +45,33 @@ def test_manifest_command_reruns_as_written(tmp_path, capsys):
                                 "timestamp", "version"]
 
 
-@pytest.mark.parametrize("command", ["facets", "check"])
-def test_manifest_records_the_k_of_kn(tmp_path, capsys, command):
-    # every command that reads --kn records its k with what it writes
+def _written_manifest(tmp_path, capsys, command, *spec):
+    """The manifest of ``command`` on the word of ``spec``, with the
+    pattern n=3 rays for ``check``."""
     rays = tmp_path / "p3.rays"
     run(capsys, "rays", "--construction", "pattern", "--n", "3", "--out", str(rays))
     extra = ["--rays", str(rays)] if command == "check" else []
-    rc, _, _ = run(capsys, command, "--kn", "2,3", *extra, "--out", str(tmp_path / "out"))
+    rc, _, _ = run(capsys, command, *spec, *extra, "--out", str(tmp_path / "out"))
     assert rc == 0
-    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    return json.loads((tmp_path / "out.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["facets", "check"])
+def test_manifest_records_the_k_of_kn(tmp_path, capsys, command):
+    # every command that reads --kn records its k with what it writes
+    manifest = _written_manifest(tmp_path, capsys, command, "--kn", "2,3")
     assert (manifest["k"], manifest["n"]) == (2, 3)
+
+
+@pytest.mark.parametrize("spec,k", [
+    ("c^2 w0(3)", 2),
+    (format_word(multiassociahedron_word(2, 3)), None),
+], ids=["shorthand", "explicit"])
+@pytest.mark.parametrize("command", ["facets", "check"])
+def test_manifest_records_the_k_of_a_word_spec(tmp_path, capsys, command, spec, k):
+    # a shorthand --word names its k as --kn does; an explicit word has none
+    manifest = _written_manifest(tmp_path, capsys, command, "--word", spec)
+    assert (manifest["k"], manifest["n"]) == (k, 3)
 
 
 def test_facets_trivial_word(capsys):

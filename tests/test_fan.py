@@ -495,6 +495,11 @@ STATS_DIGESTS = {
     ("perturbed", 3, 3): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
     ("perturbed", 4, 3): "93285faf848d84bda5f2f18aea1f56eb058dfd124f7f68515a2fbfaa5a1d5a47",
     ("perturbed", 5, 3): "ab58292ea8b580d7049a9777d0a67d188721b07ecbc1a8c574d36b3deb9b8f7f",
+    ("fixed:5/2,3/7", 1, None): "db2ffd60c68b8787bb65827bf4c0971ddea6ef359889d2935fb69312a6799dd2",
+    ("fixed:5/2,3/7", 2, None): "06be308b9f62927089956e2afefa520b4d9f588e4c81a6453ab16c026957f11b",
+    ("fixed:5/2,3/7", 3, None): "351f47623288cbf672af06a000148e019194abe22bb61fc451976ad517a19f8b",
+    ("fixed:5/2,3/7", 4, None): "733aeb45fa17fd86ffc8c937d0a8f7fc1ef14e67e842c0ef32c25012fe455b84",
+    ("fixed:5/2,3/7", 5, None): "3c82b8a63b04f368d74e6fd1a222cf229ea74481d9c568faf718509d0fa1b28e",
 }
 
 
@@ -530,6 +535,41 @@ def test_benchmark_n6_walks_are_pinned():
         ("perturbed", 6, 1): "37829561e7439f8e0097410161a21abe6e85b5379908cff1412df482be051773",
     }
     assert _digests(pinned) == pinned
+
+
+def _contents(ra):
+    """The primitive rays of ``scale_to_int`` and the content of each
+    coordinate over them, 1 for a zero coordinate."""
+    scaled = [exactla.scale_to_int(v) for v in ra.rays]
+    return scaled, [math.gcd(*column) or 1 for column in zip(*scaled)]
+
+
+@pytest.mark.parametrize("construction,n,seed",
+                         [("perturbed", n, seed) for n in (4, 5) for seed in (1, 2, 3)]
+                         + [("fixed:5/2,3/7", n, None) for n in (4, 5)])
+def test_int_rays_are_content_free(construction, n, seed):
+    # the walk's rays are the primitive rays with each coordinate divided
+    # by its content: perturbed rays have contents 200,000 and 10^6, and
+    # the fixed:5/2,3/7 rays 14
+    ra = build_rays(construction, n, seed)
+    scaled, contents = _contents(ra)
+    rays = fan._int_rays(ra)
+    assert max(contents) > 1
+    assert all(math.gcd(*column) in (0, 1) for column in zip(*rays))
+    assert [tuple(a * g for a, g in zip(v, contents)) for v in rays] == scaled
+
+
+def test_int_rays_divide_every_determinant_by_the_contents():
+    # a positive diagonal change of basis: every facet's determinant over
+    # the primitive rays is its determinant over the walk's rays times the
+    # product of the contents, a 58-bit factor on perturbed n=4
+    ra = build_rays("perturbed", 4, 1)
+    scaled, contents = _contents(ra)
+    rays = fan._int_rays(ra)
+    factor = math.prod(contents)
+    assert factor.bit_length() == 58
+    for f in get_index(2, 4).facets:
+        assert exactla.bareiss_det(fan._cone(scaled, f)) == exactla.bareiss_det(fan._cone(rays, f)) * factor
 
 
 def _rank_calls(monkeypatch, ra):
