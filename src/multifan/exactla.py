@@ -36,7 +36,12 @@ apart and joined again.
 facet's adjugate from its parent's, starting from the unit matrix (see
 ``fan._stats``): replacing one row of a regular matrix changes each
 adjugate column by one exact division, and the determinant of the new
-matrix is one dot product with the old adjugate.
+matrix is the new row's value on one old adjugate column.  The walk
+carries a column as one int, the values of every ray and of one point
+on it packed as signed fields (``fan._Layout``).  The update is linear
+in the column, so on that int it is four whole-int operations: two
+multiplications by scalars, a subtraction and one exact division, where
+a column kept as a list would take them once per entry.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -141,22 +146,25 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _eliminate(rows)[0]
 
 
-def exchange_column(col: Sequence[int], pivot: Sequence[int], t: int, e: int,
-                    det: int) -> list[int]:
+def exchange_column(col: int, pivot: int, t: int, e: int, det: int) -> int:
     """Column c of adj(A') for A' = A with row j replaced by a vector v,
     from columns ``col`` (c) and ``pivot`` (j) of adj(A), det(A) = ``det``
     (nonzero), t = v . col and e = v . pivot = det(A'):
     ``(e * col - t * pivot) / det``, an exact division.  Column j itself
-    is unchanged, and e may be 0.
+    is unchanged, and e may be 0.  A column is one int, its entries packed
+    as signed fields (see ``fan._Layout``): the formula is linear, so it
+    acts on the int as on every field, and the division is exact on the
+    whole int because it is exact on each field.
 
     Row 1 of A = [[2, 1], [4, 3]], of determinant 2 and adjugate columns
     (3, -4) and (-1, 2), replaced by v = (1, 1) gives A' = [[2, 1], [1, 1]]
-    of determinant v . (-1, 2) = 1 and adjugate columns (1, -1) and (-1, 2):
+    of determinant v . (-1, 2) = 1 and adjugate columns (1, -1) and (-1, 2).
+    Packed in fields of 8 bits, entry i of a column at bits 8 i to 8 i + 7:
 
-    >>> exchange_column([3, -4], [-1, 2], 3 - 4, -1 + 2, 2)
-    [1, -1]
+    >>> exchange_column(3 - 4 * 2**8, -1 + 2 * 2**8, 3 - 4, -1 + 2, 2) == 1 - 1 * 2**8
+    True
     """
-    return [(e * a - t * b) // det for a, b in zip(col, pivot)]
+    return (e * col - t * pivot) // det
 
 
 def solve_unique(matrix_cols, target) -> tuple[Fraction, ...]:

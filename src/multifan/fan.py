@@ -30,16 +30,21 @@ ridge.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
-enters it, as a dot product with its parent's adjugate, read through
+enters it, as one field of a tableau column of its parent, read through
 the grandparent's for a facet without children, and for the base facet
 or below a singular facet by exchanges from the unit matrix or from the
 nearest regular cone, one position at a time; a ridge's status
 at the later visited of its two facets, against the determinant signs
 of the facets visited before; the first failure when the least failing
 ridge is classified; and the base condition, from the base point's
-Cramer numerators, carried as one extra entry of each adjugate column.
-No facet is visited twice, and the walk keeps only the signs of the
-facets visited and the adjugate columns read along its current path.
+Cramer numerators, the last field of each tableau column.  A cone's
+tableau column at a position holds the value of every ray, then of the
+base point, on that column of the cone's adjugate, packed into one int
+(``_Layout``) of fields wide enough by Hadamard's bound (``_width``), so
+that the exchange deriving it is one exact division of that int, as in
+the integer pivots of lrs (Avis).  No facet is visited twice, and the
+walk keeps only the signs of the facets visited and the tableau columns
+read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 """
@@ -177,8 +182,47 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
 SELF_CHECK_EVERY = 4096
 
 
-def _dot(sparse: list[tuple[int, int]], col: list[int]) -> int:
-    return sum([a * col[c] for c, a in sparse])
+def _width(rays: list[tuple[int, ...]], d: int) -> int:
+    """The field width K of a walk's tableau columns.  Every field is a
+    d x d determinant whose rows are rays or unit rows, or a Cramer
+    numerator p . C = sum_i i (r_{b_i} . C) over the base's rays b_i, so
+    it is at most d (d + 1) / 2 B in magnitude, with B the lesser of the
+    two forms of Hadamard's bound: the product of the d largest row norms
+    (1 for a unit row), and the product over the coordinates of the
+    column norms, which take the d largest squares of the coordinate and
+    at most one 1 from a unit row.  One more bit holds the sign."""
+    norms = sorted([math.isqrt(s - 1) + 1 if s else 0 for s in (sum(a * a for a in v) for v in rays)]
+                   + [1] * d, reverse=True)
+    by_rows = math.prod(norms[:d])
+    by_columns = math.prod(math.isqrt(sum(sorted((a * a for a in column), reverse=True)[:d])) + 1
+                           for column in zip(*rays))
+    return (d * (d + 1) // 2 * min(by_rows, by_columns)).bit_length() + 1
+
+
+class _Layout:
+    """The packing of one walk's tableau columns, each one int: field i
+    holds a signed value v_i at bits K i to K (i + 1) - 1, K = ``width``,
+    and the column is the int sum_i v_i 2^(K i).  The fields of a column
+    C of m rays are r_1 . C, ..., r_m . C, read by position 1..m, then the
+    Cramer numerator p . C, read by None.  A linear combination of columns
+    is the same combination of their ints, field by field, and a field
+    reads back exactly while |v_i| < 2^(K - 1): adding 2^(K - 1) to every
+    field makes each one a K-bit number and the int nonnegative."""
+
+    __slots__ = ("width", "shifts", "bias", "mask", "half")
+
+    def __init__(self, m: int, width: int):
+        self.width = width
+        self.shifts = {w: width * i for i, w in enumerate([*range(1, m + 1), None])}
+        self.mask = (1 << width) - 1
+        self.half = 1 << (width - 1)
+        self.bias = self.pack([self.half] * (m + 1))
+
+    def pack(self, values) -> int:
+        return sum(v << (self.width * i) for i, v in enumerate(values))
+
+    def read(self, col: int, w: int | None) -> int:
+        return ((col + self.bias) >> self.shifts[w] & self.mask) - self.half
 
 
 def _odd(f: Facet, x: int, q: int) -> int:
@@ -189,75 +233,78 @@ def _odd(f: Facet, x: int, q: int) -> int:
 
 class _Cone:
     """The matrix of the rays of the positions ``f``, as rows in position
-    order: its determinant and a cache of its adjugate columns by
-    position.  Each column carries one extra, last entry: the Cramer
-    numerator p . C[c] of the base point p, which the exchange formula
-    updates with the rest of the column.  A cone made by ``exchanged``
-    records the flip x -> q of ray ``v`` and its sign ``s`` that made it
-    from its ``parent``, and derives its columns from the parent's on
-    first use; ``dot`` reads one entry of a column without deriving it.
-    The unit cone (``_unit``) starts with every column.  A singular cone
-    without ``q`` has no column, and its ``parent``, if any, is the
-    regular cone to exchange its children from."""
+    order: its determinant and a cache of its tableau columns by position.
+    The tableau column of adjugate column C[c] holds r . C[c] for every
+    ray r of the word, then the Cramer numerator p . C[c] of the base
+    point p, packed into one int by the walk's ``_Layout``, whose ``read``
+    the cone keeps.  A cone made by ``exchanged`` records the flip x -> q
+    and its sign ``s`` that made it from its ``parent``, and derives its
+    columns from the parent's on first use; ``dot`` reads one field of a
+    column without deriving it.  The unit cone (``_unit``) starts with
+    every column.  A singular cone without ``q`` has no column, and its
+    ``parent``, if any, is the regular cone to exchange its children
+    from."""
 
-    __slots__ = ("f", "det", "cols", "parent", "x", "q", "s", "v")
+    __slots__ = ("f", "det", "cols", "read", "parent", "x", "q", "s")
 
-    def __init__(self, f: Facet, det: int, cols: dict[int, list[int]], parent: _Cone | None = None):
-        self.f, self.det, self.cols, self.parent = f, det, cols, parent
+    def __init__(self, f: Facet, det: int, cols: dict[int, int], read=None, parent: _Cone | None = None):
+        self.f, self.det, self.cols, self.read, self.parent = f, det, cols, read, parent
         self.q = None
 
-    def column(self, c: int) -> list[int]:
+    def column(self, c: int) -> int:
         col = self.cols.get(c)
         if col is None:
             parent = self.parent
             if c == self.q:
                 col = parent.column(self.x)
                 if self.s < 0:
-                    col = [-a for a in col]
+                    col = -col
             else:
                 col = parent.column(c)
-                col = exchange_column(col, self.column(self.q), _dot(self.v, col), self.det, parent.det)
+                col = exchange_column(col, self.column(self.q), self.read(col, self.q), self.det, parent.det)
             self.cols[c] = col
         return col
 
-    def dot(self, w: list[tuple[int, int]] | None, c: int) -> int:
-        """w . C[c] for a sparse ray w, or with w None the Cramer numerator
-        p . C[c], the column's last entry.  Without column c at hand it is
-        read through the parent P's column, as the entry of the column
-        that ``column`` would derive: (D (w . C_P[c]) - (v . C_P[c]) (w .
-        C[q])) / D_P, with w . C[q] = s (w . C_P[x])."""
+    def dot(self, w: int | None, c: int) -> int:
+        """r_w . C[c], or with w None the Cramer numerator p . C[c]: one
+        field of column c.  Without column c at hand it is read through
+        the parent P's column, as the field of the column that ``column``
+        would derive: (D (r_w . C_P[c]) - (r_q . C_P[c]) (r_w . C[q])) /
+        D_P, with r_w . C[q] = s (r_w . C_P[x])."""
         col = self.cols.get(c)
         if col is not None:
-            return col[-1] if w is None else _dot(w, col)
+            return self.read(col, w)
         if c == self.q:
             return self.s * self.parent.dot(w, self.x)
         parent = self.parent
         col = parent.column(c)
-        a = col[-1] if w is None else _dot(w, col)
-        return (self.det * a - _dot(self.v, col) * self.dot(w, self.q)) // parent.det
+        read = self.read
+        return (self.det * read(col, w) - read(col, self.q) * self.dot(w, self.q)) // parent.det
 
-    def exchanged(self, x: int, q: int, v: list[tuple[int, int]], leaf: bool = False) -> _Cone:
-        """This cone with position x exchanged for q, of sparse ray ``v``:
-        C'[q] = s C[x] and det' = v . C'[q], where s moves q's row from x's
-        place to its own across the positions strictly between them.  A
-        ``leaf``, a cone without children, derives no column: its
-        determinant is read through this cone (``dot``)."""
+    def exchanged(self, x: int, q: int, leaf: bool = False) -> _Cone:
+        """This cone with position x exchanged for q: C'[q] = s C[x] and
+        det' = r_q . C'[q], where s moves q's row from x's place to its own
+        across the positions strictly between them.  A ``leaf``, a cone
+        without children, derives no column: its determinant is read
+        through this cone (``dot``)."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
-        cone = _Cone(f, 0, {}, self)
-        cone.x, cone.q, cone.s, cone.v = x, q, -1 if _odd(f, x, q) else 1, v
+        cone = _Cone(f, 0, {}, self.read, self)
+        cone.x, cone.q, cone.s = x, q, -1 if _odd(f, x, q) else 1
         if not leaf:
             cone.column(q)
-        cone.det = cone.dot(v, q)
+        cone.det = cone.dot(q, q)
         return cone
 
 
-def _unit(point: list[int], end: int) -> _Cone:
-    """The unit matrix, as the cone of the d positions past ``end``: row
-    and column e_j at position end + j, determinant 1, and numerator
-    entries p . e_j = p_j of the point p."""
-    d = len(point)
-    cols = {end + j: [int(i == j) for i in range(1, d + 1)] + [p] for j, p in enumerate(point, 1)}
-    return _Cone(((1 << d) - 1) << end, 1, cols)
+def _unit(rays: list[tuple[int, ...]], point: list[int]) -> _Cone:
+    """The unit matrix, as the cone of the d positions past the m rays':
+    row and column e_j at position m + j, determinant 1, and tableau
+    column r_i . e_j = r_i[j] on each ray, p_j on the point p.  The walk's
+    ``_Layout`` is made here, with the width that ``_width`` bounds."""
+    m, d = len(rays), len(point)
+    layout = _Layout(m, _width(rays, d))
+    cols = {m + j: layout.pack([r[j - 1] for r in rays] + [p]) for j, p in enumerate(point, 1)}
+    return _Cone(((1 << d) - 1) << m, 1, cols, layout.read)
 
 
 def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
@@ -269,24 +316,33 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     order, else ``"degenerate cone (...)"`` for a lone singular facet.  The
     witness, read only without a failure, is ``condition_one``'s.
 
-    Let F have determinant D and adjugate columns C[c], so that C[c] . r
+    Let F have determinant D and adjugate columns C[c], so that r . C[c]
     is det F with the row of position c replaced by r.  A flip x -> q
-    enters a child of determinant D' = s (v . C[x]), v the ray of q, where
-    s = (-1)^k moves q's row across the k positions strictly between x and
-    q.  The child's columns are C'[q] = s C[x] and (D' C[c] - (v . C[c])
-    C'[q]) / D.  Each column carries the Cramer numerator p . C[c] of the
-    base point p as one extra, last entry, so the same exchange derives
-    it.  Each column is derived when first read and then kept; a scalar
-    w . C'[c] is read (``_Cone.dot``) through C[c] without deriving
-    C'[c], so a leaf derives no column.  A singular F cannot divide by D,
-    so a child of F is exchanged by ``_derive`` from the regular cone
-    that F came from, unless it is a leaf, read through F's parent.
+    enters a child of determinant D' = s (r_q . C[x]), where s = (-1)^k
+    moves q's row across the k positions strictly between x and q.  The
+    child's columns are C'[q] = s C[x] and (D' C[c] - (r_q . C[c]) C'[q])
+    / D.  That formula is linear, so it carries any linear function of
+    the columns along.  The walk carries the tableau column of C[c]: the
+    values r_1 . C[c], ..., r_m . C[c] of the word's m rays, then the
+    Cramer numerator p . C[c] of the base point p, packed as the fields
+    of one int (``_Layout``).  So a determinant D' and the scalar r_q .
+    C[c] of an exchange are each one field read, and the exchange of a
+    column is one exact division of an int (``exchange_column``).  Each
+    field is a d x d determinant over the rays and unit rows, or p . C[c],
+    a sum of i times such determinants, so it fits the width that
+    ``_width`` takes from Hadamard's bound.  Each column is derived when
+    first read and then kept; a field of C'[c] is read (``_Cone.dot``)
+    through C[c] without deriving C'[c], so a leaf derives no column.  A
+    singular F cannot divide by D, so a child of F is exchanged by
+    ``_derive`` from the regular cone that F came from, unless it is a
+    leaf, read through F's parent.
 
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
-    positions past the word's last, of determinant 1, columns e_j and
-    numerator entries p_j.  ``_derive`` exchanges the base's rays in, one
-    position at a time, and exactness carries p . C[r_i] = i D to the
-    base's i-th position r_i.
+    positions past the word's last, of determinant 1, whose column e_j
+    has the fields r_i . e_j and p . e_j, the j-th coordinates of the rays
+    and of p.  ``_derive`` exchanges the base's rays in, one position at a
+    time, and exactness carries p . C[r_i] = i D to the base's i-th
+    position r_i.
 
     A singular cone that shares a ridge with a regular one has rank d - 1,
     the d - 1 rays they share being independent.  Only the singular cones
@@ -298,10 +354,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     negative.  Until the first failing ridge, a facet's closed cone
     contains p iff no numerator has the sign opposite to its determinant;
     every cone on the path is then regular.  Every ``SELF_CHECK_EVERY``-th
-    facet is checked from scratch.
+    facet is checked from scratch (``_self_check``), one ray's field
+    among its scalars.
     """
     rays = _int_rays(ra)
-    sparse = [[(c, a) for c, a in enumerate(v) if a] for v in rays]
     signs: dict[Facet, int] = {}
     sign_of = signs.get
     # below[r]: the positions before r
@@ -319,16 +375,16 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             cone = _Cone(g, 0, {})
         elif entry is None:
             point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
-            cone = _derive(_unit(point, len(ra.word)), g, sparse)
+            cone = _derive(_unit(rays, point), g)
             if not cone.det:
                 point = None  # no point strictly inside a singular base
         else:
             x, q, _ = entry
             parent = path[-1]
             if parent.det or not children and parent.q is not None:
-                cone = parent.exchanged(x, q, sparse[q - 1], not children)
+                cone = parent.exchanged(x, q, not children)
             else:
-                cone = _derive(parent.parent, g, sparse)
+                cone = _derive(parent.parent, g)
         det = cone.det
         sign = (det > 0) - (det < 0)
         if not sign:
@@ -382,7 +438,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     return stats, failure, witness
 
 
-def _derive(base: _Cone, g: Facet, sparse) -> _Cone:
+def _derive(base: _Cone, g: Facet) -> _Cone:
     """The cone of ``g``, exchanged from the regular cone ``base`` one
     position at a time: each position that ``base`` has and ``g`` lacks is
     swapped for one that ``g`` has, every step but the last to a regular
@@ -395,30 +451,40 @@ def _derive(base: _Cone, g: Facet, sparse) -> _Cone:
     outs = list(positions_of(base.f & ~g))
     ins = list(positions_of(g & ~base.f))
     cone = base
+    read = base.read
     while len(outs) > 1:
         for x in outs:
             col = cone.column(x)
-            q = next((q for q in ins if _dot(sparse[q - 1], col)), None)
+            q = next((q for q in ins if read(col, q)), None)
             if q is not None:
                 break
         else:
-            return _Cone(g, 0, {}, cone)
+            return _Cone(g, 0, {}, read, cone)
         outs.remove(x)
         ins.remove(q)
-        cone = cone.exchanged(x, q, sparse[q - 1])
+        cone = cone.exchanged(x, q)
     # no swap when g is a cone of the route to its parent
-    return cone.exchanged(outs[0], ins[0], sparse[ins[0] - 1]) if outs else cone
+    return cone.exchanged(outs[0], ins[0]) if outs else cone
 
 
 def _self_check(rays, cone: _Cone, point):
-    """Recompute the determinant of ``cone``, and with ``point`` its
-    Cramer numerator at its first position, from scratch."""
+    """Recompute from scratch the determinant of ``cone`` and, on the
+    column of its first position, the field of the ray of the first
+    position outside the cone and, with ``point``, the Cramer numerator:
+    a field that the walk's width cannot hold reads back wrong."""
     rows = _cone(rays, cone.f)
+    where = positions_of(cone.f)
     if bareiss_det(rows) != cone.det:
-        raise ArithmeticError(f"carried determinant of cone {positions_of(cone.f)} is wrong")
-    if point is not None and rows:
-        if bareiss_det([point] + rows[1:]) != cone.dot(None, positions_of(cone.f)[0]):
-            raise ArithmeticError(f"carried Cramer numerator of cone {positions_of(cone.f)} is wrong")
+        raise ArithmeticError(f"carried determinant of cone {where} is wrong")
+    if not rows:
+        return
+    if point is not None and bareiss_det([point] + rows[1:]) != cone.dot(None, where[0]):
+        raise ArithmeticError(f"carried Cramer numerator of cone {where} is wrong")
+    # a leaf of a singular parent reads no column but q's
+    i = (~cone.f & (cone.f + 1)).bit_length()
+    if i <= len(rays) and cone.q is not None and cone.parent.det:
+        if bareiss_det([rays[i - 1]] + rows[1:]) != cone.dot(i, where[0]):
+            raise ArithmeticError(f"carried tableau field of ray {i} on cone {where} is wrong")
 
 
 def stream_statistics(ra: RayAssignment) -> FanStats:

@@ -170,49 +170,65 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _from_unit(rows, point):
-    """The cone of ``rows`` at positions 1..d, exchanged in by
-    ``fan._derive`` from the unit matrix at positions d + 1..2d, whose
-    numerator entries are those of ``point``."""
+def _units(d):
+    return [tuple(int(i == j) for i in range(d)) for j in range(d)]
+
+
+def _fields(read, col, m):
+    """Every field of a tableau column of m rays: r_1 . C, ..., r_m . C,
+    then the numerator."""
+    return [read(col, w) for w in range(1, m + 1)] + [read(col, None)]
+
+
+def _from_unit(rows, rng):
+    """``(cone, point)``: the cone of ``rows`` at positions 1..d, exchanged
+    in by ``fan._derive`` from the unit matrix, and the point p of its
+    numerator fields.  The unit vectors follow the rows as the rays of
+    positions d + 1..2d, so that the fields of a column C[c] on them are
+    the entries of C[c].  Like the walk's base point, p is sum_i i r_{b_i}
+    over d rays r_{b_i}, here drawn at random from those 2d."""
     d = len(rows)
-    sparse = [[(c, a) for c, a in enumerate(row) if a] for row in rows]
-    return fan._derive(fan._unit(point, d), (1 << d) - 1, sparse)
+    rays = [tuple(row) for row in rows] + _units(d)
+    drawn = [rng.choice(rays) for _ in range(d)]
+    point = [sum(i * ray[k] for i, ray in enumerate(drawn, 1)) for k in range(d)]
+    return fan._derive(fan._unit(rays, point), (1 << d) - 1), point
 
 
 def test_adjugate_matches_fraction_oracle():
     # the cone derived from the unit matrix one row at a time: its
-    # determinant, and every column equal to the cofactors with p . C as
-    # its last entry, A adj(A) = det(A) I; a cone is stuck, with no column,
-    # exactly when its rank is d - 2 or less
+    # determinant, and every tableau column, whose fields on the rows are
+    # A adj(A) = det(A) I, on the unit vectors the cofactors, and last
+    # p . C; a cone is stuck, with no column, exactly when its rank is
+    # d - 2 or less
     rng = random.Random(23)
     kinds = {"regular": 0, "singular": 0, "stuck": 0}
     for trial in range(900):
         d = 1 + trial % 6
         rank = d - rng.choice((0, 0, 1, 2)) if d > 1 else 1
         rows = _rank_draw(rng, d, max(rank, 0), 2 ** 240 if trial % 9 == 0 else 4)
-        point = [rng.randint(-9, 9) for _ in range(d)]
-        cone = _from_unit(rows, point)
+        cone, point = _from_unit(rows, rng)
         assert cone.f == (1 << d) - 1 and cone.det == _fraction_det(rows), rows
         stuck = cone.q is None
         assert stuck == (len(_rref(rows)) <= d - 2), rows
         if stuck:
             assert cone.det == 0 and cone.cols == {} and cone.parent.det, rows
         else:
-            cols = [cone.column(c) for c in range(1, d + 1)]
-            assert cols == [col + [_dot(point, col)] for col in _fraction_adjugate(rows)], rows
-            assert all(_dot(row, col) == (cone.det if i == j else 0)
-                       for i, row in enumerate(rows) for j, col in enumerate(cols)), rows
+            fields = [_fields(cone.read, cone.column(c), 2 * d) for c in range(1, d + 1)]
+            assert fields == [[cone.det if i == j else 0 for i in range(d)] + col + [_dot(point, col)]
+                              for j, col in enumerate(_fraction_adjugate(rows))], rows
         kinds["stuck" if stuck else "regular" if cone.det else "singular"] += 1
     assert kinds["regular"] >= 300 and kinds["singular"] + kinds["stuck"] >= 100, kinds
     assert min(kinds.values()) >= 50, kinds
-    unit = fan._unit([], 0)
-    assert fan._derive(unit, 0, []) is unit and unit.det == 1
+    unit = fan._unit([], [])
+    assert fan._derive(unit, 0) is unit and unit.det == 1
 
 
 def test_row_exchange_matches_adjugate_from_scratch():
     # the exchange of one row of a regular matrix, column by column, from
     # the cofactors of the old matrix against those of the new one, also
-    # when the new row makes it singular
+    # when the new row makes it singular: each column packed with its
+    # cofactors as fields, then p . C for the point p of the old rows, and
+    # read back after the exchange
     rng = random.Random(29)
     singular = 0
     for trial in range(900):
@@ -230,12 +246,16 @@ def test_row_exchange_matches_adjugate_from_scratch():
             v = [sum(c * row[k] for c, row in zip(coeffs, others)) for k in range(d)]
         else:
             v = [rng.randint(-4, 4) for _ in range(d)]
+        point = [sum(i * row[k] for i, row in enumerate(rows, 1)) for k in range(d)]
+        layout = fan._Layout(d, fan._width(rows + [v], d))
+        packed = [layout.pack(col + [_dot(point, col)]) for col in cols]
         pivot = cols[j]
         e = _dot(v, pivot)
-        exchanged = [pivot if c == j else exchange_column(col, pivot, _dot(v, col), e, det)
+        exchanged = [packed[j] if c == j else exchange_column(packed[c], packed[j], _dot(v, col), e, det)
                      for c, col in enumerate(cols)]
         new = rows[:j] + [v] + rows[j + 1:]
-        assert (e, exchanged) == (_fraction_det(new), _fraction_adjugate(new)), (rows, j, v)
+        assert (e, [_fields(layout.read, col, d) for col in exchanged]) == \
+            (_fraction_det(new), [col + [_dot(point, col)] for col in _fraction_adjugate(new)]), (rows, j, v)
         singular += e == 0
     assert singular >= 100, singular
 

@@ -342,8 +342,8 @@ def _column_sources(monkeypatch, ra):
     derive = fan._derive
     rays = fan._int_rays(ra)
 
-    def derived(base, g, sparse):
-        cone = derive(base, g, sparse)
+    def derived(base, g):
+        cone = derive(base, g)
         assert cone.f == g and base.det and base.f != g
         if cone.q is None:
             assert exactla.int_rank(fan._cone(rays, g)) <= ra.dim - 2
@@ -393,8 +393,8 @@ def _unit_cones(monkeypatch):
     cones = []
     unit = fan._unit
 
-    def counted(point, end):
-        cones.append(unit(point, end))
+    def counted(rays, point):
+        cones.append(unit(rays, point))
         return cones[-1]
 
     monkeypatch.setattr(fan, "_unit", counted)
@@ -415,11 +415,10 @@ def test_derive_from_the_cone_itself():
     # a cone on the route to a singular one may be a facet of the walk
     # later: derived from itself, it is that cone
     ra = build_rays("pattern", 3)
-    sparse = [[(c, a) for c, a in enumerate(v) if a] for v in fan._int_rays(ra)]
     g = greedy_facet(ra.word)
-    base = fan._derive(fan._unit([0] * ra.dim, len(ra.word)), g, sparse)
+    base = fan._derive(fan._unit(fan._int_rays(ra), [0] * ra.dim), g)
     assert base.f == g and base.det
-    assert fan._derive(base, g, sparse) is base
+    assert fan._derive(base, g) is base
 
 
 @pytest.mark.parametrize("dependent", [1, 2], ids=["rank d-1", "rank d-2"])
@@ -658,21 +657,33 @@ def test_singular_ranks_linear_n6_int_rank_calls(monkeypatch):
     assert stats.degenerate_cones == 2904 and calls <= 224, (calls, skipped)
 
 
+def _layout(ra):
+    """The packing of the walk over ``ra``, as ``fan._unit`` makes it."""
+    rays = fan._int_rays(ra)
+    return fan._Layout(len(rays), fan._width(rays, ra.dim))
+
+
 def test_self_check_catches_a_wrong_column(monkeypatch):
+    # one more in every field of every column derived
+    ra = build_rays("pattern", 3)
+    ones = _layout(ra).pack([1] * (len(ra.word) + 1))
+
     def off_by_one(*args):
-        return [a + 1 for a in exactla.exchange_column(*args)]
+        return exactla.exchange_column(*args) + ones
 
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
     monkeypatch.setattr(fan, "exchange_column", off_by_one)
     with pytest.raises(ArithmeticError, match="carried"):
-        certify_fan(build_rays("pattern", 3))
+        certify_fan(ra)
 
 
 def test_self_check_catches_a_wrong_numerator(monkeypatch):
-    # corrupt the numerator entry, the last, of the first column derived
+    # corrupt the numerator field, the last, of the first column derived
     # once the base cone is built, by the walk and not by the route from
     # the unit: the determinants stay right, and the numerators derived
     # from it go wrong
+    ra = build_rays("pattern", 3)
+    one = _layout(ra).pack([0] * len(ra.word) + [1])
     corrupted = []
     bases = []
     derive = fan._derive
@@ -684,7 +695,7 @@ def test_self_check_catches_a_wrong_numerator(monkeypatch):
     def off_by_one(*args):
         col = exactla.exchange_column(*args)
         if bases and not corrupted:
-            col[-1] += 1
+            col += one
             corrupted.append(col)
         return col
 
@@ -692,8 +703,27 @@ def test_self_check_catches_a_wrong_numerator(monkeypatch):
     monkeypatch.setattr(fan, "_derive", routed)
     monkeypatch.setattr(fan, "exchange_column", off_by_one)
     with pytest.raises(ArithmeticError, match="carried Cramer numerator"):
-        certify_fan(build_rays("pattern", 3))
+        certify_fan(ra)
     assert corrupted
+
+
+def test_self_check_catches_a_wrong_ray_field(monkeypatch):
+    # one more in the field of position 1 of every column derived: the
+    # base facet, checked first, lacks position 1, and its determinant,
+    # read from another field, is right; the field of ray 1 on its first
+    # column, which the self-check recomputes, is not
+    ra = build_rays("pattern", 3)
+    one = _layout(ra).pack([1])
+    assert positions_of(greedy_facet(ra.word)) == (6, 8, 9, 10, 11, 12)
+
+    def off_by_one(*args):
+        return exactla.exchange_column(*args) + one
+
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "exchange_column", off_by_one)
+    message = r"carried tableau field of ray 1 on cone \(6, 8, 9, 10, 11, 12\)"
+    with pytest.raises(ArithmeticError, match=message):
+        certify_fan(ra)
 
 
 @pytest.mark.parametrize("scalar,message", [
@@ -723,22 +753,131 @@ def test_self_check_catches_a_wrong_leaf_scalar(monkeypatch, scalar, message):
 
 @pytest.mark.parametrize("construction", ["naive", "linear", "pattern"])
 def test_dot_reads_the_column_it_would_derive(monkeypatch, construction):
-    # every cone of the walk exchanged from a regular parent: its scalar
-    # reads through the parent equal the entries of its own columns,
-    # derived only after the read
+    # every cone of the walk exchanged from a regular parent: its reads
+    # through the parent, of every field of every column, on each ray and
+    # the numerator, equal the fields of its own columns, derived only
+    # after the reads
     for n in (1, 2, 3, 4):
         ra = build_rays(construction, n)
         checked = [cone for cone, _ in _checked_stats(monkeypatch, ra)
                    if cone.parent is not None and cone.parent.det and cone.q is not None]
         assert checked or n == 1, n
-        ones = [(i, 1) for i in range(ra.dim)]
+        fields = [*range(1, len(ra.word) + 1), None]
         for cone in checked:
             positions = positions_of(cone.f)
-            reads = [[cone.dot(w, c) for c in positions] for w in (cone.v, ones, None)]
+            reads = [[cone.dot(w, c) for w in fields] for c in positions]
             cols = [cone.column(c) for c in positions]
-            assert reads == [[fan._dot(cone.v, col) for col in cols],
-                             [fan._dot(ones, col) for col in cols],
-                             [col[-1] for col in cols]], (n, positions_of(cone.f))
+            assert reads == [[cone.read(col, w) for w in fields] for col in cols], (n, positions)
+
+
+def _held_columns(monkeypatch, ra):
+    """Every cone of the walk over ``ra`` whose columns are read, the unit
+    cone among them; their ``cols`` then hold every column that they
+    derived or started with."""
+    cones = {}
+    column = fan._Cone.column
+
+    def recorded(cone, c):
+        cones[id(cone)] = cone
+        return column(cone, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(fan._Cone, "column", recorded)
+        _stats(ra)
+    return list(cones.values())
+
+
+def _largest_field(monkeypatch, ra, oracle=True):
+    """``(K, largest)``: the width of the walk over ``ra`` and the largest
+    magnitude of a field of a column that it holds.  With ``oracle``, each
+    field is checked against the determinant that it stands for, from
+    scratch: r_i . C[c] is the cone's determinant with the row of c
+    replaced by r_i, and p . C[c] with it replaced by the base point p, a
+    position past the word's being a unit row."""
+    rays = fan._int_rays(ra)
+    m, d = len(rays), ra.dim
+    base = fan._cone(rays, greedy_facet(ra.word))
+    point = [sum(i * row[k] for i, row in enumerate(base, 1)) for k in range(d)]
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    vectors = [*zip(range(1, m + 1), rays), (None, point)]
+    largest = 0
+    cones = _held_columns(monkeypatch, ra)
+    assert cones
+    for cone in cones:
+        where = positions_of(cone.f)
+        rows = [rays[r - 1] if r <= m else units[r - m - 1] for r in where]
+        for c, col in cone.cols.items():
+            k = where.index(c)
+            for w, v in vectors:
+                field = cone.read(col, w)
+                if oracle:
+                    assert field == exactla.bareiss_det(rows[:k] + [v] + rows[k + 1:]), (where, c, w)
+                largest = max(largest, abs(field))
+    return fan._width(rays, d), largest
+
+
+@pytest.mark.parametrize("construction,seed", [
+    ("naive", None), ("fixed:5,3", None), ("linear", None), ("pattern", None), ("loday", None),
+    ("perturbed", 1), ("perturbed", 2), ("perturbed", 3),
+])
+def test_tableau_fields_are_their_determinants(monkeypatch, construction, seed):
+    # every field of every column the walk holds reads back as the
+    # determinant it stands for, inside the width that Hadamard's bound
+    # gives: 2^(K - 1) bounds it
+    for n in (1, 2, 3, 4):
+        width, largest = _largest_field(monkeypatch, build_rays(construction, n, seed))
+        assert largest < 1 << (width - 1), (n, width, largest)
+
+
+def test_tableau_width_at_hadamard_equality(monkeypatch):
+    # on c^2 w0(2), d = 4, the base facet's rays are the rows of a 4 x 4
+    # Hadamard matrix: its determinant 16 meets Hadamard's bound, the
+    # product of the four row norms 2, and every other ray has norm 2 too
+    hadamard = [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)]
+    word = build_rays("pattern", 2).word
+    base = positions_of(greedy_facet(word))
+    rays = [(1, 1, 1, -1), (1, -1, -1, -1), (-1, 1, -1, -1)]
+    for r, row in zip(base, hadamard):
+        rays.insert(r - 1, row)
+    ra = RayAssignment(word, tuple(tuple(map(Fraction, v)) for v in rays), 4)
+    assert fan._int_rays(ra) == rays
+    assert abs(exactla.bareiss_det(hadamard)) == 16
+    width, largest = _largest_field(monkeypatch, ra)
+    # the width holds (1 + 2 + 3 + 4) 16, the bound on a numerator p . C
+    assert width == (10 * 16).bit_length() + 1 and largest < 1 << (width - 1)
+    cones = _held_columns(monkeypatch, ra)
+    assert 16 in {abs(cone.read(col, w)) for cone in cones for col in cone.cols.values()
+                  for w in range(1, len(word) + 1)}
+
+
+def test_self_check_catches_a_too_narrow_width(monkeypatch):
+    # at the width that the largest field of the pattern n=3 walk needs,
+    # the walk's results are the same; one bit below, that field reads
+    # back wrong, and the self-check at every facet fails the run
+    ra = build_rays("pattern", 3)
+    expected = repr(_stats(ra))
+    width, largest = _largest_field(monkeypatch, ra)
+    narrow = largest.bit_length()
+    assert narrow < width - 1
+    monkeypatch.setattr(fan, "_width", lambda rays, d: narrow + 1)
+    assert repr(_stats(ra)) == expected
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "_width", lambda rays, d: narrow)
+    with pytest.raises(ArithmeticError, match="carried"):
+        _stats(ra)
+
+
+@pytest.mark.fulltier
+@pytest.mark.parametrize("construction,seed,width,bits", [
+    ("linear", None, 46, 29), ("perturbed", 1, 185, 167),
+])
+def test_tableau_width_headroom_n6(monkeypatch, construction, seed, width, bits):
+    # the width of the n=6 walk against the bits of the largest field it
+    # holds: Hadamard's bound leaves 46 - 1 - 29 and 185 - 1 - 167 bits
+    # unused
+    got = _largest_field(monkeypatch, build_rays(construction, 6, seed), oracle=False)
+    print(f"{construction} n=6: width {got[0]} bits, largest field {got[1].bit_length()} bits")
+    assert (got[0], got[1].bit_length()) == (width, bits)
 
 
 def test_format_stats_table():
