@@ -3,10 +3,12 @@ Command-line surface: construction, enumeration, certification and table
 reproduction.
 
 Exit codes: 0 certified / PASS, 1 verified failure (degeneracies found,
-reproduction mismatch, oracle mismatch), 2 usage or IO error.  ``main`` is
-the one error boundary: a ``ValueError`` (bad input) or ``OSError`` (a file
-that cannot be read or written) from any command becomes ``error: ...`` on
-stderr and exit 2.
+reproduction mismatch, oracle mismatch), 2 usage or IO error, or no
+verdict.  ``main`` is the one error boundary: a ``ValueError`` (bad input),
+an ``OSError`` (a file that cannot be read or written) or an
+``ArithmeticError`` (a self-check of the certifier that failed, so that
+the run has no verdict) from any command becomes ``error: ...`` on stderr
+and exit 2, before any ``--out`` file is written.
 
 ``--tier`` caps n for every command: ``_resolve_word`` applies it to the
 word of ``--kn`` or ``--word``, and the commands that take ``--n`` apply
@@ -326,7 +328,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

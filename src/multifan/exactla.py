@@ -37,11 +37,12 @@ facet's adjugate from its parent's, starting from the unit matrix (see
 ``fan._stats``): replacing one row of a regular matrix changes each
 adjugate column by one exact division, and the determinant of the new
 matrix is the new row's value on one old adjugate column.  The walk
-carries a column as one int, the values of every ray and of one point
-on it packed as signed fields (``fan._Layout``).  The update is linear
-in the column, so on that int it is four whole-int operations: two
-multiplications by scalars, a subtraction and one exact division, where
-a column kept as a list would take them once per entry.
+carries the adjugate by rows, as lrs (Avis) does: the row of a vector w
+holds its values w . C on the d adjugate columns, packed as signed
+fields of one int (``fan._Layout``).  The update is linear in that row,
+so on the int it is four whole-int operations: two multiplications by
+scalars, a subtraction and one exact division, where a row kept as a
+list would take them once per entry.
 
 Also hosts an exact phase-1 simplex (Bland's rule, guaranteed
 termination) that decides whether two open simplicial cones meet.  The
@@ -147,21 +148,28 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def exchange_column(col: int, pivot: int, t: int, e: int, det: int) -> int:
-    """Column c of adj(A') for A' = A with row j replaced by a vector v,
-    from columns ``col`` (c) and ``pivot`` (j) of adj(A), det(A) = ``det``
-    (nonzero), t = v . col and e = v . pivot = det(A'):
-    ``(e * col - t * pivot) / det``, an exact division.  Column j itself
-    is unchanged, and e may be 0.  A column is one int, its entries packed
-    as signed fields (see ``fan._Layout``): the formula is linear, so it
-    acts on the int as on every field, and the division is exact on the
-    whole int because it is exact on each field.
+    """The tableau row of a vector w for A' = A with row j replaced by a
+    vector v, from w's row ``col`` for A, the values w . C[c] on the
+    adjugate columns C[c] of A, det(A) = ``det`` (nonzero): ``(e * col - t
+    * pivot) / det``, an exact division.  Here t = w . C[j], e = v . C[j] =
+    det(A'), and ``pivot`` is v's row for A less det(A) in entry j, so
+    that entry j of the result is t, w's value on column j of adj(A'),
+    which is C[j]; e may be 0.  The formula is the change of every
+    adjugate column, (e C[c] - (v . C[c]) C[j]) / det, read on w.  A row
+    is one int, its entries packed as signed fields (see ``fan._Layout``):
+    the formula is linear, so it acts on the int as on every field, and
+    the division is exact on the whole int because it is exact on each
+    field.
 
-    Row 1 of A = [[2, 1], [4, 3]], of determinant 2 and adjugate columns
+    Row 2 of A = [[2, 1], [4, 3]], of determinant 2 and adjugate columns
     (3, -4) and (-1, 2), replaced by v = (1, 1) gives A' = [[2, 1], [1, 1]]
     of determinant v . (-1, 2) = 1 and adjugate columns (1, -1) and (-1, 2).
-    Packed in fields of 8 bits, entry i of a column at bits 8 i to 8 i + 7:
+    The row of w = (1, 0) holds w's values (3, -1) on the columns of
+    adj(A), and v's row (-1, 1) less det(A) = 2 in entry 2 is the pivot
+    (-1, -1).  Packed in fields of 8 bits, entry i of a row at bits 8 (i -
+    1) to 8 i - 1, the result is w's row (1, -1) for A':
 
-    >>> exchange_column(3 - 4 * 2**8, -1 + 2 * 2**8, 3 - 4, -1 + 2, 2) == 1 - 1 * 2**8
+    >>> exchange_column(3 - 1 * 2**8, -1 - 1 * 2**8, -1, 1, 2) == 1 - 1 * 2**8
     True
     """
     return (e * col - t * pivot) // det

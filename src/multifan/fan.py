@@ -30,21 +30,21 @@ ridge.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
-enters it, as one field of a tableau column of its parent, read through
+enters it, as one field of a tableau row of its parent, read through
 the grandparent's for a facet without children, and for the base facet
 or below a singular facet by exchanges from the unit matrix or from the
 nearest regular cone, one position at a time; a ridge's status
 at the later visited of its two facets, against the determinant signs
 of the facets visited before; the first failure when the least failing
 ridge is classified; and the base condition, from the base point's
-Cramer numerators, the last field of each tableau column.  A cone's
-tableau column at a position holds the value of every ray, then of the
-base point, on that column of the cone's adjugate, packed into one int
-(``_Layout``) of fields wide enough by Hadamard's bound (``_width``), so
-that the exchange deriving it is one exact division of that int, as in
-the integer pivots of lrs (Avis).  No facet is visited twice, and the
-walk keeps only the signs of the facets visited and the tableau columns
-read along its current path.
+tableau row, its Cramer numerators, by one sign test on the whole row.
+A cone's tableau row of a ray, or of the base point, holds its value on
+each column of the cone's adjugate, in the slot of that column's
+position, packed into one int (``_Layout``) of d fields wide enough by
+Hadamard's bound (``_width``), so that the exchange deriving it is one
+exact division of that int, as in the integer pivots of lrs (Avis).  No
+facet is visited twice, and the walk keeps only the signs of the facets
+visited and the tableau rows read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 """
@@ -183,7 +183,7 @@ SELF_CHECK_EVERY = 4096
 
 
 def _width(rays: list[tuple[int, ...]], d: int) -> int:
-    """The field width K of a walk's tableau columns.  Every field is a
+    """The field width K of a walk's tableau rows.  Every field is a
     d x d determinant whose rows are rays or unit rows, or a Cramer
     numerator p . C = sum_i i (r_{b_i} . C) over the base's rays b_i, so
     it is at most d (d + 1) / 2 B in magnitude, with B the lesser of the
@@ -200,29 +200,34 @@ def _width(rays: list[tuple[int, ...]], d: int) -> int:
 
 
 class _Layout:
-    """The packing of one walk's tableau columns, each one int: field i
-    holds a signed value v_i at bits K i to K (i + 1) - 1, K = ``width``,
-    and the column is the int sum_i v_i 2^(K i).  The fields of a column
-    C of m rays are r_1 . C, ..., r_m . C, read by position 1..m, then the
-    Cramer numerator p . C, read by None.  A linear combination of columns
-    is the same combination of their ints, field by field, and a field
-    reads back exactly while |v_i| < 2^(K - 1): adding 2^(K - 1) to every
-    field makes each one a K-bit number and the int nonnegative."""
+    """The packing of one walk's tableau rows, each one int of d fields:
+    the field of slot i holds a signed value v_i at bits K i to
+    K (i + 1) - 1, K = ``width``, and the row is the int sum_i v_i 2^(K i).
+    A linear combination of rows is the same combination of their ints,
+    field by field, and a field reads back exactly while |v_i| < 2^(K - 1):
+    adding ``bias``, 2^(K - 1) in every field, makes each one a K-bit
+    number and the int nonnegative.  So one test on the whole int tells
+    whether every field of a row is >= 0: exactly when no field has its
+    top bit set in the int itself, since the lowest negative field has no
+    borrow from below, and its K bits read v_i + 2^K >= 2^(K - 1)."""
 
-    __slots__ = ("width", "shifts", "bias", "mask", "half")
+    __slots__ = ("width", "bias", "mask", "half")
 
-    def __init__(self, m: int, width: int):
+    def __init__(self, d: int, width: int):
         self.width = width
-        self.shifts = {w: width * i for i, w in enumerate([*range(1, m + 1), None])}
         self.mask = (1 << width) - 1
         self.half = 1 << (width - 1)
-        self.bias = self.pack([self.half] * (m + 1))
+        self.bias = self.pack([self.half] * d)
 
     def pack(self, values) -> int:
         return sum(v << (self.width * i) for i, v in enumerate(values))
 
-    def read(self, col: int, w: int | None) -> int:
-        return ((col + self.bias) >> self.shifts[w] & self.mask) - self.half
+    def read(self, row: int, shift: int) -> int:
+        """The field at bit ``shift``, K times its slot."""
+        return ((row + self.bias) >> shift & self.mask) - self.half
+
+    def nonnegative(self, row: int) -> bool:
+        return not row & self.bias
 
 
 def _odd(f: Facet, x: int, q: int) -> int:
@@ -233,78 +238,114 @@ def _odd(f: Facet, x: int, q: int) -> int:
 
 class _Cone:
     """The matrix of the rays of the positions ``f``, as rows in position
-    order: its determinant and a cache of its tableau columns by position.
-    The tableau column of adjugate column C[c] holds r . C[c] for every
-    ray r of the word, then the Cramer numerator p . C[c] of the base
-    point p, packed into one int by the walk's ``_Layout``, whose ``read``
-    the cone keeps.  A cone made by ``exchanged`` records the flip x -> q
-    and its sign ``s`` that made it from its ``parent``, and derives its
-    columns from the parent's on first use; ``dot`` reads one field of a
-    column without deriving it.  The unit cone (``_unit``) starts with
-    every column.  A singular cone without ``q`` has no column, and its
-    ``parent``, if any, is the regular cone to exchange its children
-    from."""
+    order: its determinant D and a cache of its tableau rows.  With C[c]
+    the adjugate column of position c, the row R[w] of a ray w, or of the
+    base point p for w None, holds r_w . C[c] in the slot of each position
+    c, packed into one int by the walk's ``_Layout``; ``shifts`` maps each
+    position to K times its slot.  The row of a position of the cone is D
+    in its slot and 0 elsewhere: it is never stored.
 
-    __slots__ = ("f", "det", "cols", "read", "parent", "x", "q", "s")
+    A cone made by ``exchanged`` records the flip x -> q and its sign
+    ``s`` that made it from its ``parent``: q holds x's slot, and the
+    ``pivot`` Q, computed once, is the parent's row of q less D_P in that
+    slot.  It derives its rows from the parent's on first use (``row``);
+    ``dot`` reads one field of a row without deriving it.  The unit cone
+    (``_unit``) starts with every row.  A singular cone without ``q`` has
+    no row, and its ``parent``, if any, is the regular cone to exchange
+    its children from."""
 
-    def __init__(self, f: Facet, det: int, cols: dict[int, int], read=None, parent: _Cone | None = None):
-        self.f, self.det, self.cols, self.read, self.parent = f, det, cols, read, parent
-        self.q = None
+    __slots__ = ("f", "det", "rows", "shifts", "layout", "parent", "x", "q", "s", "pivot")
 
-    def column(self, c: int) -> int:
-        col = self.cols.get(c)
-        if col is None:
+    def __init__(self, f: Facet, det: int, rows: dict, shifts: dict[int, int] | None = None,
+                 layout: _Layout | None = None, parent: _Cone | None = None):
+        self.f, self.det, self.rows, self.shifts, self.layout, self.parent = f, det, rows, shifts, layout, parent
+        self.q = self.pivot = None
+
+    def row(self, w: int | None) -> int:
+        """R[w], for w not a position of the cone, from the parent's rows:
+        R[x] = (D << K slot(q)) - s Q, the one row that needs no division,
+        and for any other w ``exchange_column``(R_P[w], Q, s t, D, D_P), t
+        the field of q's slot in R_P[w], which leaves s t there."""
+        row = self.rows.get(w)
+        if row is None:
             parent = self.parent
-            if c == self.q:
-                col = parent.column(self.x)
-                if self.s < 0:
-                    col = -col
+            shift = self.shifts[self.q]
+            pivot = self.pivot
+            if pivot is None:
+                pivot = self.pivot = parent.row(self.q) - (parent.det << shift)
+            if w == self.x:
+                row = (self.det << shift) - self.s * pivot
             else:
-                col = parent.column(c)
-                col = exchange_column(col, self.column(self.q), self.read(col, self.q), self.det, parent.det)
-            self.cols[c] = col
-        return col
+                up = parent.row(w)
+                row = exchange_column(up, pivot, self.s * self.layout.read(up, shift), self.det, parent.det)
+            self.rows[w] = row
+        return row
 
     def dot(self, w: int | None, c: int) -> int:
-        """r_w . C[c], or with w None the Cramer numerator p . C[c]: one
-        field of column c.  Without column c at hand it is read through
-        the parent P's column, as the field of the column that ``column``
-        would derive: (D (r_w . C_P[c]) - (r_q . C_P[c]) (r_w . C[q])) /
-        D_P, with r_w . C[q] = s (r_w . C_P[x])."""
-        col = self.cols.get(c)
-        if col is not None:
-            return self.read(col, w)
-        if c == self.q:
-            return self.s * self.parent.dot(w, self.x)
+        """r_w . C[c], or with w None the Cramer numerator p . C[c]: the
+        field of c in row w, D or 0 for a position w of the cone.  Without
+        row w at hand it is read through the parent P's rows, as the field
+        that ``row`` would derive: s t for c = q, else (D (r_w . C_P[c]) -
+        s t (r_q . C_P[c])) / D_P, with t = r_w . C_P[x]."""
+        if w is not None and self.f >> (w - 1) & 1:
+            return self.det if w == c else 0
+        read = self.layout.read
+        if w in self.rows or self.q is None:
+            return read(self.row(w), self.shifts[c])
         parent = self.parent
-        col = parent.column(c)
-        read = self.read
-        return (self.det * read(col, w) - read(col, self.q) * self.dot(w, self.q)) // parent.det
+        shift = self.shifts[self.q]
+        up = parent.det << shift if w == self.x else parent.row(w)
+        t = self.s * read(up, shift)
+        if c == self.q:
+            return t
+        shift = self.shifts[c]
+        return (self.det * read(up, shift) - t * read(parent.row(self.q), shift)) // parent.det
 
     def exchanged(self, x: int, q: int, leaf: bool = False) -> _Cone:
-        """This cone with position x exchanged for q: C'[q] = s C[x] and
-        det' = r_q . C'[q], where s moves q's row from x's place to its own
-        across the positions strictly between them.  A ``leaf``, a cone
-        without children, derives no column: its determinant is read
-        through this cone (``dot``)."""
+        """This cone with position x exchanged for q, which takes x's slot:
+        det' = s (r_q . C[x]), the field of that slot in R[q], where s moves
+        q's row from x's place to its own across the positions strictly
+        between them.  A ``leaf``, a cone without children, reads det'
+        through this cone (``dot``) and derives no row here."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
-        cone = _Cone(f, 0, {}, self.read, self)
+        shifts = self.shifts.copy()
+        shift = shifts[q] = shifts.pop(x)
+        cone = _Cone(f, 0, {}, shifts, self.layout, self)
         cone.x, cone.q, cone.s = x, q, -1 if _odd(f, x, q) else 1
-        if not leaf:
-            cone.column(q)
-        cone.det = cone.dot(q, q)
+        if leaf:
+            cone.det = cone.s * self.dot(q, x)
+        else:
+            row = self.row(q)
+            cone.det = cone.s * self.layout.read(row, shift)
+            cone.pivot = row - (self.det << shift)
         return cone
+
+    def holds_point(self) -> bool:
+        """Whether the closed cone of this regular cone, exchanged from a
+        regular parent, holds p: whether no Cramer numerator has the sign
+        opposite to D, that is every field of sign(D) R[p] is >= 0.  The
+        numerator of q, s times a field of the parent's R[p], is read
+        first: it alone rejects most cones, before R[p] is derived."""
+        parent = self.parent
+        first = self.s * self.layout.read(parent.row(None), self.shifts[self.q])
+        if first and (first < 0) != (self.det < 0):
+            return False
+        row = self.row(None)
+        return self.layout.nonnegative(row if self.det > 0 else -row)
 
 
 def _unit(rays: list[tuple[int, ...]], point: list[int]) -> _Cone:
     """The unit matrix, as the cone of the d positions past the m rays':
-    row and column e_j at position m + j, determinant 1, and tableau
-    column r_i . e_j = r_i[j] on each ray, p_j on the point p.  The walk's
-    ``_Layout`` is made here, with the width that ``_width`` bounds."""
+    row and column e_j at position m + j, in slot j - 1, of determinant 1,
+    whose tableau rows are the packed rays and the packed point p, since
+    r . e_j = r[j].  The walk's ``_Layout`` is made here, with the width
+    that ``_width`` bounds."""
     m, d = len(rays), len(point)
-    layout = _Layout(m, _width(rays, d))
-    cols = {m + j: layout.pack([r[j - 1] for r in rays] + [p]) for j, p in enumerate(point, 1)}
-    return _Cone(((1 << d) - 1) << m, 1, cols, layout.read)
+    layout = _Layout(d, _width(rays, d))
+    rows = {i: layout.pack(r) for i, r in enumerate(rays, 1)}
+    rows[None] = layout.pack(point)
+    shifts = {m + 1 + j: layout.width * j for j in range(d)}
+    return _Cone(((1 << d) - 1) << m, 1, rows, shifts, layout)
 
 
 def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
@@ -318,31 +359,32 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
 
     Let F have determinant D and adjugate columns C[c], so that r . C[c]
     is det F with the row of position c replaced by r.  A flip x -> q
-    enters a child of determinant D' = s (r_q . C[x]), where s = (-1)^k
-    moves q's row across the k positions strictly between x and q.  The
-    child's columns are C'[q] = s C[x] and (D' C[c] - (r_q . C[c]) C'[q])
-    / D.  That formula is linear, so it carries any linear function of
-    the columns along.  The walk carries the tableau column of C[c]: the
-    values r_1 . C[c], ..., r_m . C[c] of the word's m rays, then the
-    Cramer numerator p . C[c] of the base point p, packed as the fields
-    of one int (``_Layout``).  So a determinant D' and the scalar r_q .
-    C[c] of an exchange are each one field read, and the exchange of a
-    column is one exact division of an int (``exchange_column``).  Each
-    field is a d x d determinant over the rays and unit rows, or p . C[c],
-    a sum of i times such determinants, so it fits the width that
-    ``_width`` takes from Hadamard's bound.  Each column is derived when
-    first read and then kept; a field of C'[c] is read (``_Cone.dot``)
-    through C[c] without deriving C'[c], so a leaf derives no column.  A
-    singular F cannot divide by D, so a child of F is exchanged by
-    ``_derive`` from the regular cone that F came from, unless it is a
-    leaf, read through F's parent.
+    enters a child G of determinant D' = s (r_q . C[x]), where s = (-1)^k
+    moves q's row across the k positions strictly between x and q.  G's
+    columns are C'[q] = s C[x] and (D' C[c] - (r_q . C[c]) C'[q]) / D.
+    The walk carries that change row by row, as in the integer pivots of
+    lrs (Avis): the tableau row R[w] of a ray w, or of the base point p,
+    holds the d values r_w . C[c], one in the slot of each position c,
+    packed as the fields of one int (``_Layout``).  A position keeps its
+    slot while it is in the cone, and q takes x's slot.  So D' and every
+    scalar of an exchange is one field read, and the row of G is one
+    exact division of an int (``exchange_column``) against the pivot Q =
+    R[q] - D in x's slot, computed once per cone; the row of x needs no
+    division.  Each field is a d x d determinant over the rays and unit
+    rows, or p . C[c], a sum of i times such determinants, so it fits the
+    width that ``_width`` takes from Hadamard's bound; only Q, never
+    read, may hold a field past it.  A cone's own positions have the rows
+    D e_c, never stored.  Each row is derived when first read and then
+    kept; a field of R'[w] is read (``_Cone.dot``) through R[w] without
+    deriving R'[w], so a leaf derives no row.  A singular F cannot divide
+    by D, so a child of F is exchanged by ``_derive`` from the regular
+    cone that F came from, unless it is a leaf, read through F's parent.
 
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
-    positions past the word's last, of determinant 1, whose column e_j
-    has the fields r_i . e_j and p . e_j, the j-th coordinates of the rays
-    and of p.  ``_derive`` exchanges the base's rays in, one position at a
-    time, and exactness carries p . C[r_i] = i D to the base's i-th
-    position r_i.
+    positions past the word's last, of determinant 1, whose tableau rows
+    are the rays and p themselves.  ``_derive`` exchanges the base's rays
+    in, one position at a time, and exactness carries p . C[r_i] = i D
+    to the base's i-th position r_i.
 
     A singular cone that shares a ridge with a regular one has rank d - 1,
     the d - 1 rays they share being independent.  Only the singular cones
@@ -352,10 +394,11 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     the signs of those visited before: with x leaving F and q entering G,
     the coefficient of ray x in ray q is (-1)^k det(G) / det(F), good when
     negative.  Until the first failing ridge, a facet's closed cone
-    contains p iff no numerator has the sign opposite to its determinant;
-    every cone on the path is then regular.  Every ``SELF_CHECK_EVERY``-th
-    facet is checked from scratch (``_self_check``), one ray's field
-    among its scalars.
+    contains p iff no numerator has the sign opposite to its determinant,
+    that is iff every field of sign(D') R'[p] is >= 0, one test on the
+    whole int (``_Cone.holds_point``); every cone on the path is then
+    regular.  Every ``SELF_CHECK_EVERY``-th facet is checked from scratch
+    (``_self_check``), one ray's field among its scalars.
     """
     rays = _int_rays(ra)
     signs: dict[Facet, int] = {}
@@ -367,7 +410,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     path: list[_Cone] = []
     bad = degenerate = ridges = singular = 0
     least = failure = witness = point = None
-    # cones of too few or too many rays are singular, and carry no columns
+    # cones of too few or too many rays are singular, and carry no rows
     square = greedy_facet(ra.word).bit_count() == ra.dim
     for count, (g, flips, children, entry, depth) in enumerate(traverse(ra.word)):
         del path[depth:]
@@ -414,7 +457,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         signs[g] = sign
         locate = failure is None and point is not None
         if locate and entry is not None and (witness is None or g < witness):
-            if all(cone.dot(None, y) * sign >= 0 for y, _, _ in flips):
+            if cone.holds_point():
                 witness = g
         if square and count % SELF_CHECK_EVERY == 0:
             _self_check(rays, cone, point if locate else None)
@@ -442,24 +485,25 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
     """The cone of ``g``, exchanged from the regular cone ``base`` one
     position at a time: each position that ``base`` has and ``g`` lacks is
     swapped for one that ``g`` has, every step but the last to a regular
-    cone.  With M the k x k matrix of the v_q . C[x] / D of ``base``,
+    cone.  With M the k x k matrix of the r_q . C[x] / D of ``base``,
     det(g) / D = det M, and a step pivots on a nonzero entry of M, leaving
-    a Schur complement of one less rank.  So the steps run out with two or
-    more swaps left only if ``g`` has rank d - 2 or less; it then gets
-    determinant 0, no columns, and as parent the last regular cone of its
-    route, to derive its children."""
+    a Schur complement of one less rank: row first, the first q whose row
+    R[q] has a nonzero field in the slot of some x.  So the steps run out
+    with two or more swaps left only if ``g`` has rank d - 2 or less; it
+    then gets determinant 0, no rows, and as parent the last regular cone
+    of its route, to derive its children."""
     outs = list(positions_of(base.f & ~g))
     ins = list(positions_of(g & ~base.f))
     cone = base
-    read = base.read
+    read = base.layout.read
     while len(outs) > 1:
-        for x in outs:
-            col = cone.column(x)
-            q = next((q for q in ins if read(col, q)), None)
-            if q is not None:
+        for q in ins:
+            row = cone.row(q)
+            x = next((x for x in outs if read(row, cone.shifts[x])), None)
+            if x is not None:
                 break
         else:
-            return _Cone(g, 0, {}, read, cone)
+            return _Cone(g, 0, {}, parent=cone)
         outs.remove(x)
         ins.remove(q)
         cone = cone.exchanged(x, q)
@@ -468,10 +512,11 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
 
 
 def _self_check(rays, cone: _Cone, point):
-    """Recompute from scratch the determinant of ``cone`` and, on the
-    column of its first position, the field of the ray of the first
-    position outside the cone and, with ``point``, the Cramer numerator:
-    a field that the walk's width cannot hold reads back wrong."""
+    """Recompute from scratch the determinant of ``cone`` and, in the slot
+    of its first position, the field of the row of the first position
+    outside the cone and, with ``point``, the Cramer numerator, the field
+    of the row of p: a field that the walk's width cannot hold reads back
+    wrong."""
     rows = _cone(rays, cone.f)
     where = positions_of(cone.f)
     if bareiss_det(rows) != cone.det:
@@ -480,7 +525,7 @@ def _self_check(rays, cone: _Cone, point):
         return
     if point is not None and bareiss_det([point] + rows[1:]) != cone.dot(None, where[0]):
         raise ArithmeticError(f"carried Cramer numerator of cone {where} is wrong")
-    # a leaf of a singular parent reads no column but q's
+    # a child of a singular parent reads no row but its parent's row of q
     i = (~cone.f & (cone.f + 1)).bit_length()
     if i <= len(rays) and cone.q is not None and cone.parent.det:
         if bareiss_det([rays[i - 1]] + rows[1:]) != cone.dot(i, where[0]):

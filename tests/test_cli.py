@@ -432,6 +432,23 @@ def test_check_double_cover_exit_code(tmp_path, capsys):
     assert "not certified: open cones of base and" in out
 
 
+def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    # a self-check that fails leaves the run without a verdict: exit 2, not
+    # the 1 of a verified failure, an error line and no report; here the
+    # walk's fields are one bit too narrow and every facet is checked
+    from multifan import fan
+
+    rays = tmp_path / "p4.rays"
+    report = tmp_path / "report.json"
+    run(capsys, "rays", "--construction", "pattern", "--n", "4", "--out", str(rays))
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    monkeypatch.setattr(fan, "_width", lambda rays, d: 4)
+    rc, out, err = run(capsys, "check", "--rays", str(rays), "--kn", "2,4", "--out", str(report))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: carried ") and "Traceback" not in err
+    assert not report.exists() and not Path(f"{report}.manifest.json").exists()
+
+
 # the pattern rays at n = 1, which certify against c^2 w0(1)
 PATTERN1 = format_ray_file(build_rays("pattern", 1))
 

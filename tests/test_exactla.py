@@ -174,18 +174,18 @@ def _units(d):
     return [tuple(int(i == j) for i in range(d)) for j in range(d)]
 
 
-def _fields(read, col, m):
-    """Every field of a tableau column of m rays: r_1 . C, ..., r_m . C,
-    then the numerator."""
-    return [read(col, w) for w in range(1, m + 1)] + [read(col, None)]
+def _fields(cone, row, d):
+    """Every field of a tableau row of ``cone``, in the order of the
+    positions 1..d of its columns."""
+    return [cone.layout.read(row, cone.shifts[c]) for c in range(1, d + 1)]
 
 
 def _from_unit(rows, rng):
     """``(cone, point)``: the cone of ``rows`` at positions 1..d, exchanged
     in by ``fan._derive`` from the unit matrix, and the point p of its
-    numerator fields.  The unit vectors follow the rows as the rays of
-    positions d + 1..2d, so that the fields of a column C[c] on them are
-    the entries of C[c].  Like the walk's base point, p is sum_i i r_{b_i}
+    numerator row.  The unit vectors follow the rows as the rays of
+    positions d + 1..2d, so that the row of the j-th of them holds the
+    j-th entries of the adjugate columns.  Like the walk's base point, p is sum_i i r_{b_i}
     over d rays r_{b_i}, here drawn at random from those 2d."""
     d = len(rows)
     rays = [tuple(row) for row in rows] + _units(d)
@@ -196,10 +196,10 @@ def _from_unit(rows, rng):
 
 def test_adjugate_matches_fraction_oracle():
     # the cone derived from the unit matrix one row at a time: its
-    # determinant, and every tableau column, whose fields on the rows are
-    # A adj(A) = det(A) I, on the unit vectors the cofactors, and last
-    # p . C; a cone is stuck, with no column, exactly when its rank is
-    # d - 2 or less
+    # determinant, and every field of every tableau row, whose slots are
+    # the adjugate columns: on the cone's own rows A adj(A) = det(A) I, on
+    # the unit vectors the cofactors, and on the point p . C; a cone is
+    # stuck, with no row, exactly when its rank is d - 2 or less
     rng = random.Random(23)
     kinds = {"regular": 0, "singular": 0, "stuck": 0}
     for trial in range(900):
@@ -211,11 +211,13 @@ def test_adjugate_matches_fraction_oracle():
         stuck = cone.q is None
         assert stuck == (len(_rref(rows)) <= d - 2), rows
         if stuck:
-            assert cone.det == 0 and cone.cols == {} and cone.parent.det, rows
+            assert cone.det == 0 and cone.rows == {} and cone.parent.det, rows
         else:
-            fields = [_fields(cone.read, cone.column(c), 2 * d) for c in range(1, d + 1)]
-            assert fields == [[cone.det if i == j else 0 for i in range(d)] + col + [_dot(point, col)]
-                              for j, col in enumerate(_fraction_adjugate(rows))], rows
+            cols = _fraction_adjugate(rows)
+            own = [[cone.dot(w, c) for c in range(1, d + 1)] for w in range(1, d + 1)]
+            derived = [_fields(cone, cone.row(w), d) for w in [*range(d + 1, 2 * d + 1), None]]
+            assert own == [[cone.det if w == c else 0 for c in range(d)] for w in range(d)], rows
+            assert derived == [[col[j] for col in cols] for j in range(d)] + [[_dot(point, col) for col in cols]], rows
         kinds["stuck" if stuck else "regular" if cone.det else "singular"] += 1
     assert kinds["regular"] >= 300 and kinds["singular"] + kinds["stuck"] >= 100, kinds
     assert min(kinds.values()) >= 50, kinds
@@ -224,10 +226,12 @@ def test_adjugate_matches_fraction_oracle():
 
 
 def test_row_exchange_matches_adjugate_from_scratch():
-    # the exchange of one row of a regular matrix, column by column, from
-    # the cofactors of the old matrix against those of the new one, also
-    # when the new row makes it singular: each column packed with its
-    # cofactors as fields, then p . C for the point p of the old rows, and
+    # the exchange of row j of a regular matrix A for v, row by row, from
+    # the cofactors of A against those of the new matrix, also when v makes
+    # it singular: the tableau rows of the unit vectors and of the point p
+    # of A's rows, the slot of each adjugate column its position, go
+    # through exchange_column against the pivot, v's row less det(A) in
+    # slot j; the row of the old row j needs no division; every field is
     # read back after the exchange
     rng = random.Random(29)
     singular = 0
@@ -247,15 +251,21 @@ def test_row_exchange_matches_adjugate_from_scratch():
         else:
             v = [rng.randint(-4, 4) for _ in range(d)]
         point = [sum(i * row[k] for i, row in enumerate(rows, 1)) for k in range(d)]
+        vectors = _units(d) + [point]
         layout = fan._Layout(d, fan._width(rows + [v], d))
-        packed = [layout.pack(col + [_dot(point, col)]) for col in cols]
-        pivot = cols[j]
-        e = _dot(v, pivot)
-        exchanged = [packed[j] if c == j else exchange_column(packed[c], packed[j], _dot(v, col), e, det)
-                     for c, col in enumerate(cols)]
+        shift = layout.width * j
+        pivot = layout.pack([_dot(v, col) for col in cols]) - (det << shift)
+        e = _dot(v, cols[j])
+        exchanged = []
+        for w in vectors:
+            row = layout.pack([_dot(w, col) for col in cols])
+            exchanged.append(exchange_column(row, pivot, layout.read(row, shift), e, det))
+        left = (e << shift) - pivot
         new = rows[:j] + [v] + rows[j + 1:]
-        assert (e, [_fields(layout.read, col, d) for col in exchanged]) == \
-            (_fraction_det(new), [col + [_dot(point, col)] for col in _fraction_adjugate(new)]), (rows, j, v)
+        new_cols = _fraction_adjugate(new)
+        read = [[layout.read(row, layout.width * c) for c in range(d)] for row in exchanged + [left]]
+        assert (e, read) == (_fraction_det(new), [[_dot(w, col) for col in new_cols] for w in vectors + [rows[j]]]), \
+            (rows, j, v)
         singular += e == 0
     assert singular >= 100, singular
 
