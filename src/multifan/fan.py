@@ -30,10 +30,10 @@ ridge.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
-enters it, as one field of a tableau row of its parent, read through
-the grandparent's for a facet without children, and for the base facet
-or below a singular facet by exchanges from the unit matrix or from the
-nearest regular cone, one position at a time; a ridge's status
+enters it, as one field of its parent's tableau row of the entering
+ray, and for the base facet and every child of a singular facet by
+exchanges from the unit matrix or from the nearest regular cone, one
+position at a time; a ridge's status
 at the later visited of its two facets, against the determinant signs
 of the facets visited before; the first failure when the least failing
 ridge is classified; and the base condition, from the base point's
@@ -246,20 +246,20 @@ class _Cone:
     in its slot and 0 elsewhere: it is never stored.
 
     A cone made by ``exchanged`` records the flip x -> q and its sign
-    ``s`` that made it from its ``parent``: q holds x's slot, and the
-    ``pivot`` Q, computed once, is the parent's row of q less D_P in that
-    slot.  It derives its rows from the parent's on first use (``row``);
-    ``dot`` reads one field of a row without deriving it.  The unit cone
-    (``_unit``) starts with every row.  A singular cone without ``q`` has
-    no row, and its ``parent``, if any, is the regular cone to exchange
-    its children from."""
+    ``s`` that made it from its regular ``parent``: q holds x's slot, and
+    the ``pivot`` Q, set when the cone is made, is the parent's row of q
+    less D_P in that slot.  Every field that the walk reads is read from
+    the cone's own rows, each derived from the parent's on first use
+    (``row``).  The unit cone (``_unit``) starts with every row.  A
+    singular cone without ``q`` has no row, and its ``parent``, if any, is
+    the regular cone to exchange its children from."""
 
     __slots__ = ("f", "det", "rows", "shifts", "layout", "parent", "x", "q", "s", "pivot")
 
     def __init__(self, f: Facet, det: int, rows: dict, shifts: dict[int, int] | None = None,
                  layout: _Layout | None = None, parent: _Cone | None = None):
         self.f, self.det, self.rows, self.shifts, self.layout, self.parent = f, det, rows, shifts, layout, parent
-        self.q = self.pivot = None
+        self.q = None
 
     def row(self, w: int | None) -> int:
         """R[w], for w not a position of the cone, from the parent's rows:
@@ -270,66 +270,34 @@ class _Cone:
         if row is None:
             parent = self.parent
             shift = self.shifts[self.q]
-            pivot = self.pivot
-            if pivot is None:
-                pivot = self.pivot = parent.row(self.q) - (parent.det << shift)
             if w == self.x:
-                row = (self.det << shift) - self.s * pivot
+                row = (self.det << shift) - self.s * self.pivot
             else:
                 up = parent.row(w)
-                row = exchange_column(up, pivot, self.s * self.layout.read(up, shift), self.det, parent.det)
+                row = exchange_column(up, self.pivot, self.s * self.layout.read(up, shift), self.det, parent.det)
             self.rows[w] = row
         return row
 
-    def dot(self, w: int | None, c: int) -> int:
-        """r_w . C[c], or with w None the Cramer numerator p . C[c]: the
-        field of c in row w, D or 0 for a position w of the cone.  Without
-        row w at hand it is read through the parent P's rows, as the field
-        that ``row`` would derive: s t for c = q, else (D (r_w . C_P[c]) -
-        s t (r_q . C_P[c])) / D_P, with t = r_w . C_P[x]."""
-        if w is not None and self.f >> (w - 1) & 1:
-            return self.det if w == c else 0
-        read = self.layout.read
-        if w in self.rows or self.q is None:
-            return read(self.row(w), self.shifts[c])
-        parent = self.parent
-        shift = self.shifts[self.q]
-        up = parent.det << shift if w == self.x else parent.row(w)
-        t = self.s * read(up, shift)
-        if c == self.q:
-            return t
-        shift = self.shifts[c]
-        return (self.det * read(up, shift) - t * read(parent.row(self.q), shift)) // parent.det
-
-    def exchanged(self, x: int, q: int, leaf: bool = False) -> _Cone:
-        """This cone with position x exchanged for q, which takes x's slot:
-        det' = s (r_q . C[x]), the field of that slot in R[q], where s moves
-        q's row from x's place to its own across the positions strictly
-        between them.  A ``leaf``, a cone without children, reads det'
-        through this cone (``dot``) and derives no row here."""
+    def exchanged(self, x: int, q: int) -> _Cone:
+        """This regular cone with position x exchanged for q, which takes
+        x's slot: det' = s (r_q . C[x]), the field of that slot in R[q],
+        where s moves q's row from x's place to its own across the
+        positions strictly between them."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
         shifts = self.shifts.copy()
         shift = shifts[q] = shifts.pop(x)
         cone = _Cone(f, 0, {}, shifts, self.layout, self)
         cone.x, cone.q, cone.s = x, q, -1 if _odd(f, x, q) else 1
-        if leaf:
-            cone.det = cone.s * self.dot(q, x)
-        else:
-            row = self.row(q)
-            cone.det = cone.s * self.layout.read(row, shift)
-            cone.pivot = row - (self.det << shift)
+        row = self.row(q)
+        cone.det = cone.s * self.layout.read(row, shift)
+        cone.pivot = row - (self.det << shift)
         return cone
 
     def holds_point(self) -> bool:
         """Whether the closed cone of this regular cone, exchanged from a
         regular parent, holds p: whether no Cramer numerator has the sign
-        opposite to D, that is every field of sign(D) R[p] is >= 0.  The
-        numerator of q, s times a field of the parent's R[p], is read
-        first: it alone rejects most cones, before R[p] is derived."""
-        parent = self.parent
-        first = self.s * self.layout.read(parent.row(None), self.shifts[self.q])
-        if first and (first < 0) != (self.det < 0):
-            return False
+        opposite to D, that is every field of sign(D) R[p] is >= 0, one
+        test on the whole row."""
         row = self.row(None)
         return self.layout.nonnegative(row if self.det > 0 else -row)
 
@@ -374,11 +342,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     rows, or p . C[c], a sum of i times such determinants, so it fits the
     width that ``_width`` takes from Hadamard's bound; only Q, never
     read, may hold a field past it.  A cone's own positions have the rows
-    D e_c, never stored.  Each row is derived when first read and then
-    kept; a field of R'[w] is read (``_Cone.dot``) through R[w] without
-    deriving R'[w], so a leaf derives no row.  A singular F cannot divide
-    by D, so a child of F is exchanged by ``_derive`` from the regular
-    cone that F came from, unless it is a leaf, read through F's parent.
+    D e_c, never stored.  Each cone reads its fields from its own rows,
+    each derived from its parent's when first read and then kept.  A
+    singular F cannot divide by D, so every child of F is exchanged by
+    ``_derive`` from the regular cone that F came from.
 
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
     positions past the word's last, of determinant 1, whose tableau rows
@@ -412,7 +379,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     least = failure = witness = point = None
     # cones of too few or too many rays are singular, and carry no rows
     square = greedy_facet(ra.word).bit_count() == ra.dim
-    for count, (g, flips, children, entry, depth) in enumerate(traverse(ra.word)):
+    for count, (g, flips, entry, depth) in enumerate(traverse(ra.word)):
         del path[depth:]
         if not square:
             cone = _Cone(g, 0, {})
@@ -424,10 +391,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         else:
             x, q, _ = entry
             parent = path[-1]
-            if parent.det or not children and parent.q is not None:
-                cone = parent.exchanged(x, q, not children)
-            else:
-                cone = _derive(parent.parent, g)
+            cone = parent.exchanged(x, q) if parent.det else _derive(parent.parent, g)
         det = cone.det
         sign = (det > 0) - (det < 0)
         if not sign:
@@ -513,22 +477,25 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
 
 def _self_check(rays, cone: _Cone, point):
     """Recompute from scratch the determinant of ``cone`` and, in the slot
-    of its first position, the field of the row of the first position
+    of its first position, the field of its row of the first position
     outside the cone and, with ``point``, the Cramer numerator, the field
-    of the row of p: a field that the walk's width cannot hold reads back
-    wrong."""
+    of its row of p: a field that the walk's width cannot hold reads back
+    wrong.  A stuck cone, whose ``_derive`` route ran out, has no row."""
     rows = _cone(rays, cone.f)
     where = positions_of(cone.f)
     if bareiss_det(rows) != cone.det:
         raise ArithmeticError(f"carried determinant of cone {where} is wrong")
     if not rows:
         return
-    if point is not None and bareiss_det([point] + rows[1:]) != cone.dot(None, where[0]):
+
+    def field(w):
+        return cone.layout.read(cone.row(w), cone.shifts[where[0]])
+
+    if point is not None and bareiss_det([point] + rows[1:]) != field(None):
         raise ArithmeticError(f"carried Cramer numerator of cone {where} is wrong")
-    # a child of a singular parent reads no row but its parent's row of q
     i = (~cone.f & (cone.f + 1)).bit_length()
-    if i <= len(rays) and cone.q is not None and cone.parent.det:
-        if bareiss_det([rays[i - 1]] + rows[1:]) != cone.dot(i, where[0]):
+    if i <= len(rays) and cone.q is not None:
+        if bareiss_det([rays[i - 1]] + rows[1:]) != field(i):
             raise ArithmeticError(f"carried tableau field of ray {i} on cone {where} is wrong")
 
 

@@ -130,13 +130,13 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | None, int]]:
-    """Every facet f once, as ``(f, flips, children, entry, depth)``: all
-    of f's flips ``(x, q, g)`` in position order, position x leaving and q
-    entering; those among them that enter its children; the flip ``(x, q,
-    parent)`` that entered f, None at the root; and its depth in the tree.
-    Each facet is yielded before its children, in the order of
-    ``children``, and each ridge is seen from both of its facets.
+def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], Flip | None, int]]:
+    """Every facet f once, as ``(f, flips, entry, depth)``: all of f's
+    flips ``(x, q, g)`` in position order, position x leaving and q
+    entering; the flip ``(x, q, parent)`` that entered f, None at the
+    root; and its depth in the tree.  Each facet is yielded before its
+    children, which follow in the order of their flips, and each ridge is
+    seen from both of its facets.
 
     The walk is a reverse search (Avis-Fukuda), a depth-first search of
     the increasing-flip tree (Pilaud-Pocchiola).  Its root is the greedy
@@ -192,7 +192,7 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], list[Flip], Flip | No
             flips.append(flip)
             if q < m:
                 children.append(flip)
-        yield f, flips, children, entry, len(path)
+        yield f, flips, entry, len(path)
         path.append((f, key, at, pos, iter(children)))
         while path:
             parent, key, at, pos, pending = path[-1]

@@ -196,10 +196,10 @@ def _from_unit(rows, rng):
 
 def test_adjugate_matches_fraction_oracle():
     # the cone derived from the unit matrix one row at a time: its
-    # determinant, and every field of every tableau row, whose slots are
-    # the adjugate columns: on the cone's own rows A adj(A) = det(A) I, on
-    # the unit vectors the cofactors, and on the point p . C; a cone is
-    # stuck, with no row, exactly when its rank is d - 2 or less
+    # determinant, and every field of every tableau row that it derives,
+    # whose slots are the adjugate columns: on the unit vectors the
+    # cofactors, and on the point p . C; a cone is stuck, with no row,
+    # exactly when its rank is d - 2 or less
     rng = random.Random(23)
     kinds = {"regular": 0, "singular": 0, "stuck": 0}
     for trial in range(900):
@@ -214,9 +214,7 @@ def test_adjugate_matches_fraction_oracle():
             assert cone.det == 0 and cone.rows == {} and cone.parent.det, rows
         else:
             cols = _fraction_adjugate(rows)
-            own = [[cone.dot(w, c) for c in range(1, d + 1)] for w in range(1, d + 1)]
             derived = [_fields(cone, cone.row(w), d) for w in [*range(d + 1, 2 * d + 1), None]]
-            assert own == [[cone.det if w == c else 0 for c in range(d)] for w in range(d)], rows
             assert derived == [[col[j] for col in cols] for j in range(d)] + [[_dot(point, col) for col in cols]], rows
         kinds["stuck" if stuck else "regular" if cone.det else "singular"] += 1
     assert kinds["regular"] >= 300 and kinds["singular"] + kinds["stuck"] >= 100, kinds

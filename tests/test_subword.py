@@ -98,7 +98,7 @@ def test_walk_matches_bfs_on_rotated_and_mirrored_words(k, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_on_reduced_word_of_w0(n):
     # the complement of the empty facet is the whole word: one facet, no flip
-    assert list(traverse(c_sorted_word(n))) == [(0, [], [], None, 0)]
+    assert list(traverse(c_sorted_word(n))) == [(0, [], None, 0)]
     _assert_walk_matches_bfs(c_sorted_word(n))
 
 
@@ -136,14 +136,14 @@ def test_carried_partners_match_root_configuration(k, n):
 
 
 @pytest.mark.parametrize("k,n,digest", [
-    (2, 5, "d84f3a231ef394b07a3d91f2f29b8c83ec37ce68d74cde58e5cc34b03ededa9b"),
-    (3, 3, "a2c4cdf9762ccdeb1e7807544c39171879c2f3ba65070c4e21ac19e7624ecec6"),
+    (2, 5, "768c8c293f0ec5cba356fd13de073914945d9585d0f85019b7c308e2d9c6887a"),
+    (3, 3, "42dbe6dbd74a7be0c989ba6463792dca159610e5696178d180fd85966c046ed5"),
 ], ids=["2-5", "3-3"])
 def test_walk_records_are_pinned(k, n, digest):
-    # every record the walk yields, in order: the facet, its flips, its
-    # children, the flip that entered it and its depth.  The statistics,
-    # first failures and witnesses all follow the walk's order, so a
-    # rewrite of the walk must yield this same sequence
+    # every record the walk yields, in order: the facet, its flips, the
+    # flip that entered it and its depth.  The statistics, first failures
+    # and witnesses all follow the walk's order, so a rewrite of the walk
+    # must yield this same sequence
     h = hashlib.sha256()
     for record in traverse(multiassociahedron_word(k, n)):
         h.update(repr(record).encode() + b"\n")
@@ -153,12 +153,12 @@ def test_walk_records_are_pinned(k, n, digest):
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
 def test_walk_reports_each_facet_below_its_parent(k, n):
     # each facet is entered by a decreasing flip of the last facet yielded
-    # one level up, its parent; and a facet entered at q has as children
-    # exactly its decreasing flips that enter below q, which the walk
-    # yields with it, in order
+    # one level up, its parent; and a facet f entered at q has as children
+    # exactly its decreasing flips that enter below q, the facets that
+    # later records enter from f, in the order of those flips
     path = []
     flips_of, children, entered = {}, {}, {}
-    for f, flips, kids, entry, depth in traverse(multiassociahedron_word(k, n)):
+    for f, flips, entry, depth in traverse(multiassociahedron_word(k, n)):
         assert depth <= len(path)
         del path[depth:]
         bound = float("inf")
@@ -167,13 +167,12 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
         else:
             x, q, parent = entry
             assert x > q and parent == path[-1] and (x, q, f) in flips_of[parent]
-            entered.setdefault(parent, set()).add(f)
+            entered.setdefault(parent, []).append((x, q, f))
             bound = q
         flips_of[f] = flips
-        assert kids == [(x, q, g) for x, q, g in flips if q < x and q < bound]
-        children[f] = {g for _, _, g in kids}
+        children[f] = [(x, q, g) for x, q, g in flips if q < x and q < bound]
         path.append(f)
-    assert all(entered.get(f, set()) == kids for f, kids in children.items())
+    assert all(entered.get(f, []) == kids for f, kids in children.items())
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
