@@ -301,6 +301,12 @@ class _Cone:
         row = self.row(None)
         return self.layout.nonnegative(row if self.det > 0 else -row)
 
+    def route_rank(self) -> int:
+        """The rank d - j of this singular cone, j the positions of its
+        regular ``parent`` that it lacks: the d - j rays it keeps span the
+        one that an exchange brought in, or those a stuck ``_derive`` left."""
+        return len(self.parent.shifts) - (self.parent.f & ~self.f).bit_count()
+
 
 def _unit(rays: list[tuple[int, ...]], point: list[int]) -> _Cone:
     """The unit matrix, as the cone of the d positions past the m rays':
@@ -353,9 +359,8 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     in, one position at a time, and exactness carries p . C[r_i] = i D
     to the base's i-th position r_i.
 
-    A singular cone that shares a ridge with a regular one has rank d - 1,
-    the d - 1 rays they share being independent.  Only the singular cones
-    without a regular neighbour are ranked by ``int_rank``, after the walk.
+    Each singular cone is ranked by its route (``_Cone.route_rank``), or
+    by ``int_rank`` if the facets have other than d rays.
 
     A ridge is classified at the later visited of its two facets, against
     the signs of those visited before: with x leaving F and q entering G,
@@ -372,11 +377,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     sign_of = signs.get
     # below[r]: the positions before r
     below = [0] + [(1 << r) - 1 for r in range(len(ra.word))]
-    # the singular facets that no ridge visited so far joins to a regular one
-    unranked: set[Facet] = set()
     path: list[_Cone] = []
     bad = degenerate = ridges = singular = 0
     least = failure = witness = point = None
+    rank = ra.dim
     # cones of too few or too many rays are singular, and carry no rows
     square = greedy_facet(ra.word).bit_count() == ra.dim
     for count, (g, flips, entry, depth) in enumerate(traverse(ra.word)):
@@ -396,7 +400,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         sign = (det > 0) - (det < 0)
         if not sign:
             singular += 1
-            unranked.add(g)
+            rank = min(rank, cone.route_rank() if square else int_rank(_cone(rays, g)))
         for y, r, h in flips:
             other = sign_of(h)
             if other is None:
@@ -405,9 +409,6 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             if not (sign and other):
                 degenerate += 1
                 status = "degenerate"
-                if sign or other:
-                    # the regular one shares d - 1 independent rays with the other
-                    unranked.discard(h if sign else g)
             else:
                 between = g & h & (below[y] ^ below[r])
                 if between.bit_count() & 1 == (sign == other):
@@ -429,9 +430,6 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     if failure is None and not signs[g]:
         # the walk's only facet, the base, is singular
         failure = f"degenerate cone {positions_of(g)}"
-
-    # an unranked cone of a square walk has rank d - 1 or less, so the rank
-    # d - 1 of the other singular cones is the minimum only without one
     stats = FanStats(
         n=ra.word.rank,
         bad_ridges=bad,
@@ -439,8 +437,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         ridges=ridges,
         degenerate_cones=singular,
         cones=len(signs),
-        min_dimension=min((int_rank(_cone(rays, f)) for f in unranked),
-                          default=ra.dim - 1 if singular else ra.dim),
+        min_dimension=rank,
     )
     return stats, failure, witness
 
@@ -452,10 +449,10 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
     cone.  With M the k x k matrix of the r_q . C[x] / D of ``base``,
     det(g) / D = det M, and a step pivots on a nonzero entry of M, leaving
     a Schur complement of one less rank: row first, the first q whose row
-    R[q] has a nonzero field in the slot of some x.  So the steps run out
-    with two or more swaps left only if ``g`` has rank d - 2 or less; it
-    then gets determinant 0, no rows, and as parent the last regular cone
-    of its route, to derive its children."""
+    R[q] has a nonzero field in the slot of some x.  The steps run out with
+    j >= 2 swaps left iff that complement is 0, that is iff ``g`` has rank
+    d - j; it then gets determinant 0, no rows, and as parent the last
+    regular cone of its route, to derive its children and its rank."""
     outs = list(positions_of(base.f & ~g))
     ins = list(positions_of(g & ~base.f))
     cone = base
@@ -476,15 +473,17 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
 
 
 def _self_check(rays, cone: _Cone, point):
-    """Recompute from scratch the determinant of ``cone`` and, in the slot
-    of its first position, the field of its row of the first position
-    outside the cone and, with ``point``, the Cramer numerator, the field
-    of its row of p: a field that the walk's width cannot hold reads back
-    wrong.  A stuck cone, whose ``_derive`` route ran out, has no row."""
+    """Recompute from scratch the determinant of ``cone``, its rank if it
+    is singular, and, in the slot of its first position, the field of its
+    row of the first position outside the cone and, with ``point``, the
+    Cramer numerator, the field of its row of p: a field that the walk's
+    width cannot hold reads back wrong.  A stuck cone has no row."""
     rows = _cone(rays, cone.f)
     where = positions_of(cone.f)
     if bareiss_det(rows) != cone.det:
         raise ArithmeticError(f"carried determinant of cone {where} is wrong")
+    if not cone.det and cone.route_rank() != int_rank(rows):
+        raise ArithmeticError(f"carried rank of cone {where} is wrong")
     if not rows:
         return
 

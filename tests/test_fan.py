@@ -728,66 +728,60 @@ def test_int_rays_divide_every_determinant_by_the_contents():
 
 
 def _rank_calls(monkeypatch, ra):
-    """``(calls, skipped, stats)``: the number of ``int_rank`` calls that
-    ``_stats`` makes and of the singular cones that it ranks without one.
-    Every singular cone is ranked again from scratch: each call is on a
-    distinct singular cone, each cone skipped has rank d - 1, and the
-    least rank is the minimal dimension."""
-    ranked = []
-    singular = []
+    """``(calls, stuck, stats)``: the number of ``int_rank`` calls that
+    ``_stats`` makes outside its self-check, and how many stuck cones,
+    whose ``_derive`` route ran out, have each rank.  Every singular cone
+    is ranked again from scratch: each is met once, its route rank is its
+    rank, which is d - 1 unless it is stuck, and the least rank is the
+    minimal dimension."""
+    calls = []
+    singular = {}
 
     def rank(rows):
-        ranked.append(tuple(rows))
+        calls.append(rows)
         return exactla.int_rank(rows)
 
     def check(rays, cone, point):
         if not cone.det:
-            singular.append(tuple(fan._cone(rays, cone.f)))
+            rows = tuple(fan._cone(rays, cone.f))
+            singular[rows] = cone.q is None, cone.route_rank(), exactla.int_rank(rows)
 
     monkeypatch.setattr(fan, "int_rank", rank)
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
     monkeypatch.setattr(fan, "_self_check", check)
     stats = _stats(ra)[0]
-    ranks = {rows: exactla.int_rank(rows) for rows in singular}
-    assert len(ranks) == len(singular) == stats.degenerate_cones
-    assert len(set(ranked)) == len(ranked) and set(ranked) <= set(ranks)
-    skipped = set(ranks) - set(ranked)
-    assert all(ranks[rows] == ra.dim - 1 for rows in skipped)
-    assert stats.min_dimension == min(ranks.values(), default=ra.dim)
-    return len(ranked), len(skipped), stats
+    assert len(singular) == stats.degenerate_cones
+    for stuck, route, rank in singular.values():
+        assert route == rank and stuck == (rank < ra.dim - 1), (stuck, route, rank)
+    assert stats.min_dimension == min((rank for _, _, rank in singular.values()), default=ra.dim)
+    return len(calls), collections.Counter(rank for stuck, _, rank in singular.values() if stuck), stats
 
 
-@pytest.mark.parametrize("construction,expected", [("naive", 92), ("linear", 6)],
+@pytest.mark.parametrize("construction,expected", [("naive", {8: 84, 7: 5}), ("linear", {8: 6})],
                          ids=["naive", "linear"])
-def test_singular_ranks_from_regular_neighbours(monkeypatch, construction, expected):
-    # a singular cone that shares a ridge with a regular one has rank
-    # d - 1; int_rank ranks the others, the singular cones without a
-    # regular neighbour, found here by a determinant per facet
+def test_stuck_routes_rank_their_cones(monkeypatch, construction, expected):
+    # a singular cone exchanged from a regular parent has rank d - 1, and
+    # one whose _derive route runs out with j >= 2 swaps left has rank
+    # d - j, so the walk ranks no cone by int_rank; the singular cones are
+    # found here by a determinant per facet
     ra = build_rays(construction, 5)
     rays = [exactla.scale_to_int(v) for v in ra.rays]
-    regular = {f: exactla.bareiss_det([rays[r - 1] for r in positions_of(f)]) != 0
-               for f in get_index(2, 5).facets}
-    alone = {f for f, reg in regular.items() if not reg}
-    for f, g in get_ridges(2, 5):
-        if regular[f]:
-            alone.discard(g)
-        if regular[g]:
-            alone.discard(f)
-    calls, skipped, stats = _rank_calls(monkeypatch, ra)
-    assert stats.degenerate_cones == sum(not reg for reg in regular.values())
-    assert calls == len(alone) == expected and skipped > 0, (calls, skipped)
+    singular = sum(exactla.bareiss_det([rays[r - 1] for r in positions_of(f)]) == 0
+                   for f in get_index(2, 5).facets)
+    calls, stuck, stats = _rank_calls(monkeypatch, ra)
+    assert stats.degenerate_cones == singular
+    assert calls == 0 and stuck == expected, (calls, stuck)
 
 
 def test_walk_derives_few_columns_and_ranks(monkeypatch):
     # every cone reads its fields from its own rows, each derived once
-    # from its parent's, and a singular cone with a regular neighbour has
-    # rank d - 1.  The pattern n=5 certificate derives 10,909 tableau rows
-    # of d = 10 fields, d (d - 1) / 2 = 45 of them on the route from the
-    # unit matrix to the base, and the naive n=5 walk 7,622; as tableau
-    # columns of m + 1 = 26 fields they took 5,859 and 6,661 exchanges.
-    # So the fields moved fall from 152,334 to 109,090 and from 173,186 to
-    # 76,220.  92 of the 782 singular cones of the naive n=5 rays are
-    # ranked by int_rank
+    # from its parent's, and every singular cone is ranked by its route.
+    # The pattern n=5 certificate derives 10,909 tableau rows of d = 10
+    # fields, d (d - 1) / 2 = 45 of them on the route from the unit matrix
+    # to the base, and the naive n=5 walk 7,622; as tableau columns of
+    # m + 1 = 26 fields they took 5,859 and 6,661 exchanges.  So the fields
+    # moved fall from 152,334 to 109,090 and from 173,186 to 76,220.  None
+    # of the 782 singular cones of the naive n=5 rays is ranked by int_rank
     derived = []
 
     def counted(*args):
@@ -801,17 +795,21 @@ def test_walk_derives_few_columns_and_ranks(monkeypatch):
             ra = build_rays(construction, 5)
             assert _stats(ra)[0].cones == 4719 and (ra.dim, len(ra.word)) == (10, 25)
             assert len(derived) == rows and len(derived) * ra.dim <= columns * 26, (construction, len(derived))
-    calls, skipped, stats = _rank_calls(monkeypatch, build_rays("naive", 5))
-    assert stats.degenerate_cones == calls + skipped == 782
-    assert calls <= 92, (calls, skipped)
+    calls, stuck, stats = _rank_calls(monkeypatch, build_rays("naive", 5))
+    assert stats.degenerate_cones == 782
+    assert calls == 0, (calls, stuck)
 
 
 @pytest.mark.fulltier
-def test_singular_ranks_linear_n6_int_rank_calls(monkeypatch):
-    # 224 of the 2,904 singular cones of the linear n=6 rays have no
-    # regular neighbour and need int_rank
-    calls, skipped, stats = _rank_calls(monkeypatch, build_rays("linear", 6))
-    assert stats.degenerate_cones == 2904 and calls <= 224, (calls, skipped)
+@pytest.mark.parametrize("construction,singular,stuck,least", [
+    ("linear", 2904, 215, 9), ("naive", 10992, 2155, 8),
+], ids=["linear", "naive"])
+def test_n6_walks_rank_without_int_rank(monkeypatch, construction, singular, stuck, least):
+    # every singular cone of the naive and linear n=6 walks is ranked by
+    # its route, with no int_rank call; 2,155 and 215 of them are stuck
+    calls, ranks, stats = _rank_calls(monkeypatch, build_rays(construction, 6))
+    assert (stats.degenerate_cones, sum(ranks.values()), stats.min_dimension) == (singular, stuck, least)
+    assert calls == 0, (calls, ranks)
 
 
 def _layout(ra):
@@ -847,6 +845,32 @@ def test_self_check_catches_a_wrong_column(monkeypatch):
     monkeypatch.setattr(fan, "exchange_column", off_by_one)
     with pytest.raises(ArithmeticError, match="carried"):
         certify_fan(ra)
+
+
+def test_self_check_catches_a_wrong_rank(monkeypatch):
+    # the naive n=4 walk has 2 stuck cones, of rank 6 = d - 2: read as
+    # d - j + 1 = 7 from their routes, the minimal dimension would be 7,
+    # and the self-check at every facet fails the run at the first of them
+    ra = build_rays("naive", 4)
+    with monkeypatch.context() as m:
+        assert _rank_calls(m, ra)[1] == {6: 2}
+    route_rank = fan._Cone.route_rank
+    misread = []
+
+    def off_by_one(cone):
+        rank = route_rank(cone)
+        if cone.q is None:
+            misread.append(rank)
+            rank += 1
+        return rank
+
+    monkeypatch.setattr(fan._Cone, "route_rank", off_by_one)
+    assert _stats(ra)[0].min_dimension == 7 and misread == [6, 6]
+    misread.clear()
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    with pytest.raises(ArithmeticError, match=r"carried rank of cone \("):
+        certify_fan(ra)
+    assert misread == [6, 6]
 
 
 def test_self_check_catches_a_wrong_numerator(monkeypatch):
