@@ -162,7 +162,8 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     if bin(out).count("1") != 1 or bin(inn).count("1") != 1:
         raise ValueError("facets are not adjacent")
     ridge = positions_of(shared)
-    if facet_rank(ra, f) < ra.dim or facet_rank(ra, f2) < ra.dim:
+    rays = _int_rays(ra)
+    if int_rank(_cone(rays, f)) < ra.dim or int_rank(_cone(rays, f2)) < ra.dim:
         return RidgeReport(ridge, "degenerate", None)
     x = positions_of(out)[0]
     x2 = positions_of(inn)[0]
@@ -251,8 +252,8 @@ class _Cone:
     less D_P in that slot.  Every field that the walk reads is read from
     the cone's own rows, each derived from the parent's on first use
     (``row``).  The unit cone (``_unit``) starts with every row.  A
-    singular cone without ``q`` has no row, and its ``parent``, if any, is
-    the regular cone to exchange its children from."""
+    singular cone without ``q`` has no row, and its ``parent`` is the last
+    regular cone of its ``_derive`` route, to exchange its children from."""
 
     __slots__ = ("f", "det", "rows", "shifts", "layout", "parent", "x", "q", "s", "pivot")
 
@@ -304,7 +305,7 @@ class _Cone:
     def route_rank(self) -> int:
         """The rank d - j of this singular cone, j the positions of its
         regular ``parent`` that it lacks: the d - j rays it keeps span the
-        one that an exchange brought in, or those a stuck ``_derive`` left."""
+        one that an exchange brought in, or every ray a ``_derive`` left."""
         return len(self.parent.shifts) - (self.parent.f & ~self.f).bit_count()
 
 
@@ -359,8 +360,8 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     in, one position at a time, and exactness carries p . C[r_i] = i D
     to the base's i-th position r_i.
 
-    Each singular cone is ranked by its route (``_Cone.route_rank``), or
-    by ``int_rank`` if the facets have other than d rays.
+    Each singular cone is ranked by its route (``_Cone.route_rank``).  A
+    facet of other than d rays is singular, and stuck on its route.
 
     A ridge is classified at the later visited of its two facets, against
     the signs of those visited before: with x leaving F and q entering G,
@@ -381,13 +382,9 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     bad = degenerate = ridges = singular = 0
     least = failure = witness = point = None
     rank = ra.dim
-    # cones of too few or too many rays are singular, and carry no rows
-    square = greedy_facet(ra.word).bit_count() == ra.dim
     for count, (g, flips, entry, depth) in enumerate(traverse(ra.word)):
         del path[depth:]
-        if not square:
-            cone = _Cone(g, 0, {})
-        elif entry is None:
+        if entry is None:
             point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
             cone = _derive(_unit(rays, point), g)
             if not cone.det:
@@ -400,7 +397,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         sign = (det > 0) - (det < 0)
         if not sign:
             singular += 1
-            rank = min(rank, cone.route_rank() if square else int_rank(_cone(rays, g)))
+            rank = min(rank, cone.route_rank())
         for y, r, h in flips:
             other = sign_of(h)
             if other is None:
@@ -424,7 +421,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         if locate and entry is not None and (witness is None or g < witness):
             if cone.holds_point():
                 witness = g
-        if square and count % SELF_CHECK_EVERY == 0:
+        if count % SELF_CHECK_EVERY == 0:
             _self_check(rays, cone, point if locate else None)
         path.append(cone)
     if failure is None and not signs[g]:
@@ -443,44 +440,44 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
 
 
 def _derive(base: _Cone, g: Facet) -> _Cone:
-    """The cone of ``g``, exchanged from the regular cone ``base`` one
-    position at a time: each position that ``base`` has and ``g`` lacks is
-    swapped for one that ``g`` has, every step but the last to a regular
-    cone.  With M the k x k matrix of the r_q . C[x] / D of ``base``,
-    det(g) / D = det M, and a step pivots on a nonzero entry of M, leaving
-    a Schur complement of one less rank: row first, the first q whose row
-    R[q] has a nonzero field in the slot of some x.  The steps run out with
-    j >= 2 swaps left iff that complement is 0, that is iff ``g`` has rank
-    d - j; it then gets determinant 0, no rows, and as parent the last
-    regular cone of its route, to derive its children and its rank."""
+    """The cone of ``g``, of any size, exchanged from the regular cone
+    ``base`` one position at a time: a position x that the cone has and
+    ``g`` lacks is swapped for a q that ``g`` has and the cone lacks, the
+    first q whose row R[q] has a nonzero field in the slot of some x, so
+    that every step is to a regular cone.  The steps stop when either side
+    runs out or no pair pivots.  If positions are left, every ray of ``g``
+    left out has field 0 on the slots of the j positions of the last
+    regular cone C that ``g`` lacks, so lies in the span of the d - j it
+    keeps: ``g`` has rank d - j, determinant 0, no rows and C as parent."""
     outs = list(positions_of(base.f & ~g))
     ins = list(positions_of(g & ~base.f))
     cone = base
     read = base.layout.read
-    while len(outs) > 1:
+    while outs and ins:
         for q in ins:
             row = cone.row(q)
             x = next((x for x in outs if read(row, cone.shifts[x])), None)
             if x is not None:
                 break
         else:
-            return _Cone(g, 0, {}, parent=cone)
+            break
         outs.remove(x)
         ins.remove(q)
         cone = cone.exchanged(x, q)
     # no swap when g is a cone of the route to its parent
-    return cone.exchanged(outs[0], ins[0]) if outs else cone
+    return _Cone(g, 0, {}, parent=cone) if outs or ins else cone
 
 
 def _self_check(rays, cone: _Cone, point):
-    """Recompute from scratch the determinant of ``cone``, its rank if it
-    is singular, and, in the slot of its first position, the field of its
-    row of the first position outside the cone and, with ``point``, the
-    Cramer numerator, the field of its row of p: a field that the walk's
-    width cannot hold reads back wrong.  A stuck cone has no row."""
+    """Recompute from scratch the determinant of ``cone`` (0 for other
+    than d rays), its rank if it is singular, and, in the slot of its first
+    position, the field of its row of the first position outside the cone
+    and, with ``point``, the Cramer numerator, the field of its row of p:
+    a field that the walk's width cannot hold reads back wrong."""
     rows = _cone(rays, cone.f)
     where = positions_of(cone.f)
-    if bareiss_det(rows) != cone.det:
+    d = len((cone.parent or cone).shifts)
+    if (bareiss_det(rows) if len(rows) == d else 0) != cone.det:
         raise ArithmeticError(f"carried determinant of cone {where} is wrong")
     if not cone.det and cone.route_rank() != int_rank(rows):
         raise ArithmeticError(f"carried rank of cone {where} is wrong")

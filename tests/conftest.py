@@ -119,3 +119,11 @@ def double_cover_rays() -> RayAssignment:
     for q, point in zip(DOUBLE_COVER_ORDER, _DOUBLE_COVER_POINTS):
         rays[q - 1] = tuple(Fraction(x) for x in point)
     return RayAssignment(multiassociahedron_word(1, 2), tuple(rays), 2, "double-cover")
+
+
+def in_dimension(ra: RayAssignment, dim: int) -> RayAssignment:
+    """``ra``'s rays with the coordinates past ``dim`` dropped, or with
+    zero coordinates appended up to ``dim``: rays of another dimension
+    than the facets' size."""
+    rays = tuple(v[:dim] + (0,) * (dim - len(v)) for v in ra.rays)
+    return RayAssignment(ra.word, rays, dim, "x")

@@ -13,7 +13,7 @@ from multifan.cli import main
 from multifan.rays import RayAssignment, build_rays, format_ray_file, parse_ray_file
 from multifan.words import format_word, multiassociahedron_word
 
-from conftest import double_cover_rays
+from conftest import double_cover_rays, in_dimension
 
 
 def run(capsys, *argv):
@@ -308,10 +308,8 @@ def test_check_degenerate_only_cone(tmp_path, capsys):
 def test_check_rays_of_another_dimension_than_the_facets(tmp_path, capsys, dim, min_dimension):
     # the pattern rays at n = 2 with the last coordinate dropped, or a zero
     # one appended: the four rays of each facet span at most a 3- or 4-space
-    ra = build_rays("pattern", 2)
-    rays = tuple(v[:dim] + (0,) * (dim - len(v)) for v in ra.rays)
     path = tmp_path / "other.rays"
-    path.write_text(format_ray_file(RayAssignment(ra.word, rays, dim, "x")))
+    path.write_text(format_ray_file(in_dimension(build_rays("pattern", 2), dim)))
     report = tmp_path / "other.json"
     rc, out, err = run(capsys, "check", "--rays", str(path), "--kn", "2,2", "--out", str(report))
     assert rc == 1 and err == ""
@@ -322,6 +320,30 @@ def test_check_rays_of_another_dimension_than_the_facets(tmp_path, capsys, dim, 
     assert (stats["cones"], stats["degenerate_cones"]) == (14, 14)
     assert (stats["ridges"], stats["degenerate_ridges"], stats["bad_ridges"]) == (28, 28, 0)
     assert stats["min_dimension"] == min_dimension
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_check_rays_of_another_dimension_catches_a_wrong_rank(tmp_path, capsys, monkeypatch, dim):
+    # the same rays, each cone's rank read one too low from its route:
+    # unchecked, the minimal dimension would be one too low, and the
+    # self-check at every facet fails the run at the base, exit 2 without
+    # a report
+    from multifan import fan
+
+    other = in_dimension(build_rays("pattern", 2), dim)
+    path = tmp_path / "other.rays"
+    path.write_text(format_ray_file(other))
+    report = tmp_path / "other.json"
+    route_rank = fan._Cone.route_rank
+    monkeypatch.setattr(fan._Cone, "route_rank", lambda cone: route_rank(cone) - 1)
+    with monkeypatch.context() as m:
+        m.setattr(fan, "_self_check", lambda rays, cone, point: None)
+        assert fan._stats(other)[0].min_dimension == min(dim, 4) - 1
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    rc, out, err = run(capsys, "check", "--rays", str(path), "--kn", "2,2", "--out", str(report))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: carried rank of cone (") and "Traceback" not in err
+    assert not report.exists() and not Path(f"{report}.manifest.json").exists()
 
 
 def test_tier_hint_only_below_the_top_tier(capsys):

@@ -199,9 +199,9 @@ def test_adjugate_matches_fraction_oracle():
     # determinant, and every field of every tableau row that it derives,
     # whose slots are the adjugate columns: on the unit vectors the
     # cofactors, and on the point p . C; a cone is stuck, with no row,
-    # exactly when its rank is d - 2 or less
+    # exactly when it is singular, and its route then gives its rank
     rng = random.Random(23)
-    kinds = {"regular": 0, "singular": 0, "stuck": 0}
+    kinds = {"regular": 0, "rank d - 1": 0, "rank d - 2 or less": 0}
     for trial in range(900):
         d = 1 + trial % 6
         rank = d - rng.choice((0, 0, 1, 2)) if d > 1 else 1
@@ -209,15 +209,17 @@ def test_adjugate_matches_fraction_oracle():
         cone, point = _from_unit(rows, rng)
         assert cone.f == (1 << d) - 1 and cone.det == _fraction_det(rows), rows
         stuck = cone.q is None
-        assert stuck == (len(_rref(rows)) <= d - 2), rows
+        rank = len(_rref(rows))
+        assert stuck == (rank < d), rows
         if stuck:
             assert cone.det == 0 and cone.rows == {} and cone.parent.det, rows
+            assert cone.route_rank() == rank, rows
         else:
             cols = _fraction_adjugate(rows)
             derived = [_fields(cone, cone.row(w), d) for w in [*range(d + 1, 2 * d + 1), None]]
             assert derived == [[col[j] for col in cols] for j in range(d)] + [[_dot(point, col) for col in cols]], rows
-        kinds["stuck" if stuck else "regular" if cone.det else "singular"] += 1
-    assert kinds["regular"] >= 300 and kinds["singular"] + kinds["stuck"] >= 100, kinds
+        kinds["regular" if not stuck else "rank d - 1" if rank == d - 1 else "rank d - 2 or less"] += 1
+    assert kinds["regular"] >= 300 and kinds["rank d - 1"] + kinds["rank d - 2 or less"] >= 100, kinds
     assert min(kinds.values()) >= 50, kinds
     unit = fan._unit([], [])
     assert fan._derive(unit, 0) is unit and unit.det == 1

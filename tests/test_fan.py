@@ -21,9 +21,9 @@ from multifan.fan import (
 )
 from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet, positions_of
-from multifan.words import Word, mirror, rotate
+from multifan.words import Word, mirror, parse_word, rotate
 
-from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index, get_ridges
+from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index, get_ridges, in_dimension
 from lp_oracle import lp_condition_one
 
 
@@ -426,9 +426,12 @@ def _row_sources(monkeypatch, ra):
     gets its rows; the map from ``id`` to ``(cone, label)`` keeps every
     cone, so that no id is reused.  A derived cone is checked against the
     rule of ``_derive``: its route from ``base`` is one step per position
-    exchanged, through regular cones, and it is stuck, with no route, only
-    at rank d - 2 or less.  The unit cone is the one ``base`` without a
-    parent, and its route to the base facet takes d steps."""
+    exchanged, each to a regular cone, and it is stuck, with no row, exactly
+    when it is singular, of the rank that its route gives.  The unit cone
+    is the one ``base`` without a parent, and its route to the base facet
+    takes d steps; any other route that reaches its facet takes one or two,
+    since a stuck cone j >= 2 positions from its parent has rank d - j, and
+    so has only singular children."""
     made = {}
     derive = fan._derive
     exchanged = fan._Cone.exchanged
@@ -443,10 +446,11 @@ def _row_sources(monkeypatch, ra):
         cone = derive(base, g)
         assert cone.f == g and base.det and base.f != g
         if cone.q is None:
-            assert exactla.int_rank(fan._cone(rays, g)) <= ra.dim - 2
-            assert cone.parent.det and cone.rows == {}
-            label = "stuck"
+            assert exactla.int_rank(fan._cone(rays, g)) == cone.route_rank() < ra.dim
+            assert cone.parent.det and cone.rows == {} and not cone.det
+            label = "stuck at rank d - 1" if cone.route_rank() == ra.dim - 1 else "stuck at rank d - 2 or less"
         else:
+            assert cone.det
             steps, step = 1, cone.parent
             while step is not base:
                 assert step.det
@@ -456,8 +460,7 @@ def _row_sources(monkeypatch, ra):
                 assert steps == ra.dim
                 label = "routed from the unit in d steps"
             else:
-                label = {1: "derived in 1 step", 2: "derived in 2 steps"}.get(
-                    steps, "derived in 3+ steps")
+                label = {1: "derived in 1 step", 2: "derived in 2 steps"}[steps]
         made[id(cone)] = cone, label
         return cone
 
@@ -478,8 +481,8 @@ def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, cons
     # naive n=5 reaches every way a cone gets its rows
     sources = collections.Counter(made[id(cone)][1] for cone, _ in checked)
     assert sources["routed from the unit in d steps"] == 1  # the base
-    for source in ("exchanged from the parent", "derived in 1 step",
-                   "derived in 2 steps", "derived in 3+ steps", "stuck"):
+    for source in ("exchanged from the parent", "derived in 1 step", "derived in 2 steps",
+                   "stuck at rank d - 1", "stuck at rank d - 2 or less"):
         assert sources[source] >= 1, sources
 
 
@@ -730,10 +733,11 @@ def test_int_rays_divide_every_determinant_by_the_contents():
 def _rank_calls(monkeypatch, ra):
     """``(calls, stuck, stats)``: the number of ``int_rank`` calls that
     ``_stats`` makes outside its self-check, and how many stuck cones,
-    whose ``_derive`` route ran out, have each rank.  Every singular cone
-    is ranked again from scratch: each is met once, its route rank is its
-    rank, which is d - 1 unless it is stuck, and the least rank is the
-    minimal dimension."""
+    whose ``_derive`` route stopped short, have each rank.  Every singular
+    cone is ranked again from scratch: each is met once, its route rank is
+    its rank, which is d - 1 unless it is stuck, and the least rank is the
+    minimal dimension.  The walk's cones are singular when the facets have
+    other than d rays, and then every one of them is stuck."""
     calls = []
     singular = {}
 
@@ -743,8 +747,7 @@ def _rank_calls(monkeypatch, ra):
 
     def check(rays, cone, point):
         if not cone.det:
-            rows = tuple(fan._cone(rays, cone.f))
-            singular[rows] = cone.q is None, cone.route_rank(), exactla.int_rank(rows)
+            singular[cone.f] = cone.q is None, cone.route_rank(), exactla.int_rank(fan._cone(rays, cone.f))
 
     monkeypatch.setattr(fan, "int_rank", rank)
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
@@ -752,18 +755,18 @@ def _rank_calls(monkeypatch, ra):
     stats = _stats(ra)[0]
     assert len(singular) == stats.degenerate_cones
     for stuck, route, rank in singular.values():
-        assert route == rank and stuck == (rank < ra.dim - 1), (stuck, route, rank)
+        assert route == rank and (stuck or rank == ra.dim - 1), (stuck, route, rank)
     assert stats.min_dimension == min((rank for _, _, rank in singular.values()), default=ra.dim)
     return len(calls), collections.Counter(rank for stuck, _, rank in singular.values() if stuck), stats
 
 
-@pytest.mark.parametrize("construction,expected", [("naive", {8: 84, 7: 5}), ("linear", {8: 6})],
+@pytest.mark.parametrize("construction,expected", [("naive", {7: 5, 8: 84, 9: 517}), ("linear", {8: 6, 9: 148})],
                          ids=["naive", "linear"])
 def test_stuck_routes_rank_their_cones(monkeypatch, construction, expected):
     # a singular cone exchanged from a regular parent has rank d - 1, and
-    # one whose _derive route runs out with j >= 2 swaps left has rank
-    # d - j, so the walk ranks no cone by int_rank; the singular cones are
-    # found here by a determinant per facet
+    # one whose _derive route stops with j >= 1 swaps left has rank d - j,
+    # so the walk ranks no cone by int_rank; the singular cones are found
+    # here by a determinant per facet
     ra = build_rays(construction, 5)
     rays = [exactla.scale_to_int(v) for v in ra.rays]
     singular = sum(exactla.bareiss_det([rays[r - 1] for r in positions_of(f)]) == 0
@@ -802,14 +805,36 @@ def test_walk_derives_few_columns_and_ranks(monkeypatch):
 
 @pytest.mark.fulltier
 @pytest.mark.parametrize("construction,singular,stuck,least", [
-    ("linear", 2904, 215, 9), ("naive", 10992, 2155, 8),
+    ("linear", 2904, 2868, 9), ("naive", 10992, 9537, 8),
 ], ids=["linear", "naive"])
 def test_n6_walks_rank_without_int_rank(monkeypatch, construction, singular, stuck, least):
     # every singular cone of the naive and linear n=6 walks is ranked by
-    # its route, with no int_rank call; 2,155 and 215 of them are stuck
+    # its route, with no int_rank call; 9,537 and 2,868 of them are stuck
     calls, ranks, stats = _rank_calls(monkeypatch, build_rays(construction, 6))
     assert (stats.degenerate_cones, sum(ranks.values()), stats.min_dimension) == (singular, stuck, least)
     assert calls == 0, (calls, ranks)
+
+
+@pytest.mark.parametrize("construction,n,dim,least", [
+    ("pattern", 2, 3, 3), ("pattern", 2, 5, 4), ("w0(1)", 1, 1, 0),
+    ("pattern", 3, 4, 4), ("pattern", 3, 7, 6), ("naive", 4, 1, 0), ("naive", 4, 11, 6),
+    ("loday", 4, 2, 2), ("loday", 4, 5, 4), ("perturbed", 3, 5, 5),
+])
+def test_walks_of_another_dimension_rank_by_their_routes(monkeypatch, construction, n, dim, least):
+    # facets of fewer or more rays than the dimension: every cone is
+    # singular, stuck on a route of exchanges that stops when the facet's
+    # positions or the regular cone's run out, or no pair pivots, and
+    # ranked by that route, with no int_rank call.  The pattern n=2 rays
+    # in 3 and 5 dimensions are the command line's cases, and w0(1) has
+    # one facet, empty, a rank 0 cone in dimension 1
+    if construction == "w0(1)":
+        ra = RayAssignment(parse_word("w0(1)"), ((5,),), 1, "x")
+    else:
+        ra = in_dimension(build_rays(construction, n, 1 if construction == "perturbed" else None), dim)
+    assert greedy_facet(ra.word).bit_count() != ra.dim
+    calls, stuck, stats = _rank_calls(monkeypatch, ra)
+    assert sum(stuck.values()) == stats.degenerate_cones == stats.cones
+    assert stats.min_dimension == least and calls == 0, (stats, calls)
 
 
 def _layout(ra):
@@ -848,12 +873,13 @@ def test_self_check_catches_a_wrong_column(monkeypatch):
 
 
 def test_self_check_catches_a_wrong_rank(monkeypatch):
-    # the naive n=4 walk has 2 stuck cones, of rank 6 = d - 2: read as
-    # d - j + 1 = 7 from their routes, the minimal dimension would be 7,
-    # and the self-check at every facet fails the run at the first of them
+    # the naive n=4 walk has 27 stuck cones, 2 of rank 6 = d - 2 and 25
+    # of rank 7: read as d - j + 1 from their routes, the minimal dimension
+    # would be 7, and the self-check at every facet fails the run at the
+    # first of them, of rank 7
     ra = build_rays("naive", 4)
     with monkeypatch.context() as m:
-        assert _rank_calls(m, ra)[1] == {6: 2}
+        assert _rank_calls(m, ra)[1] == {6: 2, 7: 25}
     route_rank = fan._Cone.route_rank
     misread = []
 
@@ -865,12 +891,12 @@ def test_self_check_catches_a_wrong_rank(monkeypatch):
         return rank
 
     monkeypatch.setattr(fan._Cone, "route_rank", off_by_one)
-    assert _stats(ra)[0].min_dimension == 7 and misread == [6, 6]
+    assert _stats(ra)[0].min_dimension == 7 and collections.Counter(misread) == {6: 2, 7: 25}
     misread.clear()
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
     with pytest.raises(ArithmeticError, match=r"carried rank of cone \("):
         certify_fan(ra)
-    assert misread == [6, 6]
+    assert misread == [7, 7]
 
 
 def test_self_check_catches_a_wrong_numerator(monkeypatch):
