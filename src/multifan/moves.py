@@ -2,12 +2,18 @@
 Commutation, doubling (0-Hecke) and braid moves on words, with the letter
 labeling that makes move sequences replayable.
 
+A move is its kind and its position, and ``carry`` is the one rule that
+moves anything kept per position through it: a doubling at r inserts the
+new letter's entry at r+1, a commutation exchanges r and r+1, a braid
+exchanges r and r+2.  Letters, labels and rays all follow that rule.
+
 A fattening sequence turns a staircase factor w0(c) into w0(c) followed by
 the reversed c, by doubling every letter s_1 of the staircase and then
 performing n(n-1)/2 braid moves, interlaced with commutations.  The trace
-records every move at its exact position together with its position
-correspondence and the evolving label assignment, so that ray construction
-can replay it without re-deriving anything.
+records every move at its exact position together with the evolving label
+assignment, so that ray construction can replay it without re-deriving
+anything; ``commutation_trace`` records the commutations between two
+commutation-equivalent words the same way.
 
 Labels: the staircase letters start out labeled with their grid position
 (i, j) (row i, column j).  Doubling a letter labeled (i, 1) labels the two
@@ -23,16 +29,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .words import Word, c_sorted_word, contains_longest, staircase_cells
-from .subword import is_face
 
 __all__ = [
     "Label",
     "MoveEvent",
     "MoveTrace",
     "apply_move",
+    "carry",
     "classify_braid",
+    "commutation_trace",
     "fattening_sequence",
-    "commutation_matching",
     "final_label_pattern",
     "format_trace",
 ]
@@ -60,14 +66,12 @@ class MoveEvent(NamedTuple):
 
 class MoveTrace(NamedTuple):
     """words[0] is the initial word; events[s] transforms words[s] into
-    words[s+1] with the position correspondence corrs[s] (as returned by
-    ``apply_move``); labels[s] is the per-position label tuple of words[s]
-    (None on letters outside the tracked factor)."""
+    words[s+1] (as ``apply_move`` does); labels[s] is the per-position
+    label tuple of words[s] (None on letters outside the tracked factor)."""
 
     words: tuple[Word, ...]
     events: tuple[MoveEvent, ...]
     labels: tuple[tuple[Label | None, ...], ...]
-    corrs: tuple[dict[int, int], ...]
 
     @property
     def initial(self) -> Word:
@@ -81,15 +85,32 @@ class MoveTrace(NamedTuple):
         return sum(1 for e in self.events if e.kind == kind)
 
 
-def apply_move(w: Word, event: MoveEvent) -> tuple[Word, dict[int, int]]:
-    """Apply a single move; returns the new word and the correspondence
-    old position -> new position.  This is the one place where a move is
-    validated and rewrites letters: traces record its words and its
-    correspondence, and carry their labels through it; ray replays carry
-    their rays through the recorded correspondence.
+def carry(seq: list, event: MoveEvent, copy) -> None:
+    """Move the per-position list ``seq`` through ``event`` in place: a
+    doubling at r inserts ``copy`` for the new letter at r+1, a commutation
+    exchanges r and r+1, a braid exchanges r and r+2.
 
-    Doubling maps the doubled position to the left copy (the right copy is
-    new); a braid exchanges the outer positions; a commutation swaps.
+    >>> seq = ["a", "b", "c"]
+    >>> carry(seq, MoveEvent("B", 1), None); seq
+    ['c', 'b', 'a']
+    >>> carry(seq, MoveEvent("D", 2), "b'"); seq
+    ['c', 'b', "b'", 'a']
+    """
+    r = event.r
+    if event.kind == "D":
+        seq.insert(r, copy)
+    else:
+        q = r if event.kind == "C" else r + 1
+        seq[r - 1], seq[q] = seq[q], seq[r - 1]
+
+
+def apply_move(w: Word, event: MoveEvent) -> Word:
+    """Apply a single move and return the new word.  This is the one place
+    where a move is validated and rewrites letters; everything else kept
+    per position follows the move by ``carry``.
+
+    A doubling copies the letter at r to r+1, a commutation swaps the
+    letters at r and r+1, and a braid rewrites s_a s_b s_a as s_b s_a s_b.
     """
     letters = list(w.letters)
     r = event.r
@@ -97,17 +118,12 @@ def apply_move(w: Word, event: MoveEvent) -> tuple[Word, dict[int, int]]:
     if event.kind == "D":
         if not 1 <= r <= p:
             raise ValueError(f"double position {r} out of range")
-        letters.insert(r, letters[r - 1])
-        corr = {q: q if q <= r else q + 1 for q in range(1, p + 1)}
     elif event.kind == "C":
         if not 1 <= r <= p - 1:
             raise ValueError(f"commutation position {r} out of range")
         a, b = letters[r - 1], letters[r]
         if abs(a - b) < 2:
             raise ValueError(f"letters s_{a} s_{b} at {r} do not commute")
-        letters[r - 1], letters[r] = b, a
-        corr = {q: q for q in range(1, p + 1)}
-        corr[r], corr[r + 1] = r + 1, r
     elif event.kind == "B":
         if not 1 <= r <= p - 2:
             raise ValueError(f"braid position {r} out of range")
@@ -115,11 +131,11 @@ def apply_move(w: Word, event: MoveEvent) -> tuple[Word, dict[int, int]]:
         if a != a2 or abs(a - b) != 1:
             raise ValueError(f"no braid pattern at {r}: s_{a} s_{b} s_{a2}")
         letters[r - 1 : r + 2] = [b, a, b]
-        corr = {q: q for q in range(1, p + 1)}
-        corr[r], corr[r + 2] = r + 2, r
+        return Word(w.rank, tuple(letters))
     else:
         raise ValueError(f"unknown move kind {event.kind!r}")
-    return Word(w.rank, tuple(letters)), corr
+    carry(letters, event, letters[r - 1])
+    return Word(w.rank, tuple(letters))
 
 
 def classify_braid(w: Word, r: int) -> int:
@@ -137,6 +153,8 @@ def classify_braid(w: Word, r: int) -> int:
         raise ValueError(f"no braid pattern at {r}: s_{a} s_{b} s_{a2}")
     if not contains_longest(w):
         raise ValueError("word does not contain a reduced expression of w0")
+    from .subword import is_face
+
     v = [is_face(w, (q,)) for q in (r, r + 1, r + 2)]
     total = sum(v)
     if total == 0:
@@ -151,14 +169,12 @@ def classify_braid(w: Word, r: int) -> int:
 
 
 class _Builder:
-    """Words, labels and correspondences, recording moves as they are
-    performed."""
+    """Words and labels, recording moves as they are performed."""
 
     def __init__(self, w: Word, labels):
         self.words = [w]
         self.events: list[MoveEvent] = []
         self.label_states = [tuple(labels)]
-        self.corrs: list[dict[int, int]] = []
 
     def letter(self, r: int) -> int:
         return self.words[-1].letter(r)
@@ -167,21 +183,19 @@ class _Builder:
         """Apply one move and carry every label to its new position; the
         new copy of a doubled (i,1) letter is labeled (i,1)'."""
         event = MoveEvent(kind, r)
-        w, corr = apply_move(self.words[-1], event)
-        old = self.label_states[-1]
-        labels: list[Label | None] = [None] * len(w)
-        for q, lab in enumerate(old, start=1):
-            labels[corr[q] - 1] = lab
+        w = apply_move(self.words[-1], event)
+        labels = list(self.label_states[-1])
+        copy = None
         if kind == "D":
-            lab = old[r - 1]
+            lab = labels[r - 1]
             assert lab is not None and lab.j == 1 and not lab.primed, (
                 f"doubling expects an (i,1) label at {r}, found {lab}"
             )
-            labels[r] = Label(lab.i, 1, True)
+            copy = Label(lab.i, 1, True)
+        carry(labels, event, copy)
         self.words.append(w)
         self.events.append(event)
         self.label_states.append(tuple(labels))
-        self.corrs.append(corr)
 
     def commute_window_to(self, start: int, target: tuple[int, ...]):
         """Bubble the window starting at 1-based ``start`` into the target
@@ -198,7 +212,7 @@ class _Builder:
 
     def trace(self) -> MoveTrace:
         return MoveTrace(tuple(self.words), tuple(self.events),
-                         tuple(self.label_states), tuple(self.corrs))
+                         tuple(self.label_states))
 
 
 def _builder_at(w: Word, start: int) -> _Builder:
@@ -271,34 +285,19 @@ def final_label_pattern(n: int) -> list[Label]:
             + [Label(i, 1, True) for i in range(1, n + 1)])
 
 
-def commutation_matching(src: Word, dst: Word) -> list[int]:
-    """The position correspondence realised by any commutation sequence
-    from ``src`` to ``dst``: the z-th occurrence of each letter value maps
-    to the z-th occurrence in ``dst``.  Raises if the words are not
-    commutation equivalent (a non-commuting pair would have to reorder).
-
-    Returns ``match`` with ``match[r-1]`` the 1-based dst position of src
-    position r.
+def commutation_trace(src: Word, dst: Word) -> MoveTrace:
+    """The commutations that turn ``src`` into ``dst``, as a trace with no
+    labels: each letter of ``dst``, left to right, is bubbled into place
+    from its first occurrence.  Raises ``ValueError`` if the words are not
+    commutation equivalent.
     """
-    if src.rank != dst.rank or len(src) != len(dst):
-        raise ValueError("words of different shape")
-    by_letter: dict[int, list[int]] = {}
-    for q, a in enumerate(dst.letters, start=1):
-        by_letter.setdefault(a, []).append(q)
-    counts: dict[int, int] = {}
-    match = []
-    for a in src.letters:
-        z = counts.get(a, 0)
-        occ = by_letter.get(a, [])
-        if z >= len(occ):
-            raise ValueError("words are not commutation equivalent")
-        match.append(occ[z])
-        counts[a] = z + 1
-    for p in range(len(src)):
-        for q in range(p + 1, len(src)):
-            if abs(src.letters[p] - src.letters[q]) < 2 and match[p] > match[q]:
-                raise ValueError("words are not commutation equivalent")
-    return match
+    if src.rank != dst.rank:
+        raise ValueError(f"words of rank {src.rank} and {dst.rank}")
+    if sorted(src.letters) != sorted(dst.letters):
+        raise ValueError("words with different letters are not commutation equivalent")
+    b = _Builder(src, [None] * len(src))
+    b.commute_window_to(1, dst.letters)
+    return b.trace()
 
 
 def format_trace(trace: MoveTrace, verbose: bool = False) -> str:

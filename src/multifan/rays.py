@@ -5,15 +5,18 @@ Rays are built either by replaying fattening traces move by move (the
 naive, fixed, linear, perturbed and loday constructions) or directly from
 the closed diagonal-indexed formulas (the pattern construction).
 
-A replay follows the position correspondence that the trace records for
-each move, so every ray stays on its letter:
+A replay moves the rays with the letters, by the rule ``moves.carry``
+applies to every move, so every ray stays on its letter:
 
 * doubling at r: the ambient dimension grows by one; the copy at r gets
   the old ray with -1 appended, the copy at r+1 the old ray with +1, and
   every other ray a 0;
 * braid at r with weights (a, b): the outer rays are exchanged and the
   new middle ray is a*rho_r + b*rho_{r+2} - rho_{r+1};
-* commutations just carry rays along.
+* commutations just exchange two rays.
+
+Each fattening is followed by the commutations onto c^(k+1) w0(c)
+(``moves.commutation_trace``), replayed the same way.
 
 In a first fattening (the one that starts in dimension 0, where every
 staircase letter carries the zero ray) the braid weights are read from a
@@ -96,13 +99,15 @@ class RayAssignment(_RayAssignment):
 
 def replay_fattening(ra: RayAssignment, trace: MoveTrace,
                      weights: BraidWeights) -> RayAssignment:
-    """Replay a fattening trace over an assignment on its initial word,
-    carrying the rays through the position correspondence of each move.
+    """Replay a move trace over an assignment on its initial word, moving
+    the rays with the letters of each move.
 
-    A fattening that starts in dimension 0 is a first fattening: its braid
+    A trace that starts in dimension 0 is a first fattening: its braid
     weights come from ``weights`` (the middle ray is checked to be zero);
-    any other fattening uses the weights (1, 1).
+    any other trace uses the weights (1, 1).
     """
+    from .moves import carry
+
     if ra.word != trace.initial:
         raise ValueError("assignment does not match the trace's initial word")
     first = ra.dim == 0
@@ -110,15 +115,12 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
     rays = list(ra.rays)
     dim = ra.dim
     for s, event in enumerate(trace.events):
-        corr = trace.corrs[s]
-        moved: list[RayVec] = [()] * len(trace.words[s + 1])
-        for q, v in enumerate(rays, start=1):
-            moved[corr[q] - 1] = v
         r = event.r
         if event.kind == "D":
-            moved = [v + (zero,) for v in moved]
-            moved[r - 1] = rays[r - 1] + (-one,)
-            moved[r] = rays[r - 1] + (one,)
+            v = rays[r - 1]
+            rays = [u + (zero,) for u in rays]
+            rays[r - 1] = v + (-one,)
+            carry(rays, event, v + (one,))
             dim += 1
         elif event.kind == "B":
             lo, mid, hi = rays[r - 1 : r + 2]
@@ -129,34 +131,23 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
                 assert not any(mid), "first-fattening middle ray not zero"
             else:
                 a, b = one, one
-            moved[r] = tuple(a * u + b * x - v for u, v, x in zip(lo, mid, hi))
-        rays = moved
+            carry(rays, event, None)
+            rays[r] = tuple(a * u + b * x - v for u, v, x in zip(lo, mid, hi))
+        else:
+            carry(rays, event, None)
     return RayAssignment(trace.final, tuple(rays), dim, ra.construction, ra.seed)
-
-
-def _transport(ra: RayAssignment, target: Word) -> RayAssignment:
-    """Carry rays along commutations onto a commutation-equivalent word."""
-    from .moves import commutation_matching
-
-    match = commutation_matching(ra.word, target)
-    rays: list[RayVec] = [None] * len(target)  # type: ignore[list-item]
-    for src, dst in enumerate(match):
-        rays[dst - 1] = ra.rays[src]
-    return RayAssignment(target, tuple(rays), ra.dim, ra.construction, ra.seed)
 
 
 def _fatten_once(ra: RayAssignment, triangle_start: int,
                  weights: BraidWeights) -> RayAssignment:
     """One fattening of the staircase factor at ``triangle_start``,
     normalised by commutations onto c^(k+1) w0(c)."""
-    from .moves import fattening_sequence
+    from .moves import commutation_trace, fattening_sequence
 
-    trace = fattening_sequence(ra.word, triangle_start)
-    out = replay_fattening(ra, trace, weights)
+    out = replay_fattening(ra, fattening_sequence(ra.word, triangle_start), weights)
     n = ra.word.rank
-    k_before = triangle_start // n
-    target = multiassociahedron_word(k_before + 1, n)
-    return _transport(out, target)
+    target = multiassociahedron_word(triangle_start // n + 1, n)
+    return replay_fattening(out, commutation_trace(out.word, target), weights)
 
 
 def scheme_for(construction: str, n: int, seed: int | None = None) -> BraidWeights:
@@ -197,7 +188,7 @@ def scheme_for(construction: str, n: int, seed: int | None = None) -> BraidWeigh
 # Pattern construction: closed formulas per 2-relevant diagonal of the
 # (n+5)-gon, in coordinates e_1..e_n, f_1..f_n of R^{2n}.  The letter at a
 # position of c^2 w0(c) receives the formula of its identified diagonal
-# rotated by two polygon steps (the verified rotation correspondence).
+# rotated by two polygon steps (the verified rotation of positions).
 
 def _basis(n: int, *terms) -> RayVec:
     v = [Fraction(0)] * (2 * n)

@@ -622,6 +622,13 @@ def test_cli_import_loads_only_what_check_runs():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "", module
+    # replaying a construction's moves needs no face test: only
+    # classify_braid loads multifan.subword
+    code = ("import sys; from multifan.rays import build_rays; build_rays('linear', 3); "
+            "print('multifan.subword' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_package_names_resolve_on_first_use():

@@ -4,8 +4,9 @@ from multifan.moves import (
     Label,
     MoveEvent,
     apply_move,
+    carry,
     classify_braid,
-    commutation_matching,
+    commutation_trace,
     fattening_sequence,
     final_label_pattern,
     format_trace,
@@ -48,13 +49,9 @@ def stellar_facets(facets, edge, v):
 
 
 def test_apply_move_examples():
-    w, corr = apply_move(Word(1, (1,)), MoveEvent("D", 1))
-    assert w.letters == (1, 1) and corr == {1: 1}
-    w, corr = apply_move(Word(2, (1, 2, 1)), MoveEvent("B", 1))
-    assert w.letters == (2, 1, 2)
-    assert corr == {1: 3, 2: 2, 3: 1}
-    w, corr = apply_move(Word(3, (1, 3, 2)), MoveEvent("C", 1))
-    assert w.letters == (3, 1, 2) and corr == {1: 2, 2: 1, 3: 3}
+    assert apply_move(Word(1, (1,)), MoveEvent("D", 1)) == Word(1, (1, 1))
+    assert apply_move(Word(2, (1, 2, 1)), MoveEvent("B", 1)) == Word(2, (2, 1, 2))
+    assert apply_move(Word(3, (1, 3, 2)), MoveEvent("C", 1)) == Word(3, (3, 1, 2))
     with pytest.raises(ValueError):
         apply_move(Word(2, (1, 2, 2)), MoveEvent("B", 1))
     with pytest.raises(ValueError):
@@ -71,16 +68,37 @@ def test_classify_rejects_non_braid():
         classify_braid(Word(2, (1, 2, 2)), 1)
 
 
+def _correspondence(event, p):
+    """Old position -> new position of a move on a word of length p."""
+    r = event.r
+    if event.kind == "D":
+        return {q: q if q <= r else q + 1 for q in range(1, p + 1)}
+    corr = {q: q for q in range(1, p + 1)}
+    other = r + 1 if event.kind == "C" else r + 2
+    corr[r], corr[other] = other, r
+    return corr
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_trace_records_each_move_correspondence(k):
-    # the trace carries exactly what apply_move returns for each event
+def test_carry_follows_each_move_correspondence(k):
+    # carry moves every position as the move's correspondence table says,
+    # and puts the copy of a doubling at r+1; the trace records the word
+    # apply_move returns and the labels carry moves
     for n in range(1, 7):
         t = fattening_sequence(multiassociahedron_word(k, n), triangle_start=k * n)
-        assert len(t.corrs) == len(t.events)
+        seq = list(range(1, len(t.initial) + 1))
         for s, e in enumerate(t.events):
-            w, corr = apply_move(t.words[s], e)
-            assert w == t.words[s + 1]
-            assert t.corrs[s] == corr
+            assert apply_move(t.words[s], e) == t.words[s + 1]
+            want = [None] * len(t.words[s + 1])
+            for q, corr_q in _correspondence(e, len(seq)).items():
+                want[corr_q - 1] = seq[q - 1]
+            if e.kind == "D":
+                want[e.r] = ("copy", s)
+            carry(seq, e, ("copy", s))
+            assert seq == want
+            labels = list(t.labels[s])
+            carry(labels, e, t.labels[s + 1][e.r] if e.kind == "D" else None)
+            assert tuple(labels) == t.labels[s + 1]
 
 
 def test_fattening_counts_and_final_word():
@@ -182,16 +200,33 @@ def test_case3_braids_are_stellar_subdivisions(n):
     assert found == n * (n - 1) // 2
 
 
-def test_commutation_matching():
-    src = Word(3, (1, 3))
-    dst = Word(3, (3, 1))
-    assert commutation_matching(src, dst) == [2, 1]
-    with pytest.raises(ValueError):
-        commutation_matching(Word(2, (1, 2)), Word(2, (2, 1)))
-    # the fattened staircase matches c w0(c)
-    t = fattening_sequence(c_sorted_word(4))
-    match = commutation_matching(t.final, multiassociahedron_word(1, 4))
-    assert sorted(match) == list(range(1, len(t.final) + 1))
+def test_commutation_trace():
+    t = commutation_trace(Word(3, (1, 3)), Word(3, (3, 1)))
+    assert t.events == (MoveEvent("C", 1),) and t.final == Word(3, (3, 1))
+    # the fattened staircase reaches c w0(c) by commutations alone, and
+    # every letter, carried along, lands on an equal letter of the target
+    f = fattening_sequence(c_sorted_word(4))
+    target = multiassociahedron_word(1, 4)
+    t = commutation_trace(f.final, target)
+    assert t.initial == f.final and t.final == target
+    assert t.count("C") == len(t.events) > 0
+    seq = list(range(1, len(target) + 1))
+    for e in t.events:
+        carry(seq, e, None)
+    assert sorted(seq) == list(range(1, len(target) + 1))
+    assert [f.final.letter(q) for q in seq] == list(target.letters)
+    assert commutation_trace(target, target).events == ()
+
+
+@pytest.mark.parametrize("src, dst", [
+    (Word(3, (1, 3)), Word(4, (1, 3))),  # ranks differ
+    (Word(3, (1, 3)), Word(3, (1, 2))),  # letters differ
+    (Word(2, (1, 2)), Word(2, (2, 1))),  # s1 s2 -> s2 s1 does not commute
+])
+def test_commutation_trace_rejects_non_equivalent_words(src, dst):
+    with pytest.raises(ValueError) as exc:
+        commutation_trace(src, dst)
+    assert "correspond" not in str(exc.value)
 
 
 def test_format_trace():
