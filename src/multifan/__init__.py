@@ -15,7 +15,7 @@ TABLE_IDS = ("T1", "T2", "T3", "T4", "T5-integer", "T6", "F10", "F12")
 _MODULE_OF = {
     "words": ("Word", "c_sorted_word", "multiassociahedron_word", "parse_word"),
     "subword": ("all_facets", "greedy_facet"),
-    "polygon": ("enumerate_k_triangulations", "diagonal_to_position", "position_to_diagonal"),
+    "polygon": ("enumerate_k_triangulations", "position_to_diagonal"),
     "moves": ("apply_move", "classify_braid", "fattening_sequence"),
     "rays": ("RayAssignment", "build_rays", "parse_ray_file", "format_ray_file"),
     "fan": ("certify_fan", "stream_statistics"),

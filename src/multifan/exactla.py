@@ -50,6 +50,12 @@ certifier decides the base condition by point location instead (see
 ``fan._stats``, and ``fan.condition_one`` for the sweep from scratch); the
 simplex is the independent oracle that the test suite checks point
 location against.
+
+No command calls ``feasible_nonneg`` or ``solve_unique`` (whose one
+caller is the oracle ``fan.classify_ridge``): they are test oracles, and
+stay here only because the benchmark harness in ``perfbench/`` resolves
+them by name (``tests/test_perfbench_names.py``); they move to the tests
+when the benchmark stops tracing them.
 """
 
 from __future__ import annotations

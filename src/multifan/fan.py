@@ -47,12 +47,16 @@ facet is visited twice, and the walk keeps only the signs of the facets
 visited and the tableau rows read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
+
+No command calls ``classify_ridge`` or ``condition_one``: they are test
+oracles, and stay here only because the benchmark harness in
+``perfbench/`` resolves them by name (``tests/test_perfbench_names.py``);
+they move to the tests when the benchmark stops tracing them.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -67,7 +71,6 @@ __all__ = [
     "FanStats",
     "CheckReport",
     "STAT_ROWS",
-    "facet_rank",
     "classify_ridge",
     "condition_one",
     "stream_statistics",
@@ -112,12 +115,12 @@ class CheckReport(NamedTuple):
 
 
 def ratio_str(count: int, total: int) -> str:
-    """Percentage to two decimals, recomputed from exact counts."""
+    """Percentage to two decimals, recomputed from exact counts and
+    rounded half up."""
     if count == 0 or total == 0:
         return "0"
-    q = Fraction(100 * count, total)
-    d = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(d.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    cents = (20000 * count + total) // (2 * total)
+    return f"{cents // 100}.{cents % 100:02d}"
 
 
 def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
@@ -139,11 +142,6 @@ def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
 def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[tuple[int, ...]]:
     """The integer rows of the cone of ``f``: its rays in position order."""
     return [rays[r - 1] for r in positions_of(f)]
-
-
-def facet_rank(ra: RayAssignment, facet: Facet) -> int:
-    """Rank of the facet's rays over the rationals."""
-    return int_rank(_cone(_int_rays(ra), facet))
 
 
 def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:

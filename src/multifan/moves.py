@@ -143,14 +143,10 @@ def classify_braid(w: Word, r: int) -> int:
     vertex status of the three letters and, when all three are vertices,
     whether they lie in a common face.
 
-    Face and vertex tests are 0-Hecke deletion tests, no enumeration.
+    Face and vertex tests are 0-Hecke deletion tests, no enumeration.  The
+    braid itself is validated by ``apply_move``.
     """
-    p = len(w)
-    if not 1 <= r <= p - 2:
-        raise ValueError(f"braid position {r} out of range")
-    a, b, a2 = w.letters[r - 1 : r + 2]
-    if a != a2 or abs(a - b) != 1:
-        raise ValueError(f"no braid pattern at {r}: s_{a} s_{b} s_{a2}")
+    apply_move(w, MoveEvent("B", r))
     if not contains_longest(w):
         raise ValueError("word does not contain a reduced expression of w0")
     from .subword import is_face

@@ -27,7 +27,6 @@ __all__ = [
     "relevant_diagonals",
     "enumerate_k_triangulations",
     "position_diagonals",
-    "diagonal_to_position",
     "position_to_diagonal",
     "format_triangulations",
 ]
@@ -155,22 +154,9 @@ def position_diagonals(k: int, n: int) -> list[Diagonal]:
     return prefix + [(i + k, i + j + 2 * k) for i, j in staircase_cells(n)]
 
 
-def diagonal_to_position(k: int, n: int, d: Diagonal) -> int:
-    """Position in c^k w0(c) of a k-relevant diagonal.
-
-    >>> diagonal_to_position(2, 4, (1, 4))
-    1
-    >>> diagonal_to_position(2, 4, (3, 7))
-    10
-    """
-    try:
-        return position_diagonals(k, n).index(d) + 1
-    except ValueError:
-        raise ValueError(f"diagonal {d} is not {k}-relevant for n={n}") from None
-
-
 def position_to_diagonal(k: int, n: int, pos: int) -> Diagonal:
-    """Inverse of :func:`diagonal_to_position`."""
+    """The diagonal at 1-based position ``pos`` of c^k w0(c), looked up in
+    :func:`position_diagonals`."""
     diags = position_diagonals(k, n)
     if not 1 <= pos <= len(diags):
         raise ValueError(f"position {pos} out of range 1..{len(diags)}")

@@ -64,7 +64,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 def _rational(token: str) -> Fraction:
     """An integer or p/q with q > 0, as ``str(Fraction)`` writes it, and
-    nothing else: the work is bounded by the length of the token.
+    nothing else: the work is bounded by the size of the token.
 
     >>> _rational("-7/2"), _rational("4/2")
     (Fraction(-7, 2), Fraction(2, 1))

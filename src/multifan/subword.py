@@ -43,7 +43,6 @@ __all__ = [
     "root_configuration",
     "traverse",
     "all_facets",
-    "vertex_status",
     "format_facet_file",
 ]
 
@@ -244,14 +243,6 @@ class ComplexIndex(NamedTuple):
 def all_facets(w: Word) -> ComplexIndex:
     """The complex as enumerated by :func:`traverse`, facets sorted."""
     return ComplexIndex(w, sorted(f for f, *_ in traverse(w)))
-
-
-def vertex_status(w: Word) -> list[bool]:
-    """Position r is a vertex iff the word with r deleted still contains a
-    reduced expression of w0 (deletion test, independent of enumeration)."""
-    if not contains_longest(w):
-        raise ValueError("word does not contain a reduced expression of w0")
-    return [is_face(w, (r,)) for r in range(1, len(w) + 1)]
 
 
 def format_facet_file(index: ComplexIndex) -> Iterator[str]:

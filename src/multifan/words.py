@@ -25,7 +25,6 @@ __all__ = [
     "Word",
     "identity",
     "longest_element",
-    "length",
     "right_mult",
     "increases_length",
     "demazure_product",
@@ -33,8 +32,6 @@ __all__ = [
     "staircase_cells",
     "c_sorted_word",
     "multiassociahedron_word",
-    "rotate",
-    "mirror",
     "parse_shorthand",
     "parse_word",
     "format_word",
@@ -109,12 +106,6 @@ def longest_element(n: int) -> Permutation:
     return tuple(range(n + 1, 0, -1))
 
 
-def length(perm: Permutation) -> int:
-    """Coxeter length = inversion count (O(n^2), fine for n <= 16)."""
-    n1 = len(perm)
-    return sum(1 for i in range(n1) for j in range(i + 1, n1) if perm[i] > perm[j])
-
-
 def right_mult(perm: Permutation, i: int) -> Permutation:
     """Right multiplication by ``s_i``: swap images at positions i, i+1."""
     p = list(perm)
@@ -123,7 +114,8 @@ def right_mult(perm: Permutation, i: int) -> Permutation:
 
 
 def increases_length(perm: Permutation, i: int) -> bool:
-    """Whether right multiplication by ``s_i`` increases Coxeter length."""
+    """Whether right multiplication by ``s_i`` lengthens ``perm``: it adds
+    the inversion (i, i+1)."""
     return perm[i - 1] < perm[i]
 
 
@@ -182,31 +174,6 @@ def multiassociahedron_word(k: int, n: int) -> Word:
         raise ValueError("k must be >= 0")
     c = tuple(range(1, n + 1))
     return Word(n, c * k + c_sorted_word(n).letters)
-
-
-def rotate(w: Word) -> tuple[Word, dict[int, int]]:
-    """Move the last letter, complemented, to the front.
-
-    Returns the rotated word and the position correspondence
-    old position -> new position (the moved letter goes to position 1,
-    every other position shifts right by one).
-
-    >>> rotate(Word(2, (1, 2, 1)))[0].letters
-    (2, 1, 2)
-    """
-    p = len(w)
-    if p == 0:
-        raise ValueError("cannot rotate the empty word")
-    last = w.letters[-1]
-    new = Word(w.rank, (w.rank + 1 - last,) + w.letters[:-1])
-    corr = {r: r + 1 for r in range(1, p)}
-    corr[p] = 1
-    return new, corr
-
-
-def mirror(w: Word) -> Word:
-    """The word read right to left."""
-    return Word(w.rank, w.letters[::-1])
 
 
 def parse_shorthand(text: str) -> tuple[int, int] | None:

@@ -32,6 +32,28 @@ def is_reduced(w: Word) -> bool:
     return True
 
 
+def rotate(w: Word) -> tuple[Word, dict[int, int]]:
+    """Move the last letter, complemented, to the front.
+
+    Returns the rotated word and the position correspondence
+    old position -> new position (the moved letter goes to position 1,
+    every other position shifts right by one).
+    """
+    p = len(w)
+    if p == 0:
+        raise ValueError("cannot rotate the empty word")
+    last = w.letters[-1]
+    new = Word(w.rank, (w.rank + 1 - last,) + w.letters[:-1])
+    corr = {r: r + 1 for r in range(1, p)}
+    corr[p] = 1
+    return new, corr
+
+
+def mirror(w: Word) -> Word:
+    """The word read right to left."""
+    return Word(w.rank, w.letters[::-1])
+
+
 def naive_flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
     """Reference flip: try every complement position as the partner of r.
 

@@ -16,7 +16,7 @@ import pytest
 from multifan.cli import main
 from multifan.fan import certify_fan, stream_statistics
 from multifan.moves import classify_braid, fattening_sequence
-from multifan.polygon import diagonal_to_position, enumerate_k_triangulations
+from multifan.polygon import enumerate_k_triangulations, position_diagonals
 from multifan.rays import build_rays
 from multifan.subword import all_facets, is_face, positions_of
 from multifan.tables import reproduce_table
@@ -72,7 +72,8 @@ def test_c02_oracle_equivalence():
     sizes = {}
     for k, n in pairs:
         tris = enumerate_k_triangulations(k, n)
-        mapped = {frozenset(diagonal_to_position(k, n, d) for d in t) for t in tris}
+        table = position_diagonals(k, n)
+        mapped = {frozenset(table.index(d) + 1 for d in t) for t in tris}
         facets = {frozenset(positions_of(f)) for f in get_index(k, n).facets}
         if mapped != facets:
             report("C2", False, f"(k={k}, n={n}) differ")
@@ -177,7 +178,8 @@ def test_c08_loday():
         report("C8", False, "n=3 rays differ from the reference pattern")
     for n in (2, 3, 4):
         tris = enumerate_k_triangulations(1, n)
-        mapped = {frozenset(diagonal_to_position(1, n, d) for d in t) for t in tris}
+        table = position_diagonals(1, n)
+        mapped = {frozenset(table.index(d) + 1 for d in t) for t in tris}
         facets = {frozenset(positions_of(f)) for f in get_index(1, n).facets}
         if mapped != facets:
             report("C8", False, f"oracle cross-check failed at n={n}")

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,17 +15,34 @@ from multifan.fan import (
     certify_fan,
     classify_ridge,
     condition_one,
-    facet_rank,
     format_stats_table,
     ratio_str,
     stream_statistics,
 )
 from multifan.rays import RayAssignment, build_rays
 from multifan.subword import bitset_of, greedy_facet, positions_of
-from multifan.words import Word, mirror, parse_word, rotate
+from multifan.words import Word, parse_word
 
-from conftest import DOUBLE_COVER_ORDER, double_cover_rays, get_index, get_ridges, in_dimension
+from conftest import (
+    DOUBLE_COVER_ORDER,
+    double_cover_rays,
+    get_index,
+    get_ridges,
+    in_dimension,
+    mirror,
+    rotate,
+)
 from lp_oracle import lp_condition_one
+
+
+def decimal_ratio_str(count: int, total: int) -> str:
+    """Reference for ``ratio_str``: the exact percentage as a Decimal,
+    quantized to two places, half up."""
+    if count == 0 or total == 0:
+        return "0"
+    q = Fraction(100 * count, total)
+    d = Decimal(q.numerator) / Decimal(q.denominator)
+    return str(d.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def test_ratio_str():
@@ -32,12 +50,25 @@ def test_ratio_str():
     assert ratio_str(11, 252) == "4.37"
     assert ratio_str(282, 2376) == "11.87"
     assert ratio_str(6026814, 29695328) == "20.30"
+    # every count of small totals, and counts near halves and ends of
+    # totals near the n=8 ridge count
+    pairs = [(c, t) for t in range(1, 401) for c in range(t + 1)]
+    for t in range(29695320, 29695340):
+        for c in (1, 1484766, 1484767, 6026814, t // 8, t // 2, t // 2 + 1, t - 1, t):
+            pairs.append((c, t))
+    for c, t in pairs:
+        assert ratio_str(c, t) == decimal_ratio_str(c, t), (c, t)
+
+
+def cone_rank(ra: RayAssignment, f: int) -> int:
+    """Rank of the facet's rays over the rationals."""
+    return exactla.int_rank([exactla.scale_to_int(ra.rays[r - 1]) for r in positions_of(f)])
 
 
 def test_facet_rank_pattern_n1():
     ra = build_rays("pattern", 1)
-    assert facet_rank(ra, bitset_of([1, 2])) == 2
-    assert facet_rank(ra, bitset_of([2, 3])) == 2
+    assert cone_rank(ra, bitset_of([1, 2])) == 2
+    assert cone_rank(ra, bitset_of([2, 3])) == 2
 
 
 def test_classify_ridge_pattern_n1():
@@ -72,7 +103,7 @@ def test_naive_n3_degeneracies():
     assert per_ridge.count("degenerate") == 11
     assert per_ridge.count("bad") == 0
     # 2 deficient cones of 84, sharing one ridge: 6 + 6 - 1 = 11
-    ranks = [facet_rank(ra, f) for f in idx.facets]
+    ranks = [cone_rank(ra, f) for f in idx.facets]
     assert sum(1 for r in ranks if r < 6) == 2
 
 
@@ -118,7 +149,7 @@ def test_certify_rejects_bad_sets():
     assert rep.condition1 == "skipped"
     # point location refuses a singular cone, as base or as another facet
     facets = get_index(2, 3).facets
-    singular = min(f for f in facets if facet_rank(ra, f) < ra.dim)
+    singular = min(f for f in facets if cone_rank(ra, f) < ra.dim)
     with pytest.raises(ValueError, match="base facet is rank deficient"):
         condition_one(ra, facets, singular)
     with pytest.raises(ValueError, match=r"cone \(.*\) is rank deficient"):
@@ -137,7 +168,7 @@ def test_stream_certify_matches_indexed():
         ra = build_rays(name, n)
         idx = get_index(2, n)
         rep = certify_fan(ra)
-        ranks = [facet_rank(ra, f) for f in idx.facets]
+        ranks = [cone_rank(ra, f) for f in idx.facets]
         assert (rep.stats.cones, rep.stats.ridges) == (idx.n_facets, idx.n_ridges)
         assert rep.stats.degenerate_cones == sum(1 for r in ranks if r < ra.dim)
         assert rep.stats.min_dimension == min(ranks)

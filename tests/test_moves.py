@@ -64,8 +64,10 @@ def test_classify_case1():
 
 
 def test_classify_rejects_non_braid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no braid pattern at 1: s_1 s_2 s_2$"):
         classify_braid(Word(2, (1, 2, 2)), 1)
+    with pytest.raises(ValueError, match=r"^braid position 2 out of range$"):
+        classify_braid(Word(2, (1, 2, 1)), 2)
 
 
 def _correspondence(event, p):

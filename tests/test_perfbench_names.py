@@ -9,9 +9,13 @@ importing it, and checks each name against the package.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _traced(tree: ast.Module) -> set[tuple[str, str]]:
@@ -43,3 +47,23 @@ def test_perfbench_names_exist_in_the_package():
     missing = sorted(f"multifan.{module}.{name}" for module, name in names
                      if not hasattr(importlib.import_module(f"multifan.{module}"), name))
     assert not missing, f"perfbench resolves names the package lacks: {missing}"
+
+
+def test_cli_import_loads_every_traced_layer():
+    # ``Tracer.install`` wraps traced functions only in the modules that
+    # ``import multifan.cli`` loads, so a layer that ``cli`` imports lazily
+    # would record no span at all.  ``tables`` is the known exception:
+    # ``cmd_reproduce`` imports it on first use, and its
+    # ``reproduce_table`` span reads 0 calls (an open finding in
+    # CHANGES.md).  Any further lazy import fails here.
+    layers = {layer for layer, _ in _traced(ast.parse((PERFBENCH / "tracer.py").read_text()))}
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, multifan.cli; print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('multifan.'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    loaded = set(out.stdout.split())
+    missing = sorted(f"multifan.{layer}" for layer in layers - {"tables"}
+                     if f"multifan.{layer}" not in loaded)
+    assert not missing, f"import multifan.cli leaves traced layers unloaded: {missing}"

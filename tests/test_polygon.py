@@ -2,7 +2,6 @@ import pytest
 
 from multifan.polygon import (
     crossing,
-    diagonal_to_position,
     enumerate_k_triangulations,
     position_diagonals,
     position_to_diagonal,
@@ -42,12 +41,10 @@ def test_enumeration_guard():
 
 
 def test_identification_examples():
-    assert diagonal_to_position(2, 4, (1, 4)) == 1
-    assert diagonal_to_position(2, 4, (3, 7)) == 10
-    with pytest.raises(ValueError):
-        diagonal_to_position(2, 4, (1, 3))
-    with pytest.raises(ValueError):
-        diagonal_to_position(2, 4, (4, 1))
+    table = position_diagonals(2, 4)
+    assert table.index((1, 4)) + 1 == 1
+    assert table.index((3, 7)) + 1 == 10
+    assert (1, 3) not in table and (4, 1) not in table
     with pytest.raises(ValueError):
         position_to_diagonal(2, 4, len(multiassociahedron_word(2, 4)) + 1)
 
@@ -61,7 +58,7 @@ def test_identification_round_trip():
         assert sorted(table) == diags and len(set(table)) == len(table)
         seen = set()
         for d in diags:
-            pos = diagonal_to_position(k, n, d)
+            pos = table.index(d) + 1
             assert 1 <= pos <= total
             assert position_to_diagonal(k, n, pos) == d
             seen.add(pos)
@@ -78,8 +75,9 @@ def test_every_relevant_diagonal_used():
 @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2)])
 def test_oracle_matches_subword_facets(k, n):
     tris = enumerate_k_triangulations(k, n)
+    table = position_diagonals(k, n)
     mapped = {
-        frozenset(diagonal_to_position(k, n, d) for d in tri) for tri in tris
+        frozenset(table.index(d) + 1 for d in tri) for tri in tris
     }
     idx = get_index(k, n)
     assert mapped == {frozenset(positions_of(f)) for f in idx.facets}

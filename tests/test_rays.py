@@ -14,7 +14,7 @@ from multifan.rays import (
     replay_fattening,
     scheme_for,
 )
-from multifan.subword import vertex_status
+from multifan.subword import is_face
 from multifan.words import c_sorted_word, multiassociahedron_word
 
 
@@ -197,9 +197,8 @@ def test_pattern_verbatim_fails_certification_with_ridge_witness():
 def test_zero_rays_exactly_on_non_vertices():
     for name, k, n in [("naive", 2, 3), ("pattern", 2, 2), ("loday", 1, 3)]:
         ra = build_rays(name, n)
-        flags = vertex_status(ra.word)
-        for flag, v in zip(flags, ra.rays):
-            assert flag == any(v)
+        for r, v in enumerate(ra.rays, start=1):
+            assert is_face(ra.word, (r,)) == any(v)
 
 
 def test_perturbed_determinism_and_seed_sensitivity():

@@ -8,13 +8,13 @@ from multifan.subword import (
     bitset_of,
     format_facet_file,
     greedy_facet,
+    is_face,
     positions_of,
     traverse,
-    vertex_status,
 )
-from multifan.words import Word, c_sorted_word, mirror, multiassociahedron_word, rotate
+from multifan.words import Word, c_sorted_word, multiassociahedron_word
 
-from conftest import bfs_traverse, get_index, get_ridges, naive_flip, partners
+from conftest import bfs_traverse, get_index, get_ridges, mirror, naive_flip, partners, rotate
 
 SMALL = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 LARGER = [(1, 5), (2, 4), (2, 5), (3, 3), (3, 4)]
@@ -196,12 +196,18 @@ def test_facet_sizes():
             assert bin(f).count("1") == size
 
 
+def vertices(w: Word) -> list[bool]:
+    """Position r is a vertex iff the word with r deleted still contains a
+    reduced expression of w0: the deletion test, no enumeration."""
+    return [is_face(w, (r,)) for r in range(1, len(w) + 1)]
+
+
 def test_vertex_status():
     w = c_sorted_word(3)
-    assert vertex_status(w) == [False] * 6
-    assert vertex_status(Word(1, (1, 1))) == [True, True]
+    assert vertices(w) == [False] * 6
+    assert vertices(Word(1, (1, 1))) == [True, True]
     w = multiassociahedron_word(2, 3)
-    assert vertex_status(w) == [True] * len(w)
+    assert vertices(w) == [True] * len(w)
 
 
 @pytest.mark.parametrize("k,n", SMALL)
@@ -210,7 +216,7 @@ def test_vertex_status_matches_facet_membership(k, n):
     covered = 0
     for f in get_index(k, n).facets:
         covered |= f
-    assert vertex_status(w) == [bool(covered >> (r - 1) & 1) for r in range(1, len(w) + 1)]
+    assert vertices(w) == [bool(covered >> (r - 1) & 1) for r in range(1, len(w) + 1)]
 
 
 @pytest.mark.parametrize("k,n", SMALL)
