@@ -25,26 +25,26 @@ its sign is not examined (the dual graph being regular, the two counts
 determine the number of adjacent pairs of degenerate cones).  When both
 neighbouring facets are full rank, the dependence is unique and the
 exchanged-ray coefficients are automatically nonzero, so the sign test
-reduces to one determinant per facet plus a column-shift parity per
-ridge.
+reduces to one determinant per facet and an orientation of the complex.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
 base facet (``subword.traverse``): a facet's determinant when the walk
 enters it, as one field of its parent's tableau row of the entering
 ray, and for the base facet and every child of a singular facet by
 exchanges from the unit matrix or from the nearest regular cone, one
-position at a time; a ridge's status
-at the later visited of its two facets, against the determinant signs
-of the facets visited before; the first failure when the least failing
-ridge is classified; and the base condition, from the base point's
-tableau row, its Cramer numerators, by one sign test on the whole row.
+position at a time; a facet's oriented sign, its determinant's sign
+times an orientation carried from parent to child; a ridge's status
+after the walk, from the exceptions, the facets whose oriented sign is
+not the base's, as every other ridge is good; and the base condition,
+from the base point's tableau row, its Cramer numerators, by one sign
+test on the whole row.
 A cone's tableau row of a ray, or of the base point, holds its value on
 each column of the cone's adjugate, in the slot of that column's
 position, packed into one int (``_Layout``) of d fields wide enough by
 Hadamard's bound (``_width``), so that the exchange deriving it is one
 exact division of that int, as in the integer pivots of lrs (Avis).  No
-facet is visited twice, and the walk keeps only the signs of the facets
-visited and the tableau rows read along its current path.
+facet is visited twice, and the walk keeps only the exceptions, each
+with its flips, and the tableau rows read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 
@@ -361,10 +361,17 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     Each singular cone is ranked by its route (``_Cone.route_rank``).  A
     facet of other than d rays is singular, and stuck on its route.
 
-    A ridge is classified at the later visited of its two facets, against
-    the signs of those visited before: with x leaving F and q entering G,
-    the coefficient of ray x in ray q is (-1)^k det(G) / det(F), good when
-    negative.  Until the first failing ridge, a facet's closed cone
+    With x leaving F and q entering G, the coefficient of ray x in ray q
+    is (-1)^k det(G) / det(F), good when negative.  The complex is a
+    sphere (Knutson-Miller), so its facets have a coherent orientation e:
+    e(base) = 1 and e(G) = -(-1)^k e(P) for G entered from P, so that
+    e(F) e(G) = -(-1)^k on every ridge, which is good iff the oriented
+    signs e sign(det) of F and G are equal and nonzero.  The walk stores
+    only the exceptions, the facets whose oriented sign is not the base's
+    nonzero one, each with the entering position of each flip, and
+    classifies every ridge at an exception after the walk, once.  Its
+    first exception has a parent of the base's sign, so before it no
+    ridge fails, and a facet's closed cone
     contains p iff no numerator has the sign opposite to its determinant,
     that is iff every field of sign(D') R'[p] is >= 0, one test on the
     whole int (``_Cone.holds_point``); every cone on the path is then
@@ -372,66 +379,73 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     (``_self_check``), one ray's field among its scalars.
     """
     rays = _int_rays(ra)
-    signs: dict[Facet, int] = {}
-    sign_of = signs.get
-    # below[r]: the positions before r
-    below = [0] + [(1 << r) - 1 for r in range(len(ra.word))]
-    path: list[_Cone] = []
-    bad = degenerate = ridges = singular = 0
-    least = failure = witness = point = None
+    # the exceptions: facet -> (its oriented sign, the entering position
+    # of each of its flips, in position order)
+    exceptions: dict[Facet, tuple[int, ...]] = {}
+    path: list[tuple[_Cone, int]] = []
+    singular = 0
+    witness = point = None
     rank = ra.dim
     for count, (g, flips, entry, depth) in enumerate(traverse(ra.word)):
         del path[depth:]
         if entry is None:
             point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
-            cone = _derive(_unit(rays, point), g)
+            cone, orient = _derive(_unit(rays, point), g), 1
             if not cone.det:
                 point = None  # no point strictly inside a singular base
         else:
             x, q, _ = entry
-            parent = path[-1]
+            parent, orient = path[-1]
             cone = parent.exchanged(x, q) if parent.det else _derive(parent.parent, g)
+            orient = orient if _odd(g, x, q) else -orient
         det = cone.det
-        sign = (det > 0) - (det < 0)
-        if not sign:
+        sign = orient if det > 0 else -orient if det else 0
+        if entry is None:
+            base = sign
+        if not det:
             singular += 1
             rank = min(rank, cone.route_rank())
-        for y, r, h in flips:
-            other = sign_of(h)
-            if other is None:
-                continue
-            ridges += 1
-            if not (sign and other):
-                degenerate += 1
-                status = "degenerate"
-            else:
-                between = g & h & (below[y] ^ below[r])
-                if between.bit_count() & 1 == (sign == other):
-                    continue
-                bad += 1
-                status = "bad"
-            pair = (g, h) if g < h else (h, g)
-            if least is None or pair < least:
-                least = pair
-                failure = f"{status} ridge {positions_of(g & h)}"
-        signs[g] = sign
-        locate = failure is None and point is not None
+        if sign != base or not sign:
+            exceptions[g] = (sign, *(q for _, q, _ in flips))
+        locate = not exceptions and point is not None
         if locate and entry is not None and (witness is None or g < witness):
             if cone.holds_point():
                 witness = g
         if count % SELF_CHECK_EVERY == 0:
             _self_check(rays, cone, point if locate else None)
-        path.append(cone)
-    if failure is None and not signs[g]:
+        path.append((cone, orient))
+    bad = degenerate = 0
+    least = failure = None
+    for f, (sign, *entering) in exceptions.items():
+        for x, q in zip(positions_of(f), entering):
+            h = f & ~(1 << (x - 1)) | 1 << (q - 1)
+            if h < f and h in exceptions:
+                continue  # counted from h
+            other = exceptions.get(h, (base,))[0]
+            if not (sign and other):
+                degenerate += 1
+                status = "degenerate"
+            elif sign != other:
+                bad += 1
+                status = "bad"
+            else:
+                continue
+            pair = (f, h) if f < h else (h, f)
+            if least is None or pair < least:
+                least = pair
+                failure = f"{status} ridge {positions_of(f & h)}"
+    if failure is None and exceptions:
         # the walk's only facet, the base, is singular
         failure = f"degenerate cone {positions_of(g)}"
+    # the complex is a sphere: every facet has g's positions, each flips,
+    # and every ridge lies in two facets
     stats = FanStats(
         n=ra.word.rank,
         bad_ridges=bad,
         degenerate_ridges=degenerate,
-        ridges=ridges,
+        ridges=(count + 1) * g.bit_count() // 2,
         degenerate_cones=singular,
-        cones=len(signs),
+        cones=count + 1,
         min_dimension=rank,
     )
     return stats, failure, witness

@@ -114,6 +114,22 @@ def bfs_traverse(w: Word):
         frontier = next_frontier
 
 
+def orientations(w: Word) -> dict[Facet, int]:
+    """The orientation e of every facet, in walk order, propagated down
+    ``traverse``'s records as the statistics walk does: e(root) = 1, and a
+    facet G entered from P by the flip x -> q has e(G) = -e(P) (-1)^k, k
+    the positions of G strictly between x and q."""
+    orient = {}
+    for f, _, entry, _ in traverse(w):
+        if entry is None:
+            orient[f] = 1
+        else:
+            x, q, parent = entry
+            k = sum(min(x, q) < r < max(x, q) for r in positions_of(f))
+            orient[f] = -orient[parent] * (-1) ** k
+    return orient
+
+
 @functools.lru_cache(maxsize=None)
 def get_index(k: int, n: int):
     """Session-wide cache of enumerated complexes (they are immutable)."""

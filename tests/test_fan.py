@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from conftest import (
     get_ridges,
     in_dimension,
     mirror,
+    orientations,
     rotate,
 )
 from lp_oracle import lp_condition_one
@@ -250,15 +252,34 @@ def _ridge_scan(ra, ridges):
 PARITY_CHECK = {(1, 2): (200, 0), (2, 1): (100, 0), (1, 3): (60, 6), (2, 2): (100, 6)}
 
 
+def _exceptions(ra, orient):
+    """The facets whose oriented sign e sign(det) is 0 or not the base's,
+    from scratch."""
+    rays = fan._int_rays(ra)
+    sign = {}
+    for f, e in orient.items():
+        det = exactla.bareiss_det(fan._cone(rays, f))
+        sign[f] = e * ((det > 0) - (det < 0))
+    base = sign[greedy_facet(ra.word)]
+    return {f for f, s in sign.items() if s != base or not s}
+
+
 def test_ridge_parity_matches_classify_ridge():
     rng = random.Random(1)
     with_bad = with_degenerate = 0
+    # ridges between two exceptions, by classify_ridge's status
+    paired = collections.Counter()
     for (k, n), (draws, scale) in PARITY_CHECK.items():
         ref = build_rays("loday" if k == 1 else "pattern", n)
         ridges = get_ridges(k, n)
+        orient = orientations(ref.word)
         for _ in range(draws):
             rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
             ra = RayAssignment(ref.word, rays, ref.dim)
+            exceptions = _exceptions(ra, orient)
+            for f, g in ridges:
+                if f in exceptions and g in exceptions:
+                    paired[classify_ridge(ra, f, g).status == "good"] += 1
             bad, degenerate, first = _ridge_scan(ra, ridges)
             stats = stream_statistics(ra)
             assert (stats.bad_ridges, stats.degenerate_ridges) == (bad, degenerate), rays
@@ -270,6 +291,8 @@ def test_ridge_parity_matches_classify_ridge():
             with_bad += bad > 0
             with_degenerate += degenerate > 0
     assert with_bad >= 1 and with_degenerate >= 1, (with_bad, with_degenerate)
+    # the walk classifies these after it, from the lesser exception
+    assert paired[True] >= 1 and paired[False] >= 1, paired
 
 
 def _unimodular_flip(dim: int, rng: random.Random) -> list[list[int]]:
@@ -724,6 +747,29 @@ def test_benchmark_n6_walks_are_pinned():
         ("perturbed", 6, 3): "2c8853d39edaed6f2f059ad02f851c18be0304f1763c78f643d73bb6ec768c01",
     }
     assert _digests(pinned) == pinned
+
+
+def _traced_peak(ra):
+    """The peak of the memory that Python allocates while ``ra`` is
+    certified, in MB."""
+    tracemalloc.start()
+    try:
+        certify_fan(ra)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificate_keeps_no_memo_per_facet():
+    # the certified walk stores no facet, only its path's tableau rows:
+    # 0.09 MB at n=5, where a sign per facet visited would take 0.39 MB
+    assert _traced_peak(build_rays("pattern", 5)) < 0.2
+
+
+@pytest.mark.fulltier
+def test_certificate_keeps_no_memo_per_facet_n6():
+    # 0.14 MB at n=6, where a sign per facet visited would take 2.8 MB
+    assert _traced_peak(build_rays("pattern", 6)) < 0.5
 
 
 def _contents(ra):

@@ -14,7 +14,16 @@ from multifan.subword import (
 )
 from multifan.words import Word, c_sorted_word, multiassociahedron_word
 
-from conftest import bfs_traverse, get_index, get_ridges, mirror, naive_flip, partners, rotate
+from conftest import (
+    bfs_traverse,
+    get_index,
+    get_ridges,
+    mirror,
+    naive_flip,
+    orientations,
+    partners,
+    rotate,
+)
 
 SMALL = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 LARGER = [(1, 5), (2, 4), (2, 5), (3, 3), (3, 4)]
@@ -121,6 +130,40 @@ def words_with_w0(draw):
 @given(words_with_w0())
 def test_walk_matches_bfs_on_drawn_words(w):
     _assert_walk_matches_bfs(w)
+
+
+def _assert_orientation_coherent(w):
+    """Every ridge (f, h), seen from f, the later of its facets in the
+    walk, with y leaving f and r entering h: e(f) e(h) = -(-1)^k, k the
+    positions of f and h strictly between y and r, read from masks of the
+    positions below y and r."""
+    orient = orientations(w)
+    order = {f: i for i, f in enumerate(orient)}
+    # below[r]: the positions before r
+    below = [0] + [(1 << r) - 1 for r in range(len(w))]
+    seen = 0
+    for f, flips, *_ in traverse(w):
+        for y, r, h in flips:
+            if order[h] < order[f]:
+                between = f & h & (below[y] ^ below[r])
+                assert orient[f] * orient[h] == -(-1) ** between.bit_count(), (w, f, h)
+                seen += 1
+    assert 2 * seen == sum(len(flips) for _, flips, *_ in traverse(w))
+
+
+@pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
+def test_orientation_is_coherent(k, n):
+    # the complex is a sphere, so the orientation that the walk carries
+    # down its tree agrees on every ridge, the tree's and every other
+    w = multiassociahedron_word(k, n)
+    for v in (w, rotate(w)[0], mirror(w)):
+        _assert_orientation_coherent(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_with_w0())
+def test_orientation_is_coherent_on_drawn_words(w):
+    _assert_orientation_coherent(w)
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
