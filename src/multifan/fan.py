@@ -33,18 +33,19 @@ enters it, as one field of its parent's tableau row of the entering
 ray, and for the base facet and every child of a singular facet by
 exchanges from the unit matrix or from the nearest regular cone, one
 position at a time; a facet's oriented sign, its determinant's sign
-times an orientation carried from parent to child; a ridge's status
+times an orientation carried from parent to child by the parity in the
+walk's entry, which signs the child's determinant too; a ridge's status
 after the walk, from the exceptions, the facets whose oriented sign is
 not the base's, as every other ridge is good; and the base condition,
 from the base point's tableau row, its Cramer numerators, by one sign
-test on the whole row.
-A cone's tableau row of a ray, or of the base point, holds its value on
-each column of the cone's adjugate, in the slot of that column's
-position, packed into one int (``_Layout``) of d fields wide enough by
-Hadamard's bound (``_width``), so that the exchange deriving it is one
-exact division of that int, as in the integer pivots of lrs (Avis).  No
-facet is visited twice, and the walk keeps only the exceptions, each
-with its flips, and the tableau rows read along its current path.
+test on the whole row.  A cone's tableau row of a ray, or of the base
+point, holds its value on each column of the cone's adjugate, in the
+slot of that column's position, packed into one int (``_Layout``) of d
+fields wide enough by Hadamard's bound (``_width``), so that the
+exchange deriving it is one exact division of that int, as in the
+integer pivots of lrs (Avis).  No facet is visited twice, and the walk
+keeps only the exceptions, each with its flips' entering positions, and
+the tableau rows read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 
@@ -230,9 +231,8 @@ class _Layout:
 
 
 def _odd(f: Facet, x: int, q: int) -> int:
-    """The parity of the positions of ``f`` strictly between x and q, for x
-    not in ``f``."""
-    return (f & (((1 << (x - 1)) - 1) ^ ((1 << (q - 1)) - 1)) & ~(1 << (q - 1))).bit_count() & 1
+    """The parity of the positions of ``f`` strictly between x and q."""
+    return (f & (1 << (max(x, q) - 1)) - (1 << min(x, q))).bit_count() & 1
 
 
 class _Cone:
@@ -277,18 +277,18 @@ class _Cone:
             self.rows[w] = row
         return row
 
-    def exchanged(self, x: int, q: int) -> _Cone:
+    def exchanged(self, x: int, q: int, s: int) -> _Cone:
         """This regular cone with position x exchanged for q, which takes
         x's slot: det' = s (r_q . C[x]), the field of that slot in R[q],
-        where s moves q's row from x's place to its own across the
-        positions strictly between them."""
+        where s = (-1)^k moves q's row from x's place to its own across
+        the k positions strictly between them."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
         shifts = self.shifts.copy()
         shift = shifts[q] = shifts.pop(x)
         cone = _Cone(f, 0, {}, shifts, self.layout, self)
-        cone.x, cone.q, cone.s = x, q, -1 if _odd(f, x, q) else 1
+        cone.x, cone.q, cone.s = x, q, s
         row = self.row(q)
-        cone.det = cone.s * self.layout.read(row, shift)
+        cone.det = s * self.layout.read(row, shift)
         cone.pivot = row - (self.det << shift)
         return cone
 
@@ -364,18 +364,18 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     With x leaving F and q entering G, the coefficient of ray x in ray q
     is (-1)^k det(G) / det(F), good when negative.  The complex is a
     sphere (Knutson-Miller), so its facets have a coherent orientation e:
-    e(base) = 1 and e(G) = -(-1)^k e(P) for G entered from P, so that
-    e(F) e(G) = -(-1)^k on every ridge, which is good iff the oriented
-    signs e sign(det) of F and G are equal and nonzero.  The walk stores
-    only the exceptions, the facets whose oriented sign is not the base's
-    nonzero one, each with the entering position of each flip, and
-    classifies every ridge at an exception after the walk, once.  Its
-    first exception has a parent of the base's sign, so before it no
-    ridge fails, and a facet's closed cone
-    contains p iff no numerator has the sign opposite to its determinant,
-    that is iff every field of sign(D') R'[p] is >= 0, one test on the
-    whole int (``_Cone.holds_point``); every cone on the path is then
-    regular.  Every ``SELF_CHECK_EVERY``-th facet is checked from scratch
+    e(base) = 1 and e(G) = -(-1)^k e(P) for G entered from P by the
+    walk's entry (x, q, k), whose k gives s too, so that e(F) e(G) =
+    -(-1)^k on every ridge, which is good iff the oriented signs e
+    sign(det) of F and G are equal and nonzero.  The walk stores only the
+    exceptions, the facets whose oriented sign is not the base's nonzero
+    one, each with the entering position of each flip, and classifies
+    every ridge at an exception after the walk, once.  Its first
+    exception has a parent of the base's sign, so before it no ridge
+    fails, and a facet's closed cone contains p iff no numerator has the
+    sign opposite to its determinant, that is iff every field of sign(D')
+    R'[p] is >= 0, one test on the whole int (``_Cone.holds_point``);
+    every cone on the path is then regular.  Every ``SELF_CHECK_EVERY``-th facet is checked from scratch
     (``_self_check``), one ray's field among its scalars.
     """
     rays = _int_rays(ra)
@@ -386,7 +386,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     singular = 0
     witness = point = None
     rank = ra.dim
-    for count, (g, flips, entry, depth) in enumerate(traverse(ra.word)):
+    for count, (g, entering, entry, depth) in enumerate(traverse(ra.word)):
         del path[depth:]
         if entry is None:
             point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
@@ -394,10 +394,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             if not cone.det:
                 point = None  # no point strictly inside a singular base
         else:
-            x, q, _ = entry
+            x, q, k = entry
             parent, orient = path[-1]
-            cone = parent.exchanged(x, q) if parent.det else _derive(parent.parent, g)
-            orient = orient if _odd(g, x, q) else -orient
+            cone = parent.exchanged(x, q, -1 if k else 1) if parent.det else _derive(parent.parent, g)
+            orient = orient if k else -orient
         det = cone.det
         sign = orient if det > 0 else -orient if det else 0
         if entry is None:
@@ -406,7 +406,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             singular += 1
             rank = min(rank, cone.route_rank())
         if sign != base or not sign:
-            exceptions[g] = (sign, *(q for _, q, _ in flips))
+            exceptions[g] = (sign, *entering)
         locate = not exceptions and point is not None
         if locate and entry is not None and (witness is None or g < witness):
             if cone.holds_point():
@@ -475,7 +475,7 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
             break
         outs.remove(x)
         ins.remove(q)
-        cone = cone.exchanged(x, q)
+        cone = cone.exchanged(x, q, -1 if _odd(cone.f, x, q) else 1)
     # no swap when g is a cone of the route to its parent
     return _Cone(g, 0, {}, parent=cone) if outs or ins else cone
 

@@ -13,9 +13,9 @@ one enumeration of the complex is :func:`traverse`, a reverse search of
 the increasing-flip tree that keeps only the path from the root, each
 level with its own copy of the facet's root configuration: the sorted
 facet list, the statistics and the certificate all consume it.  It
-yields every facet with all of its flips, so each ridge is seen from both
-of its facets; the tests check every flip against a 0-Hecke reference,
-and the walk against a breadth-first search, for small ranks.
+yields each facet with the entering position of each of its flips, so
+each ridge is seen from both of its facets; the tests check every flip
+against a 0-Hecke reference and the walk against a breadth-first search.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ __all__ = [
 
 # A facet as a bitset over 1-based positions: bit r-1 <-> position r.
 Facet = int
-# A flip (x, q, g): position x leaves the facet, q enters, g is the result.
-Flip = tuple[int, int, Facet]
 
 
 def bitset_of(positions) -> Facet:
@@ -129,13 +127,21 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], Flip | None, int]]:
-    """Every facet f once, as ``(f, flips, entry, depth)``: all of f's
-    flips ``(x, q, g)`` in position order, position x leaving and q
-    entering; the flip ``(x, q, parent)`` that entered f, None at the
-    root; and its depth in the tree.  Each facet is yielded before its
-    children, which follow in the order of their flips, and each ridge is
-    seen from both of its facets.
+def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] | None, int]]:
+    """Every facet f once, as ``(f, entering, entry, depth)``: q =
+    ``entering[i]`` enters when the i-th position x of f leaves; the flip
+    ``entry = (x, q, k)`` entered f from its parent f - q + x, k the
+    parity of f's positions strictly between q and x, None at the root;
+    and its depth in the tree.  Each facet is yielded before its children,
+    which follow in the order of their flips.  On c w0(2), the pentagon:
+
+    >>> for f, entering, entry, depth in traverse(Word(2, (1, 2, 1, 2, 1))):
+    ...     print(positions_of(f), entering, entry, depth)
+    (4, 5) [1, 3] None 0
+    (1, 5) [4, 2] (4, 1, 0) 1
+    (3, 4) [5, 2] (5, 3, 1) 1
+    (2, 3) [4, 1] (4, 2, 1) 2
+    (1, 2) [3, 5] (3, 1, 1) 3
 
     The walk is a reverse search (Avis-Fukuda), a depth-first search of
     the increasing-flip tree (Pilaud-Pocchiola).  Its root is the greedy
@@ -159,7 +165,8 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], Flip | None, int]]:
     ``refl[beta]``; x and q both carry beta, and every other position
     keeps its root.  Each level of the path holds its own ``key``, ``at``
     and sorted facet positions: a child gets updated copies of its
-    parent's, so leaving it drops them and undoes nothing.
+    parent's, so leaving it drops them and undoes nothing; the bisection
+    that puts q in the child's positions counts k.
     """
     root = greedy_facet(w)
     values = identity(w.rank)
@@ -180,24 +187,17 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], Flip | None, int]]:
     f, m, pos = root, len(key), list(positions_of(root))  # m(root) is past the last position
     # per facet on the path from the root: the facet, its roots, its
     # positions and its children not yet visited
-    path = []
-    entry = None
+    path, entry = [], None
     while True:
-        flips = []
-        children = []
-        for x in pos:
-            q = at[key[x]]
-            flip = (x, q, f ^ bit[x] | bit[q])
-            flips.append(flip)
-            if q < m:
-                children.append(flip)
-        yield f, flips, entry, len(path)
-        path.append((f, key, at, pos, iter(children)))
+        entering = [at[key[x]] for x in pos]
+        yield f, entering, entry, len(path)
+        path.append((f, key, at, pos, iter([(x, q) for x, q in zip(pos, entering) if q < m])))
         while path:
             parent, key, at, pos, pending = path[-1]
             child = next(pending, None)
             if child is not None:
-                x, q, f = child
+                x, q = child
+                f = parent ^ bit[x] | bit[q]
                 # q < x: position x leaves, q enters, and the roots
                 # strictly between them are reflected by beta's
                 beta = key[x]
@@ -213,7 +213,7 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[Flip], Flip | None, int]]:
                 i = bisect_left(pos, q)
                 j = bisect_left(pos, x, i)
                 pos = pos[:i] + [q] + pos[i:j] + pos[j + 1:]
-                m, entry = q, (x, q, parent)
+                m, entry = q, (x, q, (j - i) & 1)
                 break
             path.pop()
         else:

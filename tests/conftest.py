@@ -114,19 +114,42 @@ def bfs_traverse(w: Word):
         frontier = next_frontier
 
 
+def flips_of(f: Facet, entering) -> list[tuple[int, int, Facet]]:
+    """The flips ``(x, q, g)`` of a facet ``f`` from ``traverse``'s record
+    of it: position x of f leaves, ``entering[i]`` = q enters at the i-th
+    position x, and g is the facet reached."""
+    return [(x, q, f & ~(1 << (x - 1)) | 1 << (q - 1)) for x, q in zip(positions_of(f), entering)]
+
+
+def parent_of(f: Facet, entry) -> Facet:
+    """The facet that the walk entered ``f`` from by ``entry = (x, q, k)``:
+    the flip back, q leaving and x entering."""
+    x, q, _ = entry
+    return f & ~(1 << (q - 1)) | 1 << (x - 1)
+
+
+def old_records(w: Word):
+    """``traverse``'s records in the shape it once yielded, ``(f, flips,
+    (x, q, parent), depth)``, each rebuilt from the walk's own record."""
+    for f, entering, entry, depth in traverse(w):
+        old = None if entry is None else (*entry[:2], parent_of(f, entry))
+        yield f, flips_of(f, entering), old, depth
+
+
 def orientations(w: Word) -> dict[Facet, int]:
     """The orientation e of every facet, in walk order, propagated down
     ``traverse``'s records as the statistics walk does: e(root) = 1, and a
     facet G entered from P by the flip x -> q has e(G) = -e(P) (-1)^k, k
-    the positions of G strictly between x and q."""
+    the positions of G strictly between x and q, counted here from
+    scratch and not read from the walk's record."""
     orient = {}
     for f, _, entry, _ in traverse(w):
         if entry is None:
             orient[f] = 1
         else:
-            x, q, parent = entry
+            x, q, _ = entry
             k = sum(min(x, q) < r < max(x, q) for r in positions_of(f))
-            orient[f] = -orient[parent] * (-1) ** k
+            orient[f] = -orient[parent_of(f, entry)] * (-1) ** k
     return orient
 
 
@@ -140,7 +163,7 @@ def get_index(k: int, n: int):
 def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
     walk = traverse(multiassociahedron_word(k, n))
-    return tuple(sorted((f, g) for f, flips, *_ in walk for _, _, g in flips if f < g))
+    return tuple(sorted((f, g) for f, entering, *_ in walk for _, _, g in flips_of(f, entering) if f < g))
 
 
 # positions of c w0(2) in the angular order of the loday rays

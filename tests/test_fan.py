@@ -32,6 +32,7 @@ from conftest import (
     in_dimension,
     mirror,
     orientations,
+    parent_of,
     rotate,
 )
 from lp_oracle import lp_condition_one
@@ -491,8 +492,8 @@ def _row_sources(monkeypatch, ra):
     exchanged = fan._Cone.exchanged
     rays = fan._int_rays(ra)
 
-    def child(cone, x, q):
-        cone = exchanged(cone, x, q)
+    def child(cone, x, q, s):
+        cone = exchanged(cone, x, q, s)
         made[id(cone)] = cone, "exchanged from the parent"
         return cone
 
@@ -610,7 +611,7 @@ def test_singular_base_facet(monkeypatch, dependent):
 
 def _walk_cones(monkeypatch, ra):
     """``(cones, entries, derived)`` of the walk over ``ra``: the cone of
-    each facet, the flip ``(x, q, parent)`` that entered it, None at the
+    each facet, the flip ``(x, q, k)`` that entered it, None at the
     root, and every ``(cone, base)`` that ``_derive`` returned and started
     from, by the cone's ``id``."""
     entries, derived = {}, {}
@@ -650,7 +651,7 @@ def test_every_cone_reads_the_rows_of_a_regular_parent(monkeypatch, ra):
             assert cone.parent.det, positions_of(g)
         if entries[g] is None:
             continue
-        parent = cones[entries[g][2]]
+        parent = cones[parent_of(g, entries[g])]
         if parent.det:
             assert cone.parent is parent and id(cone) not in derived, positions_of(g)
         else:
@@ -974,6 +975,35 @@ def test_self_check_catches_a_wrong_rank(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"carried rank of cone \("):
         certify_fan(ra)
     assert misread == [7, 7]
+
+
+@pytest.mark.parametrize("construction", ["pattern", "linear"])
+def test_self_check_catches_a_wrong_entry_parity(monkeypatch, construction):
+    # the parity k of the walk's first entry flipped: the child's
+    # determinant and its orientation both change sign, so its oriented
+    # sign and every statistic stay the same, and the n=4 walk's sampled
+    # self-check, at the base alone, sees nothing; the self-check at every
+    # facet recomputes that child's determinant and fails the run there
+    ra = build_rays(construction, 4)
+    expected = repr(_stats(ra))
+    walk = fan.traverse
+    flipped = []
+
+    def faulty(word):
+        for f, entering, entry, depth in walk(word):
+            if entry is not None and not flipped:
+                flipped.append(f)
+                entry = (*entry[:2], entry[2] ^ 1)
+            yield f, entering, entry, depth
+
+    monkeypatch.setattr(fan, "traverse", faulty)
+    assert repr(_stats(ra)) == expected
+    assert positions_of(flipped[0]) == (1, 11, 12, 14, 15, 16, 17, 18)
+    flipped.clear()
+    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    message = r"carried determinant of cone \(1, 11, 12, 14, 15, 16, 17, 18\) is wrong"
+    with pytest.raises(ArithmeticError, match=message):
+        _stats(ra)
 
 
 def test_self_check_catches_a_wrong_numerator(monkeypatch):

@@ -16,11 +16,14 @@ from multifan.words import Word, c_sorted_word, multiassociahedron_word
 
 from conftest import (
     bfs_traverse,
+    flips_of,
     get_index,
     get_ridges,
     mirror,
     naive_flip,
+    old_records,
     orientations,
+    parent_of,
     partners,
     rotate,
 )
@@ -60,8 +63,8 @@ def test_naive_and_root_flips_agree(k, n):
     # every flip of every facet the traversal yields, against the 0-Hecke
     # reference: both sides of every ridge are checked
     w = multiassociahedron_word(k, n)
-    for f, flips, *_ in traverse(w):
-        for x, q, g in flips:
+    for f, entering, *_ in traverse(w):
+        for x, q, g in flips_of(f, entering):
             assert naive_flip(w, f, x) == (q, g)
 
 
@@ -71,12 +74,11 @@ def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
     w = multiassociahedron_word(k, n)
     facets = []
     ridges = []
-    for f, flips, *_ in traverse(w):
+    for f, entering, *_ in traverse(w):
         facets.append(f)
-        # one flip per position of the facet, in position order
-        assert [x for x, _, _ in flips] == list(positions_of(f))
-        for x, q, g in flips:
-            assert g == f & ~(1 << (x - 1)) | 1 << (q - 1)
+        # one flip per position of the facet, none entering at a position of f
+        assert len(entering) == f.bit_count() and not any(f >> (q - 1) & 1 for q in entering)
+        for x, q, g in flips_of(f, entering):
             ridges.append((f & g, f, g))
     assert len(facets) == len(set(facets))
     assert sorted(facets) == get_index(k, n).facets
@@ -89,7 +91,7 @@ def _assert_walk_matches_bfs(w):
     facets = [f for f, *_ in walked]
     assert len(facets) == len(set(facets))
     expected = {f: sorted(flips) for f, flips in bfs_traverse(w)}
-    assert {f: sorted(flips) for f, flips, *_ in walked} == expected
+    assert {f: sorted(flips_of(f, entering)) for f, entering, *_ in walked} == expected
 
 
 @pytest.mark.parametrize("k,n", SMALL + LARGER)
@@ -142,13 +144,13 @@ def _assert_orientation_coherent(w):
     # below[r]: the positions before r
     below = [0] + [(1 << r) - 1 for r in range(len(w))]
     seen = 0
-    for f, flips, *_ in traverse(w):
-        for y, r, h in flips:
+    for f, entering, *_ in traverse(w):
+        for y, r, h in flips_of(f, entering):
             if order[h] < order[f]:
                 between = f & h & (below[y] ^ below[r])
                 assert orient[f] * orient[h] == -(-1) ** between.bit_count(), (w, f, h)
                 seen += 1
-    assert 2 * seen == sum(len(flips) for _, flips, *_ in traverse(w))
+    assert 2 * seen == sum(len(entering) for _, entering, *_ in traverse(w))
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
@@ -166,6 +168,35 @@ def test_orientation_is_coherent_on_drawn_words(w):
     _assert_orientation_coherent(w)
 
 
+def _assert_entry_parity_counted(w):
+    """Each entry (x, q, k) of the walk over ``w`` against a count from
+    scratch: k is the parity of the positions of f strictly between q and
+    x, and the flip back, q leaving and x entering, gives the facet one
+    level up."""
+    path = []
+    for f, _, entry, depth in traverse(w):
+        del path[depth:]
+        if entry is not None:
+            x, q, k = entry
+            between = [r for r in positions_of(f) if min(x, q) < r < max(x, q)]
+            assert k == len(between) % 2, (w, positions_of(f), entry)
+            assert parent_of(f, entry) == path[-1], (w, positions_of(f), entry)
+        path.append(f)
+
+
+@pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
+def test_entry_parity_matches_a_count(k, n):
+    w = multiassociahedron_word(k, n)
+    for v in (w, rotate(w)[0], mirror(w)):
+        _assert_entry_parity_counted(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_with_w0())
+def test_entry_parity_matches_a_count_on_drawn_words(w):
+    _assert_entry_parity_counted(w)
+
+
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
 def test_carried_partners_match_root_configuration(k, n):
     # the roots the walk carries from facet to facet, against the roots of
@@ -173,9 +204,8 @@ def test_carried_partners_match_root_configuration(k, n):
     # the word, its rotation and its mirror image
     w = multiassociahedron_word(k, n)
     for v in (w, rotate(w)[0], mirror(w)):
-        for f, flips, *_ in traverse(v):
-            assert {x: q for x, q, _ in flips} == partners(v, f)
-            assert all(g == f & ~(1 << (x - 1)) | 1 << (q - 1) for x, q, g in flips)
+        for f, entering, *_ in traverse(v):
+            assert dict(zip(positions_of(f), entering)) == partners(v, f)
 
 
 @pytest.mark.parametrize("k,n,digest", [
@@ -184,11 +214,12 @@ def test_carried_partners_match_root_configuration(k, n):
 ], ids=["2-5", "3-3"])
 def test_walk_records_are_pinned(k, n, digest):
     # every record the walk yields, in order: the facet, its flips, the
-    # flip that entered it and its depth.  The statistics, first failures
+    # flip that entered it and its depth, as (x, q, parent), rebuilt in the
+    # shape that the walk once yielded.  The statistics, first failures
     # and witnesses all follow the walk's order, so a rewrite of the walk
     # must yield this same sequence
     h = hashlib.sha256()
-    for record in traverse(multiassociahedron_word(k, n)):
+    for record in old_records(multiassociahedron_word(k, n)):
         h.update(repr(record).encode() + b"\n")
     assert h.hexdigest() == digest
 
@@ -200,20 +231,21 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
     # exactly its decreasing flips that enter below q, the facets that
     # later records enter from f, in the order of those flips
     path = []
-    flips_of, children, entered = {}, {}, {}
-    for f, flips, entry, depth in traverse(multiassociahedron_word(k, n)):
+    flips, children, entered = {}, {}, {}
+    for f, entering, entry, depth in traverse(multiassociahedron_word(k, n)):
         assert depth <= len(path)
         del path[depth:]
         bound = float("inf")
         if entry is None:
             assert depth == 0
         else:
-            x, q, parent = entry
-            assert x > q and parent == path[-1] and (x, q, f) in flips_of[parent]
+            x, q, _ = entry
+            parent = parent_of(f, entry)
+            assert x > q and parent == path[-1] and (x, q, f) in flips[parent]
             entered.setdefault(parent, []).append((x, q, f))
             bound = q
-        flips_of[f] = flips
-        children[f] = [(x, q, g) for x, q, g in flips if q < x and q < bound]
+        flips[f] = flips_of(f, entering)
+        children[f] = [(x, q, g) for x, q, g in flips[f] if q < x and q < bound]
         path.append(f)
     assert all(entered.get(f, []) == kids for f, kids in children.items())
 
