@@ -165,8 +165,7 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
     ``refl[beta]``; x and q both carry beta, and every other position
     keeps its root.  Each level of the path holds its own ``key``, ``at``
     and sorted facet positions: a child gets updated copies of its
-    parent's, so leaving it drops them and undoes nothing; the bisection
-    that puts q in the child's positions counts k.
+    parent's, so leaving it drops them and undoes nothing.
     """
     root = greedy_facet(w)
     values = identity(w.rank)
@@ -185,8 +184,7 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
             at[key[q]] = q
 
     f, m, pos = root, len(key), list(positions_of(root))  # m(root) is past the last position
-    # per facet on the path from the root: the facet, its roots, its
-    # positions and its children not yet visited
+    # per level of the path: its facet, roots, positions and unvisited children
     path, entry = [], None
     while True:
         entering = [at[key[x]] for x in pos]
@@ -212,7 +210,9 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
                 at[beta] = x
                 i = bisect_left(pos, q)
                 j = bisect_left(pos, x, i)
-                pos = pos[:i] + [q] + pos[i:j] + pos[j + 1:]
+                pos = pos[:]
+                del pos[j]
+                pos.insert(i, q)
                 m, entry = q, (x, q, (j - i) & 1)
                 break
             path.pop()
