@@ -38,14 +38,18 @@ walk's entry, which signs the child's determinant too; a ridge's status
 after the walk, from the exceptions, the facets whose oriented sign is
 not the base's, as every other ridge is good; and the base condition,
 from the base point's tableau row, its Cramer numerators, by one sign
-test on the whole row.  A cone's tableau row of a ray, or of the base
-point, holds its value on each column of the cone's adjugate, in the
-slot of that column's position, packed into one int (``_Layout``) of d
-fields wide enough by Hadamard's bound (``_width``), so that the
-exchange deriving it is one exact division of that int, as in the
-integer pivots of lrs (Avis).  No facet is visited twice, and the walk
-keeps only the exceptions, each with its flips' entering positions, and
-the tableau rows read along its current path.
+test on the whole row, after one field of the parent's row of the point
+has not already ruled the cone out.  A cone's tableau row of a ray, or
+of the base point, holds its value on each column of the cone's
+adjugate, in the slot of that column's position, packed into one int
+(``_Layout``) of d fields wide enough by Hadamard's bound (``_width``),
+so that the exchange deriving it is one exact division of that int, as
+in the integer pivots of lrs (Avis).  A facet's cone is built only when
+something reads it: a child the walk enters, a singular facet's rank,
+the point test or a self-check; a leaf's determinant is the only thing
+the walk keeps of it.  No facet is visited twice, and the walk keeps
+only the exceptions, each with its flips' entering positions, and the
+tableau rows read along its current path.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 
@@ -62,7 +66,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exactla import bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
-from .subword import Facet, greedy_facet, positions_of, traverse
+from .subword import Facet, entering_positions, greedy_facet, positions_of, traverse
 
 if TYPE_CHECKING:
     from .rays import RayAssignment
@@ -178,7 +182,8 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     return RidgeReport(ridge, status, dep)
 
 
-# facets between two self-checks of the carried determinants
+# facets between two self-checks of the carried determinants, past the
+# facets whose index is a power of two, which are all checked
 SELF_CHECK_EVERY = 4096
 
 
@@ -244,14 +249,15 @@ class _Cone:
     position to K times its slot.  The row of a position of the cone is D
     in its slot and 0 elsewhere: it is never stored.
 
-    A cone made by ``exchanged`` records the flip x -> q and its sign
-    ``s`` that made it from its regular ``parent``: q holds x's slot, and
-    the ``pivot`` Q, set when the cone is made, is the parent's row of q
-    less D_P in that slot.  Every field that the walk reads is read from
-    the cone's own rows, each derived from the parent's on first use
-    (``row``).  The unit cone (``_unit``) starts with every row.  A
-    singular cone without ``q`` has no row, and its ``parent`` is the last
-    regular cone of its ``_derive`` route, to exchange its children from."""
+    A cone made by ``child``, the one constructor of exchanged cones,
+    records the flip x -> q and its sign ``s`` that made it from its
+    regular ``parent``: q holds x's slot, and the ``pivot`` Q, set when
+    the cone is made, is the parent's row of q less D_P in that slot.
+    Every field that the walk reads is read from the cone's own rows,
+    each derived from the parent's on first use (``row``).  The unit cone
+    (``_unit``) starts with every row.  A singular cone without ``q`` has
+    no row, and its ``parent`` is the last regular cone of its ``_derive``
+    route, to exchange its children from."""
 
     __slots__ = ("f", "det", "rows", "shifts", "layout", "parent", "x", "q", "s", "pivot")
 
@@ -282,13 +288,17 @@ class _Cone:
         x's slot: det' = s (r_q . C[x]), the field of that slot in R[q],
         where s = (-1)^k moves q's row from x's place to its own across
         the k positions strictly between them."""
+        row = self.row(q)
+        return self.child(x, q, s, row, s * self.layout.read(row, self.shifts[x]))
+
+    def child(self, x: int, q: int, s: int, row: int, det: int) -> _Cone:
+        """The cone that ``exchanged`` makes, from this cone's row R[q]
+        and the determinant det' read from it."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
         shifts = self.shifts.copy()
         shift = shifts[q] = shifts.pop(x)
-        cone = _Cone(f, 0, {}, shifts, self.layout, self)
+        cone = _Cone(f, det, {}, shifts, self.layout, self)
         cone.x, cone.q, cone.s = x, q, s
-        row = self.row(q)
-        cone.det = s * self.layout.read(row, shift)
         cone.pivot = row - (self.det << shift)
         return cone
 
@@ -352,6 +362,13 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     singular F cannot divide by D, so every child of F is exchanged by
     ``_derive`` from the regular cone that F came from.
 
+    G's cone is built (``_Cone.child``) only when a reader needs more than
+    D': when the walk enters a child of G, when G is singular and its
+    rank is read, when G's row of p is tested, or when G is self-checked.
+    ``traverse`` yields a facet's children right after it, so a leaf, a
+    facet without children, keeps nothing but D' and costs one row of its
+    parent and one field read.
+
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
     positions past the word's last, of determinant 1, whose tableau rows
     are the rays and p themselves.  ``_derive`` exchanges the base's rays
@@ -375,30 +392,57 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     fails, and a facet's closed cone contains p iff no numerator has the
     sign opposite to its determinant, that is iff every field of sign(D')
     R'[p] is >= 0, one test on the whole int (``_Cone.holds_point``);
-    every cone on the path is then regular.  Every ``SELF_CHECK_EVERY``-th facet is checked from scratch
-    (``_self_check``), one ray's field among its scalars.
+    every cone on the path is then regular.  One field decides most of
+    them first: the exchange leaves s t in q's slot of R'[p], t the field
+    of x's slot in the parent's R[p], so if s t D' < 0, p's numerator in
+    q's slot has the sign opposite to D' and G's closed cone cannot hold
+    p, and neither G's cone nor its R'[p] is made; a zero numerator counts
+    as inside, so it still takes the whole test.  The facets whose index
+    in the walk is a power of two, and every ``SELF_CHECK_EVERY``-th, are
+    checked from scratch (``_self_check``), one ray's field among their
+    scalars.
     """
     rays = _int_rays(ra)
     # the exceptions: facet -> (its oriented sign, the entering position
     # of each of its flips, in position order)
     exceptions: dict[Facet, tuple[int, ...]] = {}
+    # the built cones of the ancestors of the facet at hand, with their
+    # orientations
     path: list[tuple[_Cone, int]] = []
     singular = 0
     witness = point = None
     rank = ra.dim
-    for count, (g, entering, entry, depth) in enumerate(traverse(ra.word)):
-        del path[depth:]
+    for count, (g, key, at, entry, depth) in enumerate(traverse(ra.word)):
+        if depth > len(path):
+            # the last facet is g's parent: its cone is read from now on
+            if cone is None:
+                cone = parent.child(x, q, s, row, det)
+            path.append((cone, orient))
+        else:
+            del path[depth:]
         if entry is None:
             point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
-            cone, orient = _derive(_unit(rays, point), g), 1
-            if not cone.det:
+            unit = _unit(rays, point)
+            read = unit.layout.read
+            cone, orient = _derive(unit, g), 1
+            det = cone.det
+            if not det:
                 point = None  # no point strictly inside a singular base
         else:
             x, q, k = entry
             parent, orient = path[-1]
-            cone = parent.exchanged(x, q, -1 if k else 1) if parent.det else _derive(parent.parent, g)
+            s = -1 if k else 1
             orient = orient if k else -orient
-        det = cone.det
+            if parent.det:
+                # g's determinant is one field of the parent's row of q;
+                # its cone is built only when read, a singular one for
+                # its rank
+                row = parent.row(q)
+                det = s * read(row, parent.shifts[x])
+                cone = parent.child(x, q, s, row, det) if not det else None
+            else:
+                cone = _derive(parent.parent, g)
+                det = cone.det
         sign = orient if det > 0 else -orient if det else 0
         if entry is None:
             base = sign
@@ -406,14 +450,21 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             singular += 1
             rank = min(rank, cone.route_rank())
         if sign != base or not sign:
-            exceptions[g] = (sign, *entering)
+            exceptions[g] = (sign, *entering_positions(g, key, at))
         locate = not exceptions and point is not None
         if locate and entry is not None and (witness is None or g < witness):
-            if cone.holds_point():
-                witness = g
-        if count % SELF_CHECK_EVERY == 0:
+            # p's numerator in q's slot of g is s times the field of x's
+            # slot in the parent's row of p: of the sign opposite to det,
+            # it keeps p out of g's closed cone
+            if s * read(parent.row(None), parent.shifts[x]) * det >= 0:
+                if cone is None:
+                    cone = parent.child(x, q, s, row, det)
+                if cone.holds_point():
+                    witness = g
+        if not count & (count - 1) or not count % SELF_CHECK_EVERY:
+            if cone is None:
+                cone = parent.child(x, q, s, row, det)
             _self_check(rays, cone, point if locate else None)
-        path.append((cone, orient))
     bad = degenerate = 0
     least = failure = None
     for f, (sign, *entering) in exceptions.items():

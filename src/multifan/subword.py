@@ -13,9 +13,11 @@ one enumeration of the complex is :func:`traverse`, a reverse search of
 the increasing-flip tree that keeps only the path from the root, each
 level with its own copy of the facet's root configuration: the sorted
 facet list, the statistics and the certificate all consume it.  It
-yields each facet with the entering position of each of its flips, so
-each ridge is seen from both of its facets; the tests check every flip
-against a 0-Hecke reference and the walk against a breadth-first search.
+yields each facet with its level's root configuration, from which
+``entering_positions`` reads the entering position of each of its
+flips, so each ridge is seen from both of its facets; the tests check
+every flip against a 0-Hecke reference and the walk against a
+breadth-first search.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "greedy_facet",
     "root_configuration",
     "traverse",
+    "entering_positions",
     "all_facets",
     "format_facet_file",
 ]
@@ -127,16 +130,18 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] | None, int]]:
-    """Every facet f once, as ``(f, entering, entry, depth)``: q =
-    ``entering[i]`` enters when the i-th position x of f leaves; the flip
-    ``entry = (x, q, k)`` entered f from its parent f - q + x, k the
-    parity of f's positions strictly between q and x, None at the root;
-    and its depth in the tree.  Each facet is yielded before its children,
-    which follow in the order of their flips.  On c w0(2), the pentagon:
+def traverse(w: Word) -> Iterator[tuple[Facet, list[int], list[int], tuple[int, int, int] | None, int]]:
+    """Every facet f once, as ``(f, key, at, entry, depth)``: ``key`` and
+    ``at``, f's root configuration as the walk carries it, give the
+    entering position ``at[key[y]]`` of the flip at each position y of f
+    (``entering_positions``); the flip ``entry = (x, q, k)`` entered f
+    from its parent f - q + x, k the parity of f's positions strictly
+    between q and x, None at the root; and its depth in the tree.  Each
+    facet is yielded before its children, which follow in the order of
+    their flips.  On c w0(2), the pentagon:
 
-    >>> for f, entering, entry, depth in traverse(Word(2, (1, 2, 1, 2, 1))):
-    ...     print(positions_of(f), entering, entry, depth)
+    >>> for f, key, at, entry, depth in traverse(Word(2, (1, 2, 1, 2, 1))):
+    ...     print(positions_of(f), entering_positions(f, key, at), entry, depth)
     (4, 5) [1, 3] None 0
     (1, 5) [4, 2] (4, 1, 0) 1
     (3, 4) [5, 2] (5, 3, 1) 1
@@ -154,7 +159,8 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
     flips, and q flips back up to x.  Such a flip decreases, since an
     increasing flip of F has q > x >= m(F).  So no parent test and no
     visited set is needed, only the path from the root, at most 29
-    facets deep at n=7.
+    facets deep at n=7, and a facet without children, a leaf, never
+    joins it.
 
     The root configuration is computed once, at the root, and carried
     along the path.  The roots, the pairs of values, are numbered once;
@@ -165,7 +171,9 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
     ``refl[beta]``; x and q both carry beta, and every other position
     keeps its root.  Each level of the path holds its own ``key``, ``at``
     and sorted facet positions: a child gets updated copies of its
-    parent's, so leaving it drops them and undoes nothing.
+    parent's, so leaving it drops them and undoes nothing, and the
+    arrays yielded with a facet never change afterwards.  They belong to
+    the walk: a consumer may keep them, but must not mutate them.
     """
     root = greedy_facet(w)
     values = identity(w.rank)
@@ -187,9 +195,10 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
     # per level of the path: its facet, roots, positions and unvisited children
     path, entry = [], None
     while True:
-        entering = [at[key[x]] for x in pos]
-        yield f, entering, entry, len(path)
-        path.append((f, key, at, pos, iter([(x, q) for x, q in zip(pos, entering) if q < m])))
+        yield f, key, at, entry, len(path)
+        children = [(x, q) for x in pos if (q := at[key[x]]) < m]
+        if children:
+            path.append((f, key, at, pos, iter(children)))
         while path:
             parent, key, at, pos, pending = path[-1]
             child = next(pending, None)
@@ -218,6 +227,13 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], tuple[int, int, int] |
             path.pop()
         else:
             return
+
+
+def entering_positions(f: Facet, key: list[int], at: list[int]) -> list[int]:
+    """The entering position of the flip at each position of ``f``, in
+    position order, from the ``key`` and ``at`` that ``traverse`` yields
+    with f."""
+    return [at[key[y]] for y in positions_of(f)]
 
 
 class ComplexIndex(NamedTuple):

@@ -5,6 +5,7 @@ from multifan.rays import RayAssignment
 from multifan.subword import (
     Facet,
     all_facets,
+    entering_positions,
     greedy_facet,
     positions_of,
     root_configuration,
@@ -114,11 +115,12 @@ def bfs_traverse(w: Word):
         frontier = next_frontier
 
 
-def flips_of(f: Facet, entering) -> list[tuple[int, int, Facet]]:
+def flips_of(f: Facet, key, at) -> list[tuple[int, int, Facet]]:
     """The flips ``(x, q, g)`` of a facet ``f`` from ``traverse``'s record
-    of it: position x of f leaves, ``entering[i]`` = q enters at the i-th
-    position x, and g is the facet reached."""
-    return [(x, q, f & ~(1 << (x - 1)) | 1 << (q - 1)) for x, q in zip(positions_of(f), entering)]
+    of it: position x of f leaves, q = ``at[key[x]]`` enters, and g is
+    the facet reached, in the order of f's positions."""
+    return [(x, q, f & ~(1 << (x - 1)) | 1 << (q - 1))
+            for x, q in zip(positions_of(f), entering_positions(f, key, at))]
 
 
 def parent_of(f: Facet, entry) -> Facet:
@@ -131,9 +133,9 @@ def parent_of(f: Facet, entry) -> Facet:
 def old_records(w: Word):
     """``traverse``'s records in the shape it once yielded, ``(f, flips,
     (x, q, parent), depth)``, each rebuilt from the walk's own record."""
-    for f, entering, entry, depth in traverse(w):
+    for f, key, at, entry, depth in traverse(w):
         old = None if entry is None else (*entry[:2], parent_of(f, entry))
-        yield f, flips_of(f, entering), old, depth
+        yield f, flips_of(f, key, at), old, depth
 
 
 def orientations(w: Word) -> dict[Facet, int]:
@@ -143,7 +145,7 @@ def orientations(w: Word) -> dict[Facet, int]:
     the positions of G strictly between x and q, counted here from
     scratch and not read from the walk's record."""
     orient = {}
-    for f, _, entry, _ in traverse(w):
+    for f, _, _, entry, _ in traverse(w):
         if entry is None:
             orient[f] = 1
         else:
@@ -163,7 +165,7 @@ def get_index(k: int, n: int):
 def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
     walk = traverse(multiassociahedron_word(k, n))
-    return tuple(sorted((f, g) for f, entering, *_ in walk for _, _, g in flips_of(f, entering) if f < g))
+    return tuple(sorted((f, g) for f, key, at, *_ in walk for _, _, g in flips_of(f, key, at) if f < g))
 
 
 # positions of c w0(2) in the angular order of the loday rays

@@ -412,9 +412,77 @@ def test_whole_row_location_matches_the_fields(monkeypatch):
             fields = [cone.layout.read(row, cone.shifts[c]) for c in positions_of(cone.f)]
             assert fields == numerators and holds == all(v * cone.det >= 0 for v in fields), ra.rays
             outcomes[holds, 0 in fields] += 1
-    # (holds, a field is 0): 2,968, 14, 81 and 3 times
-    assert outcomes[False, False] >= 1000 and outcomes[True, False] >= 10, outcomes
+    # (holds, a field is 0): 463, 14, 19 and 3 times; the facets that one
+    # field of the parent's row of p rules out are never tested here
+    # (test_point_pretest_is_exact)
+    assert outcomes[False, False] >= 400 and outcomes[True, False] >= 10, outcomes
     assert outcomes[False, True] >= 10 and outcomes[True, True] >= 2, outcomes
+
+
+def _pretest_outcomes(monkeypatch, ra):
+    """Replay the walk's point location over ``ra`` from scratch and
+    check its one-field pre-test at every facet where the walk locates
+    p: the whole row of p is tested exactly when p's Cramer numerator in
+    the entering position q, by ``bareiss_det``, does not have the sign
+    opposite to the facet's determinant.  Returns a count of (tested, that
+    numerator is 0) over those facets."""
+    walked, tested = [], set()
+    walk, holds_point = fan.traverse, fan._Cone.holds_point
+
+    def recorded(word):
+        for record in walk(word):
+            walked.append((record[0], record[3]))
+            yield record
+
+    def located(cone):
+        tested.add(cone.f)
+        return holds_point(cone)
+
+    with monkeypatch.context() as m:
+        m.setattr(fan, "traverse", recorded)
+        m.setattr(fan._Cone, "holds_point", located)
+        witness = _stats(ra)[2]
+    rays = fan._int_rays(ra)
+    base = fan._cone(rays, walked[0][0])
+    point = [sum(i * row[k] for i, row in enumerate(base, 1)) for k in range(ra.dim)]
+    orient = orientations(ra.word)
+    outcomes = collections.Counter()
+    least = None
+    for g, entry in walked:
+        rows = fan._cone(rays, g)
+        det = exactla.bareiss_det(rows)
+        sign = orient[g] * (det > 0) - orient[g] * (det < 0)
+        if entry is None:
+            first = sign
+        if sign != first or not sign:
+            break  # the first exception ends the point location
+        if entry is None or (least is not None and g > least):
+            continue
+        numerators = [exactla.bareiss_det(rows[:k] + [point] + rows[k + 1:]) for k in range(ra.dim)]
+        numerator = numerators[positions_of(g).index(entry[1])]
+        assert (g in tested) == (numerator * det >= 0), (positions_of(g), entry, numerator, det)
+        outcomes[g in tested, numerator == 0] += 1
+        if all(v * det >= 0 for v in numerators):
+            least = g
+    assert witness == least, ra.rays
+    return outcomes
+
+
+def test_point_pretest_is_exact(monkeypatch):
+    # the walk skips the test of a cone's whole row of p exactly where one
+    # field of its parent's row of p, s times p's numerator in the
+    # entering position, has the sign opposite to the cone's determinant;
+    # a zero numerator runs the whole test, as it counts as inside.  The
+    # boundary rays have such a zero numerator, at the cone (1, 2).  Over
+    # these cases, (tested, numerator 0): 1,522 skipped, 412 and 1 tested
+    cases = [build_rays(name, n, seed) for name, seed in
+             [("pattern", None), ("loday", None), ("perturbed", 1), ("perturbed", 3)] for n in (1, 2, 3, 4)]
+    cases += [double_cover_rays(), _boundary_rays()]
+    outcomes = collections.Counter()
+    for ra in cases:
+        outcomes += _pretest_outcomes(monkeypatch, ra)
+    assert outcomes[False, False] >= 1000 and outcomes[True, False] >= 100, outcomes
+    assert _pretest_outcomes(monkeypatch, _boundary_rays())[True, True] == 1
 
 
 def _boundary_rays():
@@ -477,8 +545,9 @@ def test_self_check_passes_at_every_facet(monkeypatch, construction, seed):
 
 
 def _row_sources(monkeypatch, ra):
-    """Label each cone that ``exchanged`` and ``_derive`` make by how it
-    gets its rows; the map from ``id`` to ``(cone, label)`` keeps every
+    """Label each cone that ``_Cone.child`` and ``_derive`` make by how it
+    gets its rows: ``child`` builds every exchanged cone, those that
+    ``_stats`` builds only when it reads them among them; the map from ``id`` to ``(cone, label)`` keeps every
     cone, so that no id is reused.  A derived cone is checked against the
     rule of ``_derive``: its route from ``base`` is one step per position
     exchanged, each to a regular cone, and it is stuck, with no row, exactly
@@ -489,11 +558,11 @@ def _row_sources(monkeypatch, ra):
     so has only singular children."""
     made = {}
     derive = fan._derive
-    exchanged = fan._Cone.exchanged
+    child = fan._Cone.child
     rays = fan._int_rays(ra)
 
-    def child(cone, x, q, s):
-        cone = exchanged(cone, x, q, s)
+    def exchanged(cone, *args):
+        cone = child(cone, *args)
         made[id(cone)] = cone, "exchanged from the parent"
         return cone
 
@@ -519,7 +588,7 @@ def _row_sources(monkeypatch, ra):
         made[id(cone)] = cone, label
         return cone
 
-    monkeypatch.setattr(fan._Cone, "exchanged", child)
+    monkeypatch.setattr(fan._Cone, "child", exchanged)
     monkeypatch.setattr(fan, "_derive", derived)
     return made
 
@@ -619,7 +688,7 @@ def _walk_cones(monkeypatch, ra):
 
     def recorded(word):
         for record in walk(word):
-            entries[record[0]] = record[2]
+            entries[record[0]] = record[3]
             yield record
 
     def routed(base, g):
@@ -857,25 +926,38 @@ def test_stuck_routes_rank_their_cones(monkeypatch, construction, expected):
 def test_walk_derives_few_columns_and_ranks(monkeypatch):
     # every cone reads its fields from its own rows, each derived once
     # from its parent's, and every singular cone is ranked by its route.
-    # The pattern n=5 certificate derives 10,909 tableau rows of d = 10
+    # The pattern n=5 certificate derives 9,349 tableau rows of d = 10
     # fields, d (d - 1) / 2 = 45 of them on the route from the unit matrix
-    # to the base, and the naive n=5 walk 7,622; as tableau columns of
+    # to the base, and the naive n=5 walk 7,572; as tableau columns of
     # m + 1 = 26 fields they took 5,859 and 6,661 exchanges.  So the fields
-    # moved fall from 152,334 to 109,090 and from 173,186 to 76,220.  None
-    # of the 782 singular cones of the naive n=5 rays is ranked by int_rank
+    # moved fall from 152,334 to 93,490 and from 173,186 to 75,720.  A
+    # leaf's cone is not built, and p's row of a cone is derived only when
+    # one field of its parent's row of p leaves p's location open: 1,166
+    # of the 4,718 other facets of the pattern n=5 walk test their whole
+    # row of p.  None of the 782 singular cones of the naive n=5 rays is
+    # ranked by int_rank
     derived = []
+    located = []
+    holds_point = fan._Cone.holds_point
 
     def counted(*args):
         derived.append(args)
         return exactla.exchange_column(*args)
 
+    def tested(cone):
+        located.append(cone)
+        return holds_point(cone)
+
     with monkeypatch.context() as m:
         m.setattr(fan, "exchange_column", counted)
-        for construction, rows, columns in [("pattern", 10909, 5859), ("naive", 7622, 6661)]:
+        m.setattr(fan._Cone, "holds_point", tested)
+        for construction, rows, columns, tests in [("pattern", 9349, 5859, 1166), ("naive", 7572, 6661, 30)]:
             derived.clear()
+            located.clear()
             ra = build_rays(construction, 5)
             assert _stats(ra)[0].cones == 4719 and (ra.dim, len(ra.word)) == (10, 25)
             assert len(derived) == rows and len(derived) * ra.dim <= columns * 26, (construction, len(derived))
+            assert len(located) == tests, (construction, len(located))
     calls, stuck, stats = _rank_calls(monkeypatch, build_rays("naive", 5))
     assert stats.degenerate_cones == 782
     assert calls == 0, (calls, stuck)
@@ -981,26 +1063,29 @@ def test_self_check_catches_a_wrong_rank(monkeypatch):
 def test_self_check_catches_a_wrong_entry_parity(monkeypatch, construction):
     # the parity k of the walk's first entry flipped: the child's
     # determinant and its orientation both change sign, so its oriented
-    # sign and every statistic stay the same, and the n=4 walk's sampled
-    # self-check, at the base alone, sees nothing; the self-check at every
-    # facet recomputes that child's determinant and fails the run there
+    # sign and every statistic stay the same, and without a self-check
+    # the n=4 walk sees nothing; the sampled self-check at its default
+    # rate, which takes facet 1, recomputes that child's determinant and
+    # fails the run there
     ra = build_rays(construction, 4)
     expected = repr(_stats(ra))
     walk = fan.traverse
     flipped = []
 
     def faulty(word):
-        for f, entering, entry, depth in walk(word):
+        for f, key, at, entry, depth in walk(word):
             if entry is not None and not flipped:
                 flipped.append(f)
                 entry = (*entry[:2], entry[2] ^ 1)
-            yield f, entering, entry, depth
+            yield f, key, at, entry, depth
 
     monkeypatch.setattr(fan, "traverse", faulty)
-    assert repr(_stats(ra)) == expected
+    with monkeypatch.context() as m:
+        m.setattr(fan, "_self_check", lambda rays, cone, point: None)
+        assert repr(_stats(ra)) == expected
     assert positions_of(flipped[0]) == (1, 11, 12, 14, 15, 16, 17, 18)
     flipped.clear()
-    monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
+    assert fan.SELF_CHECK_EVERY == 4096
     message = r"carried determinant of cone \(1, 11, 12, 14, 15, 16, 17, 18\) is wrong"
     with pytest.raises(ArithmeticError, match=message):
         _stats(ra)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from multifan.subword import (
     all_facets,
     bitset_of,
+    entering_positions,
     format_facet_file,
     greedy_facet,
     is_face,
@@ -63,8 +64,8 @@ def test_naive_and_root_flips_agree(k, n):
     # every flip of every facet the traversal yields, against the 0-Hecke
     # reference: both sides of every ridge are checked
     w = multiassociahedron_word(k, n)
-    for f, entering, *_ in traverse(w):
-        for x, q, g in flips_of(f, entering):
+    for f, key, at, *_ in traverse(w):
+        for x, q, g in flips_of(f, key, at):
             assert naive_flip(w, f, x) == (q, g)
 
 
@@ -74,11 +75,12 @@ def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
     w = multiassociahedron_word(k, n)
     facets = []
     ridges = []
-    for f, entering, *_ in traverse(w):
+    for f, key, at, *_ in traverse(w):
         facets.append(f)
         # one flip per position of the facet, none entering at a position of f
+        entering = entering_positions(f, key, at)
         assert len(entering) == f.bit_count() and not any(f >> (q - 1) & 1 for q in entering)
-        for x, q, g in flips_of(f, entering):
+        for x, q, g in flips_of(f, key, at):
             ridges.append((f & g, f, g))
     assert len(facets) == len(set(facets))
     assert sorted(facets) == get_index(k, n).facets
@@ -91,7 +93,7 @@ def _assert_walk_matches_bfs(w):
     facets = [f for f, *_ in walked]
     assert len(facets) == len(set(facets))
     expected = {f: sorted(flips) for f, flips in bfs_traverse(w)}
-    assert {f: sorted(flips_of(f, entering)) for f, entering, *_ in walked} == expected
+    assert {f: sorted(flips_of(f, key, at)) for f, key, at, *_ in walked} == expected
 
 
 @pytest.mark.parametrize("k,n", SMALL + LARGER)
@@ -109,7 +111,8 @@ def test_walk_matches_bfs_on_rotated_and_mirrored_words(k, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_on_reduced_word_of_w0(n):
     # the complement of the empty facet is the whole word: one facet, no flip
-    assert list(traverse(c_sorted_word(n))) == [(0, [], None, 0)]
+    [(f, key, at, entry, depth)] = traverse(c_sorted_word(n))
+    assert (f, entering_positions(f, key, at), entry, depth) == (0, [], None, 0)
     _assert_walk_matches_bfs(c_sorted_word(n))
 
 
@@ -144,13 +147,13 @@ def _assert_orientation_coherent(w):
     # below[r]: the positions before r
     below = [0] + [(1 << r) - 1 for r in range(len(w))]
     seen = 0
-    for f, entering, *_ in traverse(w):
-        for y, r, h in flips_of(f, entering):
+    for f, key, at, *_ in traverse(w):
+        for y, r, h in flips_of(f, key, at):
             if order[h] < order[f]:
                 between = f & h & (below[y] ^ below[r])
                 assert orient[f] * orient[h] == -(-1) ** between.bit_count(), (w, f, h)
                 seen += 1
-    assert 2 * seen == sum(len(entering) for _, entering, *_ in traverse(w))
+    assert 2 * seen == sum(len(flips_of(f, key, at)) for f, key, at, *_ in traverse(w))
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
@@ -174,7 +177,7 @@ def _assert_entry_parity_counted(w):
     x, and the flip back, q leaving and x entering, gives the facet one
     level up."""
     path = []
-    for f, _, entry, depth in traverse(w):
+    for f, _, _, entry, depth in traverse(w):
         del path[depth:]
         if entry is not None:
             x, q, k = entry
@@ -204,8 +207,20 @@ def test_carried_partners_match_root_configuration(k, n):
     # the word, its rotation and its mirror image
     w = multiassociahedron_word(k, n)
     for v in (w, rotate(w)[0], mirror(w)):
-        for f, entering, *_ in traverse(v):
-            assert dict(zip(positions_of(f), entering)) == partners(v, f)
+        for f, key, at, *_ in traverse(v):
+            assert dict(zip(positions_of(f), entering_positions(f, key, at))) == partners(v, f)
+
+
+@pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
+def test_yielded_roots_never_change(k, n):
+    # the walk owns the key and at it yields with a facet, and a child
+    # copies its parent's: read again after the whole walk, every record
+    # gives the same entering positions as when it was yielded
+    records = []
+    for f, key, at, *_ in traverse(multiassociahedron_word(k, n)):
+        records.append((f, key, at, entering_positions(f, key, at), key[:], at[:]))
+    for f, key, at, entering, key_then, at_then in records:
+        assert (key, at) == (key_then, at_then) and entering_positions(f, key, at) == entering
 
 
 @pytest.mark.parametrize("k,n,digest", [
@@ -232,7 +247,7 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
     # later records enter from f, in the order of those flips
     path = []
     flips, children, entered = {}, {}, {}
-    for f, entering, entry, depth in traverse(multiassociahedron_word(k, n)):
+    for f, key, at, entry, depth in traverse(multiassociahedron_word(k, n)):
         assert depth <= len(path)
         del path[depth:]
         bound = float("inf")
@@ -244,7 +259,7 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
             assert x > q and parent == path[-1] and (x, q, f) in flips[parent]
             entered.setdefault(parent, []).append((x, q, f))
             bound = q
-        flips[f] = flips_of(f, entering)
+        flips[f] = flips_of(f, key, at)
         children[f] = [(x, q, g) for x, q, g in flips[f] if q < x and q < bound]
         path.append(f)
     assert all(entered.get(f, []) == kids for f, kids in children.items())
