@@ -451,7 +451,7 @@ def _pretest_outcomes(monkeypatch, ra):
     for g, entry in walked:
         rows = fan._cone(rays, g)
         det = exactla.bareiss_det(rows)
-        sign = orient[g] * (det > 0) - orient[g] * (det < 0)
+        sign = orient[g] * ((det > 0) - (det < 0))
         if entry is None:
             first = sign
         if sign != first or not sign:
