@@ -14,9 +14,9 @@ same positive factor.  On the perturbed n=6 rays that factor has 98 bits,
 and the median determinant of the walk drops from 216 to 118 bits.
 ``solve_unique`` works on Fractions directly.
 
-``bareiss_det`` and ``int_rank`` share one elimination with deferred
-scaling.  Bareiss' step k replaces every entry x of a row below the pivot
-row by
+``bareiss_det``, ``first_row_dets`` and ``int_rank`` share one
+elimination with deferred scaling.  Bareiss' step k replaces every entry
+x of a row below the pivot row by
 ``(x * p_k - a * y) // p_{k-1}``, where a is the row's entry in the pivot
 column and y the pivot row's entry.  A row whose a is 0 would only be
 multiplied by p_k / p_{k-1}, so it is left untouched; each row instead
@@ -30,7 +30,11 @@ the row swaps and of the column order.
 
 The elimination runs from the last column to the first, so an updated
 row is just its entries left of the pivot column and is never sliced
-apart and joined again.
+apart and joined again.  It can stop before the first columns:
+``first_row_dets`` puts the transposed d - 1 rows shared by several d x d
+matrices last and each matrix's own first row first, so that one
+elimination serves them all, and ``bareiss_det`` is its case of one
+matrix.
 
 ``exchange_column`` serves the certifier's walk, which carries each
 facet's adjugate from its parent's, starting from the unit matrix (see
@@ -67,11 +71,15 @@ from fractions import Fraction
 __all__ = [
     "scale_to_int",
     "bareiss_det",
+    "first_row_dets",
     "int_rank",
     "exchange_column",
     "solve_unique",
     "feasible_nonneg",
 ]
+
+# the rows of an integer matrix
+IntMatrix = Sequence[Sequence[int]]
 
 
 def scale_to_int(vec) -> tuple[int, ...]:
@@ -86,13 +94,15 @@ def scale_to_int(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _eliminate(rows: IntMatrix, lead: int = 0) -> tuple:
     """Fraction-free elimination to row echelon form with deferred
-    scaling, from the last column to the first.
+    scaling, from the last column to the first, stopping before the first
+    ``lead`` columns.
 
-    Returns ``(r, last)``: the number of pivots found and the last pivot,
-    brought up to date and signed by the row swaps and the column
-    reversal.  ``rows`` is never modified.
+    Returns ``(r, sign, last, m, div)``: the number of pivots found, the
+    sign of the row swaps and of the reversal of as many columns as rows,
+    the last pivot, brought up to date, and the rows and their divisors
+    as the elimination left them.  ``rows`` is never modified.
     """
     m = list(rows)
     nrows = len(m)
@@ -101,7 +111,7 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     sign = -1 if nrows % 4 in (2, 3) else 1
     prev = 1
     r = 0
-    for c in reversed(range(len(m[0]) if m else 0)):
+    for c in reversed(range(lead, len(m[0]) if m else 0)):
         if r == nrows:
             break
         if m[r][c] == 0:
@@ -131,20 +141,36 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
                 m[i] = [(x * pivot - a * y) // d for x, y in zip(ri, head)]
                 div[i] = pivot
         prev = pivot
-    return r, sign * prev
+    return r, sign, prev, m, div
 
 
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+def bareiss_det(rows: IntMatrix) -> int:
     """Determinant of a square integer matrix by fraction-free elimination.
 
     >>> bareiss_det([[0, 2, 1], [3, 0, 0], [0, 0, 4]])
     -24
     """
-    r, last = _eliminate(rows)
-    return last if r == len(rows) else 0
+    return first_row_dets(rows[1:], rows[:1])[0] if rows else 1
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
+def first_row_dets(rows: IntMatrix, firsts: IntMatrix) -> list[int]:
+    """det([v] + rows) for each v of ``firsts``, of the d - 1 ``rows`` of
+    length d, which are eliminated once: transposed, they are the last d -
+    1 columns of the d x (e + d - 1) matrix whose first e columns are the
+    e vectors v, and the elimination stops before those.  If it finds
+    d - 1 pivots, it leaves one row, whose entry in v's column, brought
+    up to date, is the last pivot of det([v | rows^T]) = det([v] + rows).
+
+    >>> first_row_dets([[3, 0, 0], [0, 0, 4]], [[0, 2, 1], [1, 1, 1]])
+    [-24, -12]
+    """
+    r, sign, last, m, div = _eliminate(list(zip(*firsts, *rows)), len(firsts))
+    if r < len(rows):
+        return [0] * len(firsts)
+    return [sign * x * last // div[-1] for x in m[-1][:len(firsts)]]
+
+
+def int_rank(rows: IntMatrix) -> int:
     """Rank of an integer matrix by fraction-free row echelon elimination.
 
     >>> int_rank([[0, 1, 2], [0, 2, 4], [1, 0, 0]])

@@ -28,13 +28,14 @@ exchanged-ray coefficients are automatically nonzero, so the sign test
 reduces to one determinant per facet and an orientation of the complex.
 
 Each fact is decided once, in one walk of the flip graph rooted at the
-base facet (``subword.traverse``): a facet's determinant when the walk
-enters it, as one field of its parent's tableau row of the entering
-ray, and for the base facet and every child of a singular facet by
-exchanges from the unit matrix or from the nearest regular cone, one
-position at a time; a facet's oriented sign, its determinant's sign
-times an orientation carried from parent to child by the parity in the
-walk's entry, which signs the child's determinant too; a ridge's status
+base facet (``subword.walk``, which calls one step per facet): a facet's
+determinant in its step, as one field of its parent's tableau row of
+the entering ray, and for the base facet and every child of a singular
+facet by exchanges from the unit matrix or from the nearest regular
+cone, one position at a time; a facet's oriented sign, its
+determinant's sign times an orientation carried from parent to child by
+the parity of the flip that entered it, which signs the child's
+determinant too; a ridge's status
 after the walk, from the exceptions, the facets whose oriented sign is
 not the base's, as every other ridge is good; and the base condition,
 from the base point's tableau row, its Cramer numerators, by one sign
@@ -45,11 +46,12 @@ adjugate, in the slot of that column's position, packed into one int
 (``_Layout``) of d fields wide enough by Hadamard's bound (``_width``),
 so that the exchange deriving it is one exact division of that int, as
 in the integer pivots of lrs (Avis).  A facet's cone is built only when
-something reads it: a child the walk enters, a singular facet's rank,
-the point test or a self-check; a leaf's determinant is the only thing
-the walk keeps of it.  No facet is visited twice, and the walk keeps
-only the exceptions, each with its flips' entering positions, and the
-tableau rows read along its current path.
+something reads it: its children, which the walk passes with it, a
+singular facet's rank, the point test or a self-check; a leaf's
+determinant, read in its one step, is the only thing kept of it.  No
+facet is visited twice, and the walk keeps only the exceptions, each
+with its flips' entering positions, and the cones, with their tableau
+rows, of the facets from the base to the one at hand.
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 
@@ -65,8 +67,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exactla import bareiss_det, exchange_column, int_rank, scale_to_int, solve_unique
-from .subword import Facet, entering_positions, greedy_facet, positions_of, traverse
+from .exactla import bareiss_det, exchange_column, first_row_dets, int_rank, scale_to_int, solve_unique
+from .subword import Facet, entering_positions, greedy_facet, positions_of, walk
 
 if TYPE_CHECKING:
     from .rays import RayAssignment
@@ -128,7 +130,11 @@ def ratio_str(count: int, total: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
+# integer vectors: the rays of a walk, or the rows of a cone
+IntRows = list[tuple[int, ...]]
+
+
+def _int_rays(ra: RayAssignment) -> IntRows:
     """The rays as integer vectors in content-free coordinates: each ray
     made primitive by ``scale_to_int``, then each coordinate divided by its
     content, the gcd of its entries over all the rays (1 for a zero
@@ -144,9 +150,14 @@ def _int_rays(ra: RayAssignment) -> list[tuple[int, ...]]:
     return [tuple(a // g for a, g in zip(v, content)) for v in rays]
 
 
-def _cone(rays: list[tuple[int, ...]], f: Facet) -> list[tuple[int, ...]]:
+def _cone(rays: IntRows, f: Facet) -> IntRows:
     """The integer rows of the cone of ``f``: its rays in position order."""
     return [rays[r - 1] for r in positions_of(f)]
+
+
+def _point(rows: IntRows, d: int) -> list[int]:
+    """The base point p = sum_i i r_i over the rows of the base's cone."""
+    return [sum(i * row[c] for i, row in enumerate(rows, 1)) for c in range(d)]
 
 
 def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
@@ -187,7 +198,7 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
 SELF_CHECK_EVERY = 4096
 
 
-def _width(rays: list[tuple[int, ...]], d: int) -> int:
+def _width(rays: IntRows, d: int) -> int:
     """The field width K of a walk's tableau rows.  Every field is a
     d x d determinant whose rows are rays or unit rows, or a Cramer
     numerator p . C = sum_i i (r_{b_i} . C) over the base's rays b_i, so
@@ -235,11 +246,6 @@ class _Layout:
         return not row & self.bias
 
 
-def _odd(f: Facet, x: int, q: int) -> int:
-    """The parity of the positions of ``f`` strictly between x and q."""
-    return (f & (1 << (max(x, q) - 1)) - (1 << min(x, q))).bit_count() & 1
-
-
 class _Cone:
     """The matrix of the rays of the positions ``f``, as rows in position
     order: its determinant D and a cache of its tableau rows.  With C[c]
@@ -283,17 +289,12 @@ class _Cone:
             self.rows[w] = row
         return row
 
-    def exchanged(self, x: int, q: int, s: int) -> _Cone:
-        """This regular cone with position x exchanged for q, which takes
-        x's slot: det' = s (r_q . C[x]), the field of that slot in R[q],
-        where s = (-1)^k moves q's row from x's place to its own across
-        the k positions strictly between them."""
-        row = self.row(q)
-        return self.child(x, q, s, row, s * self.layout.read(row, self.shifts[x]))
-
     def child(self, x: int, q: int, s: int, row: int, det: int) -> _Cone:
-        """The cone that ``exchanged`` makes, from this cone's row R[q]
-        and the determinant det' read from it."""
+        """This regular cone with position x exchanged for q, which takes
+        x's slot, from this cone's row R[q]: det' = s (r_q . C[x]), the
+        field of that slot in R[q], where s = (-1)^k moves q's row from
+        x's place to its own across the k positions strictly between
+        them."""
         f = self.f & ~(1 << (x - 1)) | 1 << (q - 1)
         shifts = self.shifts.copy()
         shift = shifts[q] = shifts.pop(x)
@@ -317,7 +318,7 @@ class _Cone:
         return len(self.parent.shifts) - (self.parent.f & ~self.f).bit_count()
 
 
-def _unit(rays: list[tuple[int, ...]], point: list[int]) -> _Cone:
+def _unit(rays: IntRows, point: list[int]) -> _Cone:
     """The unit matrix, as the cone of the d positions past the m rays':
     row and column e_j at position m + j, in slot j - 1, of determinant 1,
     whose tableau rows are the packed rays and the packed point p, since
@@ -333,7 +334,10 @@ def _unit(rays: list[tuple[int, ...]], point: list[int]) -> _Cone:
 
 def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     """Statistics, the first failure and the base condition's witness, from
-    one walk of the flip graph rooted at the base facet (``traverse``).
+    one walk of the flip graph rooted at the base facet: ``subword.walk``
+    calls ``step`` once per facet G, with the state that ``step`` returned
+    for the facet P that G was entered from, P's cone and orientation, and
+    keeps G's for G's own children.
 
     The first failure is the ``"bad ridge (...)"`` or ``"degenerate ridge
     (...)"`` text of the least non-good ridge ``(f, g)``, f < g, in bitset
@@ -363,11 +367,11 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     ``_derive`` from the regular cone that F came from.
 
     G's cone is built (``_Cone.child``) only when a reader needs more than
-    D': when the walk enters a child of G, when G is singular and its
-    rank is read, when G's row of p is tested, or when G is self-checked.
-    ``traverse`` yields a facet's children right after it, so a leaf, a
-    facet without children, keeps nothing but D' and costs one row of its
-    parent and one field read.
+    D': when G has children, which the walk passes with G, decided from
+    P's root arrays, when G is singular and its rank is read, when G's row
+    of p is tested, or when G is self-checked.  So a leaf, a facet without
+    children, keeps nothing but D' and costs one row of its parent and one
+    field read.
 
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
     positions past the word's last, of determinant 1, whose tableau rows
@@ -392,36 +396,32 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     fails, and a facet's closed cone contains p iff no numerator has the
     sign opposite to its determinant, that is iff every field of sign(D')
     R'[p] is >= 0, one test on the whole int (``_Cone.holds_point``);
-    every cone on the path is then regular.  One field decides most of
-    them first: the exchange leaves s t in q's slot of R'[p], t the field
-    of x's slot in the parent's R[p], so if s t D' < 0, p's numerator in
-    q's slot has the sign opposite to D' and G's closed cone cannot hold
-    p, and neither G's cone nor its R'[p] is made; a zero numerator counts
-    as inside, so it still takes the whole test.  The facets whose index
-    in the walk is a power of two, and every ``SELF_CHECK_EVERY``-th, are
-    checked from scratch (``_self_check``), one ray's field among their
-    scalars.
+    every cone from the base to G is then regular.  One field decides
+    most of them first: the exchange leaves s t in q's slot of R'[p], t
+    the field of x's slot in the parent's R[p], so if s t D' < 0, p's
+    numerator in q's slot has the sign opposite to D' and G's closed cone
+    cannot hold p, and neither G's cone nor its R'[p] is made; a zero
+    numerator counts as inside, so it still takes the whole test.  The
+    facets whose index in the walk is a power of two, and every
+    ``SELF_CHECK_EVERY``-th, are checked from scratch (``_self_check``),
+    one ray's field among their scalars.
     """
     rays = _int_rays(ra)
+    word = ra.word
     # the exceptions: facet -> (its oriented sign, the entering position
     # of each of its flips, in position order)
     exceptions: dict[Facet, tuple[int, ...]] = {}
-    # the built cones of the ancestors of the facet at hand, with their
-    # orientations
-    path: list[tuple[_Cone, int]] = []
-    singular = 0
-    witness = point = None
-    rank = ra.dim
-    for count, (g, key, at, entry, depth) in enumerate(traverse(ra.word)):
-        if depth > len(path):
-            # the last facet is g's parent: its cone is read from now on
-            if cone is None:
-                cone = parent.child(x, q, s, row, det)
-            path.append((cone, orient))
-        else:
-            del path[depth:]
-        if entry is None:
-            point = [sum(i * row[c] for i, row in enumerate(_cone(rays, g), 1)) for c in range(ra.dim)]
+    count, singular, rank = -1, 0, ra.dim
+    witness = point = read = base = root = None
+
+    def step(state, g, x, q, k, key, at, children):
+        # state: the cone of the facet that x -> q entered g from, and
+        # its orientation
+        nonlocal count, singular, rank, witness, point, read, base, root
+        count += 1
+        if state is None:
+            root = g
+            point = _point(_cone(rays, g), ra.dim)
             unit = _unit(rays, point)
             read = unit.layout.read
             cone, orient = _derive(unit, g), 1
@@ -429,42 +429,42 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
             if not det:
                 point = None  # no point strictly inside a singular base
         else:
-            x, q, k = entry
-            parent, orient = path[-1]
+            parent, orient = state
             s = -1 if k else 1
             orient = orient if k else -orient
             if parent.det:
-                # g's determinant is one field of the parent's row of q;
-                # its cone is built only when read, a singular one for
-                # its rank
+                # g's determinant is one field of the parent's row of q
                 row = parent.row(q)
                 det = s * read(row, parent.shifts[x])
-                cone = parent.child(x, q, s, row, det) if not det else None
+                cone = None
             else:
                 cone = _derive(parent.parent, g)
                 det = cone.det
         sign = orient if det > 0 else -orient if det else 0
-        if entry is None:
+        if state is None:
             base = sign
+        if sign != base or not sign:
+            exceptions[g] = (sign, *entering_positions(word, g, x, q, key, at))
+        locate = not exceptions and point is not None
+        # p's numerator in q's slot of g is s times the field of x's slot
+        # in the parent's row of p: of the sign opposite to det, it keeps
+        # p out of g's closed cone
+        test = (locate and state is not None and (witness is None or g < witness)
+                and s * read(parent.row(None), parent.shifts[x]) * det >= 0)
+        check = not count & (count - 1) or not count % SELF_CHECK_EVERY
+        if cone is None and (children or not det or test or check):
+            # g's cone, built only when read
+            cone = parent.child(x, q, s, row, det)
         if not det:
             singular += 1
             rank = min(rank, cone.route_rank())
-        if sign != base or not sign:
-            exceptions[g] = (sign, *entering_positions(g, key, at))
-        locate = not exceptions and point is not None
-        if locate and entry is not None and (witness is None or g < witness):
-            # p's numerator in q's slot of g is s times the field of x's
-            # slot in the parent's row of p: of the sign opposite to det,
-            # it keeps p out of g's closed cone
-            if s * read(parent.row(None), parent.shifts[x]) * det >= 0:
-                if cone is None:
-                    cone = parent.child(x, q, s, row, det)
-                if cone.holds_point():
-                    witness = g
-        if not count & (count - 1) or not count % SELF_CHECK_EVERY:
-            if cone is None:
-                cone = parent.child(x, q, s, row, det)
+        if test and cone.holds_point():
+            witness = g
+        if check:
             _self_check(rays, cone, point if locate else None)
+        return cone, orient
+
+    walk(word, step)
     bad = degenerate = 0
     least = failure = None
     for f, (sign, *entering) in exceptions.items():
@@ -487,14 +487,14 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
                 failure = f"{status} ridge {positions_of(f & h)}"
     if failure is None and exceptions:
         # the walk's only facet, the base, is singular
-        failure = f"degenerate cone {positions_of(g)}"
-    # the complex is a sphere: every facet has g's positions, each flips,
-    # and every ridge lies in two facets
+        failure = f"degenerate cone {positions_of(root)}"
+    # the complex is a sphere: every facet has the root's positions, each
+    # flips, and every ridge lies in two facets
     stats = FanStats(
         n=ra.word.rank,
         bad_ridges=bad,
         degenerate_ridges=degenerate,
-        ridges=(count + 1) * g.bit_count() // 2,
+        ridges=(count + 1) * root.bit_count() // 2,
         degenerate_cones=singular,
         cones=count + 1,
         min_dimension=rank,
@@ -526,7 +526,9 @@ def _derive(base: _Cone, g: Facet) -> _Cone:
             break
         outs.remove(x)
         ins.remove(q)
-        cone = cone.exchanged(x, q, -1 if _odd(cone.f, x, q) else 1)
+        # the parity of the positions strictly between x and q
+        s = -1 if (cone.f & (1 << (max(x, q) - 1)) - (1 << min(x, q))).bit_count() & 1 else 1
+        cone = cone.child(x, q, s, row, s * read(row, cone.shifts[x]))
     # no swap when g is a cone of the route to its parent
     return _Cone(g, 0, {}, parent=cone) if outs or ins else cone
 
@@ -536,26 +538,34 @@ def _self_check(rays, cone: _Cone, point):
     than d rays), its rank if it is singular, and, in the slot of its first
     position, the field of its row of the first position outside the cone
     and, with ``point``, the Cramer numerator, the field of its row of p:
-    a field that the walk's width cannot hold reads back wrong."""
+    a field that the walk's width cannot hold reads back wrong.  Each of
+    the three is det([v] + rows[1:]), for v the cone's first ray, p or
+    that ray, so the d - 1 shared rows are eliminated once
+    (``first_row_dets``)."""
     rows = _cone(rays, cone.f)
     where = positions_of(cone.f)
-    d = len((cone.parent or cone).shifts)
-    if (bareiss_det(rows) if len(rows) == d else 0) != cone.det:
+    i = (~cone.f & (cone.f + 1)).bit_length()
+    ray = rays[i - 1] if i <= len(rays) and cone.q is not None else None
+    det = numerator = field = 0
+    if len(rows) == len((cone.parent or cone).shifts):
+        # else the cone is singular, with no point and no q; with no
+        # rows, it is the unit matrix of dimension 0
+        det, numerator, field = (first_row_dets(rows[1:], [rows[0], point or rows[0], ray or rows[0]])
+                                 if rows else (1, 0, 0))
+    if det != cone.det:
         raise ArithmeticError(f"carried determinant of cone {where} is wrong")
     if not cone.det and cone.route_rank() != int_rank(rows):
         raise ArithmeticError(f"carried rank of cone {where} is wrong")
     if not rows:
         return
 
-    def field(w):
+    def read(w):
         return cone.layout.read(cone.row(w), cone.shifts[where[0]])
 
-    if point is not None and bareiss_det([point] + rows[1:]) != field(None):
+    if point is not None and numerator != read(None):
         raise ArithmeticError(f"carried Cramer numerator of cone {where} is wrong")
-    i = (~cone.f & (cone.f + 1)).bit_length()
-    if i <= len(rays) and cone.q is not None:
-        if bareiss_det([rays[i - 1]] + rows[1:]) != field(i):
-            raise ArithmeticError(f"carried tableau field of ray {i} on cone {where} is wrong")
+    if ray is not None and field != read(i):
+        raise ArithmeticError(f"carried tableau field of ray {i} on cone {where} is wrong")
 
 
 def stream_statistics(ra: RayAssignment) -> FanStats:
@@ -582,7 +592,7 @@ def condition_one(ra: RayAssignment, facets, base: Facet) -> Facet | None:
     # every facet has as many rays as the base
     if len(rows) != ra.dim or bareiss_det(rows) == 0:
         raise ValueError("base facet is rank deficient")
-    point = [sum(i * row[c] for i, row in enumerate(rows, start=1)) for c in range(ra.dim)]
+    point = _point(rows, ra.dim)
     for f in sorted(facets):
         if f == base:
             continue

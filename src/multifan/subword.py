@@ -9,21 +9,25 @@ positions (bit r-1 set means position r belongs to the facet).
 
 Flips are read off the root configuration of a facet: the partner of a
 facet position is the complement position carrying the same root.  The
-one enumeration of the complex is :func:`traverse`, a reverse search of
-the increasing-flip tree that keeps only the path from the root, each
-level with its own copy of the facet's root configuration: the sorted
-facet list, the statistics and the certificate all consume it.  It
-yields each facet with its level's root configuration, from which
-``entering_positions`` reads the entering position of each of its
-flips, so each ridge is seen from both of its facets; the tests check
-every flip against a 0-Hecke reference and the walk against a
+one enumeration of the complex is :func:`walk`, a reverse search of the
+increasing-flip tree that calls a ``step`` once per facet, with the root
+configuration of the facet it was entered from and the children that
+the walk decided from it; the sorted facet list, the statistics and the
+certificate are each such a step.  Only a facet with children gets its
+own copy of the root configuration, so a leaf costs no copy, and
+``entering_positions`` reads the entering position of each of a facet's
+flips when a step asks for it, so each ridge can be seen from both of
+its facets; the tests check every flip against a 0-Hecke reference, the
+children against each facet's own flips, and the walk against a
 breadth-first search.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from collections.abc import Iterator
+from itertools import combinations
 from typing import NamedTuple
 
 from .words import (
@@ -43,7 +47,7 @@ __all__ = [
     "is_face",
     "greedy_facet",
     "root_configuration",
-    "traverse",
+    "walk",
     "entering_positions",
     "all_facets",
     "format_facet_file",
@@ -130,23 +134,59 @@ def root_configuration(w: Word, facet: Facet) -> list[tuple[int, int]]:
     return roots
 
 
-def traverse(w: Word) -> Iterator[tuple[Facet, list[int], list[int], tuple[int, int, int] | None, int]]:
-    """Every facet f once, as ``(f, key, at, entry, depth)``: ``key`` and
-    ``at``, f's root configuration as the walk carries it, give the
-    entering position ``at[key[y]]`` of the flip at each position y of f
-    (``entering_positions``); the flip ``entry = (x, q, k)`` entered f
-    from its parent f - q + x, k the parity of f's positions strictly
-    between q and x, None at the root; and its depth in the tree.  Each
-    facet is yielded before its children, which follow in the order of
-    their flips.  On c w0(2), the pentagon:
+@functools.cache
+def _roots(rank: int):
+    """The roots of ``rank``, the pairs a < b of the values 1..rank+1,
+    numbered once: each pair's number, and ``refl[beta][k]``, root k
+    reflected by the transposition of root beta.  Every pair is a root,
+    as the complement of a facet is a reduced word of w0.  Cached per
+    rank, the tables are shared by every walk: read only."""
+    pairs = list(combinations(identity(rank), 2))
+    ids = {p: i for i, p in enumerate(pairs)}
+    refl = [[ids[tuple(sorted(t.get(v, v) for v in p))] for p in pairs]
+            for t in ({a: b, b: a} for a, b in pairs)]
+    return ids, refl
 
-    >>> for f, key, at, entry, depth in traverse(Word(2, (1, 2, 1, 2, 1))):
-    ...     print(positions_of(f), entering_positions(f, key, at), entry, depth)
-    (4, 5) [1, 3] None 0
-    (1, 5) [4, 2] (4, 1, 0) 1
-    (3, 4) [5, 2] (5, 3, 1) 1
-    (2, 3) [4, 1] (4, 2, 1) 2
-    (1, 2) [3, 5] (3, 1, 1) 3
+
+def _reflect(key, at, x, q, g, rb):
+    """The root arrays of g, entered by the flip x -> q from the facet
+    whose arrays are ``key`` and ``at``, as new lists: the flip exchanges
+    the root beta = ``key[x]``, which x and q both carry, and reflects by
+    beta's transposition, ``rb`` = ``refl[beta]``, the root of every
+    position strictly between q and x; every other position keeps its
+    root."""
+    key, at = key[:], at[:]
+    for r in range(q + 1, x):
+        k = rb[key[r]]
+        if k != key[r]:
+            key[r] = k
+            if not g >> (r - 1) & 1:
+                at[k] = r
+    at[key[x]] = x
+    return key, at
+
+
+def walk(w: Word, step) -> None:
+    """Call ``step(state, g, x, q, k, key, at, children)`` once for every
+    facet g, each before its children, which follow in the order of their
+    flips.  g was entered by the flip x -> q from the facet that ``step``
+    returned ``state`` for, k the parity of g's positions strictly
+    between q and x; ``key`` and ``at`` are that facet's root arrays, from
+    which ``entering_positions`` reads g's flips; ``children`` lists the
+    flips (y, p) of g that enter its children, and the walk keeps what
+    ``step`` returns as the ``state`` of their calls.  The root's one call
+    has state, x, q and k None, and its own arrays.  On c w0(2), the
+    pentagon:
+
+    >>> w = Word(2, (1, 2, 1, 2, 1))
+    >>> def show(state, g, x, q, k, key, at, children):
+    ...     print(positions_of(g), entering_positions(w, g, x, q, key, at), (x, q, k), children)
+    >>> walk(w, show)
+    (4, 5) [1, 3] (None, None, None) [(4, 1), (5, 3)]
+    (1, 5) [4, 2] (4, 1, 0) []
+    (3, 4) [5, 2] (5, 3, 1) [(4, 2)]
+    (2, 3) [4, 1] (4, 2, 1) [(3, 1)]
+    (1, 2) [3, 5] (3, 1, 1) []
 
     The walk is a reverse search (Avis-Fukuda), a depth-first search of
     the increasing-flip tree (Pilaud-Pocchiola).  Its root is the greedy
@@ -158,82 +198,63 @@ def traverse(w: Word) -> Iterator[tuple[Facet, list[int], list[int], tuple[int, 
     unchanged, so the positions of G before q keep their decreasing
     flips, and q flips back up to x.  Such a flip decreases, since an
     increasing flip of F has q > x >= m(F).  So no parent test and no
-    visited set is needed, only the path from the root, at most 29
-    facets deep at n=7, and a facet without children, a leaf, never
-    joins it.
+    visited set is needed, only the facets from the root to the one at
+    hand, at most 29 deep at n=7.
 
-    The root configuration is computed once, at the root, and carried
-    along the path.  The roots, the pairs of values, are numbered once;
+    The roots, the pairs of values, are numbered once (``_roots``);
     ``key[r]`` is the number of position r's root, and ``at`` maps the
-    root of each complement position back to the position.  A flip x -> q
-    exchanging the root beta reflects, by beta's transposition, the root
-    of every position strictly between q and x, read from the table
-    ``refl[beta]``; x and q both carry beta, and every other position
-    keeps its root.  Each level of the path holds its own ``key``, ``at``
-    and sorted facet positions: a child gets updated copies of its
-    parent's, so leaving it drops them and undoes nothing, and the
-    arrays yielded with a facet never change afterwards.  They belong to
-    the walk: a consumer may keep them, but must not mutate them.
+    root of each complement position back to the position.  The root
+    configuration is computed once, at the root, and each facet with
+    children gets its own copy of its parent's arrays, reflected by
+    ``_reflect``, so that returning from it undoes nothing.  A child's
+    children are decided from its parent's arrays: the flip x -> q of F
+    into G leaves every root outside [q, x] in place and reflects those
+    strictly between, so G's flips that enter below q are F's flips (y,
+    p) with p < q and y outside [q, x], and each position y of F strictly
+    between q and x whose reflected root the complement carries at some p
+    < q.  So a leaf, a facet without children, is never copied.  The
+    arrays passed to ``step`` belong to the walk and never change
+    afterwards: a step may keep them, but must not mutate them.
     """
+    ids, refl = _roots(w.rank)
     root = greedy_facet(w)
-    values = identity(w.rank)
-    pairs = [(a, b) for i, a in enumerate(values) for b in values[i + 1:]]
-    ids = {p: i for i, p in enumerate(pairs)}
-    # refl[beta][k]: root k reflected by the transposition t of root beta;
-    # every pair of values is a root, as the complement of a facet is a
-    # reduced word of w0
-    refl = [[ids[tuple(sorted(t.get(v, v) for v in p))] for p in pairs]
-            for t in ({a: b, b: a} for a, b in pairs)]
     key = [0] + [ids[min(a, b), max(a, b)] for a, b in root_configuration(w, root)]
-    bit = [0] + [1 << r for r in range(len(key) - 1)]  # bit[r]: position r
-    at = [0] * len(pairs)
-    for q in range(1, len(key)):
-        if not root & bit[q]:
-            at[key[q]] = q
+    at = [0] * len(ids)
+    for q in positions_of(~root & (1 << len(w)) - 1):  # the complement
+        at[key[q]] = q
+    pos = list(positions_of(root))  # sorted
 
-    f, m, pos = root, len(key), list(positions_of(root))  # m(root) is past the last position
-    # per level of the path: its facet, roots, positions and unvisited children
-    path, entry = [], None
-    while True:
-        yield f, key, at, entry, len(path)
-        children = [(x, q) for x in pos if (q := at[key[x]]) < m]
-        if children:
-            path.append((f, key, at, pos, iter(children)))
-        while path:
-            parent, key, at, pos, pending = path[-1]
-            child = next(pending, None)
-            if child is not None:
-                x, q = child
-                f = parent ^ bit[x] | bit[q]
-                # q < x: position x leaves, q enters, and the roots
-                # strictly between them are reflected by beta's
-                beta = key[x]
-                rb = refl[beta]
-                key, at = key[:], at[:]
-                for r in range(q + 1, x):
-                    k = rb[key[r]]
-                    if k != key[r]:
-                        key[r] = k
-                        if not f & bit[r]:
-                            at[k] = r
-                at[beta] = x
-                i = bisect_left(pos, q)
-                j = bisect_left(pos, x, i)
-                pos = pos[:]
-                del pos[j]
-                pos.insert(i, q)
-                m, entry = q, (x, q, (j - i) & 1)
-                break
-            path.pop()
-        else:
-            return
+    def descend(f, key, at, pos, state, children):
+        low = (~f & f + 1).bit_length()  # f's first complement position
+        for x, q in children:
+            g = f ^ 1 << (x - 1) | 1 << (q - 1)
+            i = bisect_left(pos, q)
+            j = bisect_left(pos, x, i)
+            rb = refl[key[x]]
+            # g's flips that enter below q, from f's roots: none if no
+            # position below q is free to enter
+            kids = ([(y, p) for y in pos if (p := at[rb[key[y]] if q < y < x else key[y]]) < q]
+                    if q > low else [])
+            g_state = step(state, g, x, q, (j - i) & 1, key, at, kids)
+            if kids:
+                g_pos = pos[:]
+                del g_pos[j]
+                g_pos.insert(i, q)
+                descend(g, *_reflect(key, at, x, q, g, rb), g_pos, g_state, kids)
+
+    # m(root) is past the last position: every flip of the root is a child
+    children = [(x, at[key[x]]) for x in pos]
+    descend(root, key, at, pos, step(None, root, None, None, None, key, at, children), children)
 
 
-def entering_positions(f: Facet, key: list[int], at: list[int]) -> list[int]:
-    """The entering position of the flip at each position of ``f``, in
-    position order, from the ``key`` and ``at`` that ``traverse`` yields
-    with f."""
-    return [at[key[y]] for y in positions_of(f)]
+def entering_positions(w: Word, g: Facet, x, q, key, at) -> list[int]:
+    """The entering position of the flip at each position of g, in
+    position order, from what ``walk`` passes ``step`` with g: the arrays
+    of the facet that x -> q entered g from, reflected by ``_reflect``,
+    or g's own at the root."""
+    if x is not None:
+        key, at = _reflect(key, at, x, q, g, _roots(w.rank)[1][key[x]])
+    return [at[key[y]] for y in positions_of(g)]
 
 
 class ComplexIndex(NamedTuple):
@@ -257,8 +278,10 @@ class ComplexIndex(NamedTuple):
 
 
 def all_facets(w: Word) -> ComplexIndex:
-    """The complex as enumerated by :func:`traverse`, facets sorted."""
-    return ComplexIndex(w, sorted(f for f, *_ in traverse(w)))
+    """The complex as enumerated by :func:`walk`, facets sorted."""
+    facets = []
+    walk(w, lambda state, g, *_: facets.append(g))
+    return ComplexIndex(w, sorted(facets))
 
 
 def format_facet_file(index: ComplexIndex) -> Iterator[str]:

@@ -9,7 +9,7 @@ from multifan.subword import (
     greedy_facet,
     positions_of,
     root_configuration,
-    traverse,
+    walk,
 )
 from multifan.words import (
     Word,
@@ -97,7 +97,8 @@ def bfs_traverse(w: Word):
     """Reference enumeration: breadth-first search of the flip graph from
     the greedy facet, with a set of every facet seen and the partners of
     every facet from scratch.  Yields each facet once, with all of its
-    flips ``(x, q, g)``, as ``traverse`` does, in another order."""
+    flips ``(x, q, g)``, as ``walk_records`` and ``flips_of`` give them, in
+    another order."""
     seed = greedy_facet(w)
     seen = {seed}
     frontier = [seed]
@@ -115,12 +116,31 @@ def bfs_traverse(w: Word):
         frontier = next_frontier
 
 
-def flips_of(f: Facet, key, at) -> list[tuple[int, int, Facet]]:
-    """The flips ``(x, q, g)`` of a facet ``f`` from ``traverse``'s record
-    of it: position x of f leaves, q = ``at[key[x]]`` enters, and g is
-    the facet reached, in the order of f's positions."""
+def walk_records(w: Word) -> list[tuple]:
+    """Every call that ``walk`` makes over ``w``, in order, as ``(f,
+    entering, entry, depth, children)``: the entering position of each
+    flip of f, read by ``entering_positions`` from the arrays passed with
+    f; the flip ``entry = (x, q, k)`` that entered f, None at the root;
+    f's depth in the tree, counted through the states that the walk hands
+    back; and the children that the walk passed with f."""
+    records = []
+
+    def step(depth, g, x, q, k, key, at, children):
+        depth = 0 if depth is None else depth + 1
+        entry = None if x is None else (x, q, k)
+        records.append((g, entering_positions(w, g, x, q, key, at), entry, depth, children))
+        return depth
+
+    walk(w, step)
+    return records
+
+
+def flips_of(f: Facet, entering) -> list[tuple[int, int, Facet]]:
+    """The flips ``(x, q, g)`` of a facet ``f`` whose positions have the
+    entering positions ``entering``: position x of f leaves, q enters,
+    and g is the facet reached, in the order of f's positions."""
     return [(x, q, f & ~(1 << (x - 1)) | 1 << (q - 1))
-            for x, q in zip(positions_of(f), entering_positions(f, key, at))]
+            for x, q in zip(positions_of(f), entering)]
 
 
 def parent_of(f: Facet, entry) -> Facet:
@@ -131,21 +151,22 @@ def parent_of(f: Facet, entry) -> Facet:
 
 
 def old_records(w: Word):
-    """``traverse``'s records in the shape it once yielded, ``(f, flips,
-    (x, q, parent), depth)``, each rebuilt from the walk's own record."""
-    for f, key, at, entry, depth in traverse(w):
+    """The walk's records in the shape that its generator once yielded,
+    ``(f, flips, (x, q, parent), depth)``, each rebuilt from the walk's
+    own record."""
+    for f, entering, entry, depth, _ in walk_records(w):
         old = None if entry is None else (*entry[:2], parent_of(f, entry))
-        yield f, flips_of(f, key, at), old, depth
+        yield f, flips_of(f, entering), old, depth
 
 
 def orientations(w: Word) -> dict[Facet, int]:
     """The orientation e of every facet, in walk order, propagated down
-    ``traverse``'s records as the statistics walk does: e(root) = 1, and a
+    the walk's records as the statistics walk does: e(root) = 1, and a
     facet G entered from P by the flip x -> q has e(G) = -e(P) (-1)^k, k
     the positions of G strictly between x and q, counted here from
     scratch and not read from the walk's record."""
     orient = {}
-    for f, _, _, entry, _ in traverse(w):
+    for f, _, entry, _, _ in walk_records(w):
         if entry is None:
             orient[f] = 1
         else:
@@ -164,8 +185,8 @@ def get_index(k: int, n: int):
 @functools.lru_cache(maxsize=None)
 def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
-    walk = traverse(multiassociahedron_word(k, n))
-    return tuple(sorted((f, g) for f, key, at, *_ in walk for _, _, g in flips_of(f, key, at) if f < g))
+    records = walk_records(multiassociahedron_word(k, n))
+    return tuple(sorted((f, g) for f, entering, *_ in records for _, _, g in flips_of(f, entering) if f < g))
 
 
 # positions of c w0(2) in the angular order of the loday rays

@@ -8,6 +8,7 @@ from multifan.exactla import (
     bareiss_det,
     exchange_column,
     feasible_nonneg,
+    first_row_dets,
     int_rank,
     scale_to_int,
     solve_unique,
@@ -137,12 +138,34 @@ def test_elimination_matches_fraction_oracle():
             continue
         det = _fraction_det(rows)
         assert bareiss_det(rows) == det, rows
+        # bareiss_det eliminates the transpose of its rows, so the draw
+        # itself is eliminated, stale pivot rows and all, by this one
+        assert bareiss_det(list(zip(*rows))) == det, rows
         singular += det == 0
         regular += det != 0
         stale_swaps += stale
         big += det.bit_length() > 240
     assert singular >= 200 and regular >= 200, (singular, regular)
     assert stale_swaps >= 50 and big >= 20, (stale_swaps, big)
+
+
+def test_first_row_dets_match_fraction_oracle():
+    # the d - 1 shared rows eliminated once and each determinant finished
+    # from there, against Fraction elimination of each whole matrix: the
+    # draws' own first row, and up to two more drawn alike, on the draws
+    # of every size, rank-deficient and 240-bit ones among them
+    rng = random.Random(13)
+    zero = nonzero = 0
+    for trial in range(1300):
+        rows, _ = _oracle_draw(rng, trial)
+        if not rows or len(rows[0]) != len(rows):
+            continue
+        firsts = [rows[0]] + [[rng.randint(-9, 9) for _ in rows[0]] for _ in range(trial % 3)]
+        expected = [_fraction_det([v] + rows[1:]) for v in firsts]
+        assert first_row_dets(rows[1:], firsts) == expected, (rows, firsts)
+        zero += expected[0] == 0
+        nonzero += expected[0] != 0
+    assert zero >= 100 and nonzero >= 100, (zero, nonzero)
 
 
 def _fraction_adjugate(rows):

@@ -427,19 +427,21 @@ def _pretest_outcomes(monkeypatch, ra):
     opposite to the facet's determinant.  Returns a count of (tested, that
     numerator is 0) over those facets."""
     walked, tested = [], set()
-    walk, holds_point = fan.traverse, fan._Cone.holds_point
+    walk, holds_point = fan.walk, fan._Cone.holds_point
 
-    def recorded(word):
-        for record in walk(word):
-            walked.append((record[0], record[3]))
-            yield record
+    def recorded(word, step):
+        def logged(state, g, x, q, k, *arrays):
+            walked.append((g, None if x is None else (x, q, k)))
+            return step(state, g, x, q, k, *arrays)
+
+        walk(word, logged)
 
     def located(cone):
         tested.add(cone.f)
         return holds_point(cone)
 
     with monkeypatch.context() as m:
-        m.setattr(fan, "traverse", recorded)
+        m.setattr(fan, "walk", recorded)
         m.setattr(fan._Cone, "holds_point", located)
         witness = _stats(ra)[2]
     rays = fan._int_rays(ra)
@@ -684,19 +686,21 @@ def _walk_cones(monkeypatch, ra):
     root, and every ``(cone, base)`` that ``_derive`` returned and started
     from, by the cone's ``id``."""
     entries, derived = {}, {}
-    walk, derive = fan.traverse, fan._derive
+    walk, derive = fan.walk, fan._derive
 
-    def recorded(word):
-        for record in walk(word):
-            entries[record[0]] = record[3]
-            yield record
+    def recorded(word, step):
+        def logged(state, g, x, q, k, *arrays):
+            entries[g] = None if x is None else (x, q, k)
+            return step(state, g, x, q, k, *arrays)
+
+        walk(word, logged)
 
     def routed(base, g):
         cone = derive(base, g)
         derived[id(cone)] = cone, base
         return cone
 
-    monkeypatch.setattr(fan, "traverse", recorded)
+    monkeypatch.setattr(fan, "walk", recorded)
     monkeypatch.setattr(fan, "_derive", routed)
     cones = {cone.f: cone for cone, _ in _checked_stats(monkeypatch, ra)}
     assert cones.keys() == entries.keys()
@@ -1069,17 +1073,19 @@ def test_self_check_catches_a_wrong_entry_parity(monkeypatch, construction):
     # fails the run there
     ra = build_rays(construction, 4)
     expected = repr(_stats(ra))
-    walk = fan.traverse
+    walk = fan.walk
     flipped = []
 
-    def faulty(word):
-        for f, key, at, entry, depth in walk(word):
-            if entry is not None and not flipped:
-                flipped.append(f)
-                entry = (*entry[:2], entry[2] ^ 1)
-            yield f, key, at, entry, depth
+    def faulty(word, step):
+        def flip(state, g, x, q, k, *arrays):
+            if x is not None and not flipped:
+                flipped.append(g)
+                k ^= 1
+            return step(state, g, x, q, k, *arrays)
 
-    monkeypatch.setattr(fan, "traverse", faulty)
+        walk(word, flip)
+
+    monkeypatch.setattr(fan, "walk", faulty)
     with monkeypatch.context() as m:
         m.setattr(fan, "_self_check", lambda rays, cone, point: None)
         assert repr(_stats(ra)) == expected

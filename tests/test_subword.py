@@ -1,8 +1,10 @@
+import collections
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multifan import subword
 from multifan.subword import (
     all_facets,
     bitset_of,
@@ -11,7 +13,7 @@ from multifan.subword import (
     greedy_facet,
     is_face,
     positions_of,
-    traverse,
+    walk,
 )
 from multifan.words import Word, c_sorted_word, multiassociahedron_word
 
@@ -27,6 +29,7 @@ from conftest import (
     parent_of,
     partners,
     rotate,
+    walk_records,
 )
 
 SMALL = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
@@ -61,11 +64,11 @@ def test_pentagon_flip_graph_is_5_cycle():
 
 @pytest.mark.parametrize("k,n", SMALL)
 def test_naive_and_root_flips_agree(k, n):
-    # every flip of every facet the traversal yields, against the 0-Hecke
+    # every flip of every facet the walk visits, against the 0-Hecke
     # reference: both sides of every ridge are checked
     w = multiassociahedron_word(k, n)
-    for f, key, at, *_ in traverse(w):
-        for x, q, g in flips_of(f, key, at):
+    for f, entering, *_ in walk_records(w):
+        for x, q, g in flips_of(f, entering):
             assert naive_flip(w, f, x) == (q, g)
 
 
@@ -75,12 +78,11 @@ def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
     w = multiassociahedron_word(k, n)
     facets = []
     ridges = []
-    for f, key, at, *_ in traverse(w):
+    for f, entering, *_ in walk_records(w):
         facets.append(f)
         # one flip per position of the facet, none entering at a position of f
-        entering = entering_positions(f, key, at)
         assert len(entering) == f.bit_count() and not any(f >> (q - 1) & 1 for q in entering)
-        for x, q, g in flips_of(f, key, at):
+        for x, q, g in flips_of(f, entering):
             ridges.append((f & g, f, g))
     assert len(facets) == len(set(facets))
     assert sorted(facets) == get_index(k, n).facets
@@ -89,11 +91,11 @@ def test_traverse_yields_each_facet_once_and_each_ridge_once(k, n):
 
 
 def _assert_walk_matches_bfs(w):
-    walked = list(traverse(w))
+    walked = walk_records(w)
     facets = [f for f, *_ in walked]
     assert len(facets) == len(set(facets))
     expected = {f: sorted(flips) for f, flips in bfs_traverse(w)}
-    assert {f: sorted(flips_of(f, key, at)) for f, key, at, *_ in walked} == expected
+    assert {f: sorted(flips_of(f, entering)) for f, entering, *_ in walked} == expected
 
 
 @pytest.mark.parametrize("k,n", SMALL + LARGER)
@@ -111,8 +113,7 @@ def test_walk_matches_bfs_on_rotated_and_mirrored_words(k, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_on_reduced_word_of_w0(n):
     # the complement of the empty facet is the whole word: one facet, no flip
-    [(f, key, at, entry, depth)] = traverse(c_sorted_word(n))
-    assert (f, entering_positions(f, key, at), entry, depth) == (0, [], None, 0)
+    assert walk_records(c_sorted_word(n)) == [(0, [], None, 0, [])]
     _assert_walk_matches_bfs(c_sorted_word(n))
 
 
@@ -137,6 +138,62 @@ def test_walk_matches_bfs_on_drawn_words(w):
     _assert_walk_matches_bfs(w)
 
 
+def _assert_children_decided_from_the_parent(w):
+    """For every facet g of the walk over ``w``, the children that the
+    walk passed with g, which it decided from the arrays of g's parent,
+    against g's flips (y, p) with p below m(g), the position q that
+    entered g (past the last position at the root), read from g's own
+    arrays and, independently, from g's root configuration computed from
+    scratch; in the order of g's positions."""
+    for g, entering, entry, _, children in walk_records(w):
+        bound = len(w) + 1 if entry is None else entry[1]
+        own = [(y, p) for y, p in zip(positions_of(g), entering) if p < bound]
+        scratch = sorted((y, p) for y, p in partners(w, g).items() if p < bound)
+        assert children == own == scratch, (w, positions_of(g), entry)
+
+
+@pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
+def test_children_decided_from_the_parent(k, n):
+    w = multiassociahedron_word(k, n)
+    for v in (w, rotate(w)[0], mirror(w)):
+        _assert_children_decided_from_the_parent(v)
+
+
+@st.composite
+def words_rotated_or_mirrored(draw):
+    """A drawn word of ``words_with_w0``, read right to left or not."""
+    w = draw(words_with_w0())
+    return mirror(w) if draw(st.booleans()) else w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(words_rotated_or_mirrored())
+def test_children_decided_from_the_parent_on_drawn_words(w):
+    _assert_children_decided_from_the_parent(w)
+
+
+@pytest.mark.parametrize("n,internal,leaves", [
+    (4, 300, 294),
+    pytest.param(6, 22022, 18876, marks=pytest.mark.fulltier),
+])
+def test_walk_tree_of_c2_w0_is_pinned(monkeypatch, n, internal, leaves):
+    # the facets with and without children of c^2 w0(c); the walk copies
+    # and reflects the root arrays once per facet that it descends into,
+    # the root aside, and never for a leaf
+    kinds = collections.Counter()
+    copies = []
+    reflect = subword._reflect
+
+    def counted(*args):
+        copies.append(args[4])
+        return reflect(*args)
+
+    monkeypatch.setattr(subword, "_reflect", counted)
+    walk(multiassociahedron_word(2, n), lambda *args: kinds.update([bool(args[-1])]))
+    assert (kinds[True], kinds[False]) == (internal, leaves)
+    assert len(copies) == len(set(copies)) == internal - 1
+
+
 def _assert_orientation_coherent(w):
     """Every ridge (f, h), seen from f, the later of its facets in the
     walk, with y leaving f and r entering h: e(f) e(h) = -(-1)^k, k the
@@ -147,13 +204,14 @@ def _assert_orientation_coherent(w):
     # below[r]: the positions before r
     below = [0] + [(1 << r) - 1 for r in range(len(w))]
     seen = 0
-    for f, key, at, *_ in traverse(w):
-        for y, r, h in flips_of(f, key, at):
+    records = walk_records(w)
+    for f, entering, *_ in records:
+        for y, r, h in flips_of(f, entering):
             if order[h] < order[f]:
                 between = f & h & (below[y] ^ below[r])
                 assert orient[f] * orient[h] == -(-1) ** between.bit_count(), (w, f, h)
                 seen += 1
-    assert 2 * seen == sum(len(flips_of(f, key, at)) for f, key, at, *_ in traverse(w))
+    assert 2 * seen == sum(len(entering) for _, entering, *_ in records)
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
@@ -177,7 +235,7 @@ def _assert_entry_parity_counted(w):
     x, and the flip back, q leaving and x entering, gives the facet one
     level up."""
     path = []
-    for f, _, _, entry, depth in traverse(w):
+    for f, _, entry, depth, _ in walk_records(w):
         del path[depth:]
         if entry is not None:
             x, q, k = entry
@@ -207,20 +265,25 @@ def test_carried_partners_match_root_configuration(k, n):
     # the word, its rotation and its mirror image
     w = multiassociahedron_word(k, n)
     for v in (w, rotate(w)[0], mirror(w)):
-        for f, key, at, *_ in traverse(v):
-            assert dict(zip(positions_of(f), entering_positions(f, key, at))) == partners(v, f)
+        for f, entering, *_ in walk_records(v):
+            assert dict(zip(positions_of(f), entering)) == partners(v, f)
 
 
 @pytest.mark.parametrize("k,n", SMALL + [(2, 4)])
 def test_yielded_roots_never_change(k, n):
-    # the walk owns the key and at it yields with a facet, and a child
-    # copies its parent's: read again after the whole walk, every record
-    # gives the same entering positions as when it was yielded
-    records = []
-    for f, key, at, *_ in traverse(multiassociahedron_word(k, n)):
-        records.append((f, key, at, entering_positions(f, key, at), key[:], at[:]))
-    for f, key, at, entering, key_then, at_then in records:
-        assert (key, at) == (key_then, at_then) and entering_positions(f, key, at) == entering
+    # the walk owns the key and at it passes with a facet, its parent's,
+    # and a child with children copies them: read again after the whole
+    # walk, every call's arrays give the same entering positions as when
+    # they were passed
+    w = multiassociahedron_word(k, n)
+    calls = []
+
+    def step(state, g, x, q, k, key, at, children):
+        calls.append((g, x, q, key, at, entering_positions(w, g, x, q, key, at), key[:], at[:]))
+
+    walk(w, step)
+    for g, x, q, key, at, entering, key_then, at_then in calls:
+        assert (key, at) == (key_then, at_then) and entering_positions(w, g, x, q, key, at) == entering
 
 
 @pytest.mark.parametrize("k,n,digest", [
@@ -228,9 +291,9 @@ def test_yielded_roots_never_change(k, n):
     (3, 3, "42dbe6dbd74a7be0c989ba6463792dca159610e5696178d180fd85966c046ed5"),
 ], ids=["2-5", "3-3"])
 def test_walk_records_are_pinned(k, n, digest):
-    # every record the walk yields, in order: the facet, its flips, the
-    # flip that entered it and its depth, as (x, q, parent), rebuilt in the
-    # shape that the walk once yielded.  The statistics, first failures
+    # every record of the walk, in order: the facet, its flips, the flip
+    # that entered it and its depth, as (x, q, parent), rebuilt in the
+    # shape that the walk's generator once yielded.  The statistics, first failures
     # and witnesses all follow the walk's order, so a rewrite of the walk
     # must yield this same sequence
     h = hashlib.sha256()
@@ -247,7 +310,7 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
     # later records enter from f, in the order of those flips
     path = []
     flips, children, entered = {}, {}, {}
-    for f, key, at, entry, depth in traverse(multiassociahedron_word(k, n)):
+    for f, entering, entry, depth, _ in walk_records(multiassociahedron_word(k, n)):
         assert depth <= len(path)
         del path[depth:]
         bound = float("inf")
@@ -259,7 +322,7 @@ def test_walk_reports_each_facet_below_its_parent(k, n):
             assert x > q and parent == path[-1] and (x, q, f) in flips[parent]
             entered.setdefault(parent, []).append((x, q, f))
             bound = q
-        flips[f] = flips_of(f, key, at)
+        flips[f] = flips_of(f, entering)
         children[f] = [(x, q, g) for x, q, g in flips[f] if q < x and q < bound]
         path.append(f)
     assert all(entered.get(f, []) == kids for f, kids in children.items())
