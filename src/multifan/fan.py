@@ -549,7 +549,8 @@ def _self_check(rays, cone: _Cone, point):
     det = numerator = field = 0
     if len(rows) == len((cone.parent or cone).shifts):
         # else the cone is singular, with no point and no q; with no
-        # rows, it is the unit matrix of dimension 0
+        # rows, it is the unit matrix of dimension 0.  The first row
+        # stands in for a point or ray not to check.
         det, numerator, field = (first_row_dets(rows[1:], [rows[0], point or rows[0], ray or rows[0]])
                                  if rows else (1, 0, 0))
     if det != cone.det:
