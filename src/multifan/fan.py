@@ -468,8 +468,12 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     bad = degenerate = 0
     least = failure = None
     for f, (sign, *entering) in exceptions.items():
-        for x, q in zip(positions_of(f), entering):
-            h = f & ~(1 << (x - 1)) | 1 << (q - 1)
+        # f's positions, lowest first, as bits, beside their entering ones
+        rest = f
+        for q in entering:
+            x = rest & -rest
+            rest ^= x
+            h = f ^ x | 1 << (q - 1)
             if h < f and h in exceptions:
                 continue  # counted from h
             other = exceptions.get(h, (base,))[0]

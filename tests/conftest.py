@@ -135,6 +135,22 @@ def walk_records(w: Word) -> list[tuple]:
     return records
 
 
+def wrap(monkeypatch, owner, name, after=None) -> list[tuple]:
+    """Replace ``owner.name`` by a call of the original that appends
+    ``(args, result)`` to the list returned, and returns
+    ``after(result, *args)`` in its place when ``after`` is given."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result if after is None else after(result, *args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def flips_of(f: Facet, entering) -> list[tuple[int, int, Facet]]:
     """The flips ``(x, q, g)`` of a facet ``f`` whose positions have the
     entering positions ``entering``: position x of f leaves, q enters,

@@ -1,4 +1,4 @@
-import importlib
+import hashlib
 import json
 import os
 import shlex
@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from multifan import polygon, tables
 from multifan.cli import main
 from multifan.rays import RayAssignment, build_rays, format_ray_file, parse_ray_file
 from multifan.words import format_word, multiassociahedron_word
 
-from conftest import double_cover_rays, in_dimension
+from conftest import double_cover_rays, in_dimension, wrap
 
 
 def run(capsys, *argv):
@@ -193,6 +194,19 @@ def test_reproduce_t2_range(capsys):
     assert "PASS T2[n=3, degenerate_ridges] = 11" in out
 
 
+def test_reproduce_mismatch_is_a_verified_failure(capsys, monkeypatch):
+    # T2's golden column n=3 against the linear rays, which have no
+    # degenerate ridge or cone there: five cells differ, and the command
+    # says so and exits 1
+    monkeypatch.setitem(tables._STATS_SPECS, "T2", ("t2.txt", "linear"))
+    rc, out, _ = run(capsys, "reproduce", "T2", "--n", "3")
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert rc == 1 and len(lines) == 9 and lines[-1] == "T2: 3/8 cells match"
+    assert len(fails) == 5 and all(line.startswith("FAIL T2[n=3, ") for line in fails)
+    assert "FAIL T2[n=3, degenerate_ridges]: expected 11, got 0" in fails
+
+
 def test_reproduce_f12(capsys):
     rc, out, _ = run(capsys, "reproduce", "F12", "--n", "5")
     assert rc == 0
@@ -234,6 +248,25 @@ def test_oracle(capsys):
     rc, out, _ = run(capsys, "oracle", "--kn", "2,2")
     assert rc == 0
     assert "PASS k=2 n=2: 14 facets" in out
+
+
+def test_oracle_mismatch_is_a_verified_failure(capsys, monkeypatch):
+    # one triangulation dropped from the polygon backtracker: the walk's
+    # facets hold one that the oracle lacks
+    wrap(monkeypatch, polygon, "enumerate_k_triangulations", after=lambda tris, k, n: tris[1:])
+    rc, out, _ = run(capsys, "oracle", "--kn", "2,2")
+    assert rc == 1 and out == "FAIL k=2 n=2: 0 oracle-only, 1 subword-only\n"
+
+
+def test_oracle_writes_the_triangulations(tmp_path, capsys):
+    path = tmp_path / "tri.txt"
+    rc, out, _ = run(capsys, "oracle", "--kn", "2,2", "--out", str(path))
+    assert rc == 0 and out == "PASS k=2 n=2: 14 facets on both routes\n"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 14 and lines[0] == "1-4 1-5 2-5 2-6"
+    manifest = json.loads((tmp_path / "tri.txt.manifest.json").read_text())
+    assert manifest["outputs"] == {str(path): "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert (manifest["k"], manifest["n"]) == (2, 2)
 
 
 def test_oracle_guard(capsys):
@@ -629,24 +662,3 @@ def test_cli_import_loads_only_what_check_runs():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
-
-
-def test_package_names_resolve_on_first_use():
-    import multifan
-
-    names = {
-        "words": ("Word", "c_sorted_word", "multiassociahedron_word", "parse_word"),
-        "subword": ("all_facets", "greedy_facet"),
-        "polygon": ("enumerate_k_triangulations", "position_to_diagonal"),
-        "moves": ("apply_move", "classify_braid", "fattening_sequence"),
-        "rays": ("RayAssignment", "build_rays", "parse_ray_file", "format_ray_file"),
-        "fan": ("certify_fan", "stream_statistics"),
-    }
-    assert sorted(multifan.__all__) == sorted(n for ns in names.values() for n in ns)
-    for module, ns in names.items():
-        for name in ns:
-            assert getattr(multifan, name) is getattr(importlib.import_module(f"multifan.{module}"), name)
-    # the test oracles are imported from their modules, not the package
-    for name in ("no_such_name", "classify_ridge", "condition_one", "solve_unique"):
-        with pytest.raises(AttributeError):
-            getattr(multifan, name)

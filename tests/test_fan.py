@@ -11,7 +11,6 @@ import pytest
 
 from multifan import exactla, fan
 from multifan.fan import (
-    _self_check,
     _stats,
     certify_fan,
     classify_ridge,
@@ -34,6 +33,8 @@ from conftest import (
     orientations,
     parent_of,
     rotate,
+    walk_records,
+    wrap,
 )
 from lp_oracle import lp_condition_one
 
@@ -362,17 +363,10 @@ def _located(monkeypatch, ra):
     """``(witness, located)``: the walk's witness over ``ra`` and, for each
     facet where it locates the base point, ``(cone, holds)``, the cone and
     the answer of its one test on the whole row of the point."""
-    located = []
-    holds_point = fan._Cone.holds_point
-
-    def recorded(cone):
-        located.append((cone, holds_point(cone)))
-        return located[-1][1]
-
     with monkeypatch.context() as m:
-        m.setattr(fan._Cone, "holds_point", recorded)
+        located = wrap(m, fan._Cone, "holds_point")
         witness = _stats(ra)[2]
-    return witness, located
+    return witness, [(cone, holds) for (cone,), holds in located]
 
 
 def test_layout_sign_test_on_every_row_of_narrow_fields():
@@ -426,24 +420,11 @@ def _pretest_outcomes(monkeypatch, ra):
     the entering position q, by ``bareiss_det``, does not have the sign
     opposite to the facet's determinant.  Returns a count of (tested, that
     numerator is 0) over those facets."""
-    walked, tested = [], set()
-    walk, holds_point = fan.walk, fan._Cone.holds_point
-
-    def recorded(word, step):
-        def logged(state, g, x, q, k, *arrays):
-            walked.append((g, None if x is None else (x, q, k)))
-            return step(state, g, x, q, k, *arrays)
-
-        walk(word, logged)
-
-    def located(cone):
-        tested.add(cone.f)
-        return holds_point(cone)
-
     with monkeypatch.context() as m:
-        m.setattr(fan, "walk", recorded)
-        m.setattr(fan._Cone, "holds_point", located)
+        located = wrap(m, fan._Cone, "holds_point")
         witness = _stats(ra)[2]
+    tested = {cone.f for (cone,), _ in located}
+    walked = [(g, entry) for g, _, entry, _, _ in walk_records(ra.word)]
     rays = fan._int_rays(ra)
     base = fan._cone(rays, walked[0][0])
     point = [sum(i * row[k] for i, row in enumerate(base, 1)) for k in range(ra.dim)]
@@ -522,17 +503,11 @@ def _checked_stats(monkeypatch, ra):
     """``_stats`` with the self-check at every facet, which recomputes the
     facet's determinant from its rays and raises unless the carried one is
     the same: every ``(cone, point)`` checked, one per cone."""
-    checked = []
-
-    def check(rays, cone, point):
-        checked.append((cone, point))
-        _self_check(rays, cone, point)
-
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
-    monkeypatch.setattr(fan, "_self_check", check)
+    checked = wrap(monkeypatch, fan, "_self_check")
     cones = _stats(ra)[0].cones
     assert len(checked) == cones
-    return checked
+    return [(cone, point) for (_, cone, point), _ in checked]
 
 
 @pytest.mark.parametrize("construction,seed", [
@@ -547,29 +522,24 @@ def test_self_check_passes_at_every_facet(monkeypatch, construction, seed):
 
 
 def _row_sources(monkeypatch, ra):
-    """Label each cone that ``_Cone.child`` and ``_derive`` make by how it
-    gets its rows: ``child`` builds every exchanged cone, those that
-    ``_stats`` builds only when it reads them among them; the map from ``id`` to ``(cone, label)`` keeps every
-    cone, so that no id is reused.  A derived cone is checked against the
-    rule of ``_derive``: its route from ``base`` is one step per position
-    exchanged, each to a regular cone, and it is stuck, with no row, exactly
-    when it is singular, of the rank that its route gives.  The unit cone
-    is the one ``base`` without a parent, and its route to the base facet
-    takes d steps; any other route that reaches its facet takes one or two,
-    since a stuck cone j >= 2 positions from its parent has rank d - j, and
-    so has only singular children."""
-    made = {}
-    derive = fan._derive
-    child = fan._Cone.child
+    """``(checked, labels)``: ``_checked_stats`` over ``ra``, and a label,
+    by ``id``, for each cone that ``_Cone.child`` and ``_derive`` made, by
+    how it gets its rows: ``child`` builds every exchanged cone, those that
+    ``_stats`` builds only when it reads them among them; the calls
+    recorded keep every cone, so that no id is reused.  A derived cone is
+    checked against the rule of ``_derive``: its route from ``base`` is one
+    step per position exchanged, each to a regular cone, and it is stuck,
+    with no row, exactly when it is singular, of the rank that its route
+    gives.  The unit cone is the one ``base`` without a parent, and its
+    route to the base facet takes d steps; any other route that reaches its
+    facet takes one or two, since a stuck cone j >= 2 positions from its
+    parent has rank d - j, and so has only singular children."""
+    exchanged = wrap(monkeypatch, fan._Cone, "child")
+    derived = wrap(monkeypatch, fan, "_derive")
+    checked = _checked_stats(monkeypatch, ra)
     rays = fan._int_rays(ra)
-
-    def exchanged(cone, *args):
-        cone = child(cone, *args)
-        made[id(cone)] = cone, "exchanged from the parent"
-        return cone
-
-    def derived(base, g):
-        cone = derive(base, g)
+    labels = {id(cone): "exchanged from the parent" for _, cone in exchanged}
+    for (base, g), cone in derived:
         assert cone.f == g and base.det and base.f != g
         if cone.q is None:
             assert exactla.int_rank(fan._cone(rays, g)) == cone.route_rank() < ra.dim
@@ -587,42 +557,23 @@ def _row_sources(monkeypatch, ra):
                 label = "routed from the unit in d steps"
             else:
                 label = {1: "derived in 1 step", 2: "derived in 2 steps"}[steps]
-        made[id(cone)] = cone, label
-        return cone
-
-    monkeypatch.setattr(fan._Cone, "child", exchanged)
-    monkeypatch.setattr(fan, "_derive", derived)
-    return made
+        labels[id(cone)] = label
+    return checked, labels
 
 
 @pytest.mark.parametrize("construction,n", [("naive", 5), ("pattern", 4)])
 def test_carried_determinants_pass_a_self_check_at_every_facet(monkeypatch, construction, n):
-    ra = build_rays(construction, n)
-    made = _row_sources(monkeypatch, ra)
-    checked = _checked_stats(monkeypatch, ra)
+    checked, labels = _row_sources(monkeypatch, build_rays(construction, n))
     if construction == "pattern":
         # the base point is located at every facet
         assert all(point is not None for _, point in checked)
         return
     # naive n=5 reaches every way a cone gets its rows
-    sources = collections.Counter(made[id(cone)][1] for cone, _ in checked)
+    sources = collections.Counter(labels[id(cone)] for cone, _ in checked)
     assert sources["routed from the unit in d steps"] == 1  # the base
     for source in ("exchanged from the parent", "derived in 1 step", "derived in 2 steps",
                    "stuck at rank d - 1", "stuck at rank d - 2 or less"):
         assert sources[source] >= 1, sources
-
-
-def _unit_cones(monkeypatch):
-    """Every unit cone that a later walk builds."""
-    cones = []
-    unit = fan._unit
-
-    def counted(rays, point):
-        cones.append(unit(rays, point))
-        return cones[-1]
-
-    monkeypatch.setattr(fan, "_unit", counted)
-    return cones
 
 
 @pytest.mark.parametrize("construction", ["naive", "fixed:5,3", "linear", "pattern"])
@@ -630,7 +581,7 @@ def test_one_unit_cone_per_walk(monkeypatch, construction):
     # the one adjugate that the walk does not exchange from another is the
     # unit cone's, built once, whose route leads to the base; every other
     # cone, singular ones and their children too, is exchanged
-    units = _unit_cones(monkeypatch)
+    units = wrap(monkeypatch, fan, "_unit")
     stats = _stats(build_rays(construction, 5))[0]
     assert len(units) == 1 and (stats.degenerate_cones > 0) == (construction != "pattern")
 
@@ -667,7 +618,7 @@ def test_singular_base_facet(monkeypatch, dependent):
     rows = fan._cone(fan._int_rays(ra), greedy_facet(ra.word))
     assert exactla.int_rank(rows) == ra.dim - dependent
     stats, failure, _ = _stats(ra)
-    units = _unit_cones(monkeypatch)
+    units = wrap(monkeypatch, fan, "_unit")
     checked = _checked_stats(monkeypatch, ra)
     assert len(units) == 1 and not checked[0][0].det and checked[0][1] is None
     assert any(cone.det for cone, _ in checked)
@@ -685,26 +636,11 @@ def _walk_cones(monkeypatch, ra):
     each facet, the flip ``(x, q, k)`` that entered it, None at the
     root, and every ``(cone, base)`` that ``_derive`` returned and started
     from, by the cone's ``id``."""
-    entries, derived = {}, {}
-    walk, derive = fan.walk, fan._derive
-
-    def recorded(word, step):
-        def logged(state, g, x, q, k, *arrays):
-            entries[g] = None if x is None else (x, q, k)
-            return step(state, g, x, q, k, *arrays)
-
-        walk(word, logged)
-
-    def routed(base, g):
-        cone = derive(base, g)
-        derived[id(cone)] = cone, base
-        return cone
-
-    monkeypatch.setattr(fan, "walk", recorded)
-    monkeypatch.setattr(fan, "_derive", routed)
+    derived = wrap(monkeypatch, fan, "_derive")
     cones = {cone.f: cone for cone, _ in _checked_stats(monkeypatch, ra)}
+    entries = {g: entry for g, _, entry, _, _ in walk_records(ra.word)}
     assert cones.keys() == entries.keys()
-    return cones, entries, derived
+    return cones, entries, {id(cone): (cone, base) for (base, _), cone in derived}
 
 
 @pytest.mark.parametrize("ra", [
@@ -889,18 +825,13 @@ def _rank_calls(monkeypatch, ra):
     its rank, which is d - 1 unless it is stuck, and the least rank is the
     minimal dimension.  The walk's cones are singular when the facets have
     other than d rays, and then every one of them is stuck."""
-    calls = []
     singular = {}
-
-    def rank(rows):
-        calls.append(rows)
-        return exactla.int_rank(rows)
 
     def check(rays, cone, point):
         if not cone.det:
             singular[cone.f] = cone.q is None, cone.route_rank(), exactla.int_rank(fan._cone(rays, cone.f))
 
-    monkeypatch.setattr(fan, "int_rank", rank)
+    calls = wrap(monkeypatch, fan, "int_rank")
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
     monkeypatch.setattr(fan, "_self_check", check)
     stats = _stats(ra)[0]
@@ -940,21 +871,9 @@ def test_walk_derives_few_columns_and_ranks(monkeypatch):
     # of the 4,718 other facets of the pattern n=5 walk test their whole
     # row of p.  None of the 782 singular cones of the naive n=5 rays is
     # ranked by int_rank
-    derived = []
-    located = []
-    holds_point = fan._Cone.holds_point
-
-    def counted(*args):
-        derived.append(args)
-        return exactla.exchange_column(*args)
-
-    def tested(cone):
-        located.append(cone)
-        return holds_point(cone)
-
     with monkeypatch.context() as m:
-        m.setattr(fan, "exchange_column", counted)
-        m.setattr(fan._Cone, "holds_point", tested)
+        derived = wrap(m, fan, "exchange_column")
+        located = wrap(m, fan._Cone, "holds_point")
         for construction, rows, columns, tests in [("pattern", 9349, 5859, 1166), ("naive", 7572, 6661, 30)]:
             derived.clear()
             located.clear()
@@ -1026,12 +945,8 @@ def test_self_check_catches_a_wrong_column(monkeypatch):
     # one more in every field of every row derived
     ra = build_rays("pattern", 3)
     ones = _layout(ra).pack([1] * ra.dim)
-
-    def off_by_one(*args):
-        return exactla.exchange_column(*args) + ones
-
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
-    monkeypatch.setattr(fan, "exchange_column", off_by_one)
+    wrap(monkeypatch, fan, "exchange_column", after=lambda row, *args: row + ones)
     with pytest.raises(ArithmeticError, match="carried"):
         certify_fan(ra)
 
@@ -1044,23 +959,14 @@ def test_self_check_catches_a_wrong_rank(monkeypatch):
     ra = build_rays("naive", 4)
     with monkeypatch.context() as m:
         assert _rank_calls(m, ra)[1] == {6: 2, 7: 25}
-    route_rank = fan._Cone.route_rank
-    misread = []
-
-    def off_by_one(cone):
-        rank = route_rank(cone)
-        if cone.q is None:
-            misread.append(rank)
-            rank += 1
-        return rank
-
-    monkeypatch.setattr(fan._Cone, "route_rank", off_by_one)
-    assert _stats(ra)[0].min_dimension == 7 and collections.Counter(misread) == {6: 2, 7: 25}
-    misread.clear()
+    ranked = wrap(monkeypatch, fan._Cone, "route_rank", after=lambda rank, cone: rank + (cone.q is None))
+    assert _stats(ra)[0].min_dimension == 7
+    assert collections.Counter(rank for (cone,), rank in ranked if cone.q is None) == {6: 2, 7: 25}
+    ranked.clear()
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
     with pytest.raises(ArithmeticError, match=r"carried rank of cone \("):
         certify_fan(ra)
-    assert misread == [7, 7]
+    assert [rank for (cone,), rank in ranked if cone.q is None] == [7, 7]
 
 
 @pytest.mark.parametrize("construction", ["pattern", "linear"])
@@ -1105,12 +1011,6 @@ def test_self_check_catches_a_wrong_numerator(monkeypatch):
     ra = build_rays("pattern", 3)
     one = _layout(ra).pack([1])
     corrupted = []
-    bases = []
-    derive = fan._derive
-
-    def routed(*args):
-        bases.append(derive(*args))
-        return bases[-1]
 
     def off_by_one(cone, w, row):
         if w is None and bases and not corrupted:
@@ -1119,7 +1019,7 @@ def test_self_check_catches_a_wrong_numerator(monkeypatch):
         return row
 
     monkeypatch.setattr(fan, "SELF_CHECK_EVERY", 1)
-    monkeypatch.setattr(fan, "_derive", routed)
+    bases = wrap(monkeypatch, fan, "_derive")
     _corrupt_rows(monkeypatch, off_by_one)
     with pytest.raises(ArithmeticError, match="carried Cramer numerator"):
         certify_fan(ra)
@@ -1146,17 +1046,10 @@ def _held_rows(monkeypatch, ra):
     """Every cone of the walk over ``ra`` whose rows are read, the unit
     cone among them; their ``rows`` then hold every row that they
     derived or started with."""
-    cones = {}
-    row = fan._Cone.row
-
-    def recorded(cone, w):
-        cones[id(cone)] = cone
-        return row(cone, w)
-
     with monkeypatch.context() as m:
-        m.setattr(fan._Cone, "row", recorded)
+        calls = wrap(m, fan._Cone, "row")
         _stats(ra)
-    return list(cones.values())
+    return list({id(cone): cone for (cone, _), _ in calls}.values())
 
 
 def _largest_field(monkeypatch, ra, oracle=True):

@@ -3,8 +3,7 @@
 This reads every module of ``src/multifan`` as source text and collects
 the top-level name of each ``import`` and absolute ``from ... import``,
 at any depth of the module: each must be a standard-library module or
-the package itself.  The lazy names of ``multifan/__init__.py`` import
-the package's own modules, each of which the scan reads too.
+the package itself.
 """
 
 import ast

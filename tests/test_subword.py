@@ -30,6 +30,7 @@ from conftest import (
     partners,
     rotate,
     walk_records,
+    wrap,
 )
 
 SMALL = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
@@ -180,18 +181,12 @@ def test_walk_tree_of_c2_w0_is_pinned(monkeypatch, n, internal, leaves):
     # the facets with and without children of c^2 w0(c); the walk copies
     # and reflects the root arrays once per facet that it descends into,
     # the root aside, and never for a leaf
-    kinds = collections.Counter()
-    copies = []
-    reflect = subword._reflect
-
-    def counted(*args):
-        copies.append(args[4])
-        return reflect(*args)
-
-    monkeypatch.setattr(subword, "_reflect", counted)
-    walk(multiassociahedron_word(2, n), lambda *args: kinds.update([bool(args[-1])]))
+    w = multiassociahedron_word(2, n)
+    kinds = collections.Counter(bool(children) for *_, children in walk_records(w))
     assert (kinds[True], kinds[False]) == (internal, leaves)
-    assert len(copies) == len(set(copies)) == internal - 1
+    copies = wrap(monkeypatch, subword, "_reflect")
+    all_facets(w)
+    assert len(copies) == len({args[4] for args, _ in copies}) == internal - 1
 
 
 def _assert_orientation_coherent(w):
