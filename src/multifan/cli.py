@@ -32,7 +32,6 @@ import shlex
 import sys
 import time
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from . import TABLE_IDS, __version__
 from .fan import STAT_ROWS, CheckReport, certify_fan, format_stats_table
@@ -41,17 +40,6 @@ from .subword import all_facets, format_facet_file, positions_of
 from .words import Word, _integer, format_word, multiassociahedron_word, parse_shorthand, parse_word
 
 TIER_CAP = {"desk": 5, "full": 8}
-
-
-class RunManifest(NamedTuple):
-    command: str
-    timestamp: float
-    version: str
-    outputs: dict[str, str]
-    construction: str | None = None
-    n: int | None = None
-    k: int | None = None
-    seed: int | None = None
 
 
 def _tier_check(n: int, tier: str, facet_size: int = 0):
@@ -82,10 +70,11 @@ def _write_output(args, path: str, chunks: Iterable[str], **facts):
         for chunk in chunks:
             fh.write(chunk)
             digest.update(chunk.encode())
-    manifest = RunManifest(shlex.join(args.argv), time.time(), __version__,
-                           {path: f"sha256:{digest.hexdigest()}"}, **facts)
+    manifest = {"command": shlex.join(args.argv), "timestamp": time.time(), "version": __version__,
+                "outputs": {path: f"sha256:{digest.hexdigest()}"},
+                "construction": None, "n": None, "k": None, "seed": None, **facts}
     with open(path + ".manifest.json", "w") as fh:
-        json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -256,16 +256,17 @@ class _Cone:
     in its slot and 0 elsewhere: it is never stored.
 
     A cone made by ``child``, the one constructor of exchanged cones,
-    records the flip x -> q and its sign ``s`` that made it from its
-    regular ``parent``: q holds x's slot, and the ``pivot`` Q, set when
-    the cone is made, is the parent's row of q less D_P in that slot.
+    records the flip x -> q that made it from its regular ``parent``: q
+    holds x's slot, and the ``pivot`` s Q, set when the cone is made, is
+    the flip's sign s times Q, the parent's row of q less D_P in that
+    slot.
     Every field that the walk reads is read from the cone's own rows,
     each derived from the parent's on first use (``row``).  The unit cone
     (``_unit``) starts with every row.  A singular cone without ``q`` has
     no row, and its ``parent`` is the last regular cone of its ``_derive``
     route, to exchange its children from."""
 
-    __slots__ = ("f", "det", "rows", "shifts", "layout", "parent", "x", "q", "s", "pivot")
+    __slots__ = ("f", "det", "rows", "shifts", "layout", "parent", "x", "q", "pivot")
 
     def __init__(self, f: Facet, det: int, rows: dict, shifts: dict[int, int] | None = None,
                  layout: _Layout | None = None, parent: _Cone | None = None):
@@ -275,17 +276,18 @@ class _Cone:
     def row(self, w: int | None) -> int:
         """R[w], for w not a position of the cone, from the parent's rows:
         R[x] = (D << K slot(q)) - s Q, the one row that needs no division,
-        and for any other w ``exchange_column``(R_P[w], Q, s t, D, D_P), t
-        the field of q's slot in R_P[w], which leaves s t there."""
+        and for any other w ``exchange_column``(R_P[w], s Q, t, D, D_P), t
+        the field of q's slot in R_P[w], which leaves s t there, as t (s
+        Q) = (s t) Q."""
         row = self.rows.get(w)
         if row is None:
             parent = self.parent
             shift = self.shifts[self.q]
             if w == self.x:
-                row = (self.det << shift) - self.s * self.pivot
+                row = (self.det << shift) - self.pivot
             else:
                 up = parent.row(w)
-                row = exchange_column(up, self.pivot, self.s * self.layout.read(up, shift), self.det, parent.det)
+                row = exchange_column(up, self.pivot, self.layout.read(up, shift), self.det, parent.det)
             self.rows[w] = row
         return row
 
@@ -299,8 +301,8 @@ class _Cone:
         shifts = self.shifts.copy()
         shift = shifts[q] = shifts.pop(x)
         cone = _Cone(f, det, {}, shifts, self.layout, self)
-        cone.x, cone.q, cone.s = x, q, s
-        cone.pivot = row - (self.det << shift)
+        cone.x, cone.q = x, q
+        cone.pivot = s * (row - (self.det << shift))
         return cone
 
     def holds_point(self) -> bool:
@@ -355,8 +357,8 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     packed as the fields of one int (``_Layout``).  A position keeps its
     slot while it is in the cone, and q takes x's slot.  So D' and every
     scalar of an exchange is one field read, and the row of G is one
-    exact division of an int (``exchange_column``) against the pivot Q =
-    R[q] - D in x's slot, computed once per cone; the row of x needs no
+    exact division of an int (``exchange_column``) against the pivot s Q,
+    Q = R[q] - D in x's slot, computed once per cone; the row of x needs no
     division.  Each field is a d x d determinant over the rays and unit
     rows, or p . C[c], a sum of i times such determinants, so it fits the
     width that ``_width`` takes from Hadamard's bound; only Q, never

@@ -1,6 +1,11 @@
+import collections
 import functools
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from multifan.exactla import int_rank, scale_to_int
+from multifan.fan import CheckReport, FanStats, classify_ridge, condition_one
 from multifan.rays import RayAssignment
 from multifan.subword import (
     Facet,
@@ -13,6 +18,7 @@ from multifan.subword import (
 )
 from multifan.words import (
     Word,
+    c_sorted_word,
     demazure_product,
     identity,
     increases_length,
@@ -20,6 +26,8 @@ from multifan.words import (
     multiassociahedron_word,
     right_mult,
 )
+
+from lp_oracle import lp_condition_one
 
 
 def is_reduced(w: Word) -> bool:
@@ -53,6 +61,28 @@ def rotate(w: Word) -> tuple[Word, dict[int, int]]:
 def mirror(w: Word) -> Word:
     """The word read right to left."""
     return Word(w.rank, w.letters[::-1])
+
+
+@st.composite
+def words_with_w0(draw):
+    """A rotation of a word of rank at most 3 made of the staircase
+    reduced word of w0 with up to seven letters inserted anywhere."""
+    n = draw(st.integers(1, 3))
+    letters = list(c_sorted_word(n).letters)
+    for at, a in draw(st.lists(st.tuples(st.integers(0, 20), st.integers(1, n)),
+                               max_size=7)):
+        letters.insert(at % (len(letters) + 1), a)
+    w = Word(n, tuple(letters))
+    for _ in range(draw(st.integers(0, len(letters) - 1))):
+        w = rotate(w)[0]
+    return w
+
+
+@st.composite
+def words_rotated_or_mirrored(draw):
+    """A drawn word of ``words_with_w0``, read right to left or not."""
+    w = draw(words_with_w0())
+    return mirror(w) if draw(st.booleans()) else w
 
 
 def naive_flip(w: Word, facet: Facet, r: int) -> tuple[int, Facet]:
@@ -116,6 +146,55 @@ def bfs_traverse(w: Word):
         frontier = next_frontier
 
 
+@functools.lru_cache(maxsize=None)
+def flip_graph(w: Word) -> tuple[tuple[Facet, ...], tuple[tuple[Facet, Facet], ...]]:
+    """The facets of ``w``'s complex, by ``bfs_traverse``, and its ridges
+    as their two facets ``(f, g)``, f < g, each in bitset order."""
+    facets, ridges = [], []
+    for f, flips in bfs_traverse(w):
+        facets.append(f)
+        ridges += [(f, g) for _, _, g in flips if f < g]
+    return tuple(sorted(facets)), tuple(sorted(ridges))
+
+
+def certify_from_scratch(ra: RayAssignment) -> CheckReport:
+    """The report that ``certify_fan`` must give for ``ra``, from code that
+    the walk does not use: the facets and ridges of ``bfs_traverse``; a
+    facet singular when it has other than d rays or ``int_rank`` below d;
+    every ridge classified by ``classify_ridge``, degenerate at a singular
+    facet, the first failure being the least non-good one in bitset order
+    or a lone singular facet; and, without a failure, the base condition
+    by ``condition_one`` from the greedy facet, whose answer the exact LP
+    confirms."""
+    facets, ridges = flip_graph(ra.word)
+    rank = {f: int_rank([scale_to_int(ra.rays[r - 1]) for r in positions_of(f)]) for f in facets}
+    singular = {f for f in facets if f.bit_count() != ra.dim or rank[f] < ra.dim}
+    counts = collections.Counter()
+    failure = None
+    for f, g in ridges:
+        status = "degenerate" if f in singular or g in singular else classify_ridge(ra, f, g).status
+        counts[status] += 1
+        if failure is None and status != "good":
+            failure = f"{status} ridge {positions_of(f & g)}"
+    if failure is None and len(facets) == 1 and singular:
+        failure = f"degenerate cone {positions_of(facets[0])}"
+    stats = FanStats(ra.word.rank, counts["bad"], counts["degenerate"], len(ridges), len(singular),
+                     len(facets), min(rank.values()))
+    if failure is not None:
+        return CheckReport(False, stats, failure, "skipped", None, None)
+    base = greedy_facet(ra.word)
+    witness = condition_one(ra, facets, base)
+    lp_witness = lp_condition_one(ra, facets, base)
+    assert (witness is None) == (lp_witness is None), ra.rays
+    if witness is not None:
+        # the witness's open cone meets the base's; the least such cone
+        # may be smaller, since it need not hold p
+        assert lp_condition_one(ra, [witness], base) == witness and lp_witness <= witness, ra.rays
+    holds = witness is None
+    first = None if holds else f"open cones of base and {positions_of(witness)} intersect"
+    return CheckReport(holds, stats, first, "full", holds, positions_of(base))
+
+
 def walk_records(w: Word) -> list[tuple]:
     """Every call that ``walk`` makes over ``w``, in order, as ``(f,
     entering, entry, depth, children)``: the entering position of each
@@ -166,15 +245,6 @@ def parent_of(f: Facet, entry) -> Facet:
     return f & ~(1 << (q - 1)) | 1 << (x - 1)
 
 
-def old_records(w: Word):
-    """The walk's records in the shape that its generator once yielded,
-    ``(f, flips, (x, q, parent), depth)``, each rebuilt from the walk's
-    own record."""
-    for f, entering, entry, depth, _ in walk_records(w):
-        old = None if entry is None else (*entry[:2], parent_of(f, entry))
-        yield f, flips_of(f, entering), old, depth
-
-
 def orientations(w: Word) -> dict[Facet, int]:
     """The orientation e of every facet, in walk order, propagated down
     the walk's records as the statistics walk does: e(root) = 1, and a
@@ -196,13 +266,6 @@ def orientations(w: Word) -> dict[Facet, int]:
 def get_index(k: int, n: int):
     """Session-wide cache of enumerated complexes (they are immutable)."""
     return all_facets(multiassociahedron_word(k, n))
-
-
-@functools.lru_cache(maxsize=None)
-def get_ridges(k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Every ridge as its two facets ``(f, g)``, f < g, in bitset order."""
-    records = walk_records(multiassociahedron_word(k, n))
-    return tuple(sorted((f, g) for f, entering, *_ in records for _, _, g in flips_of(f, entering) if f < g))
 
 
 # positions of c w0(2) in the angular order of the loday rays

@@ -8,6 +8,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifan import exactla, fan
 from multifan.fan import (
@@ -25,18 +26,19 @@ from multifan.words import Word, parse_word
 
 from conftest import (
     DOUBLE_COVER_ORDER,
+    certify_from_scratch,
     double_cover_rays,
+    flip_graph,
     get_index,
-    get_ridges,
     in_dimension,
     mirror,
     orientations,
     parent_of,
     rotate,
     walk_records,
+    words_rotated_or_mirrored,
     wrap,
 )
-from lp_oracle import lp_condition_one
 
 
 def decimal_ratio_str(count: int, total: int) -> str:
@@ -77,7 +79,7 @@ def test_facet_rank_pattern_n1():
 
 def test_classify_ridge_pattern_n1():
     ra = build_rays("pattern", 1)
-    ridges = get_ridges(2, 1)
+    ridges = flip_graph(ra.word)[1]
     for f, g in ridges:
         rep = classify_ridge(ra, f, g)
         assert rep.status == "good"
@@ -95,20 +97,13 @@ def test_classify_ridge_rejects_non_adjacent():
 
 
 def test_naive_n3_degeneracies():
-    ra = build_rays("naive", 3)
-    idx = get_index(2, 3)
-    stats = stream_statistics(ra)
+    stats = stream_statistics(build_rays("naive", 3))
     assert stats.degenerate_ridges == 11
     assert stats.degenerate_cones == 2
     assert stats.bad_ridges == 0
     assert stats.min_dimension == 5
-    # classify_ridge agrees with the bulk counts
-    per_ridge = [classify_ridge(ra, f, g).status for f, g in get_ridges(2, 3)]
-    assert per_ridge.count("degenerate") == 11
-    assert per_ridge.count("bad") == 0
     # 2 deficient cones of 84, sharing one ridge: 6 + 6 - 1 = 11
-    ranks = [cone_rank(ra, f) for f in idx.facets]
-    assert sum(1 for r in ranks if r < 6) == 2
+    assert stats.cones == 84
 
 
 def test_naive_n4_column():
@@ -165,136 +160,108 @@ def test_fixed_53_certifies_n3():
     assert rep.certified
 
 
-def test_stream_certify_matches_indexed():
-    # the one streamed pass against the enumerated complex: counts, the
-    # degenerate cones by rank, and the base condition over the index
-    for name, n in [("pattern", 2), ("pattern", 3), ("naive", 3)]:
-        ra = build_rays(name, n)
-        idx = get_index(2, n)
-        rep = certify_fan(ra)
-        ranks = [cone_rank(ra, f) for f in idx.facets]
-        assert (rep.stats.cones, rep.stats.ridges) == (idx.n_facets, idx.n_ridges)
-        assert rep.stats.degenerate_cones == sum(1 for r in ranks if r < ra.dim)
-        assert rep.stats.min_dimension == min(ranks)
-        if rep.condition1 == "full":
-            assert rep.condition1_holds
-            assert condition_one(ra, idx.facets, greedy_facet(ra.word)) is None
-
-
 def test_double_cover_fails_base_condition():
     loday = build_rays("loday", 2)
     by_angle = sorted(range(1, 6), key=lambda q: math.atan2(loday.rays[q - 1][1],
                                                             loday.rays[q - 1][0]))
     assert tuple(by_angle) == DOUBLE_COVER_ORDER
-    ra = double_cover_rays()
-    facets = get_index(1, 2).facets
-    rep = certify_fan(ra)
+    rep = certify_fan(double_cover_rays())
     assert (rep.stats.bad_ridges, rep.stats.degenerate_ridges) == (0, 0)
     assert rep.condition1 == "full" and rep.condition1_holds is False
     assert not rep.certified
-    assert rep.first_failure.startswith("open cones of base and")
-    assert lp_condition_one(ra, facets, greedy_facet(ra.word)) is not None
-    witness = condition_one(ra, facets, greedy_facet(ra.word))
-    assert witness is not None
-    assert rep.first_failure == f"open cones of base and {positions_of(witness)} intersect"
-
-
-# (k, n): (draws, scale).  A draw is scale * construction ray + a uniform
-# integer vector in [-3, 3]^d: plain random rays for the two smallest
-# complexes, noisy multiples of the loday / pattern rays for the other two,
-# where plain random rays almost never pass the ridge condition.
-CROSS_CHECK = {(1, 2): (3000, 0), (2, 1): (300, 0), (1, 3): (120, 6), (2, 2): (600, 6)}
-
-
-def test_point_location_agrees_with_lp_on_random_rays():
-    rng = random.Random(0)
-    kept = rejected = 0
-    for (k, n), (draws, scale) in CROSS_CHECK.items():
-        ref = build_rays("loday" if k == 1 else "pattern", n)
-        facets = get_index(k, n).facets
-        base = greedy_facet(ref.word)
-        for _ in range(draws):
-            rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
-            ra = RayAssignment(ref.word, rays, ref.dim)
-            stats = stream_statistics(ra)
-            if stats.bad_ridges or stats.degenerate_ridges:
-                continue
-            kept += 1
-            witness = condition_one(ra, facets, base)
-            lp_witness = lp_condition_one(ra, facets, base)
-            assert (witness is None) == (lp_witness is None), (k, n, rays)
-            # the walk locates the point as the from-scratch sweep does
-            rep = certify_fan(ra)
-            assert rep.condition1_holds == (witness is None), (k, n, rays)
-            if witness is not None:
-                rejected += 1
-                assert rep.first_failure == \
-                    f"open cones of base and {positions_of(witness)} intersect", (k, n, rays)
-                # the witness's open cone meets the base's, as reported; the
-                # least such cone may be smaller, since it need not hold p
-                assert lp_condition_one(ra, [witness], base) == witness
-                assert lp_witness <= witness
-    assert kept >= 200 and rejected >= 1, (kept, rejected)
-
-
-def _ridge_scan(ra, ridges):
-    """The per-ridge oracle: ``classify_ridge`` on every ridge in bitset
-    order; (bad count, degenerate count, first non-good ridge)."""
-    counts = {"good": 0, "bad": 0, "degenerate": 0}
-    first = None
-    for f, g in ridges:
-        rep = classify_ridge(ra, f, g)
-        counts[rep.status] += 1
-        if first is None and rep.status != "good":
-            first = f"{rep.status} ridge {rep.ridge}"
-    return counts["bad"], counts["degenerate"], first
-
-
-# (k, n): (draws, scale), drawn as in CROSS_CHECK
-PARITY_CHECK = {(1, 2): (200, 0), (2, 1): (100, 0), (1, 3): (60, 6), (2, 2): (100, 6)}
+    assert rep.first_failure == "open cones of base and (2, 3) intersect"
 
 
 def _exceptions(ra, orient):
     """The facets whose oriented sign e sign(det) is 0 or not the base's,
-    from scratch."""
+    from scratch, with that sign."""
     rays = fan._int_rays(ra)
     sign = {}
     for f, e in orient.items():
         det = exactla.bareiss_det(fan._cone(rays, f))
         sign[f] = e * ((det > 0) - (det < 0))
     base = sign[greedy_facet(ra.word)]
-    return {f for f, s in sign.items() if s != base or not s}
+    return {f: s for f, s in sign.items() if s != base or not s}
 
 
-def test_ridge_parity_matches_classify_ridge():
-    rng = random.Random(1)
-    with_bad = with_degenerate = 0
-    # ridges between two exceptions, by classify_ridge's status
+def test_certificate_matches_from_scratch_on_constructions():
+    # the constructions, rays that wind twice around the origin, with the
+    # base point on the boundary of another cone, with a singular base
+    # cone, of another dimension than the facets, and a lone facet
+    cases = [build_rays(name, n, seed) for name, ns, seed in [
+        ("pattern", (1, 2, 3), None), ("naive", (2, 3), None), ("linear", (3,), None),
+        ("fixed:5,3", (1, 2, 3), None), ("loday", (2, 3, 4), None), ("perturbed", (3,), 1),
+    ] for n in ns]
+    cases += [double_cover_rays(), _boundary_rays(), _singular_base_rays(1), _singular_base_rays(2),
+              in_dimension(build_rays("pattern", 2), 3), in_dimension(build_rays("naive", 3), 7),
+              RayAssignment(parse_word("w0(1)"), ((5,),), 1, "x")]
+    for ra in cases:
+        assert certify_fan(ra) == certify_from_scratch(ra), ra
+
+
+def noisy(ref: RayAssignment, scale: int, rng: random.Random) -> RayAssignment:
+    """``scale`` times each of ``ref``'s rays plus a uniform integer vector
+    in [-3, 3]^d: plain random rays for ``scale`` 0."""
+    rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
+    return RayAssignment(ref.word, rays, ref.dim)
+
+
+# (k, n): (draws, scale) of the noisy rays: plain random rays for the two
+# smallest complexes, noisy multiples of the loday / pattern rays for the
+# other two, where plain random rays almost never pass the ridge condition
+DRAWS = {(2, 1): (1100, 0), (1, 2): (1200, 0), (1, 3): (60, 6), (2, 2): (100, 6)}
+
+
+def test_certificate_matches_from_scratch_on_drawn_rays():
+    rng = random.Random(0)
+    reports = []
+    # ridges between two exceptions, by whether they are good: whether
+    # the two have the same nonzero oriented sign
     paired = collections.Counter()
-    for (k, n), (draws, scale) in PARITY_CHECK.items():
+    for (k, n), (draws, scale) in DRAWS.items():
         ref = build_rays("loday" if k == 1 else "pattern", n)
-        ridges = get_ridges(k, n)
         orient = orientations(ref.word)
+        ridges = flip_graph(ref.word)[1]
         for _ in range(draws):
-            rays = tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays)
-            ra = RayAssignment(ref.word, rays, ref.dim)
+            ra = noisy(ref, scale, rng)
+            rep = certify_fan(ra)
+            assert rep == certify_from_scratch(ra), ra.rays
+            reports.append(rep)
             exceptions = _exceptions(ra, orient)
             for f, g in ridges:
                 if f in exceptions and g in exceptions:
-                    paired[classify_ridge(ra, f, g).status == "good"] += 1
-            bad, degenerate, first = _ridge_scan(ra, ridges)
-            stats = stream_statistics(ra)
-            assert (stats.bad_ridges, stats.degenerate_ridges) == (bad, degenerate), rays
-            rep = certify_fan(ra)
-            if first is None:
-                assert rep.condition1 == "full", rays
-            else:
-                assert rep.first_failure == first, rays
-            with_bad += bad > 0
-            with_degenerate += degenerate > 0
-    assert with_bad >= 1 and with_degenerate >= 1, (with_bad, with_degenerate)
+                    paired[exceptions[f] == exceptions[g] != 0] += 1
+    # the base condition compared with the LP, and failed; each kind of
+    # ridge failure
+    assert sum(rep.condition1 == "full" for rep in reports) >= 200
+    assert any(rep.condition1_holds is False for rep in reports)
+    assert any(rep.stats.bad_ridges for rep in reports) and any(rep.stats.degenerate_ridges for rep in reports)
     # the walk classifies these after it, from the lesser exception
     assert paired[True] >= 1 and paired[False] >= 1, paired
+
+
+@st.composite
+def drawn_rays(draw):
+    """Rays on a drawn word, of the facets' size less one, the same or
+    plus one, with coordinates in [-3, 3]."""
+    w = draw(words_rotated_or_mirrored())
+    size = greedy_facet(w).bit_count()
+    dim = draw(st.integers(max(size - 1, 0), size + 1))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=len(w), max_size=len(w)))
+    return RayAssignment(w, tuple(rays), dim)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_rays())
+def test_certificate_matches_from_scratch_on_drawn_words(ra):
+    assert certify_fan(ra) == certify_from_scratch(ra)
+
+
+@pytest.mark.fulltier
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(drawn_rays())
+def test_certificate_matches_from_scratch_on_more_drawn_words(ra):
+    assert certify_fan(ra) == certify_from_scratch(ra)
 
 
 def _unimodular_flip(dim: int, rng: random.Random) -> list[list[int]]:
@@ -348,17 +315,6 @@ def test_certificate_invariant_under_symmetries(ra):
             assert got.first_failure == rep.first_failure
 
 
-def test_point_location_agrees_with_lp_on_constructions():
-    for name, k, ns in [("pattern", 2, (1, 2, 3)), ("loday", 1, (2, 3, 4)),
-                        ("fixed:5,3", 2, (1, 2, 3))]:
-        for n in ns:
-            ra = build_rays(name, n)
-            facets = get_index(k, n).facets
-            base = greedy_facet(ra.word)
-            assert condition_one(ra, facets, base) is None
-            assert lp_condition_one(ra, facets, base) is None
-
-
 def _located(monkeypatch, ra):
     """``(witness, located)``: the walk's witness over ``ra`` and, for each
     facet where it locates the base point, ``(cone, holds)``, the cone and
@@ -392,8 +348,7 @@ def test_whole_row_location_matches_the_fields(monkeypatch):
     cases += [double_cover_rays(), _boundary_rays()]
     for name, n, draws, scale in [("loday", 2, 1500, 0), ("pattern", 2, 40, 6)]:
         ref = build_rays(name, n)
-        cases += [RayAssignment(ref.word, tuple(tuple(scale * x + rng.randint(-3, 3) for x in v) for v in ref.rays),
-                                ref.dim) for _ in range(draws)]
+        cases += [noisy(ref, scale, rng) for _ in range(draws)]
     outcomes = collections.Counter()
     for ra in cases:
         rays = fan._int_rays(ra)
@@ -496,7 +451,6 @@ def test_base_point_on_the_boundary_of_another_cone(monkeypatch):
     rep = certify_fan(ra)
     assert (rep.stats.bad_ridges, rep.stats.degenerate_ridges) == (0, 0)
     assert rep.first_failure == "open cones of base and (1, 2) intersect"
-    assert lp_condition_one(ra, facets, base) is not None
 
 
 def _checked_stats(monkeypatch, ra):
@@ -617,18 +571,11 @@ def test_singular_base_facet(monkeypatch, dependent):
     ra = _singular_base_rays(dependent)
     rows = fan._cone(fan._int_rays(ra), greedy_facet(ra.word))
     assert exactla.int_rank(rows) == ra.dim - dependent
-    stats, failure, _ = _stats(ra)
     units = wrap(monkeypatch, fan, "_unit")
     checked = _checked_stats(monkeypatch, ra)
     assert len(units) == 1 and not checked[0][0].det and checked[0][1] is None
     assert any(cone.det for cone, _ in checked)
-    ridges = get_ridges(2, 3)
-    bad, degenerate, first = _ridge_scan(ra, ridges)
-    cones = [fan._cone(fan._int_rays(ra), f) for f in get_index(2, 3).facets]
-    assert (stats.bad_ridges, stats.degenerate_ridges, stats.ridges) == (bad, degenerate, len(ridges))
-    assert stats.degenerate_cones == sum(exactla.bareiss_det(rows) == 0 for rows in cones)
-    assert stats.min_dimension == min(map(exactla.int_rank, cones)) == ra.dim - dependent
-    assert failure == first
+    assert _stats(ra)[0].min_dimension == ra.dim - dependent
 
 
 def _walk_cones(monkeypatch, ra):

