@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import math
@@ -184,19 +185,59 @@ def _exceptions(ra, orient):
     return {f: s for f, s in sign.items() if s != base or not s}
 
 
+@functools.cache
+def _construction(name, n, seed=None):
+    """``(ra, walk's report, from-scratch report)`` for ``build_rays(name,
+    n, seed)``, computed once for the tests that read it."""
+    ra = build_rays(name, n, seed)
+    return ra, certify_fan(ra), certify_from_scratch(ra)
+
+
+# (name, n, seed) of the constructions, and the paper's among them that
+# it certifies
+CONSTRUCTIONS = [(name, n, seed) for name, ns, seed in [
+    ("pattern", (1, 2, 3), None), ("naive", (2, 3), None), ("linear", (3,), None),
+    ("fixed:5,3", (1, 2, 3), None), ("loday", (2, 3, 4), None), ("perturbed", (3,), 1),
+] for n in ns]
+CERTIFIED = [(name, n, None) for name, ns in [("pattern", (1, 2, 3)), ("loday", (2, 3, 4)),
+                                              ("fixed:5,3", (1, 2, 3))] for n in ns]
+
+
 def test_certificate_matches_from_scratch_on_constructions():
     # the constructions, rays that wind twice around the origin, with the
     # base point on the boundary of another cone, with a singular base
     # cone, of another dimension than the facets, and a lone facet
-    cases = [build_rays(name, n, seed) for name, ns, seed in [
-        ("pattern", (1, 2, 3), None), ("naive", (2, 3), None), ("linear", (3,), None),
-        ("fixed:5,3", (1, 2, 3), None), ("loday", (2, 3, 4), None), ("perturbed", (3,), 1),
-    ] for n in ns]
-    cases += [double_cover_rays(), _boundary_rays(), _singular_base_rays(1), _singular_base_rays(2),
-              in_dimension(build_rays("pattern", 2), 3), in_dimension(build_rays("naive", 3), 7),
-              RayAssignment(parse_word("w0(1)"), ((5,),), 1, "x")]
-    for ra in cases:
+    for key in CONSTRUCTIONS:
+        ra, rep, ref = _construction(*key)
+        assert rep == ref, key
+    for ra in [double_cover_rays(), _boundary_rays(), _singular_base_rays(1), _singular_base_rays(2),
+               in_dimension(build_rays("pattern", 2), 3), in_dimension(build_rays("naive", 3), 7),
+               RayAssignment(parse_word("w0(1)"), ((5,),), 1, "x")]:
         assert certify_fan(ra) == certify_from_scratch(ra), ra
+
+
+def test_point_location_agrees_with_lp_on_constructions():
+    # the walk locates the base point in no other cone, and so do
+    # condition_one and the exact LP, which the reference runs and compares
+    for key in CERTIFIED:
+        ra, rep, ref = _construction(*key)
+        assert ref.condition1 == "full" and ref.condition1_holds, key
+        assert (rep.condition1, rep.condition1_holds) == ("full", True), key
+
+
+def test_stream_certify_matches_indexed():
+    # the one streamed pass against the enumerated complex: counts, the
+    # degenerate cones by rank, and the base condition over the index
+    for name, n in [("pattern", 2), ("pattern", 3), ("naive", 3)]:
+        ra, rep, ref = _construction(name, n)
+        idx = get_index(2, n)
+        ranks = [cone_rank(ra, f) for f in idx.facets]
+        assert (rep.stats.cones, rep.stats.ridges) == (idx.n_facets, idx.n_ridges)
+        assert rep.stats.degenerate_cones == sum(1 for r in ranks if r < ra.dim)
+        assert rep.stats.min_dimension == min(ranks)
+        if rep.condition1 == "full":
+            assert rep.condition1_holds
+            assert condition_one(ra, idx.facets, greedy_facet(ra.word)) is None
 
 
 def noisy(ref: RayAssignment, scale: int, rng: random.Random) -> RayAssignment:
@@ -212,11 +253,14 @@ def noisy(ref: RayAssignment, scale: int, rng: random.Random) -> RayAssignment:
 DRAWS = {(2, 1): (1100, 0), (1, 2): (1200, 0), (1, 3): (60, 6), (2, 2): (100, 6)}
 
 
-def test_certificate_matches_from_scratch_on_drawn_rays():
+@functools.cache
+def _drawn_rays():
+    """``(cases, paired)``, computed once for the tests that read them:
+    ``(ra, walk's report, from-scratch report)`` for each draw of
+    ``DRAWS``, and the ridges between two exceptions, counted by whether
+    they are good: whether the two have the same nonzero oriented sign."""
     rng = random.Random(0)
-    reports = []
-    # ridges between two exceptions, by whether they are good: whether
-    # the two have the same nonzero oriented sign
+    cases = []
     paired = collections.Counter()
     for (k, n), (draws, scale) in DRAWS.items():
         ref = build_rays("loday" if k == 1 else "pattern", n)
@@ -224,18 +268,42 @@ def test_certificate_matches_from_scratch_on_drawn_rays():
         ridges = flip_graph(ref.word)[1]
         for _ in range(draws):
             ra = noisy(ref, scale, rng)
-            rep = certify_fan(ra)
-            assert rep == certify_from_scratch(ra), ra.rays
-            reports.append(rep)
+            cases.append((ra, certify_fan(ra), certify_from_scratch(ra)))
             exceptions = _exceptions(ra, orient)
             for f, g in ridges:
                 if f in exceptions and g in exceptions:
                     paired[exceptions[f] == exceptions[g] != 0] += 1
-    # the base condition compared with the LP, and failed; each kind of
-    # ridge failure
-    assert sum(rep.condition1 == "full" for rep in reports) >= 200
-    assert any(rep.condition1_holds is False for rep in reports)
-    assert any(rep.stats.bad_ridges for rep in reports) and any(rep.stats.degenerate_ridges for rep in reports)
+    return cases, paired
+
+
+def test_certificate_matches_from_scratch_on_drawn_rays():
+    for ra, rep, ref in _drawn_rays()[0]:
+        assert rep == ref, ra.rays
+
+
+def test_point_location_agrees_with_lp_on_random_rays():
+    # on the ridge-clean draws, where the reference compares condition_one
+    # with the exact LP, the walk locates the point as they do; at least
+    # 200 such draws, and one that fails the base condition
+    full = [(ra, rep, ref) for ra, rep, ref in _drawn_rays()[0] if ref.condition1 == "full"]
+    for ra, rep, ref in full:
+        assert (rep.condition1, rep.condition1_holds, rep.first_failure) == \
+            (ref.condition1, ref.condition1_holds, ref.first_failure), ra.rays
+    assert len(full) >= 200
+    assert any(ref.condition1_holds is False for _, _, ref in full)
+
+
+def test_ridge_parity_matches_classify_ridge():
+    # the walk's bad and degenerate ridges and its first ridge failure are
+    # those of classify_ridge on every ridge; each kind of failure occurs
+    cases, paired = _drawn_rays()
+    for ra, rep, ref in cases:
+        assert (rep.stats.bad_ridges, rep.stats.degenerate_ridges) == \
+            (ref.stats.bad_ridges, ref.stats.degenerate_ridges), ra.rays
+        if ref.condition1 == "skipped":
+            assert rep.first_failure == ref.first_failure, ra.rays
+    assert any(ref.stats.bad_ridges for _, _, ref in cases)
+    assert any(ref.stats.degenerate_ridges for _, _, ref in cases)
     # the walk classifies these after it, from the lesser exception
     assert paired[True] >= 1 and paired[False] >= 1, paired
 
