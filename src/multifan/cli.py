@@ -269,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("facets", help="enumerate subword-complex facets")
-    s.add_argument("--word", help='word spec, e.g. "c^2 w0(3)" or "n=3; 1 2 3 1 2 1"')
-    s.add_argument("--kn", type=_kn, metavar="K,N", help="k,n shorthand for c^k w0(n)")
+    g = s.add_mutually_exclusive_group()
+    g.add_argument("--word", help='word spec, e.g. "c^2 w0(3)" or "n=3; 1 2 3 1 2 1"')
+    g.add_argument("--kn", type=_kn, metavar="K,N", help="k,n shorthand for c^k w0(n)")
     _common(s)
     s.set_defaults(func=cmd_facets)
 
@@ -284,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("check", help="certify a ray file against a word")
     s.add_argument("--rays", required=True, help="ray file path")
-    s.add_argument("--word", help="word spec")
-    s.add_argument("--kn", type=_kn, metavar="K,N", help="k,n shorthand")
+    g = s.add_mutually_exclusive_group()
+    g.add_argument("--word", help="word spec")
+    g.add_argument("--kn", type=_kn, metavar="K,N", help="k,n shorthand")
     _common(s)
     s.set_defaults(func=cmd_check)
 

@@ -168,7 +168,11 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     on the exchanged rays, the one leaving f positive after normalisation)
     versus bad.  Solved over the rationals, independently of the
     determinant parity that the statistics use; the tests check that
-    parity against it.
+    parity against it.  The one solve, of f's rays against the ray
+    entering f2, also decides the ranks: f is rank deficient when it has
+    other than d rays or the solve finds no pivot, and then f2, which
+    trades the ray of x for the entering one, exactly when x's
+    coefficient is 0.
     """
     shared = f & f2
     out = f & ~shared
@@ -176,16 +180,21 @@ def classify_ridge(ra: RayAssignment, f: Facet, f2: Facet) -> RidgeReport:
     if bin(out).count("1") != 1 or bin(inn).count("1") != 1:
         raise ValueError("facets are not adjacent")
     ridge = positions_of(shared)
-    rays = _int_rays(ra)
-    if int_rank(_cone(rays, f)) < ra.dim or int_rank(_cone(rays, f2)) < ra.dim:
-        return RidgeReport(ridge, "degenerate", None)
+    positions = positions_of(f)
     x = positions_of(out)[0]
     x2 = positions_of(inn)[0]
-    cols = [ra.rays[r - 1] for r in positions_of(f)]
-    coeffs = solve_unique(cols, ra.rays[x2 - 1])
+    degenerate = RidgeReport(ridge, "degenerate", None)
+    if len(positions) != ra.dim:
+        return degenerate
+    try:
+        coeffs = solve_unique([ra.rays[r - 1] for r in positions], ra.rays[x2 - 1])
+    except ValueError:  # no pivot: f is singular
+        return degenerate
+    cx = coeffs[positions.index(x)]
+    if not cx:
+        return degenerate
     # dependence: sum coeffs * rays(f) - ray(x2) = 0, normalised so the
     # coefficient of x is positive
-    cx = coeffs[positions_of(f).index(x)]
     dep = tuple(coeffs) + (Fraction(-1),)
     if cx < 0:
         dep = tuple(-c for c in dep)

@@ -1,37 +1,31 @@
 """
-Commutation, doubling (0-Hecke) and braid moves on words, with the letter
-labeling that makes move sequences replayable.
+Commutation, doubling (0-Hecke) and braid moves on words, and the move
+traces that ray construction replays.
 
 A move is its kind and its position, and ``carry`` is the one rule that
 moves anything kept per position through it: a doubling at r inserts the
 new letter's entry at r+1, a commutation exchanges r and r+1, a braid
-exchanges r and r+2.  Letters, labels and rays all follow that rule.
+exchanges r and r+2.  Letters and rays both follow that rule.
 
 A fattening sequence turns a staircase factor w0(c) into w0(c) followed by
 the reversed c, by doubling every letter s_1 of the staircase and then
 performing n(n-1)/2 braid moves, interlaced with commutations.  The trace
-records every move at its exact position together with the evolving label
-assignment, so that ray construction can replay it without re-deriving
-anything; ``commutation_trace`` records the commutations between two
-commutation-equivalent words the same way.
+records every move at its exact position, so that ray construction can
+replay it without re-deriving anything; ``commutation_trace`` records the
+commutations between two commutation-equivalent words the same way.
 
-Labels: the staircase letters start out labeled with their grid position
-(i, j) (row i, column j).  Doubling a letter labeled (i, 1) labels the two
-copies (i, 1) and (i, 1)'.  A braid move exchanges the labels of the outer
-letters and keeps the middle one.  At the end of a fattening the labels of
-the transformed factor form a fixed pattern (asserted): the c prefix reads
-(1,1)..(n,1), the inner staircase letter (i, j) reads (i, j+1), and the
-reversed-c suffix reads (1,1)'..(n,1)' left to right.
+Each braid of a fattening also names the grid cell (i, j) of the rank n-1
+staircase (``words.staircase_cells``) that weights it: the k-th braid of
+the insertion of s_l is made at cell (n + 1 - l, k).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .words import Word, c_sorted_word, contains_longest, staircase_cells
+from .words import Word, c_sorted_word, contains_longest, format_word, staircase_cells
 
 __all__ = [
-    "Label",
     "MoveEvent",
     "MoveTrace",
     "apply_move",
@@ -39,26 +33,18 @@ __all__ = [
     "classify_braid",
     "commutation_trace",
     "fattening_sequence",
-    "final_label_pattern",
     "format_trace",
 ]
 
 
-class Label(NamedTuple):
-    i: int
-    j: int
-    primed: bool = False
-
-    def __str__(self) -> str:
-        return f"({self.i},{self.j})" + ("'" if self.primed else "")
-
-
 class MoveEvent(NamedTuple):
     """kind 'C' (commutation), 'D' (double), 'B' (braid); r is the 1-based
-    position where the move applies."""
+    position where the move applies; a fattening's braid names its grid
+    cell (i, j), every other move None."""
 
     kind: str
     r: int
+    cell: tuple[int, int] | None = None
 
     def __str__(self) -> str:
         return f"{self.kind} {self.r}"
@@ -66,12 +52,10 @@ class MoveEvent(NamedTuple):
 
 class MoveTrace(NamedTuple):
     """words[0] is the initial word; events[s] transforms words[s] into
-    words[s+1] (as ``apply_move`` does); labels[s] is the per-position
-    label tuple of words[s] (None on letters outside the tracked factor)."""
+    words[s+1] (as ``apply_move`` does)."""
 
     words: tuple[Word, ...]
     events: tuple[MoveEvent, ...]
-    labels: tuple[tuple[Label | None, ...], ...]
 
     @property
     def initial(self) -> Word:
@@ -165,33 +149,19 @@ def classify_braid(w: Word, r: int) -> int:
 
 
 class _Builder:
-    """Words and labels, recording moves as they are performed."""
+    """Words, recording moves as they are performed."""
 
-    def __init__(self, w: Word, labels):
+    def __init__(self, w: Word):
         self.words = [w]
         self.events: list[MoveEvent] = []
-        self.label_states = [tuple(labels)]
 
     def letter(self, r: int) -> int:
         return self.words[-1].letter(r)
 
-    def move(self, kind: str, r: int):
-        """Apply one move and carry every label to its new position; the
-        new copy of a doubled (i,1) letter is labeled (i,1)'."""
-        event = MoveEvent(kind, r)
-        w = apply_move(self.words[-1], event)
-        labels = list(self.label_states[-1])
-        copy = None
-        if kind == "D":
-            lab = labels[r - 1]
-            assert lab is not None and lab.j == 1 and not lab.primed, (
-                f"doubling expects an (i,1) label at {r}, found {lab}"
-            )
-            copy = Label(lab.i, 1, True)
-        carry(labels, event, copy)
-        self.words.append(w)
+    def move(self, kind: str, r: int, cell: tuple[int, int] | None = None):
+        event = MoveEvent(kind, r, cell)
+        self.words.append(apply_move(self.words[-1], event))
         self.events.append(event)
-        self.label_states.append(tuple(labels))
 
     def commute_window_to(self, start: int, target: tuple[int, ...]):
         """Bubble the window starting at 1-based ``start`` into the target
@@ -207,33 +177,21 @@ class _Builder:
                 self.move("C", pos)
 
     def trace(self) -> MoveTrace:
-        return MoveTrace(tuple(self.words), tuple(self.events),
-                         tuple(self.label_states))
+        return MoveTrace(tuple(self.words), tuple(self.events))
 
 
-def _builder_at(w: Word, start: int) -> _Builder:
-    """A builder on ``w`` whose staircase factor at 0-based offset ``start``
-    carries the grid labels (i, j), row by row; other letters are unlabeled."""
-    n = w.rank
-    staircase = c_sorted_word(n).letters
-    if w.letters[start : start + len(staircase)] != staircase:
-        raise ValueError(f"no staircase factor of rank {n} at offset {start}")
-    labels: list[Label | None] = [None] * len(w)
-    labels[start : start + len(staircase)] = [Label(i, j) for i, j in staircase_cells(n)]
-    return _Builder(w, labels)
-
-
-def _insert_moves(b: _Builder, sigma: int, ell: int):
+def _insert_moves(b: _Builder, sigma: int, ell: int, n: int):
     """Letter-insertion moves on the window starting at
     position sigma+1, whose content is s_1 followed by the staircase of
-    rank ell; ends with the window reading staircase then s_ell."""
+    rank ell; ends with the window reading staircase then s_ell.  The k-th
+    braid is made at cell (n + 1 - ell, k) of the rank n-1 staircase."""
     for k in range(1, ell):
         assert b.letter(sigma + 2 * k) == k
         mover = sigma + ell + k + 1
         assert b.letter(mover) == k
         for pos in range(mover - 1, sigma + 2 * k + 1, -1):
             b.move("C", pos)
-        b.move("B", sigma + 2 * k)
+        b.move("B", sigma + 2 * k, (n + 1 - ell, k))
     target = c_sorted_word(ell).letters + (ell,)
     b.commute_window_to(sigma + 1, target)
 
@@ -250,7 +208,10 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
     (1, 2, 3, 1, 2, 1, 3, 2, 1)
     """
     n = w.rank
-    b = _builder_at(w, triangle_start)
+    staircase = c_sorted_word(n).letters
+    if w.letters[triangle_start : triangle_start + len(staircase)] != staircase:
+        raise ValueError(f"no staircase factor of rank {n} at offset {triangle_start}")
+    b = _Builder(w)
     cells = staircase_cells(n)
     anchors = []
     for i in range(1, n + 1):
@@ -262,43 +223,30 @@ def fattening_sequence(w: Word, triangle_start: int = 0) -> MoveTrace:
         anchors.append(pos)
     for ell in range(2, n + 1):
         sigma = anchors[n - ell] - 1
-        _insert_moves(b, sigma, ell)
-    expected = c_sorted_word(n).letters + tuple(range(n, 0, -1))
+        _insert_moves(b, sigma, ell, n)
+    expected = staircase + tuple(range(n, 0, -1))
     end = triangle_start + len(expected)
     got = b.words[-1].letters[triangle_start:end]
     assert got == expected, f"fattening ended on {got}"
-    finals = list(b.label_states[-1][triangle_start:end])
-    assert finals == final_label_pattern(n), "final labels off pattern"
     return b.trace()
 
 
-def final_label_pattern(n: int) -> list[Label]:
-    """Labels of the fattened factor, left to right: the c prefix reads
-    (i,1), the staircase of rank n-1 reads (i,j+1) on its (i,j) letter, and
-    the reversed-c suffix reads (i,1)' at its i-th letter."""
-    return ([Label(i, 1) for i in range(1, n + 1)]
-            + [Label(i, j + 1) for i, j in staircase_cells(n - 1)]
-            + [Label(i, 1, True) for i in range(1, n + 1)])
-
-
 def commutation_trace(src: Word, dst: Word) -> MoveTrace:
-    """The commutations that turn ``src`` into ``dst``, as a trace with no
-    labels: each letter of ``dst``, left to right, is bubbled into place
-    from its first occurrence.  Raises ``ValueError`` if the words are not
-    commutation equivalent.
+    """The commutations that turn ``src`` into ``dst``, as a trace: each
+    letter of ``dst``, left to right, is bubbled into place from its first
+    occurrence.  Raises ``ValueError`` if the words are not commutation
+    equivalent.
     """
     if src.rank != dst.rank:
         raise ValueError(f"words of rank {src.rank} and {dst.rank}")
     if sorted(src.letters) != sorted(dst.letters):
         raise ValueError("words with different letters are not commutation equivalent")
-    b = _Builder(src, [None] * len(src))
+    b = _Builder(src)
     b.commute_window_to(1, dst.letters)
     return b.trace()
 
 
 def format_trace(trace: MoveTrace, verbose: bool = False) -> str:
-    from .words import format_word
-
     lines = []
     for s, event in enumerate(trace.events):
         lines.append(str(event))

@@ -21,10 +21,10 @@ Each fattening is followed by the commutations onto c^(k+1) w0(c)
 In a first fattening (the one that starts in dimension 0, where every
 staircase letter carries the zero ray) the braid weights are read from a
 table over the grid cells (i, j) of the rank n-1 staircase
-(``words.staircase_cells``), at the cell (i, j) of the middle letter's
-label (i, j+1); a second fattening uses the weights (1, 1).  Non-vertices
-always carry the zero vector.  The pattern construction lays its rays out
-by the same grid, through the diagonal of each position
+(``words.staircase_cells``), at the cell that the braid's move names
+(``moves.MoveEvent.cell``); a second fattening uses the weights (1, 1).
+Non-vertices always carry the zero vector.  The pattern construction lays
+its rays out by the same grid, through the diagonal of each position
 (``polygon.position_diagonals``).
 """
 
@@ -102,9 +102,9 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
     """Replay a move trace over an assignment on its initial word, moving
     the rays with the letters of each move.
 
-    A trace that starts in dimension 0 is a first fattening: its braid
-    weights come from ``weights`` (the middle ray is checked to be zero);
-    any other trace uses the weights (1, 1).
+    A trace that starts in dimension 0 is a first fattening: each braid's
+    weights are those of its cell in ``weights`` (the middle ray is
+    checked to be zero); any other trace uses the weights (1, 1).
     """
     from .moves import carry
 
@@ -114,7 +114,7 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
     zero, one = Fraction(0), Fraction(1)
     rays = list(ra.rays)
     dim = ra.dim
-    for s, event in enumerate(trace.events):
+    for event in trace.events:
         r = event.r
         if event.kind == "D":
             v = rays[r - 1]
@@ -125,9 +125,7 @@ def replay_fattening(ra: RayAssignment, trace: MoveTrace,
         elif event.kind == "B":
             lo, mid, hi = rays[r - 1 : r + 2]
             if first:
-                lab = trace.labels[s][r]  # middle letter, label (i, j+1)
-                assert lab is not None and lab.j >= 2 and not lab.primed
-                a, b = weights[(lab.i, lab.j - 1)]
+                a, b = weights[event.cell]
                 assert not any(mid), "first-fattening middle ray not zero"
             else:
                 a, b = one, one

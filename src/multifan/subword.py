@@ -33,6 +33,7 @@ from typing import NamedTuple
 from .words import (
     Word,
     contains_longest,
+    format_word,
     identity,
     increases_length,
     longest_element,
@@ -287,8 +288,6 @@ def all_facets(w: Word) -> ComplexIndex:
 def format_facet_file(index: ComplexIndex) -> Iterator[str]:
     """The lines of the facet file, one at a time: a header, then the
     positions of each facet in sorted order."""
-    from .words import format_word
-
     yield f"# word: {format_word(index.word)}; facets: {index.n_facets}\n"
     for f in index.facets:
         yield " ".join(map(str, positions_of(f))) + "\n"

@@ -141,8 +141,8 @@ def contains_longest(w: Word) -> bool:
 def staircase_cells(n: int) -> list[tuple[int, int]]:
     """The grid cells (i, j) of the staircase word of rank ``n``, in word
     order: row i holds the letters s_1..s_{n+1-i}, and cell (i, j) holds
-    s_j.  Every layout of the staircase (its letters, its labels, its braid
-    weights and its diagonals) reads this list.
+    s_j.  Every layout of the staircase (its letters, its doublings, its
+    braid weights and its diagonals) reads this list.
 
     >>> staircase_cells(3)
     [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]

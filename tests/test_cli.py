@@ -98,6 +98,17 @@ def test_facets_word_spec_present_but_empty(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["facets"],
+    ["check", "--rays", "unused.rays"],
+], ids=["facets", "check"])
+def test_word_and_kn_together_are_a_usage_error(capsys, command):
+    # each names a word: given both, neither wins
+    rc, out, err = _exit(capsys, *command, "--word", "n=1; 1 1", "--kn", "2,2")
+    assert (rc, out) == (2, "")
+    assert "argument --kn: not allowed with argument --word" in err and "Traceback" not in err
+
+
 def test_rays_and_check_roundtrip(tmp_path, capsys):
     rays = tmp_path / "p3.rays"
     argv = ["rays", "--construction", "pattern", "--n", "3", "--out", str(rays)]

@@ -1,18 +1,50 @@
 import pytest
 
 from multifan.moves import (
-    Label,
     MoveEvent,
     apply_move,
     carry,
     classify_braid,
     commutation_trace,
     fattening_sequence,
-    final_label_pattern,
     format_trace,
 )
 from multifan.subword import all_facets, is_face, positions_of
-from multifan.words import Word, c_sorted_word, multiassociahedron_word
+from multifan.words import Word, c_sorted_word, multiassociahedron_word, staircase_cells
+
+
+def carried_labels(trace, start):
+    """The label of every letter before each move of a fattening of the
+    staircase factor at 0-based offset ``start``, and after the last: the
+    staircase letters start out labeled (i, j, False) by their grid cell,
+    other letters None; a doubling of an (i, 1, False) letter labels its
+    new copy (i, 1, True), and every label follows its letter by ``carry``."""
+    n = trace.initial.rank
+    labels = [None] * len(trace.initial)
+    labels[start : start + n * (n + 1) // 2] = [(i, j, False) for i, j in staircase_cells(n)]
+    states = [tuple(labels)]
+    for e in trace.events:
+        copy = None
+        if e.kind == "D":
+            i, j, primed = labels[e.r - 1]
+            assert j == 1 and not primed
+            copy = (i, 1, True)
+        carry(labels, e, copy)
+        states.append(tuple(labels))
+    return states
+
+
+def final_label_pattern(n):
+    """Labels of a fattened factor, left to right: the c prefix reads
+    (i,1), the staircase of rank n-1 reads (i,j+1) on its (i,j) letter, and
+    the reversed-c suffix reads (i,1)' at its i-th letter."""
+    return ([(i, 1, False) for i in range(1, n + 1)]
+            + [(i, j + 1, False) for i, j in staircase_cells(n - 1)]
+            + [(i, 1, True) for i in range(1, n + 1)])
+
+
+# every rank and staircase offset whose fattenings the label oracle checks
+FATTENINGS = [(n, k) for n in range(1, 10) for k in range(4)]
 
 
 def facet_sets(w):
@@ -85,7 +117,7 @@ def _correspondence(event, p):
 def test_carry_follows_each_move_correspondence(k):
     # carry moves every position as the move's correspondence table says,
     # and puts the copy of a doubling at r+1; the trace records the word
-    # apply_move returns and the labels carry moves
+    # apply_move returns
     for n in range(1, 7):
         t = fattening_sequence(multiassociahedron_word(k, n), triangle_start=k * n)
         seq = list(range(1, len(t.initial) + 1))
@@ -98,9 +130,6 @@ def test_carry_follows_each_move_correspondence(k):
                 want[e.r] = ("copy", s)
             carry(seq, e, ("copy", s))
             assert seq == want
-            labels = list(t.labels[s])
-            carry(labels, e, t.labels[s + 1][e.r] if e.kind == "D" else None)
-            assert tuple(labels) == t.labels[s + 1]
 
 
 def test_fattening_counts_and_final_word():
@@ -124,25 +153,33 @@ def test_fattening_intermediate_words_n3():
 
 
 def test_final_labels():
-    for n in range(1, 7):
-        t = fattening_sequence(c_sorted_word(n))
-        assert list(t.labels[-1]) == final_label_pattern(n)
+    # the carried labels of every fattened factor end on the fixed pattern
+    for n, k in FATTENINGS:
+        t = fattening_sequence(multiassociahedron_word(k, n), triangle_start=k * n)
+        final = carried_labels(t, k * n)[-1]
+        assert list(final[k * n : k * n + n * (n + 1) // 2 + n]) == final_label_pattern(n)
     assert final_label_pattern(2) == [
-        Label(1, 1), Label(2, 1), Label(1, 2), Label(1, 1, True), Label(2, 1, True),
+        (1, 1, False), (2, 1, False), (1, 2, False), (1, 1, True), (2, 1, True),
     ]
 
 
 def test_braid_moves_in_fattening_have_expected_labels():
-    # every braid in a fattening acts on letters labeled (i,1)', (i,j+1), (i+j,1)
-    for n in (2, 3, 4):
-        t = fattening_sequence(c_sorted_word(n))
+    # every braid in a fattening acts on letters labeled (i,1)', (i,j+1),
+    # (i+j,1), and names the cell (i, j) of its middle letter's label less
+    # one column; no other move names a cell
+    for n, k in FATTENINGS:
+        t = fattening_sequence(multiassociahedron_word(k, n), triangle_start=k * n)
+        states = carried_labels(t, k * n)
         for s, e in enumerate(t.events):
             if e.kind != "B":
+                assert e.cell is None
                 continue
-            l0, l1, l2 = t.labels[s][e.r - 1 : e.r + 2]
-            assert l0.primed and l0.j == 1
-            assert not l1.primed and l1.j >= 2 and l1.i == l0.i
-            assert not l2.primed and l2.j == 1 and l2.i == l0.i + l1.j - 1
+            (i0, j0, primed0), (i1, j1, primed1), (i2, j2, primed2) = states[s][e.r - 1 : e.r + 2]
+            assert primed0 and j0 == 1
+            assert not primed1 and j1 >= 2 and i1 == i0
+            assert not primed2 and j2 == 1 and i2 == i0 + j1 - 1
+            assert e.cell == (i1, j1 - 1)
+        assert sorted(e.cell for e in t.events if e.kind == "B") == staircase_cells(n - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

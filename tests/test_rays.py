@@ -24,7 +24,7 @@ def ints(ra):
 
 def _prefix(trace, s):
     """The first s moves of a trace."""
-    return MoveTrace(trace.words[: s + 1], trace.events[:s], trace.labels[: s + 1])
+    return MoveTrace(trace.words[: s + 1], trace.events[:s])
 
 
 def test_double_transform():

@@ -85,6 +85,43 @@ MUTANTS = (
     Mutant("_Layout half one bit short", "fan.py", "self.half = 1 << (width - 1)", "self.half = 1 << (width - 2)", (
         "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
     )),
+    Mutant("_reflect keeps the exchanged root's position", "subword.py",
+           "    at[key[x]] = x\n", "", (
+        "test_subword.py::test_walk_records_are_pinned",
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
+    )),
+    Mutant("_reflect moves facet positions", "subword.py",
+           "if not g >> (r - 1) & 1:", "if True:", (
+        "test_subword.py::test_children_decided_from_the_parent_on_drawn_words",
+        "test_subword.py::test_walk_records_are_pinned",
+    )),
+    Mutant("_Layout.nonnegative reads the top field only", "fan.py",
+           "return not row & self.bias", "return row >= 0", (
+        "test_fan.py::test_whole_row_location_matches_the_fields",
+        "test_fan.py::test_point_pretest_is_exact",
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
+    )),
+    Mutant("_width without d (d + 1) / 2", "fan.py",
+           "(d * (d + 1) // 2 * min(by_rows, by_columns))", "min(by_rows, by_columns)", (
+        "test_fan.py::test_whole_row_location_matches_the_fields",
+        "test_fan.py::test_tableau_width_at_hadamard_equality",
+        "test_fan.py::test_certificate_matches_from_scratch_on_drawn_rays",
+    )),
+    Mutant("ridge between two exceptions counted twice", "fan.py",
+           "if h < f and h in exceptions:", "if h < 0 and h in exceptions:", (
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
+        "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
+    )),
+    Mutant("ridge between two exceptions counted from neither", "fan.py",
+           "if h < f and h in exceptions:", "if h in exceptions:", (
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
+        "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
+    )),
+    Mutant("braid cell read right to left", "moves.py",
+           "(n + 1 - ell, k))", "(n + 1 - ell, ell - k))", (
+        "test_rays.py::test_ray_files_and_traces_pinned",
+        "test_moves.py::test_braid_moves_in_fattening_have_expected_labels",
+    )),
 )
 
 
