@@ -50,8 +50,10 @@ something reads it: its children, which the walk passes with it, a
 singular facet's rank, the point test or a self-check; a leaf's
 determinant, read in its one step, is the only thing kept of it.  No
 facet is visited twice, and the walk keeps only the exceptions, each
-with its flips' entering positions, and the cones, with their tableau
-rows, of the facets from the base to the one at hand.
+with its oriented sign, and the cones, with their tableau rows, of the
+facets from the base to the one at hand; an exception's flips are read
+after the walk from the word and the facet alone
+(``entering_positions``).
 ``condition_one`` is the point location from scratch: it shares nothing
 with the walk, and the tests compare the walk against it.
 
@@ -378,11 +380,10 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     ``_derive`` from the regular cone that F came from.
 
     G's cone is built (``_Cone.child``) only when a reader needs more than
-    D': when G has children, which the walk passes with G, decided from
-    P's root arrays, when G is singular and its rank is read, when G's row
-    of p is tested, or when G is self-checked.  So a leaf, a facet without
-    children, keeps nothing but D' and costs one row of its parent and one
-    field read.
+    D': when G has children, which the walk passes with G, when G is
+    singular and its rank is read, when G's row of p is tested, or when
+    G is self-checked.  So a leaf, a facet without children, keeps
+    nothing but D' and costs one row of its parent and one field read.
 
     The walk starts at the unit matrix (``_unit``): the rows e_1..e_d at d
     positions past the word's last, of determinant 1, whose tableau rows
@@ -401,12 +402,13 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     -(-1)^k on every ridge, which is good iff the oriented signs e
     sign(det) of F and G are equal and nonzero.  The walk stores only the
     exceptions, the facets whose oriented sign is not the base's nonzero
-    one, each with the entering position of each flip, and classifies
-    every ridge at an exception after the walk, once.  Its first
-    exception has a parent of the base's sign, so before it no ridge
-    fails, and a facet's closed cone contains p iff no numerator has the
-    sign opposite to its determinant, that is iff every field of sign(D')
-    R'[p] is >= 0, one test on the whole int (``_Cone.holds_point``);
+    one, each with that sign, and classifies every ridge at an exception
+    after the walk, once, from its flips read off the word and the facet
+    (``entering_positions``).  Its first exception has a parent of the
+    base's sign, so before it no ridge fails, and a facet's closed cone
+    contains p iff no numerator has the sign opposite to its
+    determinant, that is iff every field of sign(D') R'[p] is >= 0, one
+    test on the whole int (``_Cone.holds_point``);
     every cone from the base to G is then regular.  One field decides
     most of them first: the exchange leaves s t in q's slot of R'[p], t
     the field of x's slot in the parent's R[p], so if s t D' < 0, p's
@@ -419,13 +421,12 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     """
     rays = _int_rays(ra)
     word = ra.word
-    # the exceptions: facet -> (its oriented sign, the entering position
-    # of each of its flips, in position order)
-    exceptions: dict[Facet, tuple[int, ...]] = {}
+    # the exceptions: facet -> its oriented sign
+    exceptions: dict[Facet, int] = {}
     count, singular, rank = -1, 0, ra.dim
     witness = point = read = base = root = None
 
-    def step(state, g, x, q, k, key, at, children):
+    def step(state, g, x, q, k, children):
         # state: the cone of the facet that x -> q entered g from, and
         # its orientation
         nonlocal count, singular, rank, witness, point, read, base, root
@@ -455,7 +456,7 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
         if state is None:
             base = sign
         if sign != base or not sign:
-            exceptions[g] = (sign, *entering_positions(word, g, x, q, key, at))
+            exceptions[g] = sign
         locate = not exceptions and point is not None
         # p's numerator in q's slot of g is s times the field of x's slot
         # in the parent's row of p: of the sign opposite to det, it keeps
@@ -478,16 +479,16 @@ def _stats(ra: RayAssignment) -> tuple[FanStats, str | None, Facet | None]:
     walk(word, step)
     bad = degenerate = 0
     least = failure = None
-    for f, (sign, *entering) in exceptions.items():
+    for f, sign in exceptions.items():
         # f's positions, lowest first, as bits, beside their entering ones
         rest = f
-        for q in entering:
+        for q in entering_positions(word, f):
             x = rest & -rest
             rest ^= x
             h = f ^ x | 1 << (q - 1)
             if h < f and h in exceptions:
                 continue  # counted from h
-            other = exceptions.get(h, (base,))[0]
+            other = exceptions.get(h, base)
             if not (sign and other):
                 degenerate += 1
                 status = "degenerate"

@@ -10,16 +10,17 @@ positions (bit r-1 set means position r belongs to the facet).
 Flips are read off the root configuration of a facet: the partner of a
 facet position is the complement position carrying the same root.  The
 one enumeration of the complex is :func:`walk`, a reverse search of the
-increasing-flip tree that calls a ``step`` once per facet, with the root
-configuration of the facet it was entered from and the children that
-the walk decided from it; the sorted facet list, the statistics and the
+increasing-flip tree that calls a ``step`` once per facet, with the flip
+that entered it and the children that the walk decided from its
+parent's roots; the sorted facet list, the statistics and the
 certificate are each such a step.  Only a facet with children gets its
-own copy of the root configuration, so a leaf costs no copy, and
-``entering_positions`` reads the entering position of each of a facet's
-flips when a step asks for it, so each ridge can be seen from both of
-its facets; the tests check every flip against a 0-Hecke reference, the
-children against each facet's own flips, and the walk against a
-breadth-first search.
+own copy of the roots, so a leaf costs no copy, and the root facet's
+map from roots to complement positions serves the whole walk.
+``entering_positions`` reads a facet's flips from the word and the
+facet alone, when a step asks for them, so each ridge can be seen from
+both of its facets; the tests check every flip against a 0-Hecke
+reference, the children against each facet's own flips, and the walk
+against a breadth-first search.
 """
 
 from __future__ import annotations
@@ -149,39 +150,33 @@ def _roots(rank: int):
     return ids, refl
 
 
-def _reflect(key, at, x, q, g, rb):
-    """The root arrays of g, entered by the flip x -> q from the facet
-    whose arrays are ``key`` and ``at``, as new lists: the flip exchanges
-    the root beta = ``key[x]``, which x and q both carry, and reflects by
+def _reflect(key, x, q, rb):
+    """The root keys of the facet entered by the flip x -> q from the
+    facet whose keys are ``key``, as a new list: the flip exchanges the
+    root beta = ``key[x]``, which x and q both carry, and reflects by
     beta's transposition, ``rb`` = ``refl[beta]``, the root of every
     position strictly between q and x; every other position keeps its
     root."""
-    key, at = key[:], at[:]
+    key = key[:]
     for r in range(q + 1, x):
-        k = rb[key[r]]
-        if k != key[r]:
-            key[r] = k
-            if not g >> (r - 1) & 1:
-                at[k] = r
-    at[key[x]] = x
-    return key, at
+        key[r] = rb[key[r]]
+    return key
 
 
 def walk(w: Word, step) -> None:
-    """Call ``step(state, g, x, q, k, key, at, children)`` once for every
-    facet g, each before its children, which follow in the order of their
-    flips.  g was entered by the flip x -> q from the facet that ``step``
+    """Call ``step(state, g, x, q, k, children)`` once for every facet g,
+    each before its children, which follow in the order of their flips.
+    g was entered by the flip x -> q from the facet that ``step``
     returned ``state`` for, k the parity of g's positions strictly
-    between q and x; ``key`` and ``at`` are that facet's root arrays, from
-    which ``entering_positions`` reads g's flips; ``children`` lists the
-    flips (y, p) of g that enter its children, and the walk keeps what
-    ``step`` returns as the ``state`` of their calls.  The root's one call
-    has state, x, q and k None, and its own arrays.  On c w0(2), the
-    pentagon:
+    between q and x; ``children`` lists the flips (y, p) of g that enter
+    its children, and the walk keeps what ``step`` returns as the
+    ``state`` of their calls.  The root's one call has state, x, q and k
+    None.  A step that needs all of g's flips reads them with
+    ``entering_positions``.  On c w0(2), the pentagon:
 
     >>> w = Word(2, (1, 2, 1, 2, 1))
-    >>> def show(state, g, x, q, k, key, at, children):
-    ...     print(positions_of(g), entering_positions(w, g, x, q, key, at), (x, q, k), children)
+    >>> def show(state, g, x, q, k, children):
+    ...     print(positions_of(g), entering_positions(w, g), (x, q, k), children)
     >>> walk(w, show)
     (4, 5) [1, 3] (None, None, None) [(4, 1), (5, 3)]
     (1, 5) [4, 2] (4, 1, 0) []
@@ -204,18 +199,21 @@ def walk(w: Word, step) -> None:
 
     The roots, the pairs of values, are numbered once (``_roots``);
     ``key[r]`` is the number of position r's root, and ``at`` maps the
-    root of each complement position back to the position.  The root
-    configuration is computed once, at the root, and each facet with
-    children gets its own copy of its parent's arrays, reflected by
-    ``_reflect``, so that returning from it undoes nothing.  A child's
-    children are decided from its parent's arrays: the flip x -> q of F
-    into G leaves every root outside [q, x] in place and reflects those
-    strictly between, so G's flips that enter below q are F's flips (y,
-    p) with p < q and y outside [q, x], and each position y of F strictly
-    between q and x whose reflected root the complement carries at some p
-    < q.  So a leaf, a facet without children, is never copied.  The
-    arrays passed to ``step`` belong to the walk and never change
-    afterwards: a step may keep them, but must not mutate them.
+    root of each complement position back to the position.  Both are
+    computed once, at the root, and each facet with children gets its
+    own copy of its parent's keys, reflected by ``_reflect``, so that
+    returning from it undoes nothing.  A child's children are decided
+    from its parent's keys: the flip x -> q of F into G leaves every
+    root outside [q, x] in place and reflects those strictly between, so
+    G's flips that enter below q are F's flips (y, p) with p < q and y
+    outside [q, x], and each position y of F strictly between q and x
+    whose reflected root the complement carries at some p < q.  So a
+    leaf, a facet without children, is never copied.  The root's ``at``
+    answers each of these reads, and is never copied or written: the
+    entering positions decrease from the root to G, and a flip x -> q
+    moves roots and complement positions only at q and past it, so a
+    root that G's complement carries below q sits at the same position
+    in the root's, and any other root is at q or past it in both.
     """
     ids, refl = _roots(w.rank)
     root = greedy_facet(w)
@@ -225,7 +223,7 @@ def walk(w: Word, step) -> None:
         at[key[q]] = q
     pos = list(positions_of(root))  # sorted
 
-    def descend(f, key, at, pos, state, children):
+    def descend(f, key, pos, state, children):
         low = (~f & f + 1).bit_length()  # f's first complement position
         for x, q in children:
             g = f ^ 1 << (x - 1) | 1 << (q - 1)
@@ -236,26 +234,41 @@ def walk(w: Word, step) -> None:
             # position below q is free to enter
             kids = ([(y, p) for y in pos if (p := at[rb[key[y]] if q < y < x else key[y]]) < q]
                     if q > low else [])
-            g_state = step(state, g, x, q, (j - i) & 1, key, at, kids)
+            g_state = step(state, g, x, q, (j - i) & 1, kids)
             if kids:
                 g_pos = pos[:]
                 del g_pos[j]
                 g_pos.insert(i, q)
-                descend(g, *_reflect(key, at, x, q, g, rb), g_pos, g_state, kids)
+                descend(g, _reflect(key, x, q, rb), g_pos, g_state, kids)
 
     # m(root) is past the last position: every flip of the root is a child
     children = [(x, at[key[x]]) for x in pos]
-    descend(root, key, at, pos, step(None, root, None, None, None, key, at, children), children)
+    descend(root, key, pos, step(None, root, None, None, None, children), children)
 
 
-def entering_positions(w: Word, g: Facet, x, q, key, at) -> list[int]:
+def entering_positions(w: Word, g: Facet) -> list[int]:
     """The entering position of the flip at each position of g, in
-    position order, from what ``walk`` passes ``step`` with g: the arrays
-    of the facet that x -> q entered g from, reflected by ``_reflect``,
-    or g's own at the root."""
-    if x is not None:
-        key, at = _reflect(key, at, x, q, g, _roots(w.rank)[1][key[x]])
-    return [at[key[y]] for y in positions_of(g)]
+    position order, from the word and g alone, in one pass over the
+    letters: the root of position r is the pair u < v of values that
+    its letter exchanges in the product of the complement letters
+    before r, numbered u (rank + 2) + v, and a position of g flips to
+    the complement position of the same root.  A complement letter
+    lengthens the product, so its pair is already in order.
+
+    >>> entering_positions(Word(2, (1, 2, 1, 2, 1)), 0b11000)
+    [1, 3]
+    """
+    pi = list(identity(w.rank))
+    m = w.rank + 2
+    at, roots = {}, []
+    for r, a in enumerate(w.letters, start=1):
+        u, v = pi[a - 1], pi[a]
+        if g >> (r - 1) & 1:
+            roots.append(u * m + v if u < v else v * m + u)
+        else:
+            at[u * m + v] = r
+            pi[a - 1], pi[a] = v, u
+    return [at[root] for root in roots]
 
 
 class ComplexIndex(NamedTuple):

@@ -198,16 +198,16 @@ def certify_from_scratch(ra: RayAssignment) -> CheckReport:
 def walk_records(w: Word) -> list[tuple]:
     """Every call that ``walk`` makes over ``w``, in order, as ``(f,
     entering, entry, depth, children)``: the entering position of each
-    flip of f, read by ``entering_positions`` from the arrays passed with
-    f; the flip ``entry = (x, q, k)`` that entered f, None at the root;
-    f's depth in the tree, counted through the states that the walk hands
+    flip of f, read by ``entering_positions`` from the word and f; the
+    flip ``entry = (x, q, k)`` that entered f, None at the root; f's
+    depth in the tree, counted through the states that the walk hands
     back; and the children that the walk passed with f."""
     records = []
 
-    def step(depth, g, x, q, k, key, at, children):
+    def step(depth, g, x, q, k, children):
         depth = 0 if depth is None else depth + 1
         entry = None if x is None else (x, q, k)
-        records.append((g, entering_positions(w, g, x, q, key, at), entry, depth, children))
+        records.append((g, entering_positions(w, g), entry, depth, children))
         return depth
 
     walk(w, step)

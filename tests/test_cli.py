@@ -229,6 +229,13 @@ def test_reproduce_matrix_rejects_other_n(capsys):
     assert rc == 2 and "n=4" in err
 
 
+def test_reproduce_table_refuses_an_unknown_id():
+    # the command line offers only the known ids; the library names them
+    with pytest.raises(ValueError) as exc:
+        tables.reproduce_table("T9")
+    assert str(exc.value) == f"unknown table id 'T9'; know {tables.TABLE_IDS}"
+
+
 def test_reproduce_empty_range(capsys):
     # empty or malformed: each names --n and the range it read
     for spec in ("3..1", "1..x", "2,y"):

@@ -817,6 +817,20 @@ def test_certificate_keeps_no_memo_per_facet_n6():
     assert _traced_peak(build_rays("pattern", 6)) < 0.5
 
 
+def test_rejected_walk_keeps_one_sign_per_exception():
+    # the 782 singular cones of naive n=5 are all exceptions, kept for
+    # the whole walk with their oriented sign alone: 0.14 MB, where a
+    # tuple of each one's entering positions took 0.24 MB
+    assert _traced_peak(build_rays("naive", 5)) < 0.18
+
+
+@pytest.mark.fulltier
+def test_rejected_walk_keeps_one_sign_per_exception_n6():
+    # the 10,992 exceptions of naive n=6: 1.3 MB, against 2.9 MB with
+    # their entering positions
+    assert _traced_peak(build_rays("naive", 6)) < 2.0
+
+
 def _contents(ra):
     """The primitive rays of ``scale_to_int`` and the content of each
     coordinate over them, 1 for a zero coordinate."""
@@ -1018,11 +1032,11 @@ def test_self_check_catches_a_wrong_entry_parity(monkeypatch, construction):
     flipped = []
 
     def faulty(word, step):
-        def flip(state, g, x, q, k, *arrays):
+        def flip(state, g, x, q, k, children):
             if x is not None and not flipped:
                 flipped.append(g)
                 k ^= 1
-            return step(state, g, x, q, k, *arrays)
+            return step(state, g, x, q, k, children)
 
         walk(word, flip)
 

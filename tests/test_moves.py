@@ -84,10 +84,30 @@ def test_apply_move_examples():
     assert apply_move(Word(1, (1,)), MoveEvent("D", 1)) == Word(1, (1, 1))
     assert apply_move(Word(2, (1, 2, 1)), MoveEvent("B", 1)) == Word(2, (2, 1, 2))
     assert apply_move(Word(3, (1, 3, 2)), MoveEvent("C", 1)) == Word(3, (3, 1, 2))
-    with pytest.raises(ValueError):
-        apply_move(Word(2, (1, 2, 2)), MoveEvent("B", 1))
-    with pytest.raises(ValueError):
-        apply_move(Word(2, (1, 2)), MoveEvent("C", 1))
+
+
+@pytest.mark.parametrize("word,event,message", [
+    (Word(1, (1,)), MoveEvent("D", 2), "double position 2 out of range"),
+    (Word(1, (1,)), MoveEvent("D", 0), "double position 0 out of range"),
+    (Word(3, (1, 3)), MoveEvent("C", 2), "commutation position 2 out of range"),
+    (Word(2, (1, 2)), MoveEvent("C", 1), "letters s_1 s_2 at 1 do not commute"),
+    (Word(2, (1, 2, 1)), MoveEvent("B", 2), "braid position 2 out of range"),
+    (Word(2, (1, 2, 2)), MoveEvent("B", 1), "no braid pattern at 1: s_1 s_2 s_2"),
+    (Word(2, (1, 2, 1)), MoveEvent("X", 1), "unknown move kind 'X'"),
+])
+def test_apply_move_refuses(word, event, message):
+    with pytest.raises(ValueError) as exc:
+        apply_move(word, event)
+    assert str(exc.value) == message
+
+
+def test_fattening_sequence_needs_a_staircase_factor():
+    with pytest.raises(ValueError) as exc:
+        fattening_sequence(Word(2, (2, 1, 2)))
+    assert str(exc.value) == "no staircase factor of rank 2 at offset 0"
+    with pytest.raises(ValueError) as exc:
+        fattening_sequence(c_sorted_word(2), 1)
+    assert str(exc.value) == "no staircase factor of rank 2 at offset 1"
 
 
 def test_classify_case1():

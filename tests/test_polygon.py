@@ -29,6 +29,13 @@ def test_relevant_diagonals():
         assert len(relevant_diagonals(k, n)) == len(multiassociahedron_word(k, n))
 
 
+@pytest.mark.parametrize("k,n", [(-1, 2), (2, 0)])
+def test_relevant_diagonals_refuses_bad_k_or_n(k, n):
+    with pytest.raises(ValueError) as exc:
+        relevant_diagonals(k, n)
+    assert str(exc.value) == "need k >= 0 and n >= 1"
+
+
 def test_enumeration_counts():
     assert len(enumerate_k_triangulations(1, 2)) == 5
     assert len(enumerate_k_triangulations(2, 2)) == 14

@@ -236,6 +236,8 @@ def test_unknown_construction():
                  "fixed:1e3,1", "fixed:1,2,3", "fixed:"):
         with pytest.raises(ValueError):
             build_rays(name, 3)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        build_rays("naive", 0)
     # fixed weights are integers or p/q, as ray files write them
     assert scheme_for("fixed:7/2,1", 3)[(1, 1)] == (Fraction(7, 2), 1)
 

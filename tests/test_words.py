@@ -141,9 +141,17 @@ def test_parse_and_format():
     assert parse_word("c^2 w0(2)").letters == (1, 2, 1, 2, 1, 2, 1)
     assert parse_word(format_word(w)) == w
     with pytest.raises(ValueError):
-        parse_word("garbage")
-    with pytest.raises(ValueError):
         Word(2, (3,))
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("garbage", "bad word spec 'garbage'"),
+    ("x=3; 1 2", "bad word spec 'x=3; 1 2': expected 'n=<rank>; ...'"),
+])
+def test_bad_word_spec_is_refused(spec, message):
+    with pytest.raises(ValueError) as exc:
+        parse_word(spec)
+    assert str(exc.value) == message
 
 
 def test_shorthand_is_read_without_building_the_word():

@@ -85,15 +85,25 @@ MUTANTS = (
     Mutant("_Layout half one bit short", "fan.py", "self.half = 1 << (width - 1)", "self.half = 1 << (width - 2)", (
         "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
     )),
-    Mutant("_reflect keeps the exchanged root's position", "subword.py",
-           "    at[key[x]] = x\n", "", (
-        "test_subword.py::test_walk_records_are_pinned",
-        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
-    )),
-    Mutant("_reflect moves facet positions", "subword.py",
-           "if not g >> (r - 1) & 1:", "if True:", (
+    Mutant("_reflect leaves the keys unreflected", "subword.py",
+           "key[r] = rb[key[r]]", "key[r] = key[r]", (
+        "test_subword.py::test_pentagon_flip_graph_is_5_cycle",
+        "test_subword.py::test_walk_matches_bfs_on_drawn_words",
         "test_subword.py::test_children_decided_from_the_parent_on_drawn_words",
         "test_subword.py::test_walk_records_are_pinned",
+    )),
+    Mutant("_reflect starts at q + 2", "subword.py", "range(q + 1, x)", "range(q + 2, x)", (
+        "test_subword.py::test_pentagon_flip_graph_is_5_cycle",
+        "test_subword.py::test_walk_matches_bfs_on_drawn_words",
+        "test_subword.py::test_children_decided_from_the_parent_on_drawn_words",
+        "test_subword.py::test_walk_records_are_pinned",
+    )),
+    Mutant("entering_positions leaves a facet root's pair unordered", "subword.py",
+           "roots.append(u * m + v if u < v else v * m + u)", "roots.append(u * m + v)", (
+        "test_subword.py::test_naive_and_root_flips_agree_on_drawn_words",
+        "test_subword.py::test_carried_partners_match_root_configuration",
+        "test_subword.py::test_walk_records_are_pinned",
+        "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
     )),
     Mutant("_Layout.nonnegative reads the top field only", "fan.py",
            "return not row & self.bias", "return row >= 0", (
@@ -116,6 +126,12 @@ MUTANTS = (
            "if h < f and h in exceptions:", "if h in exceptions:", (
         "test_fan.py::test_certificate_matches_from_scratch_on_constructions",
         "test_fan.py::test_certificate_matches_from_scratch_on_drawn_words",
+    )),
+    Mutant("ridge loop reads a non-exception neighbour's sign as the exception's own", "fan.py",
+           "other = exceptions.get(h, base)", "other = exceptions.get(h, sign)", (
+        "test_fan.py::test_walk_results_are_pinned[perturbed]",
+        "test_fan.py::test_walk_results_are_pinned[pattern-verbatim]",
+        "test_rays.py::test_pattern_verbatim_fails_certification_with_ridge_witness",
     )),
     Mutant("braid cell read right to left", "moves.py",
            "(n + 1 - ell, k))", "(n + 1 - ell, ell - k))", (
